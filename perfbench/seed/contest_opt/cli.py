@@ -1,0 +1,346 @@
+"""Command-line surface: evaluate, optimize, sweep, equilibrium, verify.
+
+All numeric output is printed at 9 significant digits and contains no
+timestamps, so identical invocations (seed included) produce byte-identical
+files.  Exit codes: 0 ok, 1 usage, 2 verification failure, 3 budget/limit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from . import equilibrium as eq
+from . import objective as obj
+from . import optimizer as opt
+from . import verify as verify_mod
+from .errors import BudgetExceededError, ContestOptError
+from .policy import classify_structure, parse_policy
+from .quadrature import QuadratureConfig
+
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_VERIFY_FAILED = 2
+EXIT_BUDGET = 3
+
+
+def _fmt(value: float) -> str:
+    return "%.9g" % value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # usage problems exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        sys.stderr.write("error: %s\n" % message)
+        raise SystemExit(EXIT_USAGE)
+
+
+def _emit(text: str, output: str | None) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _quad_from_args(args, default: QuadratureConfig) -> QuadratureConfig:
+    m = args.quad_m if args.quad_m else default.m
+    rule = args.quad_rule if args.quad_rule else default.rule
+    return QuadratureConfig(m=m, rule=rule,
+                            exclude_left_endpoint=(rule == "right_riemann"))
+
+
+def _objective_from_args(args) -> obj.ObjectiveSpec:
+    if getattr(args, "objective", None):
+        return obj.parse_objective_config(args.objective)
+    return obj.ConvexCombo(alpha=args.alpha)
+
+
+def _check_common(args) -> None:
+    if getattr(args, "n", None) is not None and args.n < 2:
+        raise ContestOptError("n must be >= 2")
+    if getattr(args, "beta", None) is not None and args.beta <= 0:
+        raise ContestOptError("beta must be positive")
+    if getattr(args, "alpha", None) is not None and not 0 <= args.alpha <= 1:
+        raise ContestOptError("alpha must lie in [0, 1]")
+    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
+        raise ContestOptError("epsilon must be positive")
+
+
+def cmd_evaluate(args) -> int:
+    _check_common(args)
+    policy = parse_policy(args.policy, args.n)
+    spec = _objective_from_args(args)
+    quad = _quad_from_args(args, obj.DEFAULT_QUAD)
+    value = obj.evaluate(spec, args.beta, policy, quad)
+    welfare, quality = eq.welfare_quality_analytic(policy, args.beta, quad)
+    bound = obj.evaluate_error_bound(spec, args.beta, policy, quad)
+    record = {
+        "policy": str(policy),
+        "objective": obj.format_objective_config(spec),
+        "beta": args.beta,
+        "value": value,
+        "welfare": welfare,
+        "quality": quality,
+        "quadrature_error_bound": bound,
+    }
+    if isinstance(spec, obj.ConvexCombo) and classify_structure(policy, 1e-9).tag == "HM":
+        record["closed_form"] = obj.evaluate_hm_closed_form(spec.alpha, args.beta, policy.n)
+    if args.format == "json":
+        text = json.dumps({k: (_fmt(v) if isinstance(v, float) else v)
+                           for k, v in record.items()}, sort_keys=True) + "\n"
+    else:
+        text = "".join(
+            "%s: %s\n" % (k, _fmt(v) if isinstance(v, float) else v)
+            for k, v in record.items()
+        )
+    _emit(text, args.output)
+    return EXIT_OK
+
+
+def cmd_optimize(args) -> int:
+    _check_common(args)
+    spec = _objective_from_args(args)
+    if args.method == "bnb":
+        if not isinstance(spec, obj.ConvexCombo):
+            raise ContestOptError(
+                "branch-and-bound certifies only the welfare/quality mix "
+                "(its interval-gap constants are specific to it); use "
+                "--method line or grid for other objectives"
+            )
+        if args.n == 2:
+            sys.stderr.write("note: n=2 admits only the winner-take-all split; "
+                             "returning it directly\n")
+        cfg = opt.BnbConfig(epsilon=args.epsilon,
+                            constants_mode=args.constants,
+                            quad=_quad_from_args(args, opt.BNB_QUAD))
+        result = opt.branch_and_bound(args.n, spec.alpha, args.beta, cfg)
+    elif args.method == "line":
+        result = opt.two_level_line_search(
+            spec, args.beta, args.n, steps=args.steps, refine=True,
+            quad=_quad_from_args(args, opt.LINE_QUAD))
+    elif args.method == "grid":
+        result = opt.grid_search(
+            spec, args.beta, args.n, args.granularity,
+            quad=_quad_from_args(args, opt.GRID_QUAD))
+    else:  # pragma: no cover - argparse restricts choices
+        raise ContestOptError("unknown method %r" % args.method)
+
+    tol = args.classify_tol
+    if tol is None:
+        tol = 0.5 * args.granularity if args.method == "grid" else 1e-6
+    shape = classify_structure(result.policy, tol)
+    summary = {
+        "policy": str(result.policy),
+        "value": _fmt(result.value),
+        "gap": _fmt(result.certified_gap) if result.certified_gap is not None else None,
+        "certified": result.certified,
+        "nodes": result.nodes_explored,
+        "method": result.method,
+        "structure": shape.tag,
+        "p1": _fmt(shape.p1) if shape.p1 is not None else None,
+    }
+    if args.format == "json":
+        text = result.to_json() + "\n"
+    else:
+        text = "".join("%s: %s\n" % (k, v) for k, v in summary.items())
+    _emit(text, args.output)
+    return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    _check_common(args)
+    cells = 1000 if args.full else args.cells
+    if cells * cells > args.budget and not args.full:
+        raise BudgetExceededError(
+            "sweep of %d cells exceeds budget %d; pass --full for the "
+            "overnight-scale run" % (cells * cells, args.budget)
+        )
+    alphas = np.linspace(args.alpha_min, args.alpha_max, cells)
+    betas = np.linspace(args.beta_min, args.beta_max, cells)
+    quad = _quad_from_args(args, QuadratureConfig(m=5000))
+    spacing = (1.0 - 1.0 / (args.n - 1)) / (args.steps - 1)
+    tol = max(1e-6, 0.5 * spacing)
+
+    def cell(pair):
+        alpha, beta = pair
+        result = opt.two_level_line_search(
+            obj.ConvexCombo(alpha), beta, args.n,
+            steps=args.steps, refine=True, quad=quad, workers=1)
+        shape = classify_structure(result.policy, tol)
+        p = result.policy.values
+        return (alpha, beta, p[0], p[1], result.value, shape.tag)
+
+    pairs = [(a, b) for a in alphas for b in betas]
+    with ThreadPoolExecutor(max_workers=opt._worker_count(None)) as pool:
+        rows = list(pool.map(cell, pairs))
+    rows.sort(key=lambda r: (r[0], r[1]))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["alpha", "beta", "p1", "p2", "value", "structure_tag"])
+    for alpha, beta, p1, p2, value, tag in rows:
+        writer.writerow([_fmt(alpha), _fmt(beta), _fmt(p1), _fmt(p2), _fmt(value), tag])
+    _emit(buf.getvalue(), args.output)
+    return EXIT_OK
+
+
+def cmd_equilibrium(args) -> int:
+    _check_common(args)
+    policy = parse_policy(args.policy, args.n)
+    model = eq.EquilibriumModel(policy, args.beta)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["q", "F"])
+    for q, f in eq.cdf_table(model, args.points):
+        writer.writerow([_fmt(q), _fmt(f)])
+    _emit(buf.getvalue(), args.output)
+    sys.stderr.write("q_max: %s\n" % _fmt(model.q_max))
+    if args.simulate:
+        report = eq.simulate(model, args.simulate, args.seed,
+                             deviation_grid=args.deviation_grid)
+        payload = {
+            "empirical_welfare": _fmt(report.empirical_welfare),
+            "empirical_quality": _fmt(report.empirical_quality),
+            "welfare_se": _fmt(report.welfare_se),
+            "quality_se": _fmt(report.quality_se),
+            "max_deviation_gain": _fmt(report.max_deviation_gain),
+            "deviation_se": _fmt(report.deviation_se),
+            "samples": report.samples,
+            "seed": report.seed,
+        }
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    return EXIT_OK
+
+
+def cmd_verify(args) -> int:
+    results = verify_mod.run_checks(only=args.only, seed=args.seed, trials=args.trials)
+    if not results:
+        sys.stderr.write("error: no checks match %r\n" % args.only)
+        return EXIT_USAGE
+    lines = []
+    for r in results:
+        lines.append(json.dumps(
+            {"name": r.name, "status": r.status,
+             "worst_margin": _fmt(r.worst_margin), "seed": r.seed},
+            sort_keys=True))
+    text = "\n".join(lines) + "\n"
+    _emit(text, args.output)
+    failed = [r for r in results if r.status != "pass"]
+    if failed:
+        sys.stderr.write("%d/%d checks failed\n" % (len(failed), len(results)))
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="contest-opt",
+        description="Optimal rank-based prize policies for contests with "
+                    "power costs: evaluation, certified optimization, "
+                    "equilibrium sampling and verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, with_policy=False, with_objective=False):
+        p.add_argument("--n", type=int, default=5, help="number of contestants")
+        p.add_argument("--beta", type=float, default=2.0, help="cost exponent")
+        p.add_argument("--quad-m", type=int, default=0,
+                       help="quadrature node count (0 = command default)")
+        p.add_argument("--quad-rule", choices=["right_riemann", "trapezoid"],
+                       default="", help="quadrature rule")
+        p.add_argument("--output", default=None, help="write to file instead of stdout")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        if with_policy:
+            p.add_argument("--policy", required=True,
+                           help='shares "0.4,0.2,0.2,0.2,0" or hm | uni | two:<p1>')
+        if with_objective:
+            p.add_argument("--alpha", type=float, default=0.0,
+                           help="welfare weight of the convex objective")
+            p.add_argument("--objective", default=None,
+                           help='config string, e.g. "objective=posynomial terms=2:3,-3:2,2:1"')
+
+    p_eval = sub.add_parser("evaluate", help="value, welfare and quality of a policy")
+    common(p_eval, with_policy=True, with_objective=True)
+    p_eval.set_defaults(func=cmd_evaluate)
+
+    p_opt = sub.add_parser("optimize", help="find an optimal policy")
+    common(p_opt, with_objective=True)
+    p_opt.add_argument("--method", choices=["bnb", "grid", "line"], default="bnb")
+    p_opt.add_argument("--epsilon", type=float, default=1e-3,
+                       help="certified additive gap for bnb")
+    p_opt.add_argument("--granularity", type=float, default=0.02,
+                       help="share lattice spacing for grid search")
+    p_opt.add_argument("--steps", type=int, default=1000,
+                       help="top-share grid points for line search")
+    p_opt.add_argument("--constants", choices=["exact", "rough"], default="exact")
+    p_opt.add_argument("--classify-tol", type=float, default=None,
+                       help="structure classification tolerance")
+    p_opt.set_defaults(func=cmd_optimize)
+
+    p_sweep = sub.add_parser(
+        "sweep",
+        help="alpha x beta sweep of optimal two-level policies",
+        description="Writes CSV with columns alpha, beta, p1, p2, value, "
+                    "structure_tag; rows sorted by (alpha, beta).")
+    common(p_sweep)
+    p_sweep.add_argument("--cells", type=int, default=50, help="cells per axis")
+    p_sweep.add_argument("--alpha-min", type=float, default=0.05)
+    p_sweep.add_argument("--alpha-max", type=float, default=1.0)
+    p_sweep.add_argument("--beta-min", type=float, default=0.1)
+    p_sweep.add_argument("--beta-max", type=float, default=5.0)
+    p_sweep.add_argument("--steps", type=int, default=300,
+                         help="line-search points per cell")
+    p_sweep.add_argument("--budget", type=int, default=10_000,
+                         help="maximum cell count without --full")
+    p_sweep.add_argument("--full", action="store_true",
+                         help="1000x1000 cells; overnight-scale")
+    p_sweep.set_defaults(func=cmd_sweep)
+
+    p_eq = sub.add_parser(
+        "equilibrium",
+        help="CDF table and Monte Carlo audit",
+        description="Writes CSV with columns q, F (the equilibrium CDF on a "
+                    "uniform grid over the support); q_max goes to stderr and "
+                    "the optional simulation report to stdout as JSON.")
+    common(p_eq, with_policy=True)
+    p_eq.add_argument("--points", type=int, default=101, help="CDF table rows")
+    p_eq.add_argument("--simulate", type=int, default=0,
+                      help="Monte Carlo sample count (0 = skip)")
+    p_eq.add_argument("--seed", type=int, default=0)
+    p_eq.add_argument("--deviation-grid", type=int, default=50)
+    p_eq.set_defaults(func=cmd_equilibrium)
+
+    p_ver = sub.add_parser("verify", help="run the named invariant checks")
+    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--trials", type=int, default=200)
+    p_ver.add_argument("--only", default=None, help="substring filter on check names")
+    p_ver.add_argument("--output", default=None)
+    p_ver.set_defaults(func=cmd_verify)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_BUDGET
+    except ContestOptError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,225 @@
+"""The closed-form symmetric mixed equilibrium and a Monte Carlo validator.
+
+For a nontrivial policy p and cost exponent beta, every contestant plays
+the same atomless quality distribution supported on [0, q_max] with
+q_max = (p_1 - p_n)^(1/beta).  Its CDF is pinned down by the indifference
+condition  p_n + q^beta = h(F(q), p),  so F is the inverse of h composed
+with the cost, and the quantile map is  u -> (h(u, p) - p_n)^(1/beta).
+That quantile form doubles as the exact sampler.
+
+Only the symmetric profile is characterized here; the simulator validates
+that profile and makes no claim about asymmetric play.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .bernstein import h_eval, h_inverse
+from .errors import DomainError, RangeError, TrivialPolicyError
+from .objective import DEFAULT_QUAD, beta_value
+from .policy import Policy, is_nontrivial
+from .quadrature import QuadratureConfig
+
+_SIM_CHUNK = 250_000
+
+
+@dataclass(frozen=True)
+class EquilibriumModel:
+    """Symmetric-equilibrium object for a (policy, beta) pair."""
+
+    policy: Policy
+    beta: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "beta", beta_value(self.beta))
+        if not is_nontrivial(self.policy):
+            raise TrivialPolicyError(
+                "the all-equal policy induces no competition; equilibrium "
+                "degenerates to zero effort"
+            )
+
+    @property
+    def q_max(self) -> float:
+        return (self.policy.p1 - self.policy.pn) ** (1.0 / self.beta)
+
+
+@dataclass(frozen=True)
+class SimReport:
+    """Monte Carlo summary with standard errors for each estimate."""
+
+    empirical_welfare: float
+    empirical_quality: float
+    welfare_se: float
+    quality_se: float
+    max_deviation_gain: float
+    deviation_se: float
+    samples: int
+    seed: int
+
+
+def cdf(model: EquilibriumModel, q):
+    """Equilibrium CDF at quality q, for q in [0, q_max]."""
+    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+    qm = model.q_max
+    if np.any(q_arr < -1e-15) or np.any(q_arr > qm + 1e-12):
+        raise RangeError("q outside the support [0, %.9g]" % qm)
+    q_clip = np.clip(q_arr, 0.0, qm)
+    y = model.policy.pn + q_clip**model.beta
+    # machine-precision inversion keeps the indifference identity
+    # h(F(q)) = p_n + q^beta exact to float rounding
+    out = np.atleast_1d(h_inverse(model.policy, y, tol=1e-15))
+    out[q_clip == 0.0] = 0.0
+    out[q_clip == qm] = 1.0
+    return float(out[0]) if np.isscalar(q) or np.asarray(q).ndim == 0 else out
+
+
+def quantile(model: EquilibriumModel, u):
+    """Inverse CDF: quality played at quantile u in [0, 1]."""
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+        raise DomainError("quantile argument must lie in [0, 1]")
+    inner = np.clip(h_eval(model.policy, u_arr) - model.policy.pn, 0.0, None)
+    out = inner ** (1.0 / model.beta)
+    return float(out[0]) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
+
+
+def expected_revenue(p: Policy, f_of_q) -> float:
+    """Expected prize of a contestant whose quality sits at CDF level F.
+
+    Equals h(F, p): the rank distribution against n-1 independent draws is
+    binomial, and the prize-weighted sum collapses to the policy polynomial.
+    """
+    f_arr = np.asarray(f_of_q, dtype=float)
+    if np.any(f_arr < 0.0) or np.any(f_arr > 1.0):
+        raise DomainError("CDF level must lie in [0, 1]")
+    return h_eval(p, f_of_q)
+
+
+def utility(model: EquilibriumModel, q):
+    """Expected payoff of the pure deviation q against the equilibrium field.
+
+    Constant (= p_n) on the support; above q_max the deviator wins the top
+    rank outright but overpays, so the payoff falls below p_n.
+    """
+    q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+    if np.any(q_arr < 0.0):
+        raise DomainError("deviation quality must be nonnegative")
+    qm = model.q_max
+    inside = q_arr <= qm
+    revenue = np.empty_like(q_arr)
+    if np.any(inside):
+        revenue[inside] = np.atleast_1d(
+            h_eval(model.policy, np.atleast_1d(cdf(model, q_arr[inside])))
+        )
+    revenue[~inside] = model.policy.p1
+    out = revenue - q_arr**model.beta
+    return float(out[0]) if np.isscalar(q) or np.asarray(q).ndim == 0 else out
+
+
+def welfare_quality_analytic(p: Policy, beta, quad: QuadratureConfig | None = None) -> tuple[float, float]:
+    """(welfare, quality) of the reduced form: n*I[h^(1+1/b)] and I[h^(1/b)].
+
+    Requires a nontrivial policy with zero bottom share.
+    """
+    b = beta_value(beta)
+    if not is_nontrivial(p):
+        raise TrivialPolicyError("analytic welfare needs a nontrivial policy")
+    if p.pn > 1e-12:
+        raise DomainError("analytic reduced form needs p_n = 0, got %.3g" % p.pn)
+    quad = quad or DEFAULT_QUAD
+    x, w = quad.nodes_weights()
+    h = h_eval(p, x)
+    hb = h ** (1.0 / b)
+    welfare = float(p.n * ((h * hb) @ w))
+    quality = float(hb @ w)
+    return welfare, quality
+
+
+def cdf_table(model: EquilibriumModel, points: int = 101) -> np.ndarray:
+    """Uniform q-grid table of (q, F(q)) pairs over the support."""
+    if points < 2:
+        raise DomainError("need at least 2 table points")
+    q = np.linspace(0.0, model.q_max, points)
+    return np.column_stack([q, cdf(model, q)])
+
+
+def _chunk_seeds(seed: int, chunks: int) -> list[np.random.SeedSequence]:
+    return np.random.SeedSequence(seed).spawn(chunks)
+
+
+def simulate(model: EquilibriumModel, samples: int, seed: int,
+             deviation_grid: int = 50) -> SimReport:
+    """Play the symmetric profile for `samples` rounds and audit it.
+
+    Each round draws n qualities through the quantile map, ranks them, and
+    awards the single recommendation to rank k with probability p_k (ties,
+    a null event under continuous sampling, are broken uniformly).  The
+    report carries the mean awarded quality, the mean quality, and the
+    largest payoff gain any pure deviation on a fixed grid (extending past
+    q_max) achieves over the equilibrium payoff p_n.
+
+    Samples are partitioned into fixed-size chunks with independent child
+    streams of `seed`, and merged by summation, so results are reproducible.
+    """
+    if samples < 1000:
+        raise DomainError("need at least 1000 samples, got %d" % samples)
+    n = model.policy.n
+    pvals = model.policy.as_array()
+    pn = model.policy.pn
+    grid = np.linspace(0.0, model.q_max + 0.2, deviation_grid)
+    cost = grid**model.beta
+
+    chunks = math.ceil(samples / _SIM_CHUNK)
+    seeds = _chunk_seeds(seed, chunks)
+    welfare_sum = welfare_sq = 0.0
+    quality_sum = quality_sq = 0.0
+    dev_sum = np.zeros(deviation_grid)
+    dev_sq = np.zeros(deviation_grid)
+    done = 0
+    for c in range(chunks):
+        rounds = min(_SIM_CHUNK, samples - done)
+        done += rounds
+        rng = np.random.default_rng(seeds[c])
+        qualities = quantile(model, rng.random((rounds, n)).ravel()).reshape(rounds, n)
+        ranked = -np.sort(-qualities, axis=1)
+        chosen_rank = rng.choice(n, size=rounds, p=pvals)
+        awarded = ranked[np.arange(rounds), chosen_rank]
+        welfare_sum += awarded.sum()
+        welfare_sq += (awarded**2).sum()
+        quality_sum += qualities.sum()
+        quality_sq += (qualities**2).sum()
+
+        opponents = qualities[:, : n - 1]
+        for g in range(deviation_grid):
+            beaten_by = (opponents > grid[g]).sum(axis=1)
+            tied = (opponents == grid[g]).sum(axis=1)
+            rank = beaten_by + np.where(tied > 0, rng.integers(0, tied + 1), 0)
+            prize = pvals[rank]
+            dev_sum[g] += prize.sum()
+            dev_sq[g] += (prize**2).sum()
+
+    n_rounds = float(samples)
+    welfare = welfare_sum / n_rounds
+    welfare_se = math.sqrt(max(welfare_sq / n_rounds - welfare**2, 0.0) / n_rounds)
+    quality = quality_sum / (n_rounds * n)
+    quality_se = math.sqrt(
+        max(quality_sq / (n_rounds * n) - quality**2, 0.0) / (n_rounds * n)
+    )
+    dev_mean = dev_sum / n_rounds - cost
+    dev_var = np.maximum(dev_sq / n_rounds - (dev_sum / n_rounds) ** 2, 0.0)
+    dev_se = np.sqrt(dev_var / n_rounds)
+    best = int(np.argmax(dev_mean))
+    return SimReport(
+        empirical_welfare=float(welfare),
+        empirical_quality=float(quality),
+        welfare_se=float(welfare_se),
+        quality_se=float(quality_se),
+        max_deviation_gain=float(dev_mean[best] - pn),
+        deviation_se=float(dev_se[best]),
+        samples=samples,
+        seed=seed,
+    )

@@ -1,0 +1,395 @@
+"""Designer objectives in equilibrium-free form, and their gradients.
+
+With a zero bottom share, every covered objective is a weighted sum of
+integrals of powers of the policy polynomial:
+
+* convex combination of audience welfare and mean quality:
+  ``alpha * n * I[h^(1+1/beta)] + (1-alpha) * I[h^(1/beta)]``
+* posynomial reward ``sum_j e_j q^(k_j)``:  ``sum_j e_j I[h^(k_j/beta)]``
+* top order statistic:  ``n * I[x^(n-1) h^(1/beta)]``
+* exponential reward, via its truncated Taylor posynomial
+* social welfare: the welfare term plus nonnegative platform terms
+  (contestant rents vanish when the bottom share is zero)
+
+where ``I[f] = integral of f over [0,1]``.  Gradients with respect to the
+top ``n-1`` shares share a single weight function ``w(x)`` multiplying each
+basis element, which is what the structural checks downstream exploit.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Union
+
+import numpy as np
+
+from .bernstein import basis_matrix, h_eval
+from .errors import DomainError, ReductionPreconditionError, TrivialPolicyError
+from .policy import Policy, is_nontrivial
+from .quadrature import QuadratureConfig
+
+PN_TOL = 1e-12
+
+DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
+SWEEP_QUAD = QuadratureConfig(m=200, rule="trapezoid", exclude_left_endpoint=False)
+
+
+@dataclass(frozen=True)
+class CostParams:
+    """Effort cost c(q) = q**beta."""
+
+    beta: float
+
+    def __post_init__(self) -> None:
+        if not (self.beta > 0 and np.isfinite(self.beta)):
+            raise DomainError("beta must be positive and finite, got %r" % (self.beta,))
+
+
+def beta_value(beta: Union[float, CostParams]) -> float:
+    b = beta.beta if isinstance(beta, CostParams) else float(beta)
+    if not (b > 0 and np.isfinite(b)):
+        raise DomainError("beta must be positive and finite, got %r" % (beta,))
+    return b
+
+
+@dataclass(frozen=True)
+class ConvexCombo:
+    """alpha-weighted mix of audience welfare and mean quality."""
+
+    alpha: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.alpha <= 1.0:
+            raise DomainError("alpha must lie in [0, 1], got %r" % (self.alpha,))
+
+
+@dataclass(frozen=True)
+class Posynomial:
+    """Reward sum_j e_j q^(k_j) with strictly increasing positive exponents."""
+
+    terms: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise DomainError("posynomial needs at least one term")
+        ks = [k for _, k in self.terms]
+        if any(k <= 0 for k in ks):
+            raise DomainError("posynomial exponents must be positive")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise DomainError("posynomial exponents must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class MaxOrderStat:
+    """Expected value of the highest quality among the contestants."""
+
+
+@dataclass(frozen=True)
+class Exponential:
+    """Reward sum_l exp(lambda_l * q), evaluated through a Taylor truncation."""
+
+    lambdas: tuple[float, ...]
+    truncation_m: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.lambdas or any(l <= 0 for l in self.lambdas):
+            raise DomainError("exponential rates must be positive")
+        if self.truncation_m is not None and self.truncation_m < 1:
+            raise DomainError("truncation order must be >= 1")
+
+    def order(self) -> int:
+        # remainder < 1e-12 for rates up to about 10
+        if self.truncation_m is not None:
+            return self.truncation_m
+        return math.ceil(3 * max(self.lambdas)) + 20
+
+
+@dataclass(frozen=True)
+class SocialWelfare:
+    """Audience welfare plus a nonnegative posynomial platform reward.
+
+    Contestant rents equal n times the bottom share, which is zero in the
+    reduced form and accounted for explicitly on the full lattice.
+    """
+
+    platform_terms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        ks = [k for _, k in self.platform_terms]
+        if any(e < 0 for e, _ in self.platform_terms):
+            raise DomainError("platform term coefficients must be nonnegative")
+        if any(k <= 0 for k in ks):
+            raise DomainError("platform term exponents must be positive")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise DomainError("platform term exponents must be strictly increasing")
+
+
+ObjectiveSpec = Union[ConvexCombo, Posynomial, MaxOrderStat, Exponential, SocialWelfare]
+
+
+# --- unified term form ------------------------------------------------------
+#
+# Every objective value is  constant + sum_t coef_t * I[x^xp_t * h^th_t * g^ge_t]
+# with g = h - p_n (g == h in the reduced form).  th is 0 or 1: the welfare
+# term keeps one plain factor of h even on the full lattice.
+
+
+@dataclass(frozen=True)
+class _Term:
+    coef: float
+    g_exp: float
+    x_pow: float = 0.0
+    times_h: bool = False
+
+
+def _terms(spec: ObjectiveSpec, beta: float, n: int) -> tuple[_Term, ...]:
+    inv_b = 1.0 / beta
+    if isinstance(spec, ConvexCombo):
+        out = []
+        if spec.alpha > 0.0:
+            out.append(_Term(spec.alpha * n, inv_b, times_h=True))
+        if spec.alpha < 1.0:
+            out.append(_Term(1.0 - spec.alpha, inv_b))
+        return tuple(out)
+    if isinstance(spec, Posynomial):
+        return tuple(_Term(e, k * inv_b) for e, k in spec.terms)
+    if isinstance(spec, MaxOrderStat):
+        return (_Term(float(n), inv_b, x_pow=float(n - 1)),)
+    if isinstance(spec, Exponential):
+        out = []
+        for lam in spec.lambdas:
+            coef = 1.0
+            for j in range(spec.order() + 1):
+                out.append(_Term(coef, j * inv_b))
+                coef *= lam / (j + 1)
+        return tuple(out)
+    if isinstance(spec, SocialWelfare):
+        out = [_Term(float(n), inv_b, times_h=True)]
+        out.extend(_Term(e, k * inv_b) for e, k in spec.platform_terms)
+        return tuple(out)
+    raise DomainError("unknown objective spec %r" % (spec,))
+
+
+def _lattice_constant(spec: ObjectiveSpec, n: int, pn: float) -> float:
+    # contestant rents; nonzero only off the reduced domain
+    return n * pn if isinstance(spec, SocialWelfare) else 0.0
+
+
+def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    total = np.zeros_like(g)
+    for t in terms:
+        part = t.coef * np.power(g, t.g_exp) if t.g_exp != 0.0 else np.full_like(g, t.coef)
+        if t.times_h:
+            part = part * h
+        if t.x_pow:
+            part = part * np.power(x, t.x_pow)
+        total += part
+    return total
+
+
+def _require_reduced(p: Policy) -> None:
+    if not is_nontrivial(p):
+        raise TrivialPolicyError("reduced objectives need a nontrivial policy")
+    if p.pn > PN_TOL:
+        raise ReductionPreconditionError(
+            "reduced form needs a zero bottom share, got p_n=%.3g" % p.pn
+        )
+
+
+def reduced_integrand(spec: ObjectiveSpec, beta, p: Policy, x):
+    """Pointwise integrand of the equilibrium-free objective at x."""
+    b = beta_value(beta)
+    _require_reduced(p)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    h = np.atleast_1d(h_eval(p, x_arr))
+    values = _term_values(_terms(spec, b, p.n), x_arr, h, h)
+    return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
+
+
+def evaluate(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None = None) -> float:
+    """Quadrature value of the reduced objective."""
+    b = beta_value(beta)
+    _require_reduced(p)
+    quad = quad or DEFAULT_QUAD
+    x, w = quad.nodes_weights()
+    h = h_eval(p, x)
+    return float(_term_values(_terms(spec, b, p.n), x, h, h) @ w)
+
+
+def evaluate_error_bound(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None = None) -> float:
+    """Per-term monotone quadrature error bound for `evaluate`.
+
+    Each |coef| * x^a * h^r factor is monotone on [0,1], so the rule error
+    is at most its range divided by m; terms add by linearity.
+    """
+    b = beta_value(beta)
+    quad = quad or DEFAULT_QUAD
+    bound = 0.0
+    for t in _terms(spec, b, p.n):
+        top = abs(t.coef) * p.p1 ** (t.g_exp + (1.0 if t.times_h else 0.0))
+        bottom = abs(t.coef) if t.g_exp == 0.0 and not t.times_h and t.x_pow == 0.0 else 0.0
+        bound += quad.monotone_error_bound(bottom, top)
+    return bound
+
+
+def evaluate_hm_closed_form(alpha: float, beta, n: int) -> float:
+    """Exact objective value of the winner-take-all policy.
+
+    ``alpha * beta*n/(beta*n + n - 1) + (1-alpha) * beta/(beta + n - 1)``;
+    no quadrature involved.
+    """
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError("alpha must lie in [0, 1]")
+    b = beta_value(beta)
+    welfare = b * n / (b * n + n - 1)
+    quality = b / (b + n - 1)
+    return alpha * welfare + (1.0 - alpha) * quality
+
+
+def gradient_weight(spec: ObjectiveSpec, beta, p: Policy, x):
+    """The common weight w(x) such that d_i = I[w(x) a_i(x)] for i <= n-1."""
+    b = beta_value(beta)
+    _require_reduced(p)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    h = np.atleast_1d(h_eval(p, x_arr))
+    total = np.zeros_like(h)
+    for t in _terms(spec, b, p.n):
+        r = t.g_exp + (1.0 if t.times_h else 0.0)
+        if r == 0.0:
+            continue
+        part = t.coef * r * np.power(h, r - 1.0)
+        if t.x_pow:
+            part = part * np.power(x_arr, t.x_pow)
+        total += part
+    return float(total[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else total
+
+
+def gradient(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None = None) -> np.ndarray:
+    """Partial derivatives of `evaluate` w.r.t. the top n-1 shares.
+
+    The weight multiplying a_i(x) is identical across i.  For exponents
+    below one the weight is singular at x = 0; the default quadrature
+    never evaluates there (nodes start at 1/m), which clamps the integrand
+    and leaves the shape of the sequence intact.
+    """
+    quad = quad or DEFAULT_QUAD
+    x, w = quad.nodes_weights()
+    weight = gradient_weight(spec, beta, p, x)
+    basis = basis_matrix(p.n, x)[:, : p.n - 1]
+    return (weight * w) @ basis
+
+
+def lattice_value(spec: ObjectiveSpec, beta, h: np.ndarray, pn, x: np.ndarray,
+                  w: np.ndarray, n: int):
+    """Objective value for arbitrary ordered policies (p_n possibly > 0).
+
+    Works from precomputed h values on quadrature nodes; `h` may be a
+    matrix (nodes, batch) with `pn` a batch vector.  Quality-type powers
+    act on g = h - p_n while the welfare term keeps one plain h factor.
+    """
+    b = beta_value(beta)
+    g = np.clip(h - np.asarray(pn), 0.0, None)
+    xcol = x if h.ndim == 1 else x[:, None]
+    values = _term_values(_terms(spec, b, n), xcol, h, g)
+    return values.T @ w + _lattice_constant(spec, n, np.asarray(pn))
+
+
+def check_posynomial_condition(terms, beta) -> tuple[bool, int | None]:
+    """Test the one-sign-change coefficient pattern of e_j (k_j - beta).
+
+    The structural guarantee needs the sequence, taken in increasing-k
+    order, to be nonpositive then nonnegative (one-signed included).
+    Returns (ok, transition index), the index being the position of the
+    last strictly negative entry (0 when none), 1-based.
+    """
+    b = beta_value(beta)
+    terms = tuple(terms)
+    ks = [k for _, k in terms]
+    if any(y <= x for x, y in zip(ks, ks[1:])):
+        raise DomainError("terms must be sorted by strictly increasing exponent")
+    signs = [e * (k - b) for e, k in terms]
+    last_neg = 0
+    for j, s in enumerate(signs, start=1):
+        if s < 0:
+            last_neg = j
+    ok = all(s <= 0 for s in signs[:last_neg])
+    return (ok, last_neg if ok else None)
+
+
+def structural_condition_holds(spec: ObjectiveSpec, beta) -> bool:
+    """Whether the two-level optimal-shape guarantee covers this objective."""
+    if isinstance(spec, (ConvexCombo, MaxOrderStat, Exponential, SocialWelfare)):
+        return True
+    if isinstance(spec, Posynomial):
+        ok, _ = check_posynomial_condition(spec.terms, beta)
+        return ok
+    return False
+
+
+# --- flat key=value config form --------------------------------------------
+
+
+def parse_objective_config(text: str) -> ObjectiveSpec:
+    """Parse "objective=convex alpha=0.24" style strings.
+
+    Forms: convex (alpha=), posynomial (terms=e:k,...), orderstat,
+    exp (lambdas=, optional truncation=), social (terms=e:k,...).
+    """
+    fields: dict[str, str] = {}
+    for token in text.split():
+        if "=" not in token:
+            raise DomainError("expected key=value, got %r" % token)
+        key, value = token.split("=", 1)
+        fields[key] = value
+    kind = fields.pop("objective", None)
+    if kind is None:
+        raise DomainError("missing objective= in %r" % text)
+
+    def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
+        pairs = []
+        for chunk in raw.split(","):
+            try:
+                e_str, k_str = chunk.split(":")
+                pairs.append((float(e_str), float(k_str)))
+            except ValueError as exc:
+                raise DomainError("bad term %r, expected e:k" % chunk) from exc
+        return tuple(sorted(pairs, key=lambda ek: ek[1]))
+
+    if kind == "convex":
+        return ConvexCombo(alpha=float(fields["alpha"]))
+    if kind == "posynomial":
+        return Posynomial(terms=_pairs(fields["terms"]))
+    if kind == "orderstat":
+        return MaxOrderStat()
+    if kind == "exp":
+        lambdas = tuple(float(v) for v in fields["lambdas"].split(","))
+        trunc = int(fields["truncation"]) if "truncation" in fields else None
+        return Exponential(lambdas=lambdas, truncation_m=trunc)
+    if kind == "social":
+        return SocialWelfare(platform_terms=_pairs(fields["terms"]) if "terms" in fields else ())
+    raise DomainError("unknown objective kind %r" % kind)
+
+
+def format_objective_config(spec: ObjectiveSpec) -> str:
+    if isinstance(spec, ConvexCombo):
+        return "objective=convex alpha=%.9g" % spec.alpha
+    if isinstance(spec, Posynomial):
+        return "objective=posynomial terms=" + ",".join(
+            "%.9g:%.9g" % ek for ek in spec.terms
+        )
+    if isinstance(spec, MaxOrderStat):
+        return "objective=orderstat"
+    if isinstance(spec, Exponential):
+        base = "objective=exp lambdas=" + ",".join("%.9g" % l for l in spec.lambdas)
+        if spec.truncation_m is not None:
+            base += " truncation=%d" % spec.truncation_m
+        return base
+    if isinstance(spec, SocialWelfare):
+        base = "objective=social"
+        if spec.platform_terms:
+            base += " terms=" + ",".join("%.9g:%.9g" % ek for ek in spec.platform_terms)
+        return base
+    raise DomainError("unknown objective spec %r" % (spec,))

@@ -1,0 +1,464 @@
+"""Policy optimizers: certified 1-D branch-and-bound, line search, grid oracle.
+
+For the welfare/quality mix the optimum is known to sit in the two-level
+family (top share p1, equal middle, zero bottom), so optimization reduces
+to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
+``h(x, p1) = c0(x) + c1(x) p1``, which yields computable interval bounds
+
+    L(I) = max(G(l), G(u))
+    U(I) = alpha*n*I[max(h_l, h_u)^(1+1/b)] + (1-alpha)*I[max(h_l, h_u)^(1/b)]
+
+and the gap contraction  U - L <= C1*|I| + C2*|I|^(1/b)  with
+C1 = alpha*n*(1+1/b)*I[|c1|] and C2 = (1-alpha)*I[|c1|^(1/b)].  The active
+set algorithm bisects the interval with the largest upper bound until the
+incumbent is within the (quadrature-adjusted) tolerance.
+
+The grid oracle enumerates the whole ordered lattice without assuming any
+structure theorem, so it can confirm, rather than presuppose, where optima
+live; bottom shares above zero are handled through the shifted polynomial
+g = h - p_n.
+"""
+
+from __future__ import annotations
+
+import heapq
+import json
+import math
+import os
+from functools import lru_cache
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+from scipy import optimize as sp_optimize
+
+from .bernstein import basis_matrix
+from .errors import BudgetExceededError, DomainError, StructuralConditionError
+from .objective import (
+    ConvexCombo,
+    ObjectiveSpec,
+    beta_value,
+    evaluate,
+    format_objective_config,
+    lattice_value,
+    structural_condition_holds,
+)
+from .policy import Policy, hm, make_policy, two_level
+from .quadrature import QuadratureConfig
+
+BNB_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
+GRID_QUAD = QuadratureConfig(m=1000, rule="trapezoid", exclude_left_endpoint=False)
+LINE_QUAD = QuadratureConfig(m=20_000, rule="right_riemann", exclude_left_endpoint=True)
+
+_LATTICE_GUARD = 10**8
+
+
+@dataclass(frozen=True)
+class CDecomposition:
+    """Affine coefficients of h along the two-level family at one x."""
+
+    c0: np.ndarray | float
+    c1: np.ndarray | float
+    degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class Interval:
+    lo: float
+    hi: float
+    lower: float
+    upper: float
+    depth: int
+
+
+@dataclass(frozen=True)
+class BnbConfig:
+    epsilon: float
+    constants_mode: str = "exact"
+    quad: QuadratureConfig = BNB_QUAD
+    max_nodes: int = 200_000
+
+    def __post_init__(self) -> None:
+        if not self.epsilon > 0:
+            raise DomainError("epsilon must be positive")
+        if self.constants_mode not in ("exact", "rough"):
+            raise DomainError("constants_mode must be 'exact' or 'rough'")
+
+
+@dataclass
+class OptResult:
+    policy: Policy
+    value: float
+    certified_gap: Optional[float]
+    nodes_explored: int
+    method: str
+    certified: bool = False
+    max_depth: int = 0
+    config: dict = field(default_factory=dict)
+
+    def to_json(self) -> str:
+        payload = {
+            "policy": list(self.policy.values),
+            "value": self.value,
+            "gap": self.certified_gap,
+            "nodes": self.nodes_explored,
+            "method": self.method,
+            "config": self.config,
+        }
+        return json.dumps(payload, sort_keys=True)
+
+
+def c_decomposition(n: int, x) -> CDecomposition:
+    """Split h on the two-level family into c0(x) + c1(x) * p1.
+
+    For n = 2 the family collapses to the winner-take-all point, flagged
+    as degenerate (h is then just a_1(x) * p1).
+    """
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    basis = basis_matrix(n, x_arr)
+    a1, an = basis[:, 0], basis[:, -1]
+    if n == 2:
+        c0 = np.zeros_like(a1)
+        c1 = a1
+        degenerate = True
+    else:
+        c0 = (1.0 - a1 - an) / (n - 2)
+        c1 = a1 - c0
+        degenerate = False
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return CDecomposition(float(c0[0]), float(c1[0]), degenerate)
+    return CDecomposition(c0, c1, degenerate)
+
+
+class _TwoLevelEvaluator:
+    """Caches node data and per-endpoint powers for the mixed objective."""
+
+    def __init__(self, n: int, alpha: float, beta: float, quad: QuadratureConfig):
+        if n < 3:
+            raise DomainError("the two-level family needs n >= 3")
+        if not 0.0 <= alpha <= 1.0:
+            raise DomainError("alpha must lie in [0, 1]")
+        self.n, self.alpha, self.beta = n, alpha, beta_value(beta)
+        self.quad = quad
+        self.x, self.w = quad.nodes_weights()
+        dec = c_decomposition(n, self.x)
+        self.c0, self.c1 = dec.c0, dec.c1
+        self._cache: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
+        # both integrands are monotone with range <= 1, so one G evaluation
+        # carries at most this much quadrature error
+        self.value_error_bound = (alpha * n + (1.0 - alpha)) / quad.m
+
+    def h(self, p1: float) -> np.ndarray:
+        return self.c0 + self.c1 * p1
+
+    def endpoint(self, p1: float) -> tuple[float, np.ndarray, np.ndarray]:
+        hit = self._cache.get(p1)
+        if hit is None:
+            h = self.h(p1)
+            hp = h ** (1.0 / self.beta)
+            value = self.alpha * self.n * ((h * hp) @ self.w) + (1.0 - self.alpha) * (hp @ self.w)
+            hit = (float(value), h, hp)
+            self._cache[p1] = hit
+        return hit
+
+    def value(self, p1: float) -> float:
+        return self.endpoint(p1)[0]
+
+    def upper(self, lo: float, hi: float) -> float:
+        _, h_lo, hp_lo = self.endpoint(lo)
+        _, h_hi, hp_hi = self.endpoint(hi)
+        mh = np.maximum(h_lo, h_hi)
+        mhp = np.maximum(hp_lo, hp_hi)
+        return float(
+            self.alpha * self.n * ((mh * mhp) @ self.w)
+            + (1.0 - self.alpha) * (mhp @ self.w)
+        )
+
+
+def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
+                    quad: QuadratureConfig | None = None) -> tuple[float, float]:
+    """(L, U) objective bounds over the p1-interval [lo, hi]."""
+    ev = _TwoLevelEvaluator(n, alpha, beta, quad or BNB_QUAD)
+    domain_lo = 1.0 / (n - 1)
+    if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
+        raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
+    lower = max(ev.value(lo), ev.value(hi))
+    upper = ev.upper(lo, hi)
+    return lower, max(upper, lower)
+
+
+def gap_constants(n: int, alpha: float, beta, mode: str = "exact",
+                  quad: QuadratureConfig | None = None) -> tuple[float, float]:
+    """Constants (C1, C2) bounding U - L by C1*|I| + C2*|I|^(1/beta).
+
+    "exact" integrates |c1|; "rough" uses the closed-form over-estimates
+    2*alpha*(1+1/beta) and (1-alpha)*(beta/(beta+n-1) + (n-2)^(-1/beta)).
+    """
+    b = beta_value(beta)
+    if n < 3:
+        raise DomainError("gap constants need n >= 3")
+    if mode == "rough":
+        c1 = 2.0 * alpha * (1.0 + 1.0 / b)
+        c2 = (1.0 - alpha) * (b / (b + n - 1) + (n - 2) ** (-1.0 / b))
+        return c1, c2
+    if mode != "exact":
+        raise DomainError("mode must be 'exact' or 'rough'")
+    quad = quad or BNB_QUAD
+    x, w = quad.nodes_weights()
+    dec = c_decomposition(n, x)
+    abs_c1 = np.abs(dec.c1)
+    c1 = alpha * n * (1.0 + 1.0 / b) * float(abs_c1 @ w)
+    c2 = (1.0 - alpha) * float((abs_c1 ** (1.0 / b)) @ w)
+    return c1, c2
+
+
+def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
+                     trace: list | None = None) -> OptResult:
+    """Active-set branch-and-bound over the top share of two-level policies.
+
+    Returns a policy whose value is within epsilon of the best two-level
+    value, with the quadrature budget folded into the certificate: the
+    internal stopping threshold is epsilon minus twice the per-evaluation
+    error bound, and the reported gap adds that allowance back.
+    """
+    b = beta_value(beta)
+    config = {
+        "n": n, "alpha": alpha, "beta": b, "epsilon": cfg.epsilon,
+        "constants_mode": cfg.constants_mode, "quad_m": cfg.quad.m,
+        "quad_rule": cfg.quad.rule,
+    }
+    if n == 2:
+        # the ordered two-share simplex with zero bottom is the single point (1, 0)
+        value = evaluate(ConvexCombo(alpha), b, hm(2), cfg.quad)
+        return OptResult(hm(2), value, 0.0, 0, "bnb:n2-shortcut-hm", True, 0, config)
+
+    ev = _TwoLevelEvaluator(n, alpha, b, cfg.quad)
+    eps_eff = cfg.epsilon - 2.0 * ev.value_error_bound
+    if eps_eff <= 0:
+        raise DomainError(
+            "quadrature error budget exhausted: epsilon=%.3g but 2*delta=%.3g; "
+            "raise epsilon or the node count" % (cfg.epsilon, 2 * ev.value_error_bound)
+        )
+
+    lo0, hi0 = 1.0 / (n - 1), 1.0
+    best_p1, best_val = lo0, ev.value(lo0)
+    if trace is not None:
+        trace.append(lo0)
+    for candidate in (hi0,):
+        v = ev.value(candidate)
+        if trace is not None:
+            trace.append(candidate)
+        if v > best_val:
+            best_p1, best_val = candidate, v
+
+    def make_interval(lo: float, hi: float, depth: int) -> Interval:
+        return Interval(lo, hi, max(ev.value(lo), ev.value(hi)), ev.upper(lo, hi), depth)
+
+    root = make_interval(lo0, hi0, 0)
+    # ties on the upper bound break toward the leftmost interval
+    heap: list[tuple[float, float, Interval]] = [(-root.upper, root.lo, root)]
+    nodes = 1
+    max_depth = 0
+    certified = True
+    top_upper = best_val  # heap-exhausted fallback: nothing left active
+    while heap:
+        _, _, active = heapq.heappop(heap)
+        top_upper = active.upper
+        if top_upper <= best_val + eps_eff:
+            break  # the largest upper bound is within tolerance: done
+        if nodes >= cfg.max_nodes:
+            certified = False
+            break
+        mid = 0.5 * (active.lo + active.hi)
+        if not active.lo < mid < active.hi:
+            # float exhaustion: a width-eps interval has U - L far below
+            # eps_eff, so dropping it cannot hide a better optimum
+            top_upper = best_val
+            continue
+        v_mid = ev.value(mid)
+        if trace is not None:
+            trace.append(mid)
+        if v_mid > best_val:
+            best_p1, best_val = mid, v_mid
+        for child_lo, child_hi in ((active.lo, mid), (mid, active.hi)):
+            child = make_interval(child_lo, child_hi, active.depth + 1)
+            heapq.heappush(heap, (-child.upper, child.lo, child))
+            nodes += 1
+            max_depth = max(max_depth, child.depth)
+
+    gap = max(top_upper - best_val, 0.0) + 2.0 * ev.value_error_bound
+    return OptResult(
+        policy=two_level(n, best_p1),
+        value=best_val,
+        certified_gap=gap,
+        nodes_explored=nodes,
+        method="bnb",
+        certified=certified,
+        max_depth=max_depth,
+        config=config,
+    )
+
+
+def _worker_count(workers: int | None) -> int:
+    if workers is not None:
+        return max(1, workers)
+    env = os.environ.get("CONTEST_OPT_THREADS", "").strip()
+    if env:
+        return max(1, int(env))
+    return min(8, os.cpu_count() or 1)
+
+
+def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
+                          refine: bool = True, quad: QuadratureConfig | None = None,
+                          workers: int | None = None) -> OptResult:
+    """Scan the two-level family on a uniform p1 grid, optionally refining.
+
+    Valid only for objectives whose optimum is known to be two-level; other
+    posynomials are refused rather than silently searched.  A gap
+    certificate is attached only for the welfare/quality mix, via its gap
+    constants at the grid resolution.
+    """
+    b = beta_value(beta)
+    if not structural_condition_holds(spec, b):
+        raise StructuralConditionError(
+            "no two-level guarantee for %s: the coefficient sequence "
+            "e_j*(k_j - beta) changes sign more than once, so a 1-D search "
+            "over top shares may miss the optimum; use grid_search instead"
+            % format_objective_config(spec)
+        )
+    quad = quad or LINE_QUAD
+    config = {"n": n, "steps": steps, "objective": format_objective_config(spec),
+              "beta": b, "quad_m": quad.m, "quad_rule": quad.rule}
+    if steps < 2:
+        raise DomainError("need at least 2 line-search steps")
+    if n == 2:
+        value = evaluate(spec, b, hm(2), quad)
+        return OptResult(hm(2), value, None, 1, "line:n2-hm", False, 0, config)
+
+    x, w = quad.nodes_weights()
+    dec = c_decomposition(n, x)
+    p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
+
+    def batch_values(p1_chunk: np.ndarray) -> np.ndarray:
+        h = dec.c0[:, None] + dec.c1[:, None] * p1_chunk[None, :]
+        return lattice_value(spec, b, h, 0.0, x, w, n)
+
+    chunk = max(1, min(128, steps))
+    starts = range(0, steps, chunk)
+    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
+        pieces = list(pool.map(lambda s: batch_values(p1_grid[s:s + chunk]), starts))
+    values = np.concatenate(pieces)
+    best = int(np.argmax(values))
+    best_p1, best_val = float(p1_grid[best]), float(values[best])
+
+    if refine:
+        lo = p1_grid[max(best - 1, 0)]
+        hi = p1_grid[min(best + 1, steps - 1)]
+        if hi > lo:
+            res = sp_optimize.minimize_scalar(
+                lambda v: -batch_values(np.array([v]))[0],
+                bounds=(lo, hi), method="bounded",
+                options={"xatol": 1e-10},
+            )
+            if -res.fun > best_val:
+                best_p1, best_val = float(res.x), float(-res.fun)
+
+    gap = None
+    certified = False
+    if isinstance(spec, ConvexCombo):
+        c1, c2 = gap_constants(n, spec.alpha, b, "exact", quad)
+        step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
+        delta = (spec.alpha * n + 1.0 - spec.alpha) / quad.m
+        gap = c1 * step + c2 * step ** (1.0 / b) + 2.0 * delta
+        certified = True
+    return OptResult(two_level(n, best_p1), best_val, gap, steps, "line_search",
+                     certified, 0, config)
+
+
+def count_lattice_policies(n: int, resolution: int) -> int:
+    """Number of ordered share vectors on the 1/resolution lattice.
+
+    Counts partitions of `resolution` into at most n parts with the
+    standard two-way recurrence, O(n * resolution) time and memory.
+    """
+    table = np.zeros((resolution + 1, n + 1), dtype=object)
+    table[0, :] = 1
+    for total in range(1, resolution + 1):
+        for parts in range(1, n + 1):
+            spill = table[total - parts, parts] if total >= parts else 0
+            table[total, parts] = table[total, parts - 1] + spill
+    return int(table[resolution, n])
+
+
+def _lattice_policies(total: int, parts: int, cap: int):
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    lo_first = math.ceil(total / parts)
+    for first in range(min(total, cap), lo_first - 1, -1):
+        for rest in _lattice_policies(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=4)
+def _lattice_matrix(n: int, resolution: int) -> np.ndarray:
+    out = np.array(list(_lattice_policies(resolution, n, resolution)), dtype=float)
+    out /= resolution
+    out.setflags(write=False)
+    return out
+
+
+def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
+                quad: QuadratureConfig | None = None, guard: int = _LATTICE_GUARD,
+                workers: int | None = None) -> OptResult:
+    """Exhaustive argmax over every ordered policy on the share lattice.
+
+    Bottom shares are left free (not forced to zero) so the search can
+    observe, not assume, where optima sit; values for p_n > 0 come from
+    the shifted polynomial g = h - p_n.  Ties go to the earliest candidate
+    in the fixed enumeration order, so parallel runs are reproducible.
+    """
+    b = beta_value(beta)
+    if not 0 < granularity <= 0.5:
+        raise DomainError("granularity must lie in (0, 0.5]")
+    resolution = round(1.0 / granularity)
+    if abs(resolution * granularity - 1.0) > 1e-9:
+        raise DomainError("1/granularity must be an integer, got %r" % granularity)
+    total = count_lattice_policies(n, resolution)
+    if total > guard:
+        raise BudgetExceededError(
+            "lattice holds %d candidates (> %d); use two_level_line_search "
+            "for a 1-D search over top shares instead" % (total, guard)
+        )
+    quad = quad or GRID_QUAD
+    config = {"n": n, "granularity": granularity, "objective": format_objective_config(spec),
+              "beta": b, "quad_m": quad.m, "quad_rule": quad.rule}
+    x, w = quad.nodes_weights()
+    basis = basis_matrix(n, x)
+    candidates = _lattice_matrix(n, resolution)
+
+    batch = 8192
+
+    def eval_batch(start: int) -> np.ndarray:
+        block = candidates[start:start + batch]
+        h = basis @ block.T
+        return lattice_value(spec, b, h, block[:, -1], x, w, n)
+
+    starts = range(0, len(candidates), batch)
+    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
+        pieces = list(pool.map(eval_batch, starts))
+
+    best_val = -np.inf
+    best_idx = -1
+    for k, piece in enumerate(pieces):
+        local = int(np.argmax(piece))
+        if piece[local] > best_val:
+            best_val = float(piece[local])
+            best_idx = k * batch + local
+    best = make_policy(candidates[best_idx])
+    return OptResult(best, best_val, None, len(candidates), "grid_search",
+                     False, 0, config)

@@ -1,0 +1,431 @@
+"""Named, seeded verification checks behind the `verify` CLI command.
+
+Every check returns a machine-readable record (name, status, worst
+margin, seed).  Margins are the worst observed value of whatever quantity
+the check thresholds, so a run can be audited without rerunning it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import bernstein, equilibrium, objective, optimizer, structure
+from .objective import ConvexCombo, Exponential
+from .policy import Policy, hm, make_policy, two_level, uni
+from .quadrature import QuadratureConfig
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    status: str  # "pass" | "fail"
+    worst_margin: float
+    seed: int
+
+
+def _result(name: str, ok: bool, margin: float, seed: int) -> CheckResult:
+    return CheckResult(name, "pass" if ok else "fail", float(margin), seed)
+
+
+def _random_policy(rng: np.random.Generator, n: int, zero_bottom: bool = True) -> Policy:
+    raw = np.sort(rng.dirichlet(np.ones(n - 1 if zero_bottom else n)))[::-1]
+    values = list(raw) + [0.0] if zero_bottom else list(raw)
+    return make_policy(values)
+
+
+def check_partition_of_unity(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(max(trials, 1000)):
+        n = int(rng.integers(2, 41))
+        x = rng.random()
+        worst = max(worst, abs(bernstein.basis_matrix(n, np.array([x])).sum() - 1.0))
+    return _result("bernstein.partition_of_unity", worst <= 1e-12, worst, seed)
+
+
+def check_moment_integral(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=100_000, rule="trapezoid", exclude_left_endpoint=False)
+    x, w = quad.nodes_weights()
+    worst = 0.0
+    for n in (2, 5, 17, 33):
+        i = int(rng.integers(1, n + 1))
+        numeric = float(bernstein.basis_matrix(n, x)[:, i - 1] @ w)
+        worst = max(worst, abs(numeric - bernstein.basis_integral(n, i)))
+    return _result("bernstein.moment_integral", worst <= 1e-8, worst, seed)
+
+
+def check_h_monotone(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        p = _random_policy(rng, int(rng.choice([3, 5, 8])))
+        x = np.sort(rng.random(2))
+        if x[1] - x[0] < 1e-9:
+            continue
+        values = bernstein.h_eval(p, x)
+        worst = min(worst, values[1] - values[0])
+    return _result("bernstein.h_monotone", worst > 0.0, worst, seed)
+
+
+def check_inverse_roundtrip(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        p = _random_policy(rng, int(rng.choice([3, 5, 8])), zero_bottom=bool(rng.integers(2)))
+        y = rng.uniform(p.pn, p.p1)
+        worst = max(worst, abs(bernstein.h_eval(p, bernstein.h_inverse(p, y)) - y))
+    return _result("bernstein.inverse_roundtrip", worst <= 1e-12, worst, seed)
+
+
+def check_derivative_fd(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    delta = 1e-6
+    worst = 0.0
+    for _ in range(trials):
+        p = _random_policy(rng, int(rng.choice([2, 3, 5, 8])), zero_bottom=False)
+        x = rng.uniform(2 * delta, 1 - 2 * delta)
+        fd = (bernstein.h_eval(p, x + delta) - bernstein.h_eval(p, x - delta)) / (2 * delta)
+        worst = max(worst, abs(bernstein.h_derivative(p, x) - fd))
+    return _result("bernstein.derivative_fd", worst <= 1e-6, worst, seed)
+
+
+def check_alpha_linearity(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=5000)
+    worst = 0.0
+    for _ in range(trials):
+        n = int(rng.choice([3, 5, 8]))
+        p = _random_policy(rng, n)
+        beta = rng.uniform(0.5, 4.0)
+        alpha = rng.random()
+        mixed = objective.evaluate(ConvexCombo(alpha), beta, p, quad)
+        ends = alpha * objective.evaluate(ConvexCombo(1.0), beta, p, quad) + (
+            1 - alpha
+        ) * objective.evaluate(ConvexCombo(0.0), beta, p, quad)
+        worst = max(worst, abs(mixed - ends))
+    return _result("objective.alpha_linearity", worst <= 1e-12, worst, seed)
+
+
+def check_flat_linear_cost(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=100_000)
+    worst = 0.0
+    for _ in range(max(trials // 10, 10)):
+        n = int(rng.choice([3, 5, 8]))
+        p = _random_policy(rng, n)
+        worst = max(worst, abs(objective.evaluate(ConvexCombo(0.0), 1.0, p, quad) - 1.0 / n))
+    return _result("objective.flat_linear_cost", worst <= 1.0 / quad.m, worst, seed)
+
+
+def check_riemann_refinement(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0  # worst ratio of |difference| to its allowance
+    for _ in range(min(trials, 20)):
+        n = int(rng.choice([3, 5, 8]))
+        p = _random_policy(rng, n)
+        beta = rng.uniform(0.5, 4.0)
+        m = int(rng.integers(50, 500))
+        coarse = objective.evaluate(ConvexCombo(0.0), beta, p, QuadratureConfig(m=m))
+        fine = objective.evaluate(ConvexCombo(0.0), beta, p, QuadratureConfig(m=100 * m))
+        allowance = 1.0 / m + 1.0 / (100 * m)
+        worst = max(worst, abs(coarse - fine) / allowance)
+    return _result("objective.riemann_refinement", worst <= 1.0, worst, seed)
+
+
+def check_gradient_fd(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=200_000)
+    delta = 1e-6
+    worst = 0.0
+    for _ in range(min(trials, 25)):
+        n = int(rng.choice([3, 5]))
+        alpha, beta = rng.random(), rng.uniform(0.8, 3.0)
+        spec = ConvexCombo(alpha)
+        base = np.sort(rng.dirichlet(np.ones(n - 1) * 5.0))[::-1]
+        p = make_policy(list(base) + [0.0])
+        if n - 1 < 2:
+            continue
+        i, j = 0, n - 2
+        grad = objective.gradient(spec, beta, p, quad)
+        moved = base.copy()
+        moved[i] += delta
+        moved[j] -= delta
+        if np.any(np.diff(moved) > 0):
+            continue
+        p_moved = make_policy(list(moved) + [0.0])
+        fd = (objective.evaluate(spec, beta, p_moved, quad) - objective.evaluate(spec, beta, p, quad)) / delta
+        worst = max(worst, abs((grad[i] - grad[j]) - fd))
+    return _result("objective.gradient_fd", worst <= 1e-4, worst, seed)
+
+
+def check_exponential_truncation(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=2000)
+    worst = 0.0  # worst observed change over its theoretical allowance
+    for _ in range(min(trials, 20)):
+        lam = rng.uniform(0.5, 4.0)
+        m_order = int(rng.integers(3, 12))
+        p = _random_policy(rng, 5)
+        beta = rng.uniform(0.8, 3.0)
+        low = objective.evaluate(Exponential((lam,), m_order), beta, p, quad)
+        high = objective.evaluate(Exponential((lam,), m_order + 1), beta, p, quad)
+        allowance = math.exp(lam) * lam ** (m_order + 1) / math.factorial(m_order + 1)
+        worst = max(worst, abs(high - low) / allowance)
+    return _result("objective.exponential_truncation", worst <= 1.0, worst, seed)
+
+
+def check_quantile_roundtrip(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        p = _random_policy(rng, int(rng.choice([3, 5, 8])), zero_bottom=bool(rng.integers(2)))
+        model = equilibrium.EquilibriumModel(p, rng.uniform(0.5, 4.0))
+        u = rng.random()
+        q = rng.uniform(0.0, model.q_max)
+        worst = max(worst, abs(equilibrium.cdf(model, equilibrium.quantile(model, u)) - u))
+        worst = max(worst, abs(equilibrium.quantile(model, equilibrium.cdf(model, q)) - q))
+    return _result("equilibrium.quantile_roundtrip", worst <= 1e-9, worst, seed)
+
+
+def check_indifference(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(min(trials, 20)):
+        p = _random_policy(rng, int(rng.choice([3, 5, 8])), zero_bottom=bool(rng.integers(2)))
+        beta = rng.uniform(0.5, 4.0)
+        model = equilibrium.EquilibriumModel(p, beta)
+        qs = np.linspace(0.0, model.q_max, 102)[1:-1]
+        f = equilibrium.cdf(model, qs)
+        gap = np.abs(bernstein.h_eval(p, f) - p.pn - qs**beta)
+        worst = max(worst, float(gap.max()))
+    return _result("equilibrium.indifference", worst <= 1e-12, worst, seed)
+
+
+def check_no_deviation_above_support(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = -np.inf
+    for _ in range(trials):
+        p = _random_policy(rng, int(rng.choice([3, 5, 8])), zero_bottom=bool(rng.integers(2)))
+        model = equilibrium.EquilibriumModel(p, rng.uniform(0.5, 4.0))
+        q = model.q_max + rng.uniform(1e-9, 1.0)
+        worst = max(worst, equilibrium.utility(model, q) - p.pn)
+    return _result("equilibrium.no_deviation_above_support", worst <= 1e-12, worst, seed)
+
+
+def check_revenue_monotone(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        p = _random_policy(rng, int(rng.choice([3, 5, 8])), zero_bottom=bool(rng.integers(2)))
+        f = np.sort(rng.random(16))
+        revenue = np.atleast_1d(equilibrium.expected_revenue(p, f))
+        worst = max(worst, float(np.max(-np.diff(revenue), initial=0.0)))
+    return _result("equilibrium.revenue_monotone", worst <= 1e-12, worst, seed)
+
+
+def check_simulation(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    beta = 2.0
+    policies = [hm(5), uni(5)] + [two_level(5, rng.uniform(0.25, 1.0)) for _ in range(5)]
+    samples = max(100_000, trials * 500)
+    worst = 0.0  # worst |empirical - analytic| in standard errors
+    for p in policies:
+        model = equilibrium.EquilibriumModel(p, beta)
+        report = equilibrium.simulate(model, samples, int(rng.integers(2**31)))
+        welfare, quality = equilibrium.welfare_quality_analytic(p, beta)
+        worst = max(worst, abs(report.empirical_welfare - welfare) / report.welfare_se)
+        worst = max(worst, abs(report.empirical_quality - quality) / report.quality_se)
+    return _result("equilibrium.simulation_matches_analytic", worst <= 3.0, worst, seed)
+
+
+def check_affine_decomposition(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(max(trials, 1000)):
+        n = int(rng.choice([3, 5, 8, 12]))
+        x = rng.random()
+        p1 = rng.uniform(1.0 / (n - 1), 1.0)
+        dec = optimizer.c_decomposition(n, x)
+        direct = bernstein.h_eval(two_level(n, p1), x)
+        worst = max(worst, abs(dec.c0 + dec.c1 * p1 - direct))
+    return _result("optimizer.affine_decomposition", worst <= 1e-12, worst, seed)
+
+
+def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=20_000)
+    worst = 0.0  # how far any required inequality is violated
+    for _ in range(min(trials, 40)):
+        n = int(rng.choice([3, 5, 8]))
+        alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
+        lo = rng.uniform(1.0 / (n - 1), 1.0)
+        hi = rng.uniform(lo, 1.0)
+        if hi - lo < 1e-6:
+            continue
+        lower, upper = optimizer.interval_bounds(n, alpha, beta, lo, hi, quad)
+        c1, c2 = optimizer.gap_constants(n, alpha, beta, "exact", quad)
+        width = hi - lo
+        allowance = c1 * width + c2 * width ** (1.0 / beta)
+        quad_slack = 2 * (alpha * n + 1 - alpha) / quad.m
+        worst = max(worst, lower - upper)
+        worst = max(worst, (upper - lower) - allowance - quad_slack)
+        rough = optimizer.gap_constants(n, alpha, beta, "rough")
+        worst = max(worst, c1 - rough[0] - 1e-9, c2 - rough[1] - 1e-9)
+    return _result("optimizer.bound_sandwich", worst <= 1e-9, worst, seed)
+
+
+def check_bnb_certificate(seed: int, trials: int) -> CheckResult:
+    cfg = optimizer.BnbConfig(epsilon=1e-3, quad=QuadratureConfig(m=50_000))
+    result = optimizer.branch_and_bound(5, 0.24, 2.0, cfg)
+    line = optimizer.two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=500)
+    ok = (
+        result.certified
+        and result.certified_gap is not None
+        and result.certified_gap <= cfg.epsilon
+        and result.value >= line.value - cfg.epsilon - (line.certified_gap or 0.0)
+    )
+    margin = result.value - line.value
+    return _result("optimizer.bnb_certificate", ok, margin, seed)
+
+
+def check_sign_examples(seed: int, trials: int) -> CheckResult:
+    cases = [
+        ((1, -2, 3, 0, 4), 2, 4),
+        ((1, 1, 1), 0, 0),
+        ((0, 1), 0, 1),
+        ((0, 0, 0), 0, 2),
+    ]
+    ok = True
+    for seq, sm, sp in cases:
+        pattern = structure.sign_changes(seq)
+        ok = ok and pattern.s_minus == sm and pattern.s_plus == sp
+    return _result("structure.sign_change_examples", ok, 0.0, seed)
+
+
+def check_vd_sweep(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=20_000)
+    worst = 0
+    ok = True
+    for _ in range(min(trials, 40)):
+        n = int(rng.choice([3, 5, 8]))
+        alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
+        p = _random_policy(rng, n)
+        d = objective.gradient(ConvexCombo(alpha), beta, p, quad)
+        lo, hi = float(np.min(d)), float(np.max(d))
+        for lam in np.linspace(lo, hi, 50):
+            pattern = structure.sign_changes(d - lam, zero_tol=1e-12 * max(1.0, hi))
+            worst = max(worst, pattern.s_plus)
+            if pattern.s_plus > 2:
+                ok = False
+            if pattern.s_plus == 2 and pattern.s_minus == 2 and pattern.pattern:
+                if pattern.pattern[0] != 1 or pattern.pattern[-1] != 1:
+                    ok = False
+    return _result("structure.variation_diminishing_sweep", ok, float(worst), seed)
+
+
+def check_schur_directions(seed: int, trials: int) -> CheckResult:
+    expected = {0.3: "concave", 0.7: "concave", 1.0: "flat", 1.5: "convex", 3.0: "convex"}
+    ok = True
+    worst = 0.0
+    for r, want in expected.items():
+        for n in (3, 5, 8):
+            report = structure.schur_direction(r, n, trials=min(trials, 200), seed=seed)
+            if report.direction != want or report.counterexample is not None:
+                ok = False
+            if want == "flat":
+                worst = max(worst, report.worst_margin)
+    return _result("structure.schur_directions", ok, worst, seed)
+
+
+def check_tp_minors(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    draws = max(10, min(trials, 100))
+    for n in range(3, 11):
+        for k in range(1, min(4, n - 1) + 1):
+            for _ in range(draws):
+                x = np.sort(rng.uniform(0.01, 0.99, size=k))
+                if np.any(np.diff(x) <= 1e-6):
+                    continue
+                idx = np.sort(rng.choice(np.arange(1, n), size=k, replace=False))
+                worst = min(worst, structure.vandermonde_minor(n, x, idx))
+    return _result("structure.tp_minors", worst > 0.0, float(worst), seed)
+
+
+def check_gradient_quasiconvexity(seed: int, trials: int) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=20_000)
+    ok = True
+    failures = 0
+    for _ in range(min(trials, 50)):
+        n = int(rng.choice([3, 5, 8]))
+        alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
+        if rng.integers(2):
+            p = two_level(n, rng.uniform(1.0 / (n - 1), 1.0))
+        else:
+            p = _random_policy(rng, n)
+        d = objective.gradient(ConvexCombo(alpha), beta, p, quad)
+        report = structure.check_gradient_quasiconvexity(d, p)
+        if not report.is_quasiconvex:
+            ok = False
+            failures += 1
+    return _result("structure.gradient_quasiconvexity", ok, float(failures), seed)
+
+
+def check_bnb_visited_quasiconvex(seed: int, trials: int) -> CheckResult:
+    quad = QuadratureConfig(m=20_000)
+    trace: list[float] = []
+    cfg = optimizer.BnbConfig(epsilon=5e-3, quad=quad)
+    optimizer.branch_and_bound(5, 0.4, 2.5, cfg, trace=trace)
+    ok = True
+    failures = 0
+    for p1 in trace:
+        p = two_level(5, p1)
+        d = objective.gradient(ConvexCombo(0.4), 2.5, p, quad)
+        if not structure.check_gradient_quasiconvexity(d, p).is_quasiconvex:
+            ok = False
+            failures += 1
+    return _result("structure.bnb_visited_quasiconvex", ok, float(failures), seed)
+
+
+CHECKS: dict[str, Callable[[int, int], CheckResult]] = {
+    "bernstein.partition_of_unity": check_partition_of_unity,
+    "bernstein.moment_integral": check_moment_integral,
+    "bernstein.h_monotone": check_h_monotone,
+    "bernstein.inverse_roundtrip": check_inverse_roundtrip,
+    "bernstein.derivative_fd": check_derivative_fd,
+    "objective.alpha_linearity": check_alpha_linearity,
+    "objective.flat_linear_cost": check_flat_linear_cost,
+    "objective.riemann_refinement": check_riemann_refinement,
+    "objective.gradient_fd": check_gradient_fd,
+    "objective.exponential_truncation": check_exponential_truncation,
+    "equilibrium.quantile_roundtrip": check_quantile_roundtrip,
+    "equilibrium.indifference": check_indifference,
+    "equilibrium.no_deviation_above_support": check_no_deviation_above_support,
+    "equilibrium.revenue_monotone": check_revenue_monotone,
+    "equilibrium.simulation_matches_analytic": check_simulation,
+    "optimizer.affine_decomposition": check_affine_decomposition,
+    "optimizer.bound_sandwich": check_bound_sandwich,
+    "optimizer.bnb_certificate": check_bnb_certificate,
+    "structure.sign_change_examples": check_sign_examples,
+    "structure.variation_diminishing_sweep": check_vd_sweep,
+    "structure.schur_directions": check_schur_directions,
+    "structure.tp_minors": check_tp_minors,
+    "structure.gradient_quasiconvexity": check_gradient_quasiconvexity,
+    "structure.bnb_visited_quasiconvex": check_bnb_visited_quasiconvex,
+}
+
+
+def run_checks(only: str | None = None, seed: int = 0, trials: int = 200) -> list[CheckResult]:
+    results = []
+    for name, fn in CHECKS.items():
+        if only and only not in name:
+            continue
+        results.append(fn(seed, trials))
+    return results

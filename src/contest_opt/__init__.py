@@ -39,7 +39,6 @@ from .errors import (
 )
 from .objective import (
     ConvexCombo,
-    CostParams,
     Exponential,
     MaxOrderStat,
     ObjectiveSpec,

@@ -118,7 +118,6 @@ def cmd_optimize(args) -> int:
             sys.stderr.write("note: n=2 admits only the winner-take-all split; "
                              "returning it directly\n")
         cfg = opt.BnbConfig(epsilon=args.epsilon,
-                            constants_mode=args.constants,
                             quad=_quad_from_args(args, opt.BNB_QUAD))
         result = opt.branch_and_bound(args.n, spec.alpha, args.beta, cfg)
     elif args.method == "line":
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="share lattice spacing for grid search")
     p_opt.add_argument("--steps", type=int, default=1000,
                        help="top-share grid points for line search")
-    p_opt.add_argument("--constants", choices=["exact", "rough"], default="exact")
     p_opt.add_argument("--classify-tol", type=float, default=None,
                        help="structure classification tolerance")
     p_opt.set_defaults(func=cmd_optimize)

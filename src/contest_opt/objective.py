@@ -32,22 +32,10 @@ from .quadrature import QuadratureConfig
 PN_TOL = 1e-12
 
 DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
-SWEEP_QUAD = QuadratureConfig(m=200, rule="trapezoid", exclude_left_endpoint=False)
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Effort cost c(q) = q**beta."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise DomainError("beta must be positive and finite, got %r" % (self.beta,))
-
-
-def beta_value(beta: Union[float, CostParams]) -> float:
-    b = beta.beta if isinstance(beta, CostParams) else float(beta)
+def beta_value(beta: float) -> float:
+    b = float(beta)
     if not (b > 0 and np.isfinite(b)):
         raise DomainError("beta must be positive and finite, got %r" % (beta,))
     return b

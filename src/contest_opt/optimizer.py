@@ -6,7 +6,7 @@ to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
 ``h(x, p1) = c0(x) + c1(x) p1``, which yields computable interval bounds
 
     L(I) = max(G(l), G(u))
-    U(I) = alpha*n*I[max(h_l, h_u)^(1+1/b)] + (1-alpha)*I[max(h_l, h_u)^(1/b)]
+    U(I) = G evaluated at max(h_l, h_u), i.e. h_u where c1 >= 0, h_l where c1 < 0
 
 and the gap contraction  U - L <= C1*|I| + C2*|I|^(1/b)  with
 C1 = alpha*n*(1+1/b)*I[|c1|] and C2 = (1-alpha)*I[|c1|^(1/b)].  The active
@@ -40,6 +40,7 @@ from .objective import (
     ObjectiveSpec,
     beta_value,
     evaluate,
+    evaluate_error_bound,
     format_objective_config,
     lattice_value,
     structural_condition_holds,
@@ -60,7 +61,6 @@ class CDecomposition:
 
     c0: np.ndarray | float
     c1: np.ndarray | float
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,12 @@ class Interval:
 @dataclass(frozen=True)
 class BnbConfig:
     epsilon: float
-    constants_mode: str = "exact"
     quad: QuadratureConfig = BNB_QUAD
     max_nodes: int = 200_000
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise DomainError("epsilon must be positive")
-        if self.constants_mode not in ("exact", "rough"):
-            raise DomainError("constants_mode must be 'exact' or 'rough'")
 
 
 @dataclass
@@ -112,8 +109,8 @@ class OptResult:
 def c_decomposition(n: int, x) -> CDecomposition:
     """Split h on the two-level family into c0(x) + c1(x) * p1.
 
-    For n = 2 the family collapses to the winner-take-all point, flagged
-    as degenerate (h is then just a_1(x) * p1).
+    For n = 2 the family collapses to the winner-take-all point: c0 = 0
+    and h is just a_1(x) * p1.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -123,59 +120,51 @@ def c_decomposition(n: int, x) -> CDecomposition:
     if n == 2:
         c0 = np.zeros_like(a1)
         c1 = a1
-        degenerate = True
     else:
         c0 = (1.0 - a1 - an) / (n - 2)
         c1 = a1 - c0
-        degenerate = False
     if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return CDecomposition(float(c0[0]), float(c1[0]), degenerate)
-    return CDecomposition(c0, c1, degenerate)
+        return CDecomposition(float(c0[0]), float(c1[0]))
+    return CDecomposition(c0, c1)
 
 
 class _TwoLevelEvaluator:
-    """Caches node data and per-endpoint powers for the mixed objective."""
+    """Two-level values and interval upper bounds of the welfare/quality mix.
+
+    Every term of the mix is nondecreasing in h, and h = c0 + c1*p1, so
+    over [lo, hi] the pointwise max of the integrand sits at hi where
+    c1 >= 0 and at lo where c1 < 0.  Each endpoint is integrated once
+    against both halves of the weights and only the two partial sums
+    (rise, fall) are kept: G(p1) = rise + fall, U(lo, hi) = rise(hi) + fall(lo).
+    """
 
     def __init__(self, n: int, alpha: float, beta: float, quad: QuadratureConfig):
         if n < 3:
             raise DomainError("the two-level family needs n >= 3")
-        if not 0.0 <= alpha <= 1.0:
-            raise DomainError("alpha must lie in [0, 1]")
-        self.n, self.alpha, self.beta = n, alpha, beta_value(beta)
-        self.quad = quad
-        self.x, self.w = quad.nodes_weights()
+        self.n, self.spec, self.beta = n, ConvexCombo(alpha), beta_value(beta)
+        self.x, w = quad.nodes_weights()
         dec = c_decomposition(n, self.x)
         self.c0, self.c1 = dec.c0, dec.c1
-        self._cache: dict[float, tuple[float, np.ndarray, np.ndarray]] = {}
-        # both integrands are monotone with range <= 1, so one G evaluation
-        # carries at most this much quadrature error
-        self.value_error_bound = (alpha * n + (1.0 - alpha)) / quad.m
+        rising = dec.c1 >= 0.0
+        self.weights = np.column_stack((np.where(rising, w, 0.0), np.where(rising, 0.0, w)))
+        self._sums: dict[float, tuple[float, float]] = {}
+        # the largest p1 maximizes every term's range over the family
+        self.value_error_bound = evaluate_error_bound(self.spec, self.beta, hm(n), quad)
 
-    def h(self, p1: float) -> np.ndarray:
-        return self.c0 + self.c1 * p1
-
-    def endpoint(self, p1: float) -> tuple[float, np.ndarray, np.ndarray]:
-        hit = self._cache.get(p1)
+    def _endpoint(self, p1: float) -> tuple[float, float]:
+        hit = self._sums.get(p1)
         if hit is None:
-            h = self.h(p1)
-            hp = h ** (1.0 / self.beta)
-            value = self.alpha * self.n * ((h * hp) @ self.w) + (1.0 - self.alpha) * (hp @ self.w)
-            hit = (float(value), h, hp)
-            self._cache[p1] = hit
+            rise, fall = lattice_value(self.spec, self.beta, self.c0 + self.c1 * p1, 0.0,
+                                       self.x, self.weights, self.n)
+            hit = self._sums[p1] = (float(rise), float(fall))
         return hit
 
     def value(self, p1: float) -> float:
-        return self.endpoint(p1)[0]
+        rise, fall = self._endpoint(p1)
+        return rise + fall
 
     def upper(self, lo: float, hi: float) -> float:
-        _, h_lo, hp_lo = self.endpoint(lo)
-        _, h_hi, hp_hi = self.endpoint(hi)
-        mh = np.maximum(h_lo, h_hi)
-        mhp = np.maximum(hp_lo, hp_hi)
-        return float(
-            self.alpha * self.n * ((mh * mhp) @ self.w)
-            + (1.0 - self.alpha) * (mhp @ self.w)
-        )
+        return self._endpoint(hi)[0] + self._endpoint(lo)[1]
 
 
 def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
@@ -227,8 +216,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
     b = beta_value(beta)
     config = {
         "n": n, "alpha": alpha, "beta": b, "epsilon": cfg.epsilon,
-        "constants_mode": cfg.constants_mode, "quad_m": cfg.quad.m,
-        "quad_rule": cfg.quad.rule,
+        "quad_m": cfg.quad.m, "quad_rule": cfg.quad.rule,
     }
     if n == 2:
         # the ordered two-share simplex with zero bottom is the single point (1, 0)
@@ -303,12 +291,21 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
 
 
 def _worker_count(workers: int | None) -> int:
+    """Pool size: `workers`, else CONTEST_OPT_THREADS, else up to 8,
+    never more than the CPU count."""
+    cpus = os.cpu_count() or 1
     if workers is not None:
-        return max(1, workers)
+        return max(1, min(workers, cpus))
     env = os.environ.get("CONTEST_OPT_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, cpus)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise DomainError("CONTEST_OPT_THREADS must be a positive integer, got %r" % env)
+    return min(count, cpus)
 
 
 def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
@@ -371,7 +368,7 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
     if isinstance(spec, ConvexCombo):
         c1, c2 = gap_constants(n, spec.alpha, b, "exact", quad)
         step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
-        delta = (spec.alpha * n + 1.0 - spec.alpha) / quad.m
+        delta = evaluate_error_bound(spec, b, hm(n), quad)
         gap = c1 * step + c2 * step ** (1.0 / b) + 2.0 * delta
         certified = True
     return OptResult(two_level(n, best_p1), best_val, gap, steps, "line_search",

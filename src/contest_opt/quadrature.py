@@ -58,19 +58,3 @@ def _nodes_weights(m: int, rule: str, exclude_left: bool) -> tuple[np.ndarray, n
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def integrate_values(values: np.ndarray, quad: QuadratureConfig) -> float:
-    """Combine integrand values already evaluated on ``quad``'s nodes."""
-    _, w = quad.nodes_weights()
-    if values.shape[-1] != w.shape[0]:
-        raise DomainError(
-            "got %d values for %d nodes" % (values.shape[-1], w.shape[0])
-        )
-    return values @ w
-
-
-def integrate(f, quad: QuadratureConfig) -> float:
-    """Integrate a vectorized callable over [0, 1]."""
-    x, w = quad.nodes_weights()
-    return float(np.asarray(f(x), dtype=float) @ w)

@@ -117,6 +117,15 @@ def _shape_report(values: np.ndarray, tol: float) -> tuple[list[int], list[str],
     return steps, violations, transition
 
 
+@lru_cache(maxsize=None)
+def _warn_small_n(n: int) -> None:
+    # once per process and n: the checks run this on many policies
+    logger.warning(
+        "n=%d leaves at most two interior gradient entries; plateau "
+        "placement checks are weak this small", n,
+    )
+
+
 def check_gradient_quasiconvexity(d, p: Policy, tol: float | None = None) -> QuasiconvexityReport:
     """Verify the descend-then-ascend shape and plateau placement of a
     gradient sequence.
@@ -132,10 +141,7 @@ def check_gradient_quasiconvexity(d, p: Policy, tol: float | None = None) -> Qua
     if values.size < 1:
         raise DomainError("empty gradient sequence")
     if p.n <= 4:
-        logger.warning(
-            "n=%d leaves at most two interior gradient entries; plateau "
-            "placement checks are weak this small", p.n,
-        )
+        _warn_small_n(p.n)
     if tol is None:
         tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     if values.size == 1:

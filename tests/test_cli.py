@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from contest_opt import parse_objective_config, parse_policy
+from contest_opt import verify
 from contest_opt.cli import main
 
 
@@ -67,6 +68,16 @@ class TestOptimize:
         code, _, err = run_cli(capsys, "optimize", "--method", "bnb",
                                "--objective", "objective=orderstat")
         assert code == 1 and "line or grid" in err
+
+    def test_constants_flag_is_gone(self, capsys):
+        code, _, err = run_cli(capsys, "optimize", "--method", "bnb", "--constants", "rough")
+        assert code == 1 and "--constants" in err
+
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONTEST_OPT_THREADS", "abc")
+        code, _, err = run_cli(capsys, "optimize", "--method", "grid",
+                               "--granularity", "0.1", "--n", "4")
+        assert code == 1 and "CONTEST_OPT_THREADS" in err
 
     def test_grid_json(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "grid",
@@ -153,6 +164,25 @@ class TestVerifyCommand:
     def test_unknown_filter_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--only", "nosuchcheck")
         assert code == 1
+
+    def test_whole_registry_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--trials", "10")
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert len(records) == 24
+        assert [r["name"] for r in records] == list(verify.CHECKS)
+        assert all(r["status"] == "pass" for r in records)
+
+    def test_small_n_warning_is_logged_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "contest_opt.cli", "verify", "--only", "structure",
+             "--trials", "20"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        warnings = [line for line in proc.stderr.splitlines() if "interior gradient" in line]
+        assert warnings and len(warnings) == len(set(warnings))
+        assert sum(line.startswith("n=3 ") for line in warnings) <= 1
 
     def test_deterministic_report(self, capsys):
         args = ("verify", "--only", "structure.sign", "--seed", "7")

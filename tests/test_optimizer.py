@@ -1,5 +1,9 @@
 """Interval bounds, branch-and-bound, line search and the lattice oracle."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,7 +27,8 @@ from contest_opt import (
     two_level_line_search,
     uni,
 )
-from contest_opt.optimizer import count_lattice_policies
+from contest_opt.objective import lattice_value
+from contest_opt.optimizer import _worker_count, count_lattice_policies
 from contest_opt.bernstein import h_eval
 
 FAST = QuadratureConfig(m=20_000)
@@ -49,7 +54,11 @@ class TestCDecomposition:
             )
 
     def test_two_players_degenerate(self):
-        assert c_decomposition(2, 0.5).degenerate
+        # n = 2 collapses the family to h = a_1(x) * p1 = x * p1
+        x = np.random.default_rng(5).random(1000)
+        dec = c_decomposition(2, x)
+        assert np.all(dec.c0 == 0.0)
+        assert np.allclose(dec.c1, x, rtol=0.0, atol=1e-15)
 
 
 class TestIntervalBounds:
@@ -84,6 +93,21 @@ class TestIntervalBounds:
             width = hi - lo
             slack = 2 * (alpha * n + 1 - alpha) / FAST.m
             assert upper - lower <= c1 * width + c2 * width ** (1 / beta) + slack
+
+    def test_upper_is_the_term_form_at_the_pointwise_max(self):
+        """U integrates the objective at max(h(lo), h(hi)), whatever the split."""
+        rng = np.random.default_rng(23)
+        x, w = FAST.nodes_weights()
+        for _ in range(40):
+            n = int(rng.choice([3, 4, 5, 8, 12]))
+            alpha, beta = rng.random(), rng.uniform(0.3, 4.0)
+            lo = rng.uniform(1 / (n - 1), 1.0)
+            hi = rng.uniform(lo, 1.0)
+            dec = c_decomposition(n, x)
+            h_max = np.maximum(dec.c0 + dec.c1 * lo, dec.c0 + dec.c1 * hi)
+            want = lattice_value(ConvexCombo(alpha), beta, h_max, 0.0, x, w, n)
+            _, upper = interval_bounds(n, alpha, beta, lo, hi, FAST)
+            assert upper == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 class TestGapConstants:
@@ -125,6 +149,30 @@ class TestBranchAndBound:
         assert result.certified_gap <= eps
         assert result.value >= line.value - eps - (line.certified_gap or 0)
 
+    def test_anchor_search_is_pinned(self):
+        result = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-3))
+        assert (result.nodes_explored, result.max_depth) == (241, 8)
+        assert result.certified
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc")
+    def test_memory_does_not_grow_with_nodes(self):
+        """901 nodes at eps 1e-4 keep two floats per endpoint, not two arrays.
+
+        The child reads its own VmHWM: unlike ru_maxrss, it is not carried
+        over from the parent across exec.
+        """
+        code = (
+            "from contest_opt.cli import main\n"
+            "assert main(['optimize', '--method', 'bnb', '--n', '5', '--alpha', '0.24',"
+            " '--beta', '2', '--epsilon', '1e-4']) == 0\n"
+            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        peak_mb = int(proc.stdout.split()[-2]) / 1024  # "VmHWM:  94208 kB"
+        assert peak_mb < 150
+
     def test_two_player_shortcut(self):
         result = branch_and_bound(2, 0.5, 2.0, BnbConfig(epsilon=1e-3))
         assert result.policy.values == hm(2).values
@@ -148,6 +196,36 @@ class TestBranchAndBound:
         payload = json.loads(result.to_json())
         assert payload["method"] == "bnb"
         assert payload["policy"] == list(result.policy.values)
+
+
+class TestWorkerCount:
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("CONTEST_OPT_THREADS", raising=False)
+
+    def test_default_is_the_cpu_count(self):
+        assert _worker_count(None) == 2
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(None) == 1
+
+    def test_environment_is_clamped_to_the_cpus(self, monkeypatch):
+        monkeypatch.setenv("CONTEST_OPT_THREADS", "1")
+        assert _worker_count(None) == 1
+        monkeypatch.setenv("CONTEST_OPT_THREADS", " 100000 ")
+        assert _worker_count(None) == 2
+
+    def test_explicit_workers_are_clamped(self):
+        assert _worker_count(100_000) == 2
+        assert _worker_count(0) == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+    def test_bad_environment_is_a_domain_error(self, monkeypatch, raw):
+        monkeypatch.setenv("CONTEST_OPT_THREADS", raw)
+        with pytest.raises(DomainError, match="CONTEST_OPT_THREADS"):
+            _worker_count(None)
 
 
 class TestLineSearch:

@@ -22,6 +22,8 @@ from .policy import Policy, is_nontrivial
 
 TOL_INV = 1e-12
 MAX_BISECT = 200
+# basis values held at once by `_basis_dot`
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -71,6 +73,30 @@ def basis_matrix(n: int, x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape + (n,)) if x.shape else out.reshape((1, n))
 
 
+def _basis_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``basis_matrix(n, x) @ coeffs`` without the full (points, n) matrix.
+
+    Works through blocks of about `_BLOCK_ELEMENTS` basis values.  A 1-d x
+    is cut into runs whose length is a multiple of 64, with a lone last
+    point kept in the run before it, and an n-d x into runs of whole
+    last-axis rows.  The matrix-vector kernel thus meets the same row
+    groups as in one product, and each value is bitwise the same.
+    """
+    if x.size * n <= _BLOCK_ELEMENTS:
+        return basis_matrix(n, x) @ coeffs
+    if x.ndim == 1:
+        step = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
+    else:
+        step = _BLOCK_ELEMENTS // (n * x[0].size)
+        if step == 0:
+            return np.stack([_basis_dot(n, row, coeffs) for row in x])
+    starts = range(0, len(x), step)
+    if x.ndim == 1 and len(starts) > 1 and len(x) % step == 1:
+        starts = starts[:-1]  # numpy takes a one-row product by another kernel
+    ends = list(starts[1:]) + [len(x)]
+    return np.concatenate([basis_matrix(n, x[a:b]) @ coeffs for a, b in zip(starts, ends)])
+
+
 def basis_eval(n: int, i: int, x):
     """a_i(x) = C(n-1, i-1) x^(n-i) (1-x)^(i-1), in [0, 1]."""
     if n < 2 or not 1 <= i <= n:
@@ -92,7 +118,7 @@ def h_eval(p: Policy, x):
     """Policy polynomial h(x, p); h(0, p) = p_n and h(1, p) = p_1."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _check_unit_interval(x_arr)
-    values = basis_matrix(p.n, x_arr) @ p.as_array()
+    values = _basis_dot(p.n, x_arr, p.as_array())
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 
@@ -113,7 +139,7 @@ def h_derivative(p: Policy, x):
     if n == 2:
         values = np.full_like(x_arr, diffs[0])
     else:
-        values = (n - 1) * (basis_matrix(n - 1, x_arr) @ diffs)
+        values = (n - 1) * _basis_dot(n - 1, x_arr, diffs)
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 

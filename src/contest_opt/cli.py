@@ -164,6 +164,8 @@ def cmd_sweep(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, cells)
     betas = np.linspace(args.beta_min, args.beta_max, cells)
     quad = _quad_from_args(args, QuadratureConfig(m=5000))
+    if args.steps < 2:
+        raise ContestOptError("sweep needs at least 2 line-search steps")
     spacing = (1.0 - 1.0 / (args.n - 1)) / (args.steps - 1)
     tol = max(1e-6, 0.5 * spacing)
 
@@ -199,11 +201,12 @@ def cmd_equilibrium(args) -> int:
     writer.writerow(["q", "F"])
     for q, f in eq.cdf_table(model, args.points):
         writer.writerow([_fmt(q), _fmt(f)])
+    # simulate before writing, so bad audit input leaves no partial output
+    report = (eq.simulate(model, args.simulate, args.seed, deviation_grid=args.deviation_grid)
+              if args.simulate else None)
     _emit(buf.getvalue(), args.output)
     sys.stderr.write("q_max: %s\n" % _fmt(model.q_max))
-    if args.simulate:
-        report = eq.simulate(model, args.simulate, args.seed,
-                             deviation_grid=args.deviation_grid)
+    if report is not None:
         payload = {
             "empirical_welfare": _fmt(report.empirical_welfare),
             "empirical_quality": _fmt(report.empirical_quality),

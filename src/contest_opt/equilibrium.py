@@ -25,6 +25,8 @@ from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
 
 _SIM_CHUNK = 250_000
+# rounds per audit block: bounds the (rounds, n-1) temporaries of `_rank_counts`
+_AUDIT_ROWS = 16_384
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,37 @@ def _chunk_seeds(seed: int, chunks: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(chunks)
 
 
+def _rank_counts(opponents: np.ndarray, grid: np.ndarray, rng) -> np.ndarray:
+    """Integer table counts[k, g]: rounds in which a deviation to grid[g]
+    against that round's opponents takes rank k + 1.
+
+    The rank is one plus the number of opponents strictly above the
+    deviation.  Sorting each round's grid positions once gives, for every
+    order statistic, a histogram whose cumulative sums count the rounds it
+    beats at each grid point.  Rounds with an opponent exactly on a grid
+    point (a null event) take the per-point rule instead, with the tie
+    broken uniformly by `rng`.
+    """
+    size = grid.size
+    below = np.searchsorted(grid, opponents)  # grid points strictly below
+    tie_rows = (grid[np.minimum(below, size - 1)] == opponents).any(axis=1)
+    below = np.sort(below[~tie_rows], axis=1)
+    rounds, m = below.shape
+    # column j of `below` holds each round's (m - j)-th largest opponent
+    hist = np.bincount((below + (size + 1) * np.arange(m)).ravel(),
+                       minlength=m * (size + 1)).reshape(m, size + 1)
+    beats = rounds - np.cumsum(hist, axis=1)[:, :size]
+    at_least = np.vstack([np.full(size, rounds), beats[::-1], np.zeros(size, np.int64)])
+    counts = at_least[:-1] - at_least[1:]
+    tied_rounds = opponents[tie_rows]
+    if len(tied_rounds):
+        for g, point in enumerate(grid):
+            ties = (tied_rounds == point).sum(axis=1)
+            rank = (tied_rounds > point).sum(axis=1) + rng.integers(0, ties + 1)
+            counts[:, g] += np.bincount(rank, minlength=m + 1)
+    return counts
+
+
 def simulate(model: EquilibriumModel, samples: int, seed: int,
              deviation_grid: int = 50) -> SimReport:
     """Play the symmetric profile for `samples` rounds and audit it.
@@ -167,6 +200,8 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
     """
     if samples < 1000:
         raise DomainError("need at least 1000 samples, got %d" % samples)
+    if deviation_grid < 1:
+        raise DomainError("need at least 1 deviation grid point, got %d" % deviation_grid)
     n = model.policy.n
     pvals = model.policy.as_array()
     pn = model.policy.pn
@@ -177,8 +212,7 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
     seeds = _chunk_seeds(seed, chunks)
     welfare_sum = welfare_sq = 0.0
     quality_sum = quality_sq = 0.0
-    dev_sum = np.zeros(deviation_grid)
-    dev_sq = np.zeros(deviation_grid)
+    counts = np.zeros((n, deviation_grid), dtype=np.int64)
     done = 0
     for c in range(chunks):
         rounds = min(_SIM_CHUNK, samples - done)
@@ -194,13 +228,8 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
         quality_sq += (qualities**2).sum()
 
         opponents = qualities[:, : n - 1]
-        for g in range(deviation_grid):
-            beaten_by = (opponents > grid[g]).sum(axis=1)
-            tied = (opponents == grid[g]).sum(axis=1)
-            rank = beaten_by + np.where(tied > 0, rng.integers(0, tied + 1), 0)
-            prize = pvals[rank]
-            dev_sum[g] += prize.sum()
-            dev_sq[g] += (prize**2).sum()
+        for start in range(0, rounds, _AUDIT_ROWS):
+            counts += _rank_counts(opponents[start:start + _AUDIT_ROWS], grid, rng)
 
     n_rounds = float(samples)
     welfare = welfare_sum / n_rounds
@@ -209,6 +238,8 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
     quality_se = math.sqrt(
         max(quality_sq / (n_rounds * n) - quality**2, 0.0) / (n_rounds * n)
     )
+    dev_sum = pvals @ counts
+    dev_sq = pvals**2 @ counts
     dev_mean = dev_sum / n_rounds - cost
     dev_var = np.maximum(dev_sq / n_rounds - (dev_sum / n_rounds) ** 2, 0.0)
     dev_se = np.sqrt(dev_var / n_rounds)

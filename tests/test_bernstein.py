@@ -1,5 +1,9 @@
 """Basis, policy polynomial, derivative and inverse."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from contest_opt import (
     make_policy,
     uni,
 )
+from contest_opt import bernstein
 
 # independent closed-form inversion of the uniform-except-last polynomial:
 # (1 - (1-x)^4)/4 = 0.125  =>  x = 1 - 0.5^(1/4)
@@ -175,3 +180,56 @@ class TestHInverse:
     def test_trivial_policy_rejected(self):
         with pytest.raises(TrivialPolicyError):
             h_inverse(make_policy((0.25,) * 4), 0.25)
+
+
+class TestBlockedEvaluation:
+    """h and dh/dx are built block by block, each value bitwise as in one product."""
+
+    SHAPES = [(), (1,), (7,), (1000,), (4097,), (4161,), (3, 333), (50, 41), (2, 3, 129)]
+
+    @staticmethod
+    def reference(p, x):
+        n, arr = p.n, p.as_array()
+        value = basis_matrix(n, np.atleast_1d(x)) @ arr
+        slope = (n - 1) * (basis_matrix(n - 1, np.atleast_1d(x)) @ (arr[:-1] - arr[1:]))
+        return value.reshape(np.shape(x)), slope.reshape(np.shape(x))
+
+    @pytest.mark.parametrize("budget", [64, 1000, 1 << 16])
+    def test_bitwise_equal_to_one_product(self, monkeypatch, budget):
+        monkeypatch.setattr(bernstein, "_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(budget)
+        for n in (3, 4, 5, 8, 20, 33):
+            p = random_policy(rng, n, zero_bottom=bool(rng.integers(2)))
+            for shape in self.SHAPES:
+                x = rng.random(shape)
+                value, slope = h_eval(p, x), h_derivative(p, x)
+                ref_value, ref_slope = self.reference(p, x)
+                assert np.shape(value) == np.shape(slope) == shape
+                assert np.array_equal(value, ref_value)
+                assert np.array_equal(slope, ref_slope)
+
+    def test_scalar_and_zero_d_inputs_give_floats(self, monkeypatch):
+        monkeypatch.setattr(bernstein, "_BLOCK_ELEMENTS", 64)
+        p = uni(20)
+        for x in (0.3, np.float64(0.3), np.array(0.3)):
+            assert isinstance(h_eval(p, x), float) and isinstance(h_derivative(p, x), float)
+            assert h_eval(p, x) == (basis_matrix(20, np.array([0.3])) @ p.as_array())[0]
+
+    def test_memory_does_not_scale_with_points_times_n(self):
+        """uni(399) at DEFAULT_QUAD once built a 100,000 x 399 basis (~690 MB).
+
+        The child reads its own VmHWM, which, unlike ru_maxrss, is not
+        carried over from the parent across exec.
+        """
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs /proc/self/status")
+        code = (
+            "from contest_opt import ConvexCombo, evaluate, uni\n"
+            "from contest_opt.objective import DEFAULT_QUAD\n"
+            "assert 0.0 < evaluate(ConvexCombo(0.0), 2.0, uni(399), DEFAULT_QUAD) < 1.0\n"
+            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        peak_mb = int(proc.stdout.split()[-2]) / 1024  # "VmHWM:  85016 kB"
+        assert peak_mb < 250

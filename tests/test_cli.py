@@ -125,6 +125,10 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--cells", "200")
         assert code == 3 and "budget" in err
 
+    def test_single_step_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "5", "--cells", "2", "--steps", "1")
+        assert code == 1 and "steps" in err and out == ""
+
 
 class TestEquilibriumCommand:
     def test_table_and_simulation(self, capsys):
@@ -150,6 +154,12 @@ class TestEquilibriumCommand:
         code, _, err = run_cli(capsys, "equilibrium", "--policy",
                                "0.25,0.25,0.25,0.25", "--beta", "2")
         assert code == 1 and "competition" in err
+
+    def test_empty_deviation_grid_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "equilibrium", "--policy", "hm", "--n", "5",
+                                 "--simulate", "2000", "--deviation-grid", "0")
+        assert code == 1 and "deviation grid" in err
+        assert out == ""  # checked before the CDF table is written
 
 
 class TestVerifyCommand:

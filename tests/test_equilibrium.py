@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contest_opt import (
+    DomainError,
     EquilibriumModel,
     QuadratureConfig,
     RangeError,
@@ -20,6 +21,7 @@ from contest_opt import (
     utility,
     welfare_quality_analytic,
 )
+from contest_opt.equilibrium import _SIM_CHUNK, _rank_counts
 
 
 def random_model(rng, n=5):
@@ -178,3 +180,100 @@ class TestSimulate:
         model = EquilibriumModel(hm(3), 1.0)
         with pytest.raises(Exception):
             simulate(model, 10, seed=0)
+
+
+def per_point_counts(opponents, grid):
+    """counts[k, g] by the per-grid-point loop, for rounds without ties."""
+    n = opponents.shape[1] + 1
+    counts = np.zeros((n, grid.size), dtype=np.int64)
+    for g, point in enumerate(grid):
+        counts[:, g] = np.bincount((opponents > point).sum(axis=1), minlength=n)
+    return counts
+
+
+class TestRankCounts:
+    GRID = np.linspace(0.0, 1.2, 50)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20])
+    def test_matches_per_grid_point_loop(self, n):
+        rng = np.random.default_rng(n)
+        opponents = rng.random((3000, n - 1))
+        counts = _rank_counts(opponents, self.GRID, rng)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, per_point_counts(opponents, self.GRID))
+        assert np.all(counts.sum(axis=0) == 3000)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 20])
+    def test_rounds_tied_with_a_grid_point(self, n):
+        rng = np.random.default_rng(100 + n)
+        rounds, m = 2000, n - 1
+        opponents = rng.random((rounds, m))
+        tied = rng.choice(rounds, 300, replace=False)
+        opponents[tied, rng.integers(0, m, 300)] = self.GRID[rng.integers(0, 50, 300)]
+        # a third of them with a second opponent on the same point
+        double = tied[:100]
+        opponents[double, -1] = opponents[double, 0] = self.GRID[rng.integers(0, 50, 100)]
+        counts = _rank_counts(opponents, self.GRID, rng)
+        assert np.all(counts.sum(axis=0) == rounds)
+        # rounds without a tie are counted exactly ...
+        clean = np.setdiff1d(np.arange(rounds), tied)
+        extra = counts - per_point_counts(opponents[clean], self.GRID)
+        # ... and each tied round ranks between its strict rank and that plus its ties
+        ties = opponents[tied]
+        for g, point in enumerate(self.GRID):
+            low = (ties > point).sum(axis=1)
+            high = low + (ties == point).sum(axis=1)
+            at_most = np.cumsum(extra[:, g])
+            assert np.all(np.cumsum(np.bincount(high, minlength=n)) <= at_most)
+            assert np.all(at_most <= np.cumsum(np.bincount(low, minlength=n)))
+
+    def test_ties_are_broken_uniformly(self):
+        # one opponent above grid[10], two on it, one below: rank 2, 3 or 4
+        rng = np.random.default_rng(7)
+        point = self.GRID[10]
+        opponents = np.tile([1.1, point, point, 0.01], (3000, 1))
+        share = _rank_counts(opponents, self.GRID, rng)[:, 10]
+        assert share[0] == share[4] == 0
+        assert np.all(np.abs(share[1:4] - 1000) < 5 * np.sqrt(3000 * 2 / 9))
+
+
+class TestSimulateRecomputed:
+    def test_bitwise_equal_to_the_seed_sequence_draws(self):
+        """Two chunks (p_n > 0) replayed from the spawned streams."""
+        model = EquilibriumModel(make_policy((0.5, 0.3, 0.2)), 1.7)
+        n, pvals, samples, seed = 3, model.policy.as_array(), _SIM_CHUNK + 10_001, 31
+        report = simulate(model, samples, seed)
+        grid = np.linspace(0.0, model.q_max + 0.2, 50)
+        welfare_sum = welfare_sq = quality_sum = quality_sq = 0.0
+        dev_sum, dev_sq = np.zeros(50), np.zeros(50)
+        streams = np.random.SeedSequence(seed).spawn(2)
+        for stream, rounds in zip(streams, (_SIM_CHUNK, 10_001)):
+            rng = np.random.default_rng(stream)
+            qualities = quantile(model, rng.random((rounds, n)).ravel()).reshape(rounds, n)
+            ranked = -np.sort(-qualities, axis=1)
+            awarded = ranked[np.arange(rounds), rng.choice(n, size=rounds, p=pvals)]
+            welfare_sum += awarded.sum()
+            welfare_sq += (awarded**2).sum()
+            quality_sum += qualities.sum()
+            quality_sq += (qualities**2).sum()
+            for g, point in enumerate(grid):
+                prize = pvals[(qualities[:, : n - 1] > point).sum(axis=1)]
+                dev_sum[g] += prize.sum()
+                dev_sq[g] += (prize**2).sum()
+        welfare = welfare_sum / samples
+        quality = quality_sum / (samples * n)
+        assert report.empirical_welfare == welfare
+        assert report.empirical_quality == quality
+        assert report.welfare_se == np.sqrt(
+            max(welfare_sq / samples - welfare**2, 0.0) / samples)
+        assert report.quality_se == np.sqrt(
+            max(quality_sq / (samples * n) - quality**2, 0.0) / (samples * n))
+        gain = dev_sum / samples - grid**model.beta
+        best = int(np.argmax(gain))
+        se = np.sqrt(max(dev_sq[best] / samples - (dev_sum[best] / samples) ** 2, 0.0) / samples)
+        assert report.max_deviation_gain == pytest.approx(gain[best] - 0.2, abs=1e-12)
+        assert report.deviation_se == pytest.approx(se, abs=1e-12)
+
+    def test_empty_deviation_grid_rejected(self):
+        with pytest.raises(DomainError):
+            simulate(EquilibriumModel(hm(5), 2.0), 2000, seed=0, deviation_grid=0)

@@ -97,6 +97,17 @@ def _basis_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate([basis_matrix(n, x[a:b]) @ coeffs for a, b in zip(starts, ends)])
 
 
+def weights_dot_basis(n: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights @ basis_matrix(n, x)`` for a 1-d x, summed over blocks of
+    about `_BLOCK_ELEMENTS` basis values, so memory does not grow with
+    points times n."""
+    step = max(1, _BLOCK_ELEMENTS // n)
+    total = np.zeros(n)
+    for a in range(0, len(x), step):
+        total += weights[a:a + step] @ basis_matrix(n, x[a:a + step])
+    return total
+
+
 def basis_eval(n: int, i: int, x):
     """a_i(x) = C(n-1, i-1) x^(n-i) (1-x)^(i-1), in [0, 1]."""
     if n < 2 or not 1 <= i <= n:

@@ -19,17 +19,25 @@ basis element, which is what the structural checks downstream exploit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
-from .bernstein import basis_matrix, h_eval
+from .bernstein import h_eval, weights_dot_basis
 from .errors import DomainError, ReductionPreconditionError, TrivialPolicyError
 from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
 
 PN_TOL = 1e-12
+# Rounding allowances of `lattice_bracket`.  The full value and the bracket
+# sum the same terms in different orders, a relative error of about 1e-15 of
+# the terms' integrated size.  Computed h was within 6e-16 of h (80-bit
+# reference, n <= 40, up to 1e5 nodes), but g = h - p_n cancels where h is
+# close to p_n, and g^r amplifies that for r < 1: the value of uniform(6) at
+# beta = 2 is off by 5e-6.  Both bounds leave a wide margin.
+BRACKET_ROUNDING = 1e-9
+H_ROUNDING = 1e-14
 
 DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
 
@@ -266,8 +274,7 @@ def gradient(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None
     quad = quad or DEFAULT_QUAD
     x, w = quad.nodes_weights()
     weight = gradient_weight(spec, beta, p, x)
-    basis = basis_matrix(p.n, x)[:, : p.n - 1]
-    return (weight * w) @ basis
+    return weights_dot_basis(p.n, x, weight * w)[: p.n - 1]
 
 
 def lattice_value(spec: ObjectiveSpec, beta, h: np.ndarray, pn, x: np.ndarray,
@@ -283,6 +290,60 @@ def lattice_value(spec: ObjectiveSpec, beta, h: np.ndarray, pn, x: np.ndarray,
     xcol = x if h.ndim == 1 else x[:, None]
     values = _term_values(_terms(spec, b, n), xcol, h, g)
     return values.T @ w + _lattice_constant(spec, n, np.asarray(pn))
+
+
+def _rounding_spread(terms) -> float:
+    """Bound on how far the rounding of h, at most `H_ROUNDING`, moves the
+    sum of |terms| at one node.
+
+    The factors x^a and h are at most 1.  A shift of at most t in g moves
+    g^r by at most t^r for r < 1 and by r (1+t)^(r-1) t <= 2 r t for r >= 1;
+    a plain h factor adds at most 2 t.
+    """
+    t = H_ROUNDING
+    spread = 0.0
+    for term in terms:
+        r = term.g_exp
+        move = 0.0 if r == 0.0 else t ** r if r < 1.0 else 2.0 * r * t
+        spread += abs(term.coef) * (move + (2.0 * t if term.times_h else 0.0))
+    return spread
+
+
+def lattice_bracket(spec: ObjectiveSpec, beta, h: np.ndarray, pn, x: np.ndarray,
+                    w_low: np.ndarray, w_high: np.ndarray, n: int):
+    """Lower and upper bounds on `lattice_value` from a subset of its nodes.
+
+    On an ordered policy h and g = clip(h - p_n) are nondecreasing in x, so
+    every term factor x^a, h, g^r is nonnegative and nondecreasing.  So are
+    P, the sum of the positive-coefficient terms, and N, the sum of the
+    negative-coefficient terms with their signs flipped.  Let the nodes
+    s_0 = first < ... < s_K = last be taken from the rule's own nodes and
+    W_k be the weight of the rule's nodes in [s_k, s_{k+1}).  `w_low` puts
+    W_k on s_k and `w_high` puts it on s_{k+1}; both give the last node its
+    own weight.  Then P.w_low <= the rule's sum of P <= P.w_high, likewise
+    for N, and the value lies in [P.w_low - N.w_high, P.w_high - N.w_low]
+    plus the lattice constant.
+
+    Both ends are widened for rounding: by `BRACKET_ROUNDING` times
+    P.w_high + N.w_high + |constant|, and by twice `_rounding_spread`, since
+    rounded h breaks monotonicity at the rule's nodes and at the subset's.
+    `h` holds the policies' values at the subset's nodes `x`, shaped as for
+    `lattice_value`.
+    """
+    b = beta_value(beta)
+    g = np.clip(h - np.asarray(pn), 0.0, None)
+    xcol = x if h.ndim == 1 else x[:, None]
+    terms = _terms(spec, b, n)
+    rise = _term_values([t for t in terms if t.coef > 0.0], xcol, h, g)
+    fall = _term_values([replace(t, coef=-t.coef) for t in terms if t.coef < 0.0],
+                        xcol, h, g)
+    rise_low, rise_high = rise.T @ w_low, rise.T @ w_high
+    fall_low, fall_high = fall.T @ w_low, fall.T @ w_high
+    constant = _lattice_constant(spec, n, np.asarray(pn))
+    slack = (BRACKET_ROUNDING * (rise_high + fall_high + np.abs(constant))
+             + 2.0 * _rounding_spread(terms))
+    return (rise_low - fall_high + constant - slack,
+            rise_high - fall_low + constant + slack)
 
 
 def check_posynomial_condition(terms, beta) -> tuple[bool, int | None]:

@@ -13,17 +13,17 @@ C1 = alpha*n*(1+1/b)*I[|c1|] and C2 = (1-alpha)*I[|c1|^(1/b)].  The active
 set algorithm bisects the interval with the largest upper bound until the
 incumbent is within the (quadrature-adjusted) tolerance.
 
-The grid oracle enumerates the whole ordered lattice without assuming any
-structure theorem, so it can confirm, rather than presuppose, where optima
-live; bottom shares above zero are handled through the shifted polynomial
-g = h - p_n.
+The grid oracle takes the argmax over the whole ordered lattice without
+assuming any structure theorem, so it can confirm, rather than presuppose,
+where optima live; bottom shares above zero are handled through the shifted
+polynomial g = h - p_n.  Rigorous brackets from a subset of the quadrature
+nodes rule out most candidates before any is integrated at every node.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import math
 import os
 from functools import lru_cache
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +42,7 @@ from .objective import (
     evaluate,
     evaluate_error_bound,
     format_objective_config,
+    lattice_bracket,
     lattice_value,
     structural_condition_holds,
 )
@@ -53,6 +54,21 @@ GRID_QUAD = QuadratureConfig(m=1000, rule="trapezoid", exclude_left_endpoint=Fal
 LINE_QUAD = QuadratureConfig(m=20_000, rule="right_riemann", exclude_left_endpoint=True)
 
 _LATTICE_GUARD = 10**8
+# grid_search holds about this many (node, candidate) values, 512 kB, per
+# temporary.  On the lattice_oracle operations below 1 << 18 took 3% and
+# 1 << 20 took 36% more CPU, and larger temporaries stay resident in the
+# heap after use.
+_GRID_BLOCK_ELEMENTS = 1 << 16
+# Node strides of the screening stages of grid_search.  On the ten
+# lattice_oracle operations of seeds 1-2 (m = 1000, n = 5-6, 0.01 lattice,
+# 46,262 or 189,509 candidates) strides 25 then 5 left 1 to 1,485 candidates
+# for the full pass and cut grid_search's CPU time 7- to 25-fold; strides
+# 50 then 10 left up to 8,019 and were slower.
+_SCREEN_STRIDES = (25, 5)
+# grid_search sums the candidates within _TIE_ROUNDING of its best again, in
+# aligned windows of _SUM_WINDOW candidates at every node (see there)
+_SUM_WINDOW = 16
+_TIE_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -390,23 +406,49 @@ def count_lattice_policies(n: int, resolution: int) -> int:
     return int(table[resolution, n])
 
 
-def _lattice_policies(total: int, parts: int, cap: int):
-    if parts == 1:
-        if total <= cap:
-            yield (total,)
-        return
-    lo_first = math.ceil(total / parts)
-    for first in range(min(total, cap), lo_first - 1, -1):
-        for rest in _lattice_policies(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=4)
 def _lattice_matrix(n: int, resolution: int) -> np.ndarray:
-    out = np.array(list(_lattice_policies(resolution, n, resolution)), dtype=float)
+    """Every ordered share vector on the 1/resolution lattice, one per row.
+
+    Built level by level: each prefix branches into its admissible next
+    shares, from the largest (capped by the previous share and by what is
+    left) down to the smallest (the mean of what is left), so rows come in
+    decreasing lexicographic order.  Each level keeps only its shares and
+    the index of its parent prefix, as int32 (the lattice guard keeps every
+    count far below 2^31); the rows are read back through the parents.
+    """
+    out = np.empty((count_lattice_policies(n, resolution), n))
+    parents, shares = [], []
+    left = np.array([resolution], dtype=np.int32)  # what the later shares sum to
+    cap = left
+    for parts in range(n, 1, -1):
+        hi = np.minimum(left, cap)
+        counts = hi - (-(-left // parts)) + 1  # the next share is at least the mean
+        parent = np.repeat(np.arange(len(left), dtype=np.int32), counts)
+        step = np.arange(len(parent), dtype=np.int32) - np.repeat(
+            (np.cumsum(counts) - counts).astype(np.int32), counts)
+        share = hi[parent] - step
+        parents.append(parent)
+        shares.append(share)
+        left, cap = left[parent] - share, share
+    out[:, -1] = left
+    rows = np.arange(len(left))
+    for j in range(n - 2, -1, -1):
+        out[:, j] = shares[j][rows]
+        rows = parents[j][rows]
     out /= resolution
     out.setflags(write=False)
     return out
+
+
+def _screen_weights(w: np.ndarray, stride: int):
+    """Every `stride`-th node index, plus the last, with the low and high
+    weights of `objective.lattice_bracket` over the blocks between them."""
+    nodes = np.unique(np.append(np.arange(0, len(w), stride), len(w) - 1))
+    mass = np.add.reduceat(w, nodes)  # block masses; the last is the last weight
+    high = np.concatenate(([0.0], mass[:-1]))
+    high[-1] += mass[-1]
+    return nodes, mass, high
 
 
 def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
@@ -418,6 +460,12 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     observe, not assume, where optima sit; values for p_n > 0 come from
     the shifted polynomial g = h - p_n.  Ties go to the earliest candidate
     in the fixed enumeration order, so parallel runs are reproducible.
+
+    Candidates are screened before they are integrated in full: each stage
+    brackets every remaining candidate's quadrature sum from every
+    `_SCREEN_STRIDES`-th node (`objective.lattice_bracket`) and drops those
+    whose upper end lies below the best lower end.  A dropped candidate's
+    value is below another's, so the argmax is still the exhaustive one.
     """
     b = beta_value(beta)
     if not 0 < granularity <= 0.5:
@@ -438,24 +486,48 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     basis = basis_matrix(n, x)
     candidates = _lattice_matrix(n, resolution)
 
-    batch = 8192
-
-    def eval_batch(start: int) -> np.ndarray:
-        block = candidates[start:start + batch]
-        h = basis @ block.T
-        return lattice_value(spec, b, h, block[:, -1], x, w, n)
-
-    starts = range(0, len(candidates), batch)
     with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
-        pieces = list(pool.map(eval_batch, starts))
+        def over_batches(rows: np.ndarray, nodes: np.ndarray, fn) -> list[np.ndarray]:
+            sub = basis[nodes]
+            batch = max(1, _GRID_BLOCK_ELEMENTS // len(nodes))
 
-    best_val = -np.inf
-    best_idx = -1
-    for k, piece in enumerate(pieces):
-        local = int(np.argmax(piece))
-        if piece[local] > best_val:
-            best_val = float(piece[local])
-            best_idx = k * batch + local
+            def one(start: int):
+                block = rows[start:start + batch]
+                return fn(sub @ block.T, block[:, -1])
+
+            pieces = list(pool.map(one, range(0, len(rows), batch)))
+            return [np.concatenate(parts) for parts in zip(*pieces)]
+
+        keep, rows = np.arange(len(candidates)), candidates
+        for stride in _SCREEN_STRIDES:
+            nodes, w_low, w_high = _screen_weights(w, stride)
+            if 2 * len(nodes) > len(x):
+                continue  # too few nodes for a stage to save work
+            lower, upper = over_batches(
+                rows, nodes,
+                lambda h, pn: lattice_bracket(spec, b, h, pn, x[nodes], w_low, w_high, n))
+            survive = upper >= lower.max()
+            keep, rows = keep[survive], rows[survive]
+        (values,) = over_batches(
+            rows, np.arange(len(x)), lambda h, pn: (lattice_value(spec, b, h, pn, x, w, n),))
+
+    # BLAS picks the kernel that sums a column by where the column sits in its
+    # call (OpenBLAS takes columns in fours), so a survivor's value can differ
+    # in the last bit from the one a pass over the whole lattice, in batches
+    # of a multiple of `_SUM_WINDOW`, computes.  The few near the top are
+    # summed again in their aligned window, which repeats that pass's
+    # arithmetic bit for bit, except in the lattice's last window: there the
+    # kernel also depends on the size of the call.
+    top = values.max()
+    finalists = keep[values >= top - _TIE_ROUNDING * max(1.0, abs(top))]
+    exact = {}
+    for start in np.unique(finalists // _SUM_WINDOW) * _SUM_WINDOW:
+        block = candidates[start:start + _SUM_WINDOW]
+        sums = lattice_value(spec, b, basis @ block.T, block[:, -1], x, w, n)
+        exact.update(zip(range(start, start + len(block)), sums))
+    final = np.array([exact[k] for k in finalists])
+    # ties go to the earliest candidate: `finalists` is in enumeration order
+    best_idx = finalists[int(np.argmax(final))]
     best = make_policy(candidates[best_idx])
-    return OptResult(best, best_val, None, len(candidates), "grid_search",
+    return OptResult(best, float(final.max()), None, len(candidates), "grid_search",
                      False, 0, config)

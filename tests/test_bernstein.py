@@ -1,9 +1,5 @@
 """Basis, policy polynomial, derivative and inverse."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,21 +211,11 @@ class TestBlockedEvaluation:
             assert isinstance(h_eval(p, x), float) and isinstance(h_derivative(p, x), float)
             assert h_eval(p, x) == (basis_matrix(20, np.array([0.3])) @ p.as_array())[0]
 
-    def test_memory_does_not_scale_with_points_times_n(self):
-        """uni(399) at DEFAULT_QUAD once built a 100,000 x 399 basis (~690 MB).
-
-        The child reads its own VmHWM, which, unlike ru_maxrss, is not
-        carried over from the parent across exec.
-        """
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("needs /proc/self/status")
-        code = (
+    def test_memory_does_not_scale_with_points_times_n(self, child_peak_mb):
+        """uni(399) at DEFAULT_QUAD once built a 100,000 x 399 basis (~690 MB)."""
+        peak_mb = child_peak_mb(
             "from contest_opt import ConvexCombo, evaluate, uni\n"
             "from contest_opt.objective import DEFAULT_QUAD\n"
             "assert 0.0 < evaluate(ConvexCombo(0.0), 2.0, uni(399), DEFAULT_QUAD) < 1.0\n"
-            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        peak_mb = int(proc.stdout.split()[-2]) / 1024  # "VmHWM:  85016 kB"
         assert peak_mb < 250

@@ -14,10 +14,12 @@ from contest_opt import (
     ReductionPreconditionError,
     SocialWelfare,
     TrivialPolicyError,
+    basis_matrix,
     check_posynomial_condition,
     evaluate,
     evaluate_hm_closed_form,
     gradient,
+    gradient_weight,
     hm,
     make_policy,
     parse_objective_config,
@@ -168,6 +170,24 @@ class TestGradient:
                 - evaluate(ConvexCombo(alpha), beta, p, quad)
             ) / delta
             assert d[0] - d[n - 2] == pytest.approx(fd, abs=1e-4)
+
+    def test_blocked_sum_matches_one_product(self):
+        rng = np.random.default_rng(43)
+        for spec, n in ((ConvexCombo(0.3), 5), (MaxOrderStat(), 8), (ConvexCombo(0.0), 399)):
+            p = uni(n) if n > 8 else random_reduced_policy(rng, n)
+            x, w = FAST.nodes_weights()
+            weight = gradient_weight(spec, 2.0, p, x)
+            want = (weight * w) @ basis_matrix(n, x)[:, : n - 1]
+            np.testing.assert_allclose(gradient(spec, 2.0, p, FAST), want, rtol=1e-12, atol=0.0)
+
+    def test_memory_does_not_scale_with_points_times_n(self, child_peak_mb):
+        """uni(399) at DEFAULT_QUAD once built a 100,000 x 399 basis (709 MB peak)."""
+        peak_mb = child_peak_mb(
+            "from contest_opt import ConvexCombo, gradient, uni\n"
+            "from contest_opt.objective import DEFAULT_QUAD\n"
+            "assert gradient(ConvexCombo(0.0), 2.0, uni(399), DEFAULT_QUAD).shape == (398,)\n"
+        )
+        assert peak_mb < 250
 
 
 class TestPosynomialCondition:

@@ -1,8 +1,7 @@
 """Interval bounds, branch-and-bound, line search and the lattice oracle."""
 
+import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,9 +11,11 @@ from contest_opt import (
     BudgetExceededError,
     ConvexCombo,
     DomainError,
+    Exponential,
     MaxOrderStat,
     Posynomial,
     QuadratureConfig,
+    SocialWelfare,
     StructuralConditionError,
     branch_and_bound,
     c_decomposition,
@@ -27,9 +28,15 @@ from contest_opt import (
     two_level_line_search,
     uni,
 )
-from contest_opt.objective import lattice_value
-from contest_opt.optimizer import _worker_count, count_lattice_policies
-from contest_opt.bernstein import h_eval
+from contest_opt.objective import lattice_bracket, lattice_value
+from contest_opt.optimizer import (
+    GRID_QUAD,
+    _lattice_matrix,
+    _screen_weights,
+    _worker_count,
+    count_lattice_policies,
+)
+from contest_opt.bernstein import basis_matrix, h_eval
 
 FAST = QuadratureConfig(m=20_000)
 
@@ -154,23 +161,13 @@ class TestBranchAndBound:
         assert (result.nodes_explored, result.max_depth) == (241, 8)
         assert result.certified
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                        reason="reads the peak RSS from /proc")
-    def test_memory_does_not_grow_with_nodes(self):
-        """901 nodes at eps 1e-4 keep two floats per endpoint, not two arrays.
-
-        The child reads its own VmHWM: unlike ru_maxrss, it is not carried
-        over from the parent across exec.
-        """
-        code = (
+    def test_memory_does_not_grow_with_nodes(self, child_peak_mb):
+        """901 nodes at eps 1e-4 keep two floats per endpoint, not two arrays."""
+        peak_mb = child_peak_mb(
             "from contest_opt.cli import main\n"
             "assert main(['optimize', '--method', 'bnb', '--n', '5', '--alpha', '0.24',"
             " '--beta', '2', '--epsilon', '1e-4']) == 0\n"
-            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        peak_mb = int(proc.stdout.split()[-2]) / 1024  # "VmHWM:  94208 kB"
         assert peak_mb < 150
 
     def test_two_player_shortcut(self):
@@ -269,3 +266,95 @@ class TestGridSearch:
         the best-of-lattice at unit cost ties 1/n regardless of p_n."""
         result = grid_search(ConvexCombo(0.0), 1.0, 3, 0.25)
         assert result.value == pytest.approx(1 / 3, abs=1e-3)
+
+    def test_full_quadrature_pass_memory_is_bounded(self, child_peak_mb):
+        """3765 candidates at 100,001 nodes once asked for one 2.8 GiB array."""
+        peak_mb = child_peak_mb(
+            "import os\n"
+            "os.environ['CONTEST_OPT_THREADS'] = '2'\n"
+            "from contest_opt.cli import main\n"
+            "assert main(['optimize', '--method', 'grid', '--n', '5', '--alpha', '0',"
+            " '--beta', '2', '--granularity', '0.02', '--quad-m', '100000']) == 0\n"
+        )
+        assert peak_mb < 250
+
+
+def recursive_lattice(total, parts, cap):
+    """The lattice in the order grid_search breaks ties by, first share first."""
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
+        return
+    for first in range(min(total, cap), math.ceil(total / parts) - 1, -1):
+        for rest in recursive_lattice(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+# every family, social welfare, whose rents make the bottom share count, and
+# negative posynomial coefficients: 2q - 3q^2 + 2q^3 still rises in q, while
+# q^(1/2) - 2q^2 rises, then falls
+SCREEN_SPECS = (
+    ConvexCombo(0.3),
+    Posynomial(((2.0, 1.0), (-3.0, 2.0), (2.0, 3.0))),
+    Posynomial(((1.0, 0.5), (-2.0, 2.0))),
+    MaxOrderStat(),
+    Exponential((1.5,)),
+    SocialWelfare(((0.5, 1.0),)),
+)
+# both rules, either left endpoint, and node counts that are multiples of
+# neither stride
+SCREEN_QUADS = (
+    QuadratureConfig(m=997, rule="trapezoid", exclude_left_endpoint=False),
+    QuadratureConfig(m=997, rule="trapezoid", exclude_left_endpoint=True),
+    QuadratureConfig(m=1003, rule="right_riemann", exclude_left_endpoint=True),
+    QuadratureConfig(m=333, rule="right_riemann", exclude_left_endpoint=False),
+)
+
+
+class TestLatticeScreening:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_enumeration_order_is_the_recursive_one(self, n):
+        for resolution in (1, 2, 7, 20, 50):
+            want = np.array(list(recursive_lattice(resolution, n, resolution))) / resolution
+            got = _lattice_matrix(n, resolution)
+            assert got.shape == want.shape == (count_lattice_policies(n, resolution), n)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("quad", SCREEN_QUADS, ids=lambda q: "%s-%d-%s" % (
+        q.rule, q.m, q.exclude_left_endpoint))
+    def test_every_value_lies_in_its_bracket(self, quad):
+        x, w = quad.nodes_weights()
+        for n, resolution in ((3, 30), (5, 12), (6, 10)):
+            shares = _lattice_matrix(n, resolution)
+            h = basis_matrix(n, x) @ shares.T
+            pn = shares[:, -1]
+            assert np.any(pn > 0)
+            for spec in SCREEN_SPECS:
+                for beta in (0.6, 1.0, 2.0, 2.8):
+                    value = lattice_value(spec, beta, h, pn, x, w, n)
+                    for stride in (25, 5, 7):
+                        nodes, w_low, w_high = _screen_weights(w, stride)
+                        assert nodes[0] == 0 and nodes[-1] == len(x) - 1
+                        assert w_low.sum() == pytest.approx(1.0, abs=1e-12)
+                        assert w_high.sum() == pytest.approx(1.0, abs=1e-12)
+                        lower, upper = lattice_bracket(spec, beta, h[nodes], pn, x[nodes],
+                                                       w_low, w_high, n)
+                        assert np.all(lower <= value), (spec, beta, stride)
+                        assert np.all(value <= upper), (spec, beta, stride)
+
+    @pytest.mark.parametrize("spec,beta", [(spec, 1.7) for spec in SCREEN_SPECS] + [
+        # unit cost: every candidate with p_n = 0 is worth 1/n up to the
+        # quadrature error, so hardly any can be ruled out
+        (ConvexCombo(0.0), 1.0),
+    ])
+    def test_screened_argmax_is_the_exhaustive_one(self, spec, beta):
+        x, w = GRID_QUAD.nodes_weights()
+        for n, granularity in ((4, 0.05), (5, 0.04)):
+            shares = _lattice_matrix(n, round(1 / granularity))
+            values = lattice_value(spec, beta, basis_matrix(n, x) @ shares.T, shares[:, -1],
+                                   x, w, n)
+            best = int(np.argmax(values))
+            result = grid_search(spec, beta, n, granularity)
+            assert result.policy.values == tuple(shares[best])
+            assert result.value == pytest.approx(values[best], rel=1e-12, abs=0.0)
+            assert result.nodes_explored == len(shares)

@@ -122,7 +122,7 @@ def cmd_optimize(args) -> int:
         result = opt.branch_and_bound(args.n, spec.alpha, args.beta, cfg)
     elif args.method == "line":
         result = opt.two_level_line_search(
-            spec, args.beta, args.n, steps=args.steps, refine=True,
+            spec, args.beta, args.n, steps=args.steps,
             quad=_quad_from_args(args, opt.LINE_QUAD))
     elif args.method == "grid":
         result = opt.grid_search(
@@ -156,6 +156,10 @@ def cmd_optimize(args) -> int:
 def cmd_sweep(args) -> int:
     _check_common(args)
     cells = 1000 if args.full else args.cells
+    if cells < 1:
+        raise ContestOptError("sweep needs at least 1 cell per axis")
+    if args.steps < 2:
+        raise ContestOptError("sweep needs at least 2 line-search steps")
     if cells * cells > args.budget and not args.full:
         raise BudgetExceededError(
             "sweep of %d cells exceeds budget %d; pass --full for the "
@@ -164,22 +168,19 @@ def cmd_sweep(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, cells)
     betas = np.linspace(args.beta_min, args.beta_max, cells)
     quad = _quad_from_args(args, QuadratureConfig(m=5000))
-    if args.steps < 2:
-        raise ContestOptError("sweep needs at least 2 line-search steps")
     spacing = (1.0 - 1.0 / (args.n - 1)) / (args.steps - 1)
     tol = max(1e-6, 0.5 * spacing)
 
     def cell(pair):
         alpha, beta = pair
         result = opt.two_level_line_search(
-            obj.ConvexCombo(alpha), beta, args.n,
-            steps=args.steps, refine=True, quad=quad, workers=1)
+            obj.ConvexCombo(alpha), beta, args.n, steps=args.steps, quad=quad)
         shape = classify_structure(result.policy, tol)
         p = result.policy.values
         return (alpha, beta, p[0], p[1], result.value, shape.tag)
 
     pairs = [(a, b) for a in alphas for b in betas]
-    with ThreadPoolExecutor(max_workers=opt._worker_count(None)) as pool:
+    with ThreadPoolExecutor(max_workers=opt._worker_count()) as pool:
         rows = list(pool.map(cell, pairs))
     rows.sort(key=lambda r: (r[0], r[1]))
 
@@ -250,30 +251,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_policy=False, with_objective=False):
+    def common(p, *groups):
+        """--n and --output, plus the named groups of flags the command reads."""
         p.add_argument("--n", type=int, default=5, help="number of contestants")
-        p.add_argument("--beta", type=float, default=2.0, help="cost exponent")
-        p.add_argument("--quad-m", type=int, default=0,
-                       help="quadrature node count (0 = command default)")
-        p.add_argument("--quad-rule", choices=["right_riemann", "trapezoid"],
-                       default="", help="quadrature rule")
+        if "beta" in groups:
+            p.add_argument("--beta", type=float, default=2.0, help="cost exponent")
+        if "quad" in groups:
+            p.add_argument("--quad-m", type=int, default=0,
+                           help="quadrature node count (0 = command default)")
+            p.add_argument("--quad-rule", choices=["right_riemann", "trapezoid"],
+                           default="", help="quadrature rule")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        if with_policy:
+        if "format" in groups:
+            p.add_argument("--format", choices=["text", "json"], default="text")
+        if "policy" in groups:
             p.add_argument("--policy", required=True,
                            help='shares "0.4,0.2,0.2,0.2,0" or hm | uni | two:<p1>')
-        if with_objective:
+        if "objective" in groups:
             p.add_argument("--alpha", type=float, default=0.0,
                            help="welfare weight of the convex objective")
             p.add_argument("--objective", default=None,
                            help='config string, e.g. "objective=posynomial terms=2:3,-3:2,2:1"')
 
     p_eval = sub.add_parser("evaluate", help="value, welfare and quality of a policy")
-    common(p_eval, with_policy=True, with_objective=True)
+    common(p_eval, "beta", "quad", "format", "policy", "objective")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_opt = sub.add_parser("optimize", help="find an optimal policy")
-    common(p_opt, with_objective=True)
+    common(p_opt, "beta", "quad", "format", "objective")
     p_opt.add_argument("--method", choices=["bnb", "grid", "line"], default="bnb")
     p_opt.add_argument("--epsilon", type=float, default=1e-3,
                        help="certified additive gap for bnb")
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="alpha x beta sweep of optimal two-level policies",
         description="Writes CSV with columns alpha, beta, p1, p2, value, "
                     "structure_tag; rows sorted by (alpha, beta).")
-    common(p_sweep)
+    common(p_sweep, "quad")
     p_sweep.add_argument("--cells", type=int, default=50, help="cells per axis")
     p_sweep.add_argument("--alpha-min", type=float, default=0.05)
     p_sweep.add_argument("--alpha-max", type=float, default=1.0)
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Writes CSV with columns q, F (the equilibrium CDF on a "
                     "uniform grid over the support); q_max goes to stderr and "
                     "the optional simulation report to stdout as JSON.")
-    common(p_eq, with_policy=True)
+    common(p_eq, "beta", "policy")
     p_eq.add_argument("--points", type=int, default=101, help="CDF table rows")
     p_eq.add_argument("--simulate", type=int, default=0,
                       help="Monte Carlo sample count (0 = skip)")

@@ -11,7 +11,9 @@ to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
 and the gap contraction  U - L <= C1*|I| + C2*|I|^(1/b)  with
 C1 = alpha*n*(1+1/b)*I[|c1|] and C2 = (1-alpha)*I[|c1|^(1/b)].  The active
 set algorithm bisects the interval with the largest upper bound until the
-incumbent is within the (quadrature-adjusted) tolerance.
+incumbent is within the (quadrature-adjusted) tolerance.  Each call builds
+one `_TwoLevelFamily` (nodes, c0, c1, rise/fall weights) and reads values,
+bounds and C1, C2 from it.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -144,54 +146,63 @@ def c_decomposition(n: int, x) -> CDecomposition:
     return CDecomposition(c0, c1)
 
 
-class _TwoLevelEvaluator:
-    """Two-level values and interval upper bounds of the welfare/quality mix.
+class _TwoLevelFamily:
+    """The two-level chain h = c0(x) + c1(x)*p1 on the nodes of one rule.
 
-    Every term of the mix is nondecreasing in h, and h = c0 + c1*p1, so
-    over [lo, hi] the pointwise max of the integrand sits at hi where
-    c1 >= 0 and at lo where c1 < 0.  Each endpoint is integrated once
-    against both halves of the weights and only the two partial sums
-    (rise, fall) are kept: G(p1) = rise + fall, U(lo, hi) = rise(hi) + fall(lo).
+    Every term of the welfare/quality mix is nondecreasing in h, so over
+    [lo, hi] the pointwise max of its integrand sits at hi where c1 >= 0
+    and at lo where c1 < 0.  `rise_fall` integrates one endpoint against
+    both halves of the weights: G(p1) = rise + fall and
+    U(lo, hi) = rise(hi) + fall(lo).
     """
 
-    def __init__(self, n: int, alpha: float, beta: float, quad: QuadratureConfig):
+    def __init__(self, n: int, quad: QuadratureConfig):
         if n < 3:
             raise DomainError("the two-level family needs n >= 3")
-        self.n, self.spec, self.beta = n, ConvexCombo(alpha), beta_value(beta)
-        self.x, w = quad.nodes_weights()
+        self.n, self.quad = n, quad
+        self.x, self.w = quad.nodes_weights()
         dec = c_decomposition(n, self.x)
         self.c0, self.c1 = dec.c0, dec.c1
         rising = dec.c1 >= 0.0
-        self.weights = np.column_stack((np.where(rising, w, 0.0), np.where(rising, 0.0, w)))
-        self._sums: dict[float, tuple[float, float]] = {}
-        # the largest p1 maximizes every term's range over the family
-        self.value_error_bound = evaluate_error_bound(self.spec, self.beta, hm(n), quad)
+        self.split = np.column_stack((np.where(rising, self.w, 0.0),
+                                      np.where(rising, 0.0, self.w)))
 
-    def _endpoint(self, p1: float) -> tuple[float, float]:
-        hit = self._sums.get(p1)
-        if hit is None:
-            rise, fall = lattice_value(self.spec, self.beta, self.c0 + self.c1 * p1, 0.0,
-                                       self.x, self.weights, self.n)
-            hit = self._sums[p1] = (float(rise), float(fall))
-        return hit
+    def values(self, spec: ObjectiveSpec, b: float, p1s: np.ndarray) -> np.ndarray:
+        """Objective values at each top share in `p1s`."""
+        h = self.c0[:, None] + self.c1[:, None] * p1s[None, :]
+        return lattice_value(spec, b, h, 0.0, self.x, self.w, self.n)
 
-    def value(self, p1: float) -> float:
-        rise, fall = self._endpoint(p1)
-        return rise + fall
+    def rise_fall(self, spec: ObjectiveSpec, b: float, p1: float) -> tuple[float, float]:
+        rise, fall = lattice_value(spec, b, self.c0 + self.c1 * p1, 0.0,
+                                   self.x, self.split, self.n)
+        return float(rise), float(fall)
 
-    def upper(self, lo: float, hi: float) -> float:
-        return self._endpoint(hi)[0] + self._endpoint(lo)[1]
+    def gap_constants(self, alpha: float, b: float) -> tuple[float, float]:
+        abs_c1 = np.abs(self.c1)
+        c1 = alpha * self.n * (1.0 + 1.0 / b) * float(abs_c1 @ self.w)
+        c2 = (1.0 - alpha) * float((abs_c1 ** (1.0 / b)) @ self.w)
+        return c1, c2
+
+    def error_bound(self, spec: ObjectiveSpec, b: float) -> float:
+        """Per-evaluation quadrature allowance; p1 = 1 maximizes every term's range."""
+        return evaluate_error_bound(spec, b, hm(self.n), self.quad)
+
+
+def _bounds(at_lo: tuple[float, float], at_hi: tuple[float, float]) -> tuple[float, float]:
+    """(L, U) over [lo, hi] from the (rise, fall) sums at its ends."""
+    return max(at_lo[0] + at_lo[1], at_hi[0] + at_hi[1]), at_hi[0] + at_lo[1]
 
 
 def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
     """(L, U) objective bounds over the p1-interval [lo, hi]."""
-    ev = _TwoLevelEvaluator(n, alpha, beta, quad or BNB_QUAD)
+    b = beta_value(beta)
+    fam = _TwoLevelFamily(n, quad or BNB_QUAD)
     domain_lo = 1.0 / (n - 1)
     if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
         raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
-    lower = max(ev.value(lo), ev.value(hi))
-    upper = ev.upper(lo, hi)
+    spec = ConvexCombo(alpha)
+    lower, upper = _bounds(fam.rise_fall(spec, b, lo), fam.rise_fall(spec, b, hi))
     return lower, max(upper, lower)
 
 
@@ -211,13 +222,7 @@ def gap_constants(n: int, alpha: float, beta, mode: str = "exact",
         return c1, c2
     if mode != "exact":
         raise DomainError("mode must be 'exact' or 'rough'")
-    quad = quad or BNB_QUAD
-    x, w = quad.nodes_weights()
-    dec = c_decomposition(n, x)
-    abs_c1 = np.abs(dec.c1)
-    c1 = alpha * n * (1.0 + 1.0 / b) * float(abs_c1 @ w)
-    c2 = (1.0 - alpha) * float((abs_c1 ** (1.0 / b)) @ w)
-    return c1, c2
+    return _TwoLevelFamily(n, quad or BNB_QUAD).gap_constants(alpha, b)
 
 
 def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
@@ -236,30 +241,40 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
     }
     if n == 2:
         # the ordered two-share simplex with zero bottom is the single point (1, 0)
-        value = evaluate(ConvexCombo(alpha), b, hm(2), cfg.quad)
-        return OptResult(hm(2), value, 0.0, 0, "bnb:n2-shortcut-hm", True, 0, config)
+        return OptResult(hm(2), evaluate(ConvexCombo(alpha), b, hm(2), cfg.quad), 0.0, 0,
+                         "bnb:n2-shortcut-hm", True, 0, config)
 
-    ev = _TwoLevelEvaluator(n, alpha, b, cfg.quad)
-    eps_eff = cfg.epsilon - 2.0 * ev.value_error_bound
+    fam, spec = _TwoLevelFamily(n, cfg.quad), ConvexCombo(alpha)
+    delta = fam.error_bound(spec, b)
+    eps_eff = cfg.epsilon - 2.0 * delta
     if eps_eff <= 0:
         raise DomainError(
             "quadrature error budget exhausted: epsilon=%.3g but 2*delta=%.3g; "
-            "raise epsilon or the node count" % (cfg.epsilon, 2 * ev.value_error_bound)
+            "raise epsilon or the node count" % (cfg.epsilon, 2 * delta)
         )
 
-    lo0, hi0 = 1.0 / (n - 1), 1.0
-    best_p1, best_val = lo0, ev.value(lo0)
-    if trace is not None:
-        trace.append(lo0)
-    for candidate in (hi0,):
-        v = ev.value(candidate)
-        if trace is not None:
-            trace.append(candidate)
-        if v > best_val:
-            best_p1, best_val = candidate, v
+    sums: dict[float, tuple[float, float]] = {}  # (rise, fall) per visited endpoint
+
+    def endpoint(p1: float) -> tuple[float, float]:
+        hit = sums.get(p1)
+        if hit is None:
+            hit = sums[p1] = fam.rise_fall(spec, b, p1)
+        return hit
+
+    def value(p1: float) -> float:
+        rise, fall = endpoint(p1)
+        return rise + fall
 
     def make_interval(lo: float, hi: float, depth: int) -> Interval:
-        return Interval(lo, hi, max(ev.value(lo), ev.value(hi)), ev.upper(lo, hi), depth)
+        return Interval(lo, hi, *_bounds(endpoint(lo), endpoint(hi)), depth)
+
+    lo0, hi0 = 1.0 / (n - 1), 1.0
+    best_p1, best_val = lo0, value(lo0)
+    v_hi = value(hi0)
+    if trace is not None:
+        trace.extend((lo0, hi0))
+    if v_hi > best_val:
+        best_p1, best_val = hi0, v_hi
 
     root = make_interval(lo0, hi0, 0)
     # ties on the upper bound break toward the leftmost interval
@@ -282,7 +297,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
             # eps_eff, so dropping it cannot hide a better optimum
             top_upper = best_val
             continue
-        v_mid = ev.value(mid)
+        v_mid = value(mid)
         if trace is not None:
             trace.append(mid)
         if v_mid > best_val:
@@ -293,7 +308,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
             nodes += 1
             max_depth = max(max_depth, child.depth)
 
-    gap = max(top_upper - best_val, 0.0) + 2.0 * ev.value_error_bound
+    gap = max(top_upper - best_val, 0.0) + 2.0 * delta
     return OptResult(
         policy=two_level(n, best_p1),
         value=best_val,
@@ -306,12 +321,9 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
     )
 
 
-def _worker_count(workers: int | None) -> int:
-    """Pool size: `workers`, else CONTEST_OPT_THREADS, else up to 8,
-    never more than the CPU count."""
+def _worker_count() -> int:
+    """Pool size: CONTEST_OPT_THREADS, else up to 8, never above the CPU count."""
     cpus = os.cpu_count() or 1
-    if workers is not None:
-        return max(1, min(workers, cpus))
     env = os.environ.get("CONTEST_OPT_THREADS", "").strip()
     if not env:
         return min(8, cpus)
@@ -325,9 +337,8 @@ def _worker_count(workers: int | None) -> int:
 
 
 def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
-                          refine: bool = True, quad: QuadratureConfig | None = None,
-                          workers: int | None = None) -> OptResult:
-    """Scan the two-level family on a uniform p1 grid, optionally refining.
+                          quad: QuadratureConfig | None = None) -> OptResult:
+    """Scan the two-level family on a uniform p1 grid, then Brent-refine the best cell.
 
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  A gap
@@ -351,44 +362,27 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
         value = evaluate(spec, b, hm(2), quad)
         return OptResult(hm(2), value, None, 1, "line:n2-hm", False, 0, config)
 
-    x, w = quad.nodes_weights()
-    dec = c_decomposition(n, x)
+    fam = _TwoLevelFamily(n, quad)
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
-
-    def batch_values(p1_chunk: np.ndarray) -> np.ndarray:
-        h = dec.c0[:, None] + dec.c1[:, None] * p1_chunk[None, :]
-        return lattice_value(spec, b, h, 0.0, x, w, n)
-
-    chunk = max(1, min(128, steps))
-    starts = range(0, steps, chunk)
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
-        pieces = list(pool.map(lambda s: batch_values(p1_grid[s:s + chunk]), starts))
-    values = np.concatenate(pieces)
+    chunk = min(128, steps)
+    values = np.concatenate([fam.values(spec, b, p1_grid[start:start + chunk])
+                             for start in range(0, steps, chunk)])
     best = int(np.argmax(values))
     best_p1, best_val = float(p1_grid[best]), float(values[best])
 
-    if refine:
-        lo = p1_grid[max(best - 1, 0)]
-        hi = p1_grid[min(best + 1, steps - 1)]
-        if hi > lo:
-            res = sp_optimize.minimize_scalar(
-                lambda v: -batch_values(np.array([v]))[0],
-                bounds=(lo, hi), method="bounded",
-                options={"xatol": 1e-10},
-            )
-            if -res.fun > best_val:
-                best_p1, best_val = float(res.x), float(-res.fun)
+    cell = (p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)])
+    res = sp_optimize.minimize_scalar(lambda v: -fam.values(spec, b, np.array([v]))[0],
+                                      bounds=cell, method="bounded", options={"xatol": 1e-10})
+    if -res.fun > best_val:
+        best_p1, best_val = float(res.x), float(-res.fun)
 
     gap = None
-    certified = False
     if isinstance(spec, ConvexCombo):
-        c1, c2 = gap_constants(n, spec.alpha, b, "exact", quad)
+        c1, c2 = fam.gap_constants(spec.alpha, b)
         step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
-        delta = evaluate_error_bound(spec, b, hm(n), quad)
-        gap = c1 * step + c2 * step ** (1.0 / b) + 2.0 * delta
-        certified = True
+        gap = c1 * step + c2 * step ** (1.0 / b) + 2.0 * fam.error_bound(spec, b)
     return OptResult(two_level(n, best_p1), best_val, gap, steps, "line_search",
-                     certified, 0, config)
+                     gap is not None, 0, config)
 
 
 def count_lattice_policies(n: int, resolution: int) -> int:
@@ -452,8 +446,7 @@ def _screen_weights(w: np.ndarray, stride: int):
 
 
 def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
-                quad: QuadratureConfig | None = None, guard: int = _LATTICE_GUARD,
-                workers: int | None = None) -> OptResult:
+                quad: QuadratureConfig | None = None, guard: int = _LATTICE_GUARD) -> OptResult:
     """Exhaustive argmax over every ordered policy on the share lattice.
 
     Bottom shares are left free (not forced to zero) so the search can
@@ -486,7 +479,7 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     basis = basis_matrix(n, x)
     candidates = _lattice_matrix(n, resolution)
 
-    with ThreadPoolExecutor(max_workers=_worker_count(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         def over_batches(rows: np.ndarray, nodes: np.ndarray, fn) -> list[np.ndarray]:
             sub = basis[nodes]
             batch = max(1, _GRID_BLOCK_ELEMENTS // len(nodes))

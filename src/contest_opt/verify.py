@@ -271,7 +271,7 @@ def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
         c1, c2 = optimizer.gap_constants(n, alpha, beta, "exact", quad)
         width = hi - lo
         allowance = c1 * width + c2 * width ** (1.0 / beta)
-        quad_slack = 2 * (alpha * n + 1 - alpha) / quad.m
+        quad_slack = 2 * objective.evaluate_error_bound(ConvexCombo(alpha), beta, hm(n), quad)
         worst = max(worst, lower - upper)
         worst = max(worst, (upper - lower) - allowance - quad_slack)
         rough = optimizer.gap_constants(n, alpha, beta, "rough")

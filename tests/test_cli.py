@@ -73,6 +73,18 @@ class TestOptimize:
         code, _, err = run_cli(capsys, "optimize", "--method", "bnb", "--constants", "rough")
         assert code == 1 and "--constants" in err
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--beta", "3"),
+        ("sweep", "--format", "json"),
+        ("equilibrium", "--quad-m", "4000"),
+        ("equilibrium", "--quad-rule", "trapezoid"),
+        ("equilibrium", "--format", "json"),
+    ])
+    def test_unread_flags_are_not_accepted(self, capsys, command, flag, value):
+        extra = ("--policy", "hm") if command == "equilibrium" else ("--cells", "2")
+        code, out, err = run_cli(capsys, command, *extra, flag, value)
+        assert code == 1 and flag in err and out == ""
+
     def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTEST_OPT_THREADS", "abc")
         code, _, err = run_cli(capsys, "optimize", "--method", "grid",
@@ -100,19 +112,31 @@ class TestSweep:
             "--alpha-max", "0.9", "--beta-min", "2", "--beta-max", "3",
             "--steps", "120", "--quad-m", "4000")
 
+    # the CSV that ARGS writes, pinned byte for byte: refactors of the sweep path keep it
+    PINNED = (
+        "alpha,beta,p1,p2,value,structure_tag\n"
+        "0.24,2,0.25,0.25,0.444566811,UNI\n"
+        "0.24,3,0.25,0.25,0.579089676,UNI\n"
+        "0.9,2,1,0,0.676765618,HM\n"
+        "0.9,3,0.999882772,3.90760347e-05,0.753978693,HM\n"
+    )
+
     def test_rows_parse_and_match_optimize(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS)
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
         assert [r["alpha"] for r in rows] == sorted(r["alpha"] for r in rows)
-        cell = rows[0]  # alpha=0.24, beta=2
-        code, out, _ = run_cli(capsys, "optimize", "--method", "line", "--n", "5",
-                               "--alpha", "0.24", "--beta", "2", "--steps", "120",
-                               "--quad-m", "4000")
-        fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
-        assert float(fields["value"]) == pytest.approx(float(cell["value"]), abs=1e-12)
-        assert fields["structure"] == cell["structure_tag"]
+        # the sweep tags at half its p1 spacing; optimize's default tolerance is 1e-6
+        tol = repr(0.5 * (1 - 1 / 4) / (120 - 1))
+        for cell in rows:
+            code, out, _ = run_cli(capsys, "optimize", "--method", "line", "--n", "5",
+                                   "--alpha", cell["alpha"], "--beta", cell["beta"],
+                                   "--steps", "120", "--quad-m", "4000", "--classify-tol", tol)
+            assert code == 0
+            fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
+            assert float(fields["value"]) == pytest.approx(float(cell["value"]), abs=1e-12)
+            assert fields["structure"] == cell["structure_tag"]
 
     def test_byte_identical_outputs(self, tmp_path, capsys):
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -120,6 +144,7 @@ class TestSweep:
         assert main(list(self.ARGS) + ["--output", str(second)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+        assert first.read_text(encoding="utf-8") == self.PINNED
 
     def test_budget_guard(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--cells", "200")
@@ -128,6 +153,11 @@ class TestSweep:
     def test_single_step_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--n", "5", "--cells", "2", "--steps", "1")
         assert code == 1 and "steps" in err and out == ""
+
+    @pytest.mark.parametrize("cells", ["0", "-1"])
+    def test_empty_grid_is_usage_error(self, capsys, cells):
+        code, out, err = run_cli(capsys, "sweep", "--n", "5", "--cells", cells)
+        assert code == 1 and "cell" in err and out == ""
 
 
 class TestEquilibriumCommand:

@@ -110,8 +110,8 @@ def cmd_optimize(args) -> int:
     if args.method == "bnb":
         if not isinstance(spec, obj.ConvexCombo):
             raise ContestOptError(
-                "branch-and-bound certifies only the welfare/quality mix "
-                "(its interval-gap constants are specific to it); use "
+                "branch-and-bound takes only the welfare/quality mix "
+                "(it is parameterized by alpha alone); use "
                 "--method line or grid for other objectives"
             )
         if args.n == 2:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bernstein import h_eval, h_inverse
 from .errors import DomainError, RangeError, TrivialPolicyError
-from .objective import DEFAULT_QUAD, beta_value
+from .objective import DEFAULT_QUAD, ConvexCombo, beta_value, lattice_value
 from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
 
@@ -135,9 +135,8 @@ def welfare_quality_analytic(p: Policy, beta, quad: QuadratureConfig | None = No
     quad = quad or DEFAULT_QUAD
     x, w = quad.nodes_weights()
     h = h_eval(p, x)
-    hb = h ** (1.0 / b)
-    welfare = float(p.n * ((h * hb) @ w))
-    quality = float(hb @ w)
+    welfare = float(lattice_value(ConvexCombo(1.0), b, h, 0.0, x, w, p.n))
+    quality = float(lattice_value(ConvexCombo(0.0), b, h, 0.0, x, w, p.n))
     return welfare, quality
 
 

@@ -8,12 +8,12 @@ to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
     L(I) = max(G(l), G(u))
     U(I) = G evaluated at max(h_l, h_u), i.e. h_u where c1 >= 0, h_l where c1 < 0
 
-and the gap contraction  U - L <= C1*|I| + C2*|I|^(1/b)  with
-C1 = alpha*n*(1+1/b)*I[|c1|] and C2 = (1-alpha)*I[|c1|^(1/b)].  The active
-set algorithm bisects the interval with the largest upper bound until the
-incumbent is within the (quadrature-adjusted) tolerance.  Each call builds
-one `_TwoLevelFamily` (nodes, c0, c1, rise/fall weights) and reads values,
-bounds and C1, C2 from it.
+and the gap contraction  U - L <= how far the objective's terms move over
+a step of |I| (`_TwoLevelFamily.step_moves`).  The active set algorithm
+bisects the interval with the largest upper bound until the incumbent is
+within the (quadrature-adjusted) tolerance.  Each call builds one
+`_TwoLevelFamily` (nodes, c0, c1, rise/fall weights) and reads values,
+bounds and step moves from it.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -47,6 +47,7 @@ from .objective import (
     lattice_bracket,
     lattice_value,
     structural_condition_holds,
+    _terms,
 )
 from .policy import Policy, hm, make_policy, two_level
 from .quadrature import QuadratureConfig
@@ -177,11 +178,25 @@ class _TwoLevelFamily:
                                    self.x, self.split, self.n)
         return float(rise), float(fall)
 
-    def gap_constants(self, alpha: float, b: float) -> tuple[float, float]:
+    def step_moves(self, spec: ObjectiveSpec, b: float) -> tuple[float, list[tuple[float, float]]]:
+        """How far the objective moves when p1 moves by s: at most
+        lipschitz * s + sum(k * s**r for k, r in holder).
+
+        A term coef * x^a * h^r with r = g_exp + times_h moves h by c1*s at
+        each x, and h stays in [0, 1], so it moves by at most
+        |coef| I[x^a |c1|^r] s^r for 0 < r <= 1 and |coef| r I[x^a |c1|] s
+        for r > 1; a term with r = 0 is constant.
+        """
         abs_c1 = np.abs(self.c1)
-        c1 = alpha * self.n * (1.0 + 1.0 / b) * float(abs_c1 @ self.w)
-        c2 = (1.0 - alpha) * float((abs_c1 ** (1.0 / b)) @ self.w)
-        return c1, c2
+        lipschitz, holder = 0.0, []
+        for t in _terms(spec, b, self.n):
+            r = t.g_exp + (1.0 if t.times_h else 0.0)
+            w = self.w * self.x ** t.x_pow if t.x_pow else self.w
+            if r > 1.0:
+                lipschitz += abs(t.coef) * r * float(abs_c1 @ w)
+            elif r > 0.0:
+                holder.append((abs(t.coef) * float((abs_c1 ** r) @ w), r))
+        return lipschitz, holder
 
     def error_bound(self, spec: ObjectiveSpec, b: float) -> float:
         """Per-evaluation quadrature allowance; p1 = 1 maximizes every term's range."""
@@ -210,19 +225,26 @@ def gap_constants(n: int, alpha: float, beta, mode: str = "exact",
                   quad: QuadratureConfig | None = None) -> tuple[float, float]:
     """Constants (C1, C2) bounding U - L by C1*|I| + C2*|I|^(1/beta).
 
-    "exact" integrates |c1|; "rough" uses the closed-form over-estimates
-    2*alpha*(1+1/beta) and (1-alpha)*(beta/(beta+n-1) + (n-2)^(-1/beta)).
+    "exact" is the family's step moves of the welfare/quality mix, with
+    the terms of exponent r > 1 in C1 and the one with r = 1/beta <= 1 in
+    C2.  "rough" uses closed-form over-estimates from I[|c1|] <= 2/n: for
+    beta >= 1, 2*alpha*(1+1/beta) and
+    (1-alpha)*(beta/(beta+n-1) + (n-2)^(-1/beta)); for beta < 1 the
+    quality term is Lipschitz too, adding 2*(1-alpha)/(beta*n) to C1.
     """
     b = beta_value(beta)
     if n < 3:
         raise DomainError("gap constants need n >= 3")
     if mode == "rough":
         c1 = 2.0 * alpha * (1.0 + 1.0 / b)
+        if b < 1.0:
+            return c1 + 2.0 * (1.0 - alpha) / (b * n), 0.0
         c2 = (1.0 - alpha) * (b / (b + n - 1) + (n - 2) ** (-1.0 / b))
         return c1, c2
     if mode != "exact":
         raise DomainError("mode must be 'exact' or 'rough'")
-    return _TwoLevelFamily(n, quad or BNB_QUAD).gap_constants(alpha, b)
+    lipschitz, holder = _TwoLevelFamily(n, quad or BNB_QUAD).step_moves(ConvexCombo(alpha), b)
+    return lipschitz, sum((k for k, _ in holder), 0.0)
 
 
 def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
@@ -341,9 +363,9 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
     """Scan the two-level family on a uniform p1 grid, then Brent-refine the best cell.
 
     Valid only for objectives whose optimum is known to be two-level; other
-    posynomials are refused rather than silently searched.  A gap
-    certificate is attached only for the welfare/quality mix, via its gap
-    constants at the grid resolution.
+    posynomials are refused rather than silently searched.  Every accepted
+    objective gets a gap certificate: the family's step moves over one
+    grid step, plus twice the per-evaluation quadrature allowance.
     """
     b = beta_value(beta)
     if not structural_condition_holds(spec, b):
@@ -376,13 +398,12 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
     if -res.fun > best_val:
         best_p1, best_val = float(res.x), float(-res.fun)
 
-    gap = None
-    if isinstance(spec, ConvexCombo):
-        c1, c2 = fam.gap_constants(spec.alpha, b)
-        step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
-        gap = c1 * step + c2 * step ** (1.0 / b) + 2.0 * fam.error_bound(spec, b)
+    lipschitz, holder = fam.step_moves(spec, b)
+    step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
+    gap = (lipschitz * step + sum(k * step ** r for k, r in holder)
+           + 2.0 * fam.error_bound(spec, b))
     return OptResult(two_level(n, best_p1), best_val, gap, steps, "line_search",
-                     gap is not None, 0, config)
+                     True, 0, config)
 
 
 def count_lattice_policies(n: int, resolution: int) -> int:

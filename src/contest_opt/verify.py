@@ -259,7 +259,7 @@ def check_affine_decomposition(seed: int, trials: int) -> CheckResult:
 def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     quad = QuadratureConfig(m=20_000)
-    worst = 0.0  # how far any required inequality is violated
+    worst = -np.inf  # the largest signed residual of the required inequalities
     for _ in range(min(trials, 40)):
         n = int(rng.choice([3, 5, 8]))
         alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
@@ -274,8 +274,10 @@ def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
         quad_slack = 2 * objective.evaluate_error_bound(ConvexCombo(alpha), beta, hm(n), quad)
         worst = max(worst, lower - upper)
         worst = max(worst, (upper - lower) - allowance - quad_slack)
+        # an exact constant of 0 (C2 for beta < 1) lies below any rough one;
+        # comparing it would pin the margin at -1e-9
         rough = optimizer.gap_constants(n, alpha, beta, "rough")
-        worst = max(worst, c1 - rough[0] - 1e-9, c2 - rough[1] - 1e-9)
+        worst = max([worst] + [c - r - 1e-9 for c, r in zip((c1, c2), rough) if c > 0.0])
     return _result("optimizer.bound_sandwich", worst <= 1e-9, worst, seed)
 
 

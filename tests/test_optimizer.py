@@ -27,10 +27,12 @@ from contest_opt import (
     two_level,
     two_level_line_search,
     uni,
+    verify,
 )
 from contest_opt.objective import evaluate_error_bound, lattice_bracket, lattice_value
 from contest_opt.optimizer import (
     GRID_QUAD,
+    _TwoLevelFamily,
     _lattice_matrix,
     _screen_weights,
     _worker_count,
@@ -83,13 +85,25 @@ class TestIntervalBounds:
         assert g_uni > g_hm  # convex costs favor spreading exposure
         assert lower == pytest.approx(g_uni, abs=1e-12)
 
+    # (n, alpha, beta, lo, hi) draws of the bound-sandwich check at seeds
+    # 120, 136 and 283: with beta < 1 the quality term h^(1/beta) is
+    # Lipschitz, not (1/beta)-Hölder, in p1
+    LIPSCHITZ_QUALITY = [
+        (3, 0.009919352197088727, 0.5770851788161265, 0.5125933415406536, 0.632208756656155),
+        (3, 0.0011237177184822977, 0.5625072165385061, 0.5480214050952523, 0.7194312393448415),
+        (3, 0.012520048974219988, 0.7570102426645341, 0.6122174815655762, 0.6162833673497403),
+    ]
+
     def test_sandwich_and_contraction(self):
         rng = np.random.default_rng(19)
+        draws = []
         for _ in range(40):
             n = int(rng.choice([3, 5, 8]))
             alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
             lo = rng.uniform(1 / (n - 1), 1.0)
             hi = rng.uniform(lo, 1.0)
+            draws.append((n, alpha, beta, lo, hi))
+        for n, alpha, beta, lo, hi in draws + self.LIPSCHITZ_QUALITY:
             if hi - lo < 1e-6:
                 continue
             lower, upper = interval_bounds(n, alpha, beta, lo, hi, FAST)
@@ -118,6 +132,10 @@ class TestIntervalBounds:
 
 
 class TestGapConstants:
+    @pytest.mark.parametrize("seed", [120, 136, 283])
+    def test_bound_sandwich_check_passes(self, seed):
+        assert verify.check_bound_sandwich(seed, 200).status == "pass"
+
     def test_pure_quality_drops_welfare_constant(self):
         c1, _ = gap_constants(5, 0.0, 2.0, "exact", FAST)
         assert c1 == 0.0
@@ -230,6 +248,34 @@ class TestLineSearch:
         bad = Posynomial(((1.0, 1.0), (-1.0, 2.0), (1.0, 3.0)))
         with pytest.raises(StructuralConditionError):
             two_level_line_search(bad, 5.0, 5)
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    @pytest.mark.parametrize("spec", [
+        ConvexCombo(0.24),
+        Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+        MaxOrderStat(),
+        Exponential((1.5,), truncation_m=6),
+        SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+    ])
+    def test_every_family_is_certified(self, spec, beta):
+        quad = QuadratureConfig(m=1000)
+        result = two_level_line_search(spec, beta, 5, steps=50, quad=quad)
+        assert result.certified and math.isfinite(result.certified_gap)
+        fam = _TwoLevelFamily(5, quad)
+        p1s = np.linspace(0.25, 1.0, 20_000)
+        scan = np.concatenate([fam.values(spec, beta, p1s[i:i + 1000])
+                               for i in range(0, len(p1s), 1000)])
+        assert result.value + result.certified_gap >= scan.max()
+        # the step-move rule bounds every move between neighbours of the scan
+        lipschitz, holder = fam.step_moves(spec, beta)
+        s = p1s[1] - p1s[0]
+        assert np.abs(np.diff(scan)).max() <= lipschitz * s + sum(k * s ** r for k, r in holder)
+
+    def test_mix_gap_is_pinned(self):
+        result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
+                                       quad=QuadratureConfig(m=4000))
+        assert result.value == 0.44456681085414484
+        assert result.certified_gap == 0.031360556058693555
 
     def test_order_statistic_beats_neighbors(self):
         result = two_level_line_search(MaxOrderStat(), 2.0, 5, steps=500, quad=FAST)

@@ -30,14 +30,11 @@ from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
 
 PN_TOL = 1e-12
-# Rounding allowances of `lattice_bracket`.  The full value and the bracket
-# sum the same terms in different orders, a relative error of about 1e-15 of
-# the terms' integrated size.  Computed h was within 6e-16 of h (80-bit
-# reference, n <= 40, up to 1e5 nodes), but g = h - p_n cancels where h is
-# close to p_n, and g^r amplifies that for r < 1: the value of uniform(6) at
-# beta = 2 is off by 5e-6.  Both bounds leave a wide margin.
+# Rounding allowance of `lattice_bracket`: the full value and the bracket sum
+# the same terms in different orders, a relative error of about 1e-15 of the
+# terms' integrated size.  g = B(p - p_n) is a sum of nonnegative products,
+# so its rounding is relative too and this one allowance covers it.
 BRACKET_ROUNDING = 1e-9
-H_ROUNDING = 1e-14
 
 DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
 
@@ -128,7 +125,7 @@ ObjectiveSpec = Union[ConvexCombo, Posynomial, MaxOrderStat, Exponential, Social
 #
 # Every objective value is  constant + sum_t coef_t * I[x^xp_t * h^th_t * g^ge_t]
 # with g = h - p_n (g == h in the reduced form).  th is 0 or 1: the welfare
-# term keeps one plain factor of h even on the full lattice.
+# term keeps one plain factor of h = g + p_n even on the full lattice.
 
 
 @dataclass(frozen=True)
@@ -277,71 +274,63 @@ def gradient(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None
     return weights_dot_basis(p.n, x, weight * w)[: p.n - 1]
 
 
-def lattice_value(spec: ObjectiveSpec, beta, h: np.ndarray, pn, x: np.ndarray,
+def _welfare_factor(terms, g: np.ndarray, pn) -> np.ndarray:
+    """h = g + p_n for the welfare terms; g itself where every p_n is 0."""
+    if not any(t.times_h for t in terms) or not np.any(pn):
+        return g
+    return g + pn
+
+
+def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
                   w: np.ndarray, n: int):
     """Objective value for arbitrary ordered policies (p_n possibly > 0).
 
-    Works from precomputed h values on quadrature nodes; `h` may be a
-    matrix (nodes, batch) with `pn` a batch vector.  Quality-type powers
-    act on g = h - p_n while the welfare term keeps one plain h factor.
+    Works from precomputed values of g = B(p - p_n), the policy polynomial
+    of the shifted shares, on quadrature nodes; `g` may be a matrix
+    (nodes, batch) with `pn` a batch vector.  Quality-type powers act on g,
+    and the welfare term keeps one plain factor h = g + p_n.  With p_n = 0,
+    g is h itself.
     """
     b = beta_value(beta)
-    g = np.clip(h - np.asarray(pn), 0.0, None)
-    xcol = x if h.ndim == 1 else x[:, None]
-    values = _term_values(_terms(spec, b, n), xcol, h, g)
-    return values.T @ w + _lattice_constant(spec, n, np.asarray(pn))
+    pn = np.asarray(pn)
+    terms = _terms(spec, b, n)
+    xcol = x if g.ndim == 1 else x[:, None]
+    values = _term_values(terms, xcol, _welfare_factor(terms, g, pn), g)
+    return values.T @ w + _lattice_constant(spec, n, pn)
 
 
-def _rounding_spread(terms) -> float:
-    """Bound on how far the rounding of h, at most `H_ROUNDING`, moves the
-    sum of |terms| at one node.
-
-    The factors x^a and h are at most 1.  A shift of at most t in g moves
-    g^r by at most t^r for r < 1 and by r (1+t)^(r-1) t <= 2 r t for r >= 1;
-    a plain h factor adds at most 2 t.
-    """
-    t = H_ROUNDING
-    spread = 0.0
-    for term in terms:
-        r = term.g_exp
-        move = 0.0 if r == 0.0 else t ** r if r < 1.0 else 2.0 * r * t
-        spread += abs(term.coef) * (move + (2.0 * t if term.times_h else 0.0))
-    return spread
-
-
-def lattice_bracket(spec: ObjectiveSpec, beta, h: np.ndarray, pn, x: np.ndarray,
+def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
                     w_low: np.ndarray, w_high: np.ndarray, n: int):
     """Lower and upper bounds on `lattice_value` from a subset of its nodes.
 
-    On an ordered policy h and g = clip(h - p_n) are nondecreasing in x, so
-    every term factor x^a, h, g^r is nonnegative and nondecreasing.  So are
-    P, the sum of the positive-coefficient terms, and N, the sum of the
-    negative-coefficient terms with their signs flipped.  Let the nodes
-    s_0 = first < ... < s_K = last be taken from the rule's own nodes and
-    W_k be the weight of the rule's nodes in [s_k, s_{k+1}).  `w_low` puts
-    W_k on s_k and `w_high` puts it on s_{k+1}; both give the last node its
-    own weight.  Then P.w_low <= the rule's sum of P <= P.w_high, likewise
-    for N, and the value lies in [P.w_low - N.w_high, P.w_high - N.w_low]
-    plus the lattice constant.
+    On an ordered policy the shifted shares p - p_n are nonnegative and
+    nonincreasing in rank, so g = B(p - p_n) and h = g + p_n are
+    nonnegative and nondecreasing in x, and so is every term factor
+    x^a, h, g^r.  So are P, the sum of the positive-coefficient terms, and
+    N, the sum of the negative-coefficient terms with their signs flipped.
+    Let the nodes s_0 = first < ... < s_K = last be taken from the rule's
+    own nodes and W_k be the weight of the rule's nodes in [s_k, s_{k+1}).
+    `w_low` puts W_k on s_k and `w_high` puts it on s_{k+1}; both give the
+    last node its own weight.  Then P.w_low <= the rule's sum of P <=
+    P.w_high, likewise for N, and the value lies in
+    [P.w_low - N.w_high, P.w_high - N.w_low] plus the lattice constant.
 
-    Both ends are widened for rounding: by `BRACKET_ROUNDING` times
-    P.w_high + N.w_high + |constant|, and by twice `_rounding_spread`, since
-    rounded h breaks monotonicity at the rule's nodes and at the subset's.
-    `h` holds the policies' values at the subset's nodes `x`, shaped as for
-    `lattice_value`.
+    Both ends are widened by `BRACKET_ROUNDING` times
+    P.w_high + N.w_high + |constant|.  `g` holds the policies' values at
+    the subset's nodes `x`, shaped as for `lattice_value`.
     """
     b = beta_value(beta)
-    g = np.clip(h - np.asarray(pn), 0.0, None)
-    xcol = x if h.ndim == 1 else x[:, None]
+    pn = np.asarray(pn)
+    xcol = x if g.ndim == 1 else x[:, None]
     terms = _terms(spec, b, n)
+    h = _welfare_factor(terms, g, pn)
     rise = _term_values([t for t in terms if t.coef > 0.0], xcol, h, g)
     fall = _term_values([replace(t, coef=-t.coef) for t in terms if t.coef < 0.0],
                         xcol, h, g)
     rise_low, rise_high = rise.T @ w_low, rise.T @ w_high
     fall_low, fall_high = fall.T @ w_low, fall.T @ w_high
-    constant = _lattice_constant(spec, n, np.asarray(pn))
-    slack = (BRACKET_ROUNDING * (rise_high + fall_high + np.abs(constant))
-             + 2.0 * _rounding_spread(terms))
+    constant = _lattice_constant(spec, n, pn)
+    slack = BRACKET_ROUNDING * (rise_high + fall_high + np.abs(constant))
     return (rise_low - fall_high + constant - slack,
             rise_high - fall_low + constant + slack)
 

@@ -18,8 +18,10 @@ bounds and step moves from it.
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
 where optima live; bottom shares above zero are handled through the shifted
-polynomial g = h - p_n.  Rigorous brackets from a subset of the quadrature
-nodes rule out most candidates before any is integrated at every node.
+polynomial g = B(p - p_n), the policy polynomial of the shares less the
+bottom one, which is exactly zero on a flat policy.  Rigorous brackets from
+a subset of the quadrature nodes rule out most candidates before any is
+integrated at every node.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import heapq
 import json
 import os
 from functools import lru_cache
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -344,7 +345,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
 
 
 def _worker_count() -> int:
-    """Pool size: CONTEST_OPT_THREADS, else up to 8, never above the CPU count."""
+    """Sweep pool size: CONTEST_OPT_THREADS, else up to 8, never above the CPU count."""
     cpus = os.cpu_count() or 1
     env = os.environ.get("CONTEST_OPT_THREADS", "").strip()
     if not env:
@@ -466,14 +467,21 @@ def _screen_weights(w: np.ndarray, stride: int):
     return nodes, mass, high
 
 
+def _shifted(basis: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """g = B(p - p_n) at the rows of `basis`, one column per share vector of
+    `block`: a sum of nonnegative products, so its rounding is relative."""
+    return basis @ (block - block[:, -1:]).T
+
+
 def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
-                quad: QuadratureConfig | None = None, guard: int = _LATTICE_GUARD) -> OptResult:
+                quad: QuadratureConfig | None = None) -> OptResult:
     """Exhaustive argmax over every ordered policy on the share lattice.
 
     Bottom shares are left free (not forced to zero) so the search can
     observe, not assume, where optima sit; values for p_n > 0 come from
-    the shifted polynomial g = h - p_n.  Ties go to the earliest candidate
-    in the fixed enumeration order, so parallel runs are reproducible.
+    the shifted polynomial g = B(p - p_n), so a flat policy's quality
+    terms are exactly zero.  Ties go to the earliest candidate in the fixed
+    enumeration order.
 
     Candidates are screened before they are integrated in full: each stage
     brackets every remaining candidate's quadrature sum from every
@@ -488,10 +496,10 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     if abs(resolution * granularity - 1.0) > 1e-9:
         raise DomainError("1/granularity must be an integer, got %r" % granularity)
     total = count_lattice_policies(n, resolution)
-    if total > guard:
+    if total > _LATTICE_GUARD:
         raise BudgetExceededError(
             "lattice holds %d candidates (> %d); use two_level_line_search "
-            "for a 1-D search over top shares instead" % (total, guard)
+            "for a 1-D search over top shares instead" % (total, _LATTICE_GUARD)
         )
     quad = quad or GRID_QUAD
     config = {"n": n, "granularity": granularity, "objective": format_objective_config(spec),
@@ -500,30 +508,27 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     basis = basis_matrix(n, x)
     candidates = _lattice_matrix(n, resolution)
 
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        def over_batches(rows: np.ndarray, nodes: np.ndarray, fn) -> list[np.ndarray]:
-            sub = basis[nodes]
-            batch = max(1, _GRID_BLOCK_ELEMENTS // len(nodes))
+    def over_batches(rows: np.ndarray, nodes: np.ndarray, fn) -> list[np.ndarray]:
+        sub = basis[nodes]
+        batch = max(1, _GRID_BLOCK_ELEMENTS // len(nodes))
+        pieces = []
+        for start in range(0, len(rows), batch):
+            block = rows[start:start + batch]
+            pieces.append(fn(_shifted(sub, block), block[:, -1]))
+        return [np.concatenate(parts) for parts in zip(*pieces)]
 
-            def one(start: int):
-                block = rows[start:start + batch]
-                return fn(sub @ block.T, block[:, -1])
-
-            pieces = list(pool.map(one, range(0, len(rows), batch)))
-            return [np.concatenate(parts) for parts in zip(*pieces)]
-
-        keep, rows = np.arange(len(candidates)), candidates
-        for stride in _SCREEN_STRIDES:
-            nodes, w_low, w_high = _screen_weights(w, stride)
-            if 2 * len(nodes) > len(x):
-                continue  # too few nodes for a stage to save work
-            lower, upper = over_batches(
-                rows, nodes,
-                lambda h, pn: lattice_bracket(spec, b, h, pn, x[nodes], w_low, w_high, n))
-            survive = upper >= lower.max()
-            keep, rows = keep[survive], rows[survive]
-        (values,) = over_batches(
-            rows, np.arange(len(x)), lambda h, pn: (lattice_value(spec, b, h, pn, x, w, n),))
+    keep, rows = np.arange(len(candidates)), candidates
+    for stride in _SCREEN_STRIDES:
+        nodes, w_low, w_high = _screen_weights(w, stride)
+        if 2 * len(nodes) > len(x):
+            continue  # too few nodes for a stage to save work
+        lower, upper = over_batches(
+            rows, nodes,
+            lambda g, pn: lattice_bracket(spec, b, g, pn, x[nodes], w_low, w_high, n))
+        survive = upper >= lower.max()
+        keep, rows = keep[survive], rows[survive]
+    (values,) = over_batches(
+        rows, np.arange(len(x)), lambda g, pn: (lattice_value(spec, b, g, pn, x, w, n),))
 
     # BLAS picks the kernel that sums a column by where the column sits in its
     # call (OpenBLAS takes columns in fours), so a survivor's value can differ
@@ -537,7 +542,7 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     exact = {}
     for start in np.unique(finalists // _SUM_WINDOW) * _SUM_WINDOW:
         block = candidates[start:start + _SUM_WINDOW]
-        sums = lattice_value(spec, b, basis @ block.T, block[:, -1], x, w, n)
+        sums = lattice_value(spec, b, _shifted(basis, block), block[:, -1], x, w, n)
         exact.update(zip(range(start, start + len(block)), sums))
     final = np.array([exact[k] for k in finalists])
     # ties go to the earliest candidate: `finalists` is in enumeration order

@@ -87,9 +87,21 @@ class TestOptimize:
 
     def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CONTEST_OPT_THREADS", "abc")
-        code, _, err = run_cli(capsys, "optimize", "--method", "grid",
-                               "--granularity", "0.1", "--n", "4")
+        code, _, err = run_cli(capsys, "sweep", "--cells", "1")
         assert code == 1 and "CONTEST_OPT_THREADS" in err
+
+    def test_grid_flat_policy_value_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "optimize", "--method", "grid", "--n", "6",
+                               "--beta", "5", "--objective",
+                               "objective=posynomial terms=-1:1",
+                               "--granularity", "0.0333333333333333")
+        assert code == 0
+        assert dict(line.split(": ", 1) for line in out.strip().splitlines())["value"] == "0"
+
+    def test_grid_lattice_guard(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--n", "8",
+                                 "--granularity", "0.005")
+        assert code == 3 and out == "" and "candidates" in err
 
     def test_grid_json(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "grid",

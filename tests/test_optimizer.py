@@ -32,6 +32,7 @@ from contest_opt import (
 from contest_opt.objective import evaluate_error_bound, lattice_bracket, lattice_value
 from contest_opt.optimizer import (
     GRID_QUAD,
+    _LATTICE_GUARD,
     _TwoLevelFamily,
     _lattice_matrix,
     _screen_weights,
@@ -292,8 +293,18 @@ class TestGridSearch:
         assert result.nodes_explored == 4
 
     def test_budget_guard(self):
+        # 114,281,808 candidates: refused before any is enumerated
+        assert count_lattice_policies(8, 200) > _LATTICE_GUARD
         with pytest.raises(BudgetExceededError):
-            grid_search(ConvexCombo(0.0), 2.0, 5, 0.02, guard=10)
+            grid_search(ConvexCombo(0.0), 2.0, 8, 0.005)
+
+    @pytest.mark.parametrize("n,beta", [(6, 5.0), (7, 2.8), (6, 2.0)])
+    def test_flat_policy_is_exactly_zero(self, n, beta):
+        """-q is best at zero quality, which only the flat policy reaches:
+        its shifted polynomial is exactly zero, so its value is too."""
+        result = grid_search(Posynomial(((-1.0, 1.0),)), beta, n, 1 / (5 * n))
+        assert result.policy.values == (1.0 / n,) * n
+        assert result.value == 0.0
 
     def test_granularity_must_divide_one(self):
         with pytest.raises(DomainError):
@@ -312,8 +323,6 @@ class TestGridSearch:
     def test_full_quadrature_pass_memory_is_bounded(self, child_peak_mb):
         """3765 candidates at 100,001 nodes once asked for one 2.8 GiB array."""
         peak_mb = child_peak_mb(
-            "import os\n"
-            "os.environ['CONTEST_OPT_THREADS'] = '2'\n"
             "from contest_opt.cli import main\n"
             "assert main(['optimize', '--method', 'grid', '--n', '5', '--alpha', '0',"
             " '--beta', '2', '--granularity', '0.02', '--quad-m', '100000']) == 0\n"
@@ -366,20 +375,21 @@ class TestLatticeScreening:
         q.rule, q.m, q.exclude_left_endpoint))
     def test_every_value_lies_in_its_bracket(self, quad):
         x, w = quad.nodes_weights()
-        for n, resolution in ((3, 30), (5, 12), (6, 10)):
+        # (6, 12) holds the flat policy, whose g is exactly zero
+        for n, resolution in ((3, 30), (5, 12), (6, 10), (6, 12)):
             shares = _lattice_matrix(n, resolution)
-            h = basis_matrix(n, x) @ shares.T
             pn = shares[:, -1]
+            g = basis_matrix(n, x) @ (shares - shares[:, -1:]).T
             assert np.any(pn > 0)
             for spec in SCREEN_SPECS:
-                for beta in (0.6, 1.0, 2.0, 2.8):
-                    value = lattice_value(spec, beta, h, pn, x, w, n)
+                for beta in (0.6, 1.0, 2.0, 2.8, 5.0):
+                    value = lattice_value(spec, beta, g, pn, x, w, n)
                     for stride in (25, 5, 7):
                         nodes, w_low, w_high = _screen_weights(w, stride)
                         assert nodes[0] == 0 and nodes[-1] == len(x) - 1
                         assert w_low.sum() == pytest.approx(1.0, abs=1e-12)
                         assert w_high.sum() == pytest.approx(1.0, abs=1e-12)
-                        lower, upper = lattice_bracket(spec, beta, h[nodes], pn, x[nodes],
+                        lower, upper = lattice_bracket(spec, beta, g[nodes], pn, x[nodes],
                                                        w_low, w_high, n)
                         assert np.all(lower <= value), (spec, beta, stride)
                         assert np.all(value <= upper), (spec, beta, stride)
@@ -393,8 +403,8 @@ class TestLatticeScreening:
         x, w = GRID_QUAD.nodes_weights()
         for n, granularity in ((4, 0.05), (5, 0.04)):
             shares = _lattice_matrix(n, round(1 / granularity))
-            values = lattice_value(spec, beta, basis_matrix(n, x) @ shares.T, shares[:, -1],
-                                   x, w, n)
+            g = basis_matrix(n, x) @ (shares - shares[:, -1:]).T
+            values = lattice_value(spec, beta, g, shares[:, -1], x, w, n)
             best = int(np.argmax(values))
             result = grid_search(spec, beta, n, granularity)
             assert result.policy.values == tuple(shares[best])

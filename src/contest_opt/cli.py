@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -154,12 +155,24 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Write the alpha x beta portrait of optimal two-level policies as CSV.
+
+    Each beta column is one `two_level_line_search_batch` over the column's
+    alphas, so the column shares one scan of the two-level family; the pool
+    takes one column per task.  Rows are sorted by (alpha, beta).
+    """
     _check_common(args)
     cells = 1000 if args.full else args.cells
     if cells < 1:
         raise ContestOptError("sweep needs at least 1 cell per axis")
     if args.steps < 2:
         raise ContestOptError("sweep needs at least 2 line-search steps")
+    for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
+        if not 0.0 <= value <= 1.0:
+            raise ContestOptError("%s must lie in [0, 1], got %r" % (flag, value))
+    for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ContestOptError("%s must be positive and finite, got %r" % (flag, value))
     if cells * cells > args.budget and not args.full:
         raise BudgetExceededError(
             "sweep of %d cells exceeds budget %d; pass --full for the "
@@ -171,17 +184,19 @@ def cmd_sweep(args) -> int:
     spacing = (1.0 - 1.0 / (args.n - 1)) / (args.steps - 1)
     tol = max(1e-6, 0.5 * spacing)
 
-    def cell(pair):
-        alpha, beta = pair
-        result = opt.two_level_line_search(
-            obj.ConvexCombo(alpha), beta, args.n, steps=args.steps, quad=quad)
-        shape = classify_structure(result.policy, tol)
-        p = result.policy.values
-        return (alpha, beta, p[0], p[1], result.value, shape.tag)
+    def column(beta):
+        results = opt.two_level_line_search_batch(
+            [obj.ConvexCombo(alpha) for alpha in alphas], beta, args.n,
+            steps=args.steps, quad=quad)
+        rows = []
+        for alpha, result in zip(alphas, results):
+            p = result.policy.values
+            tag = classify_structure(result.policy, tol).tag
+            rows.append((alpha, beta, p[0], p[1], result.value, tag))
+        return rows
 
-    pairs = [(a, b) for a in alphas for b in betas]
     with ThreadPoolExecutor(max_workers=opt._worker_count()) as pool:
-        rows = list(pool.map(cell, pairs))
+        rows = [row for col in pool.map(column, betas) for row in col]
     rows.sort(key=lambda r: (r[0], r[1]))
 
     buf = io.StringIO()

@@ -169,10 +169,26 @@ def _lattice_constant(spec: ObjectiveSpec, n: int, pn: float) -> float:
     return n * pn if isinstance(spec, SocialWelfare) else 0.0
 
 
-def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
+                 powers: dict | None = None) -> np.ndarray:
+    """Sum of the terms' integrands at the nodes.
+
+    `powers` holds the last power of g computed, as {g_exp: g**g_exp}, and a
+    term with the same exponent reuses it, so a mix whose terms share an
+    exponent takes one power.  Callers that evaluate several objectives on
+    the same g pass one dict to every call.  One power at a time keeps the
+    memory of a call at one extra array of g's shape.
+    """
+    powers = {} if powers is None else powers
     total = np.zeros_like(g)
     for t in terms:
-        part = t.coef * np.power(g, t.g_exp) if t.g_exp != 0.0 else np.full_like(g, t.coef)
+        if t.g_exp == 0.0:
+            part = np.full_like(g, t.coef)
+        else:
+            if t.g_exp not in powers:
+                powers.clear()
+                powers[t.g_exp] = np.power(g, t.g_exp)
+            part = t.coef * powers[t.g_exp]
         if t.times_h:
             part = part * h
         if t.x_pow:
@@ -282,20 +298,21 @@ def _welfare_factor(terms, g: np.ndarray, pn) -> np.ndarray:
 
 
 def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
-                  w: np.ndarray, n: int):
+                  w: np.ndarray, n: int, powers: dict | None = None):
     """Objective value for arbitrary ordered policies (p_n possibly > 0).
 
     Works from precomputed values of g = B(p - p_n), the policy polynomial
     of the shifted shares, on quadrature nodes; `g` may be a matrix
     (nodes, batch) with `pn` a batch vector.  Quality-type powers act on g,
     and the welfare term keeps one plain factor h = g + p_n.  With p_n = 0,
-    g is h itself.
+    g is h itself.  Calls on the same g may share one `powers` memo (see
+    `_term_values`).
     """
     b = beta_value(beta)
     pn = np.asarray(pn)
     terms = _terms(spec, b, n)
     xcol = x if g.ndim == 1 else x[:, None]
-    values = _term_values(terms, xcol, _welfare_factor(terms, g, pn), g)
+    values = _term_values(terms, xcol, _welfare_factor(terms, g, pn), g, powers)
     return values.T @ w + _lattice_constant(spec, n, pn)
 
 

@@ -171,8 +171,15 @@ class _TwoLevelFamily:
 
     def values(self, spec: ObjectiveSpec, b: float, p1s: np.ndarray) -> np.ndarray:
         """Objective values at each top share in `p1s`."""
+        return self.scan([spec], b, p1s)[0]
+
+    def scan(self, specs, b: float, p1s: np.ndarray) -> list[np.ndarray]:
+        """Each objective's values at each top share in `p1s`, all from one h
+        and one power memo."""
         h = self.c0[:, None] + self.c1[:, None] * p1s[None, :]
-        return lattice_value(spec, b, h, 0.0, self.x, self.w, self.n)
+        powers: dict = {}
+        return [lattice_value(spec, b, h, 0.0, self.x, self.w, self.n, powers)
+                for spec in specs]
 
     def rise_fall(self, spec: ObjectiveSpec, b: float, p1: float) -> tuple[float, float]:
         rise, fall = lattice_value(spec, b, self.c0 + self.c1 * p1, 0.0,
@@ -366,45 +373,67 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
     objective gets a gap certificate: the family's step moves over one
-    grid step, plus twice the per-evaluation quadrature allowance.
+    grid step, plus twice the per-evaluation quadrature allowance.  This is
+    `two_level_line_search_batch` on a batch of one.
+    """
+    return two_level_line_search_batch([spec], beta, n, steps, quad)[0]
+
+
+def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
+                                quad: QuadratureConfig | None = None) -> list[OptResult]:
+    """`two_level_line_search` for each objective of `specs`, from one scan.
+
+    The objectives share beta, n and the rule, so they share one two-level
+    family, one p1 grid and, per chunk of 128 grid points, one h and one
+    power memo: objectives whose terms have the same exponent (the alpha
+    column of a sweep) take each power of h once.  Each objective then gets
+    its own argmax, bounded Brent refinement on its best cell and gap, so
+    every result is bit for bit the single search's.  An objective outside
+    the covered class fails the whole batch before any scan.
     """
     b = beta_value(beta)
-    if not structural_condition_holds(spec, b):
-        raise StructuralConditionError(
-            "no two-level guarantee for %s: the coefficient sequence "
-            "e_j*(k_j - beta) changes sign more than once, so a 1-D search "
-            "over top shares may miss the optimum; use grid_search instead"
-            % format_objective_config(spec)
-        )
+    for spec in specs:
+        if not structural_condition_holds(spec, b):
+            raise StructuralConditionError(
+                "no two-level guarantee for %s: the coefficient sequence "
+                "e_j*(k_j - beta) changes sign more than once, so a 1-D search "
+                "over top shares may miss the optimum; use grid_search instead"
+                % format_objective_config(spec)
+            )
     quad = quad or LINE_QUAD
-    config = {"n": n, "steps": steps, "objective": format_objective_config(spec),
-              "beta": b, "quad_m": quad.m, "quad_rule": quad.rule}
     if steps < 2:
         raise DomainError("need at least 2 line-search steps")
+    configs = [{"n": n, "steps": steps, "objective": format_objective_config(spec),
+                "beta": b, "quad_m": quad.m, "quad_rule": quad.rule} for spec in specs]
     if n == 2:
-        value = evaluate(spec, b, hm(2), quad)
-        return OptResult(hm(2), value, None, 1, "line:n2-hm", False, 0, config)
+        return [OptResult(hm(2), evaluate(spec, b, hm(2), quad), None, 1, "line:n2-hm",
+                          False, 0, config) for spec, config in zip(specs, configs)]
 
     fam = _TwoLevelFamily(n, quad)
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
     chunk = min(128, steps)
-    values = np.concatenate([fam.values(spec, b, p1_grid[start:start + chunk])
-                             for start in range(0, steps, chunk)])
-    best = int(np.argmax(values))
-    best_p1, best_val = float(p1_grid[best]), float(values[best])
-
-    cell = (p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)])
-    res = sp_optimize.minimize_scalar(lambda v: -fam.values(spec, b, np.array([v]))[0],
-                                      bounds=cell, method="bounded", options={"xatol": 1e-10})
-    if -res.fun > best_val:
-        best_p1, best_val = float(res.x), float(-res.fun)
-
-    lipschitz, holder = fam.step_moves(spec, b)
+    scans = zip(*[fam.scan(specs, b, p1_grid[start:start + chunk])
+                  for start in range(0, steps, chunk)])
     step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
-    gap = (lipschitz * step + sum(k * step ** r for k, r in holder)
-           + 2.0 * fam.error_bound(spec, b))
-    return OptResult(two_level(n, best_p1), best_val, gap, steps, "line_search",
-                     True, 0, config)
+    results = []
+    for spec, config, pieces in zip(specs, configs, scans):
+        values = np.concatenate(pieces)
+        best = int(np.argmax(values))
+        best_p1, best_val = float(p1_grid[best]), float(values[best])
+
+        cell = (p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)])
+        res = sp_optimize.minimize_scalar(lambda v: -fam.values(spec, b, np.array([v]))[0],
+                                          bounds=cell, method="bounded",
+                                          options={"xatol": 1e-10})
+        if -res.fun > best_val:
+            best_p1, best_val = float(res.x), float(-res.fun)
+
+        lipschitz, holder = fam.step_moves(spec, b)
+        gap = (lipschitz * step + sum(k * step ** r for k, r in holder)
+               + 2.0 * fam.error_bound(spec, b))
+        results.append(OptResult(two_level(n, best_p1), best_val, gap, steps,
+                                 "line_search", True, 0, config))
+    return results
 
 
 def count_lattice_policies(n: int, resolution: int) -> int:

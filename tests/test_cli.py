@@ -8,9 +8,11 @@ import sys
 
 import pytest
 
-from contest_opt import parse_objective_config, parse_policy
+from contest_opt import QuadratureConfig, parse_objective_config, parse_policy
+from contest_opt import optimizer
 from contest_opt import verify
 from contest_opt.cli import main
+from contest_opt.policy import classify_structure
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +159,51 @@ class TestSweep:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text(encoding="utf-8") == self.PINNED
+
+    def test_columns_are_the_per_cell_searches(self, capsys, monkeypatch):
+        """Every cell of an n = 5, 3x3 sweep is its own line search, to the bit."""
+        batches = []
+
+        def spy(specs, beta, n, steps, quad):
+            results = batch(specs, beta, n, steps, quad)
+            batches.append((specs, beta, results))
+            return results
+
+        batch = optimizer.two_level_line_search_batch
+        monkeypatch.setattr(optimizer, "two_level_line_search_batch", spy)
+        code, out, _ = run_cli(capsys, "sweep", "--n", "5", "--cells", "3",
+                               "--alpha-min", "0.1", "--beta-min", "0.5", "--beta-max", "3",
+                               "--steps", "40", "--quad-m", "800")
+        monkeypatch.undo()
+        assert code == 0 and len(batches) == 3
+        quad = QuadratureConfig(m=800)
+        tol = 0.5 * (1 - 1 / 4) / (40 - 1)
+        expected = []
+        for specs, beta, results in batches:
+            assert len(specs) == len(results) == 3
+            for spec, got in zip(specs, results):
+                want = optimizer.two_level_line_search(spec, beta, 5, steps=40, quad=quad)
+                assert got.value == want.value
+                assert got.policy.values == want.policy.values
+                assert got.certified_gap == want.certified_gap
+                p = want.policy.values
+                expected.append(["%.9g" % v for v in (spec.alpha, beta, p[0], p[1], want.value)]
+                                + [classify_structure(want.policy, tol).tag])
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows == sorted(expected, key=lambda r: (float(r[0]), float(r[1])))
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--alpha-max", "1.5", "--alpha-max must lie in [0, 1], got 1.5"),
+        ("--alpha-min", "-0.25", "--alpha-min must lie in [0, 1], got -0.25"),
+        ("--alpha-min", "nan", "--alpha-min must lie in [0, 1], got nan"),
+        ("--beta-max", "inf", "--beta-max must be positive and finite, got inf"),
+        ("--beta-min", "0", "--beta-min must be positive and finite, got 0.0"),
+        ("--beta-min", "-1", "--beta-min must be positive and finite, got -1.0"),
+    ])
+    def test_bad_range_is_usage_error(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "sweep", "--n", "5", "--cells", "2", flag, value)
+        assert code == 1 and out == ""
+        assert err == "error: %s\n" % message
 
     def test_budget_guard(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--cells", "200")

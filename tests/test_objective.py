@@ -26,7 +26,8 @@ from contest_opt import (
     reduced_integrand,
     uni,
 )
-from contest_opt.objective import format_objective_config
+from contest_opt.bernstein import h_eval
+from contest_opt.objective import _term_values, _terms, format_objective_config
 
 # quality integral of the uniform-except-last policy at cost exponent 2,
 # frozen from a 1e6-node right-Riemann sum of the closed-form integrand
@@ -122,6 +123,40 @@ class TestEvaluate:
             high = evaluate(Exponential((lam,), order + 1), beta, p, FAST)
             bound = math.exp(lam) * lam ** (order + 1) / math.factorial(order + 1)
             assert abs(high - low) <= bound
+
+
+class TestPowerMemo:
+    @staticmethod
+    def reference(terms, x, h, g):
+        """The term loop without a memo: one power per term."""
+        total = np.zeros_like(g)
+        for t in terms:
+            part = t.coef * np.power(g, t.g_exp) if t.g_exp != 0.0 else np.full_like(g, t.coef)
+            if t.times_h:
+                part = part * h
+            if t.x_pow:
+                part = part * np.power(x, t.x_pow)
+            total += part
+        return total
+
+    @pytest.mark.parametrize("spec", [
+        ConvexCombo(0.0), ConvexCombo(0.24), ConvexCombo(1.0), MaxOrderStat(),
+        Posynomial(((-1.0, 1.0), (2.0, 3.0))), SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+        Exponential((1.5, 0.5), truncation_m=4),  # its exponents recur, not next to each other
+    ])
+    def test_same_bits_with_and_without_a_shared_memo(self, spec):
+        x = np.linspace(0.01, 1.0, 300)
+        rng = np.random.default_rng(5)
+        g = np.column_stack([h_eval(random_reduced_policy(rng, 5), x) for _ in range(7)])
+        xcol = x[:, None]
+        terms = _terms(spec, 2.0, 5)
+        want = self.reference(terms, xcol, g, g).tobytes()
+        assert _term_values(terms, xcol, g, g).tobytes() == want
+        # a memo already holding a power of this g from another objective's call
+        shared: dict = {}
+        _term_values(_terms(ConvexCombo(0.5), 2.0, 5), xcol, g, g, shared)
+        assert _term_values(terms, xcol, g, g, shared).tobytes() == want
+        assert len(shared) <= 1
 
 
 class TestClosedForm:

@@ -38,6 +38,7 @@ from contest_opt.optimizer import (
     _screen_weights,
     _worker_count,
     count_lattice_policies,
+    two_level_line_search_batch,
 )
 from contest_opt.bernstein import basis_matrix, h_eval
 
@@ -284,6 +285,40 @@ class TestLineSearch:
             p1 = min(max(result.policy.p1 + shift, 0.25), 1.0)
             neighbor = evaluate(MaxOrderStat(), 2.0, two_level(5, p1), FAST)
             assert result.value >= neighbor - 1e-6
+
+
+class TestLineSearchBatch:
+    SPECS = (
+        ConvexCombo(0.0),  # alpha = 0 and 1 drop a term
+        ConvexCombo(0.24),
+        ConvexCombo(1.0),
+        MaxOrderStat(),
+        Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+        SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+    )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_each_result_is_the_single_search(self, n):
+        quad = QuadratureConfig(m=1000)
+        # 150 steps span two scan chunks, the second a partial one
+        batch = two_level_line_search_batch(self.SPECS, 2.0, n, steps=150, quad=quad)
+        assert len(batch) == len(self.SPECS)
+        for spec, got in zip(self.SPECS, batch):
+            want = two_level_line_search(spec, 2.0, n, steps=150, quad=quad)
+            assert got.value == want.value
+            assert got.policy.values == want.policy.values
+            assert got.certified_gap == want.certified_gap
+            assert (got.method, got.certified, got.config) == (want.method, want.certified,
+                                                                want.config)
+
+    def test_one_uncovered_objective_fails_the_batch_before_any_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scanned before the structural check")
+
+        monkeypatch.setattr(_TwoLevelFamily, "scan", no_scan)
+        bad = Posynomial(((1.0, 1.0), (-1.0, 2.0), (1.0, 3.0)))
+        with pytest.raises(StructuralConditionError):
+            two_level_line_search_batch([ConvexCombo(0.5), bad, MaxOrderStat()], 5.0, 5)
 
 
 class TestGridSearch:

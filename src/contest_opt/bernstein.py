@@ -44,33 +44,47 @@ def _log_binomials(n: int) -> np.ndarray:
     return np.array([log_binomial(n - 1, i - 1) for i in range(1, n + 1)])
 
 
-def basis_matrix(n: int, x: np.ndarray) -> np.ndarray:
-    """All basis values at once: shape ``(len(x), n)``, column i-1 is a_i(x).
+def basis_columns(n: int, x, ranks) -> np.ndarray:
+    """Basis values a_i(x) for the ranks i in `ranks`: shape
+    ``x.shape + (len(ranks),)``, with a scalar x taken as one point.
 
-    Rows sum to one (binomial theorem).  Endpoints are patched exactly:
+    Each value is C(n-1, i-1) x^(n-i) (1-x)^(i-1) taken in log space, one
+    element at a time, so a column is bit for bit the same whichever other
+    columns come with it.  Endpoints are patched exactly:
     a_i(0) = [i == n], a_i(1) = [i == 1].
     """
     if n < 2:
         raise DomainError("n must be >= 2")
+    idx = np.asarray(ranks, dtype=int) - 1
+    if np.any(idx < 0) or np.any(idx > n - 1):
+        raise DomainError("rank indices must lie in 1..%d" % n)
     x = np.asarray(x, dtype=float)
     _check_unit_interval(x)
     flat = np.atleast_1d(x).ravel()
-    logc = _log_binomials(n)
-    powers_x = np.arange(n - 1, -1, -1.0)  # n-i for i=1..n
-    powers_1mx = np.arange(0, n, 1.0)  # i-1 for i=1..n
+    logc = _log_binomials(n)[idx]
+    powers_x = (n - 1 - idx).astype(float)  # n-i
+    powers_1mx = idx.astype(float)  # i-1
     with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.log(flat)[:, None]
-        log1mx = np.log1p(-flat)[:, None]
-        out = np.exp(logc[None, :] + powers_x[None, :] * logx + powers_1mx[None, :] * log1mx)
+        logx = np.log(flat)
+        log1mx = np.log1p(-flat)
+        # one row per rank, so numpy's inner loops run along the points
+        out = np.exp(logc[:, None] + powers_x[:, None] * logx + powers_1mx[:, None] * log1mx)
     at0 = flat == 0.0
     at1 = flat == 1.0
     if np.any(at0):
-        out[at0] = 0.0
-        out[at0, n - 1] = 1.0
+        out[:, at0] = (idx == n - 1)[:, None]
     if np.any(at1):
-        out[at1] = 0.0
-        out[at1, 0] = 1.0
-    return out.reshape(x.shape + (n,)) if x.shape else out.reshape((1, n))
+        out[:, at1] = (idx == 0)[:, None]
+    return np.ascontiguousarray(out.T).reshape((x.shape or (1,)) + (len(idx),))
+
+
+def basis_matrix(n: int, x: np.ndarray) -> np.ndarray:
+    """All basis values at once: shape ``(len(x), n)``, column i-1 is a_i(x).
+
+    Rows sum to one (binomial theorem).  This is `basis_columns` with every
+    rank.
+    """
+    return basis_columns(n, x, np.arange(1, n + 1))
 
 
 def _basis_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -114,7 +128,7 @@ def basis_eval(n: int, i: int, x):
         raise DomainError("rank index i=%d outside 1..%d" % (i, n))
     x_arr = np.asarray(x, dtype=float)
     _check_unit_interval(x_arr)
-    values = basis_matrix(n, np.atleast_1d(x_arr))[..., i - 1]
+    values = basis_columns(n, np.atleast_1d(x_arr), [i])[..., 0]
     return float(values[0]) if np.isscalar(x) or x_arr.ndim == 0 else values
 
 

@@ -238,6 +238,8 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ContestOptError("--trials must be at least 1, got %d" % args.trials)
     results = verify_mod.run_checks(only=args.only, seed=args.seed, trials=args.trials)
     if not results:
         sys.stderr.write("error: no checks match %r\n" % args.only)

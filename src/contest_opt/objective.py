@@ -135,6 +135,11 @@ class _Term:
     x_pow: float = 0.0
     times_h: bool = False
 
+    @property
+    def power(self) -> float:
+        """r, the term's total power of h on the reduced domain (g == h)."""
+        return self.g_exp + (1.0 if self.times_h else 0.0)
+
 
 def _terms(spec: ObjectiveSpec, beta: float, n: int) -> tuple[_Term, ...]:
     inv_b = 1.0 / beta
@@ -236,7 +241,7 @@ def evaluate_error_bound(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureC
     quad = quad or DEFAULT_QUAD
     bound = 0.0
     for t in _terms(spec, b, p.n):
-        top = abs(t.coef) * p.p1 ** (t.g_exp + (1.0 if t.times_h else 0.0))
+        top = abs(t.coef) * p.p1 ** t.power
         bottom = abs(t.coef) if t.g_exp == 0.0 and not t.times_h and t.x_pow == 0.0 else 0.0
         bound += quad.monotone_error_bound(bottom, top)
     return bound
@@ -266,7 +271,7 @@ def gradient_weight(spec: ObjectiveSpec, beta, p: Policy, x):
     h = np.atleast_1d(h_eval(p, x_arr))
     total = np.zeros_like(h)
     for t in _terms(spec, b, p.n):
-        r = t.g_exp + (1.0 if t.times_h else 0.0)
+        r = t.power
         if r == 0.0:
             continue
         part = t.coef * r * np.power(h, r - 1.0)

@@ -9,11 +9,17 @@ to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
     U(I) = G evaluated at max(h_l, h_u), i.e. h_u where c1 >= 0, h_l where c1 < 0
 
 and the gap contraction  U - L <= how far the objective's terms move over
-a step of |I| (`_TwoLevelFamily.step_moves`).  The active set algorithm
-bisects the interval with the largest upper bound until the incumbent is
-within the (quadrature-adjusted) tolerance.  Each call builds one
-`_TwoLevelFamily` (nodes, c0, c1, rise/fall weights) and reads values,
-bounds and step moves from it.
+a step of |I| (`_TwoLevelFamily.step_moves`).  This rise/fall bound is
+what `interval_bounds` returns.  Branch-and-bound also splits the terms
+by shape: a term coef * x^a * h^r is convex in p1 when coef * (r - 1) >= 0
+and concave otherwise.  Over an interval the convex terms lie below their
+chord, and the concave ones below the secants through the neighbouring
+points on either side, so the lower of the two bounds holds; the root,
+which has no neighbours, keeps the rise/fall bound unless no term is
+concave.  The active set algorithm bisects the interval with the largest
+upper bound until the incumbent is within the (quadrature-adjusted)
+tolerance.  Each call builds one `_TwoLevelFamily` (nodes, c0, c1,
+rise/fall weights) and reads values, bounds and step moves from it.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -28,17 +34,19 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 from functools import lru_cache
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .bernstein import basis_matrix
+from .bernstein import basis_columns, basis_matrix
 from .errors import BudgetExceededError, DomainError, StructuralConditionError
 from .objective import (
+    BRACKET_ROUNDING,
     ConvexCombo,
     ObjectiveSpec,
     beta_value,
@@ -48,6 +56,7 @@ from .objective import (
     lattice_bracket,
     lattice_value,
     structural_condition_holds,
+    _term_values,
     _terms,
 )
 from .policy import Policy, hm, make_policy, two_level
@@ -85,11 +94,17 @@ class CDecomposition:
 
 @dataclass(frozen=True)
 class Interval:
+    """One node of branch-and-bound.  The slopes are those of the concave
+    terms' secants through the neighbouring points on the left (ending at
+    lo) and on the right (starting at hi); None where there is none yet."""
+
     lo: float
     hi: float
     lower: float
     upper: float
     depth: int
+    left_slope: Optional[float] = None
+    right_slope: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -135,8 +150,7 @@ def c_decomposition(n: int, x) -> CDecomposition:
     if n < 2:
         raise DomainError("n must be >= 2")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    basis = basis_matrix(n, x_arr)
-    a1, an = basis[:, 0], basis[:, -1]
+    a1, an = basis_columns(n, x_arr, [1, n]).T
     if n == 2:
         c0 = np.zeros_like(a1)
         c1 = a1
@@ -148,14 +162,45 @@ def c_decomposition(n: int, x) -> CDecomposition:
     return CDecomposition(c0, c1)
 
 
+class _EndpointSums(NamedTuple):
+    """The rise and fall sums of the convex terms, then of the concave terms,
+    at one top share (see `_TwoLevelFamily`)."""
+
+    vex_rise: float
+    vex_fall: float
+    cav_rise: float
+    cav_fall: float
+
+    @property
+    def vex(self) -> float:
+        return self.vex_rise + self.vex_fall
+
+    @property
+    def cav(self) -> float:
+        return self.cav_rise + self.cav_fall
+
+    @property
+    def value(self) -> float:
+        return self.vex + self.cav
+
+
+def _convexity_classes(spec: ObjectiveSpec, b: float, n: int):
+    """The objective's terms that are convex in p1 on the chain, and those
+    that are concave: h is affine in p1 at each node, so coef * x^a * h^r is
+    convex when coef * (r - 1) >= 0 and concave otherwise."""
+    terms = _terms(spec, b, n)
+    return ([t for t in terms if t.coef * (t.power - 1.0) >= 0.0],
+            [t for t in terms if t.coef * (t.power - 1.0) < 0.0])
+
+
 class _TwoLevelFamily:
     """The two-level chain h = c0(x) + c1(x)*p1 on the nodes of one rule.
 
     Every term of the welfare/quality mix is nondecreasing in h, so over
     [lo, hi] the pointwise max of its integrand sits at hi where c1 >= 0
-    and at lo where c1 < 0.  `rise_fall` integrates one endpoint against
-    both halves of the weights: G(p1) = rise + fall and
-    U(lo, hi) = rise(hi) + fall(lo).
+    and at lo where c1 < 0.  `endpoint_sums` integrates one endpoint against
+    both halves of the weights, once per convexity class: G(p1) is the sum
+    of the four and U(lo, hi) = rise(hi) + fall(lo).
     """
 
     def __init__(self, n: int, quad: QuadratureConfig):
@@ -181,10 +226,14 @@ class _TwoLevelFamily:
         return [lattice_value(spec, b, h, 0.0, self.x, self.w, self.n, powers)
                 for spec in specs]
 
-    def rise_fall(self, spec: ObjectiveSpec, b: float, p1: float) -> tuple[float, float]:
-        rise, fall = lattice_value(spec, b, self.c0 + self.c1 * p1, 0.0,
-                                   self.x, self.split, self.n)
-        return float(rise), float(fall)
+    def endpoint_sums(self, classes, p1: float) -> _EndpointSums:
+        """`_EndpointSums` at p1 of the two term lists of `_convexity_classes`,
+        from one h and one power memo."""
+        h = self.c0 + self.c1 * p1
+        powers: dict = {}
+        vex, cav = (_term_values(terms, self.x, h, h, powers) @ self.split
+                    for terms in classes)
+        return _EndpointSums(float(vex[0]), float(vex[1]), float(cav[0]), float(cav[1]))
 
     def step_moves(self, spec: ObjectiveSpec, b: float) -> tuple[float, list[tuple[float, float]]]:
         """How far the objective moves when p1 moves by s: at most
@@ -198,7 +247,7 @@ class _TwoLevelFamily:
         abs_c1 = np.abs(self.c1)
         lipschitz, holder = 0.0, []
         for t in _terms(spec, b, self.n):
-            r = t.g_exp + (1.0 if t.times_h else 0.0)
+            r = t.power
             w = self.w * self.x ** t.x_pow if t.x_pow else self.w
             if r > 1.0:
                 lipschitz += abs(t.coef) * r * float(abs_c1 @ w)
@@ -211,9 +260,41 @@ class _TwoLevelFamily:
         return evaluate_error_bound(spec, b, hm(self.n), self.quad)
 
 
-def _bounds(at_lo: tuple[float, float], at_hi: tuple[float, float]) -> tuple[float, float]:
-    """(L, U) over [lo, hi] from the (rise, fall) sums at its ends."""
-    return max(at_lo[0] + at_lo[1], at_hi[0] + at_hi[1]), at_hi[0] + at_lo[1]
+def _bounds(at_lo: _EndpointSums, at_hi: _EndpointSums) -> tuple[float, float]:
+    """(L, U) over [lo, hi] from the sums at its ends: U is the rise/fall bound."""
+    rise = at_hi.vex_rise + at_hi.cav_rise
+    return max(at_lo.value, at_hi.value), rise + at_lo.vex_fall + at_lo.cav_fall
+
+
+def _chord_secant_upper(lo: float, hi: float, at_lo: _EndpointSums, at_hi: _EndpointSums,
+                        left_slope: Optional[float], right_slope: Optional[float]) -> float:
+    """Upper bound over [lo, hi] from the chord of the convex terms plus the
+    lower of the concave terms' secants; inf with no secant.
+
+    The left secant passes through (lo, cav(lo)) and the right one through
+    (hi, cav(hi)), and a concave function lies below each secant outside
+    the two points that define it.  The sum is concave and piecewise
+    linear, so its max sits at lo, hi or where the secants cross.  The
+    bound is widened by `BRACKET_ROUNDING` times the ends' absolute class
+    sums: each secant is extrapolated over at most the width of its base.
+    """
+    width = hi - lo
+
+    def bound_at(t: float) -> float:
+        cav = math.inf
+        if left_slope is not None:
+            cav = at_lo.cav + left_slope * t
+        if right_slope is not None:
+            cav = min(cav, at_hi.cav - right_slope * (width - t))
+        return at_lo.vex + (at_hi.vex - at_lo.vex) * (t / width) + cav
+
+    points = [0.0, width]
+    if left_slope is not None and right_slope is not None and left_slope != right_slope:
+        cross = (at_hi.cav - at_lo.cav - right_slope * width) / (left_slope - right_slope)
+        points.append(min(max(cross, 0.0), width))
+    rounding = BRACKET_ROUNDING * (abs(at_lo.vex) + abs(at_lo.cav)
+                                   + abs(at_hi.vex) + abs(at_hi.cav))
+    return max(bound_at(t) for t in points) + rounding
 
 
 def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
@@ -224,8 +305,8 @@ def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
     domain_lo = 1.0 / (n - 1)
     if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
         raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
-    spec = ConvexCombo(alpha)
-    lower, upper = _bounds(fam.rise_fall(spec, b, lo), fam.rise_fall(spec, b, hi))
+    classes = _convexity_classes(ConvexCombo(alpha), b, n)
+    lower, upper = _bounds(fam.endpoint_sums(classes, lo), fam.endpoint_sums(classes, hi))
     return lower, max(upper, lower)
 
 
@@ -283,20 +364,28 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
             "raise epsilon or the node count" % (cfg.epsilon, 2 * delta)
         )
 
-    sums: dict[float, tuple[float, float]] = {}  # (rise, fall) per visited endpoint
+    classes = _convexity_classes(spec, b, n)
+    sums: dict[float, _EndpointSums] = {}  # four floats per visited endpoint
 
-    def endpoint(p1: float) -> tuple[float, float]:
+    def endpoint(p1: float) -> _EndpointSums:
         hit = sums.get(p1)
         if hit is None:
-            hit = sums[p1] = fam.rise_fall(spec, b, p1)
+            hit = sums[p1] = fam.endpoint_sums(classes, p1)
         return hit
 
     def value(p1: float) -> float:
-        rise, fall = endpoint(p1)
-        return rise + fall
+        return endpoint(p1).value
 
-    def make_interval(lo: float, hi: float, depth: int) -> Interval:
-        return Interval(lo, hi, *_bounds(endpoint(lo), endpoint(hi)), depth)
+    def slope(lo: float, hi: float) -> float:
+        """Slope of the concave terms' secant through lo and hi."""
+        return (endpoint(hi).cav - endpoint(lo).cav) / (hi - lo)
+
+    def make_interval(lo: float, hi: float, depth: int, left_slope: Optional[float],
+                      right_slope: Optional[float]) -> Interval:
+        at_lo, at_hi = endpoint(lo), endpoint(hi)
+        lower, upper = _bounds(at_lo, at_hi)
+        upper = min(upper, _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope))
+        return Interval(lo, hi, lower, upper, depth, left_slope, right_slope)
 
     lo0, hi0 = 1.0 / (n - 1), 1.0
     best_p1, best_val = lo0, value(lo0)
@@ -306,7 +395,9 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
     if v_hi > best_val:
         best_p1, best_val = hi0, v_hi
 
-    root = make_interval(lo0, hi0, 0)
+    # with no concave term every secant of the concave part is the zero line
+    root_slope = 0.0 if not classes[1] else None
+    root = make_interval(lo0, hi0, 0, root_slope, root_slope)
     # ties on the upper bound break toward the leftmost interval
     heap: list[tuple[float, float, Interval]] = [(-root.upper, root.lo, root)]
     nodes = 1
@@ -332,8 +423,11 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
             trace.append(mid)
         if v_mid > best_val:
             best_p1, best_val = mid, v_mid
-        for child_lo, child_hi in ((active.lo, mid), (mid, active.hi)):
-            child = make_interval(child_lo, child_hi, active.depth + 1)
+        # each child takes the secant through its sibling's ends, and its
+        # parent's secant on its other side
+        depth = active.depth + 1
+        for child in (make_interval(active.lo, mid, depth, active.left_slope, slope(mid, active.hi)),
+                      make_interval(mid, active.hi, depth, slope(active.lo, mid), active.right_slope)):
             heapq.heappush(heap, (-child.upper, child.lo, child))
             nodes += 1
             max_depth = max(max_depth, child.depth)

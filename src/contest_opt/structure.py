@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bernstein import basis_matrix
+from .bernstein import basis_columns, basis_matrix
 from .errors import DomainError
 from .objective import ObjectiveSpec, gradient_weight
 from .policy import Policy
@@ -298,5 +298,5 @@ def vandermonde_minor(n: int, x_points, i_indices) -> float:
         raise DomainError("indices must lie in 1..n-1")
     if np.any(np.diff(idx) <= 0):
         raise DomainError("indices must be strictly increasing (no duplicates)")
-    kernel = basis_matrix(n, 1.0 - x_arr)[:, idx - 1]
+    kernel = basis_columns(n, 1.0 - x_arr, idx)
     return float(np.linalg.det(kernel))

@@ -65,6 +65,20 @@ class TestBasisEval:
         assert basis_eval(7, 1, 1.0) == 1.0
         assert basis_eval(7, 3, 0.0) == 0.0
 
+    def test_selected_columns_are_the_matrix_columns(self):
+        """Each column is bit for bit the same whichever others come with it."""
+        x = np.append(np.linspace(0.0, 1.0, 2001), [1e-300, 1.0 - 1e-16])
+        for n in range(2, 41):
+            full = basis_matrix(n, x)
+            for ranks in ([1, n], [n, 1], list(range(1, n + 1, 3))):
+                cols = bernstein.basis_columns(n, x, ranks)
+                assert np.array_equal(cols, full[:, np.array(ranks) - 1])
+        assert bernstein.basis_columns(5, 0.5, [1]).shape == (1, 1)
+        with pytest.raises(DomainError):
+            bernstein.basis_columns(5, x, [0])
+        with pytest.raises(DomainError):
+            bernstein.basis_columns(5, x, [6])
+
     def test_rank_out_of_range(self):
         with pytest.raises(DomainError):
             basis_eval(5, 0, 0.5)

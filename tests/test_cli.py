@@ -264,6 +264,17 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "--only", "nosuchcheck")
         assert code == 1
 
+    @pytest.mark.parametrize("only", [(), ("--only", "bernstein")])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_is_usage_error(self, capsys, monkeypatch, trials, only):
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "run_checks", never)
+        code, out, err = run_cli(capsys, "verify", "--trials", trials, *only)
+        assert code == 1 and out == ""
+        assert "--trials must be at least 1" in err
+
     def test_whole_registry_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "10")
         assert code == 0

@@ -34,6 +34,9 @@ from contest_opt.optimizer import (
     GRID_QUAD,
     _LATTICE_GUARD,
     _TwoLevelFamily,
+    _bounds,
+    _chord_secant_upper,
+    _convexity_classes,
     _lattice_matrix,
     _screen_weights,
     _worker_count,
@@ -133,6 +136,76 @@ class TestIntervalBounds:
             assert upper == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
+class TestChordSecantBound:
+    """Branch-and-bound's bound over an interval whose neighbouring points on
+    each side define the concave terms' secants, as after a split: each
+    secant's base is at least as wide as the interval."""
+
+    QUAD = QuadratureConfig(m=5000)
+
+    def bound(self, fam, classes, lo, hi, left, right):
+        def slope(a, b):
+            return (fam.endpoint_sums(classes, b).cav - fam.endpoint_sums(classes, a).cav) / (b - a)
+
+        at_lo, at_hi = fam.endpoint_sums(classes, lo), fam.endpoint_sums(classes, hi)
+        left_slope = None if left is None else slope(left, lo)
+        right_slope = None if right is None else slope(hi, right)
+        return min(_bounds(at_lo, at_hi)[1],
+                   _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope))
+
+    def draws(self):
+        """Seeded intervals; every other one holds the line search's optimum."""
+        rng = np.random.default_rng(31)
+        for k in range(60):
+            n = int(rng.integers(3, 13))
+            alpha, beta = float(rng.random()), float(rng.uniform(0.3, 4.0))
+            domain_lo = 1.0 / (n - 1)
+            width = min(10.0 ** rng.uniform(-9.0, -0.5), 1.0 - domain_lo)
+            lo = rng.uniform(domain_lo, 1.0 - width)
+            if k % 2:
+                best = two_level_line_search(ConvexCombo(alpha), beta, n, 101, self.QUAD).policy.p1
+                lo = min(max(best - width * rng.random(), domain_lo), 1.0 - width)
+            hi = lo + width
+            left = lo - width * 2.0 ** rng.integers(0, 4)
+            right = hi + width * 2.0 ** rng.integers(0, 4)
+            yield (n, alpha, beta, lo, hi, left if left >= domain_lo else None,
+                   right if right <= 1.0 else None)
+        # an interior optimum (p1 near 0.8295) between two secants
+        yield 12, 0.3, 2.5, 0.82, 0.84, 0.80, 0.86
+        yield 12, 0.3, 2.5, 0.825, 0.835, 0.805, 0.845
+        # n = 6 at p1 = 1: h rounds to exactly 0 near x = 0
+        yield 6, 0.0, 4.0, 0.99, 1.0, 0.98, None
+        yield 6, 0.24, 2.0, 1.0 - 1e-9, 1.0, 1.0 - 3e-9, None
+
+    def test_bound_holds_and_is_never_looser(self):
+        for n, alpha, beta, lo, hi, left, right in self.draws():
+            spec, fam = ConvexCombo(alpha), _TwoLevelFamily(n, self.QUAD)
+            bound = self.bound(fam, _convexity_classes(spec, beta, n), lo, hi, left, right)
+            p1s = np.append(np.linspace(lo, hi, 198), np.random.default_rng(7).uniform(lo, hi, 2))
+            assert fam.values(spec, beta, p1s).max() <= bound
+            assert bound <= interval_bounds(n, alpha, beta, lo, hi, self.QUAD)[1]
+
+    @pytest.mark.parametrize("n, alpha, beta", [(5, 0.24, 2.0), (12, 0.3, 2.5), (6, 0.0, 4.0)])
+    def test_every_node_bound_holds(self, monkeypatch, n, alpha, beta):
+        """Each node's secants are its neighbours', as the bound needs."""
+        from contest_opt import optimizer
+
+        seen = []
+
+        def recording(lo, hi, at_lo, at_hi, left_slope, right_slope):
+            upper = _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope)
+            seen.append((lo, hi, min(upper, _bounds(at_lo, at_hi)[1])))
+            return upper
+
+        monkeypatch.setattr(optimizer, "_chord_secant_upper", recording)
+        quad = QuadratureConfig(m=20_000)
+        result = branch_and_bound(n, alpha, beta, BnbConfig(epsilon=1e-3, quad=quad))
+        assert result.certified and len(seen) == result.nodes_explored > 1
+        fam = _TwoLevelFamily(n, quad)
+        for lo, hi, upper in seen:
+            assert fam.values(ConvexCombo(alpha), beta, np.linspace(lo, hi, 50)).max() <= upper
+
+
 class TestGapConstants:
     @pytest.mark.parametrize("seed", [120, 136, 283])
     def test_bound_sandwich_check_passes(self, seed):
@@ -171,24 +244,33 @@ class TestBranchAndBound:
 
     def test_matches_line_search_within_tolerance(self):
         eps = 1e-4
-        result = branch_and_bound(5, 0.24, 2.0, BnbConfig(epsilon=eps))
-        line = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=2000)
-        assert result.certified_gap <= eps
-        assert result.value >= line.value - eps - (line.certified_gap or 0)
+        for n in (3, 5, 8, 12):
+            result = branch_and_bound(n, 0.24, 2.0, BnbConfig(epsilon=eps))
+            line = two_level_line_search(ConvexCombo(0.24), 2.0, n, steps=2000)
+            assert result.certified and result.certified_gap <= eps
+            assert result.value >= line.value - eps - line.certified_gap
+            assert result.value <= line.value + line.certified_gap + result.certified_gap
 
     def test_anchor_search_is_pinned(self):
         result = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-3))
-        assert (result.nodes_explored, result.max_depth) == (241, 8)
+        assert (result.nodes_explored, result.max_depth) == (17, 4)
         assert result.certified
 
     def test_memory_does_not_grow_with_nodes(self, child_peak_mb):
-        """901 nodes at eps 1e-4 keep two floats per endpoint, not two arrays."""
+        """31 nodes at eps 1e-4 keep four floats per endpoint, not four arrays."""
         peak_mb = child_peak_mb(
             "from contest_opt.cli import main\n"
             "assert main(['optimize', '--method', 'bnb', '--n', '5', '--alpha', '0.24',"
             " '--beta', '2', '--epsilon', '1e-4']) == 0\n"
         )
         assert peak_mb < 150
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 2.0), (0.0, 0.8), (0.3, 0.8), (1.0, 0.8)])
+    def test_no_concave_term_certifies_at_the_root(self, alpha, beta):
+        """With every term convex in p1 the chord bounds the root."""
+        result = branch_and_bound(5, alpha, beta, BnbConfig(epsilon=1e-3))
+        assert result.certified and result.certified_gap <= 1e-3
+        assert result.nodes_explored == 1 and result.max_depth == 0
 
     def test_two_player_shortcut(self):
         result = branch_and_bound(2, 0.5, 2.0, BnbConfig(epsilon=1e-3))

@@ -180,7 +180,7 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
 
     `powers` holds the last power of g computed, as {g_exp: g**g_exp}, and a
     term with the same exponent reuses it, so a mix whose terms share an
-    exponent takes one power.  Callers that evaluate several objectives on
+    exponent takes one power.  Callers that integrate several term lists on
     the same g pass one dict to every call.  One power at a time keeps the
     memory of a call at one extra array of g's shape.
     """
@@ -251,14 +251,16 @@ def evaluate_hm_closed_form(alpha: float, beta, n: int) -> float:
     """Exact objective value of the winner-take-all policy.
 
     ``alpha * beta*n/(beta*n + n - 1) + (1-alpha) * beta/(beta + n - 1)``;
-    no quadrature involved.
+    no quadrature involved.  Where beta*n overflows, the welfare term takes
+    its limit 1.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
     b = beta_value(beta)
-    welfare = b * n / (b * n + n - 1)
+    bn = b * n
+    welfare = bn / (bn + n - 1) if math.isfinite(bn) else 1.0
     quality = b / (b + n - 1)
     return alpha * welfare + (1.0 - alpha) * quality
 
@@ -303,21 +305,20 @@ def _welfare_factor(terms, g: np.ndarray, pn) -> np.ndarray:
 
 
 def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
-                  w: np.ndarray, n: int, powers: dict | None = None):
+                  w: np.ndarray, n: int):
     """Objective value for arbitrary ordered policies (p_n possibly > 0).
 
     Works from precomputed values of g = B(p - p_n), the policy polynomial
     of the shifted shares, on quadrature nodes; `g` may be a matrix
     (nodes, batch) with `pn` a batch vector.  Quality-type powers act on g,
     and the welfare term keeps one plain factor h = g + p_n.  With p_n = 0,
-    g is h itself.  Calls on the same g may share one `powers` memo (see
-    `_term_values`).
+    g is h itself.
     """
     b = beta_value(beta)
     pn = np.asarray(pn)
     terms = _terms(spec, b, n)
     xcol = x if g.ndim == 1 else x[:, None]
-    values = _term_values(terms, xcol, _welfare_factor(terms, g, pn), g, powers)
+    values = _term_values(terms, xcol, _welfare_factor(terms, g, pn), g)
     return values.T @ w + _lattice_constant(spec, n, pn)
 
 

@@ -56,6 +56,7 @@ from .objective import (
     lattice_bracket,
     lattice_value,
     structural_condition_holds,
+    _Term,
     _term_values,
     _terms,
 )
@@ -214,17 +215,42 @@ class _TwoLevelFamily:
         self.split = np.column_stack((np.where(rising, self.w, 0.0),
                                       np.where(rising, 0.0, self.w)))
 
+    def _h(self, p1s: np.ndarray) -> np.ndarray:
+        """h at every node (rows) and top share in `p1s` (columns)."""
+        h = np.multiply.outer(self.c1, p1s)
+        h += self.c0[:, None]
+        return h
+
     def values(self, spec: ObjectiveSpec, b: float, p1s: np.ndarray) -> np.ndarray:
-        """Objective values at each top share in `p1s`."""
-        return self.scan([spec], b, p1s)[0]
+        """Objective values at each top share in `p1s`, summed term by term
+        at each node (`lattice_value`)."""
+        return lattice_value(spec, b, self._h(p1s), 0.0, self.x, self.w, self.n)
 
     def scan(self, specs, b: float, p1s: np.ndarray) -> list[np.ndarray]:
-        """Each objective's values at each top share in `p1s`, all from one h
-        and one power memo."""
-        h = self.c0[:, None] + self.c1[:, None] * p1s[None, :]
+        """Each objective's values at each top share in `p1s`, from one
+        integral per term shape.
+
+        A term's shape, x^a * h^r with its welfare factor, holds no
+        coefficient, so each distinct shape among all the objectives' terms
+        is integrated once, with one power memo, and each objective's values
+        are the sum of coef * integral over its own terms, in their order.
+        They differ from `values`, which sums the terms at each node first,
+        only in rounding: the line search picks its cell from them and
+        refines it on `values`.
+        """
+        h = self._h(p1s)
+        xcol = self.x[:, None]
         powers: dict = {}
-        return [lattice_value(spec, b, h, 0.0, self.x, self.w, self.n, powers)
-                for spec in specs]
+        integrals: dict = {}
+
+        def integral(t: _Term) -> np.ndarray:
+            shape = (t.g_exp, t.x_pow, t.times_h)
+            if shape not in integrals:
+                unit = _Term(1.0, *shape)
+                integrals[shape] = _term_values([unit], xcol, h, h, powers).T @ self.w
+            return integrals[shape]
+
+        return [sum(t.coef * integral(t) for t in _terms(spec, b, self.n)) for spec in specs]
 
     def endpoint_sums(self, classes, p1: float) -> _EndpointSums:
         """`_EndpointSums` at p1 of the two term lists of `_convexity_classes`,
@@ -478,12 +504,13 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     """`two_level_line_search` for each objective of `specs`, from one scan.
 
     The objectives share beta, n and the rule, so they share one two-level
-    family, one p1 grid and, per chunk of 128 grid points, one h and one
-    power memo: objectives whose terms have the same exponent (the alpha
-    column of a sweep) take each power of h once.  Each objective then gets
-    its own argmax, bounded Brent refinement on its best cell and gap, so
-    every result is bit for bit the single search's.  An objective outside
-    the covered class fails the whole batch before any scan.
+    family, one p1 grid and, per chunk of 128 grid points, one integral per
+    term shape (`_TwoLevelFamily.scan`): the alpha column of a sweep
+    integrates two shapes per chunk, whatever its number of alphas.  Each
+    objective then gets its own argmax, bounded Brent refinement of its
+    best cell on its own term-by-term sum (`_TwoLevelFamily.values`) and
+    gap, so every result is bit for bit the single search's.  An objective
+    outside the covered class fails the whole batch before any scan.
     """
     b = beta_value(beta)
     for spec in specs:

@@ -1,6 +1,7 @@
 """Command-line round trips, determinism and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -159,6 +160,16 @@ class TestSweep:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text(encoding="utf-8") == self.PINNED
+
+    # an n = 6, 8x8 sweep with 14 UNI, 33 HM and 17 TwoLevel rows, pinned by digest
+    LARGER = ("sweep", "--n", "6", "--cells", "8", "--alpha-min", "0.02",
+              "--beta-min", "0.3", "--beta-max", "4.5", "--steps", "90", "--quad-m", "3000")
+    LARGER_SHA256 = "7689a443f106b7b3cac52d1890f6525820af4d5b1d0fd2b9a8103b02b0f3a29b"
+
+    def test_larger_sweep_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, *self.LARGER)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LARGER_SHA256
 
     def test_columns_are_the_per_cell_searches(self, capsys, monkeypatch):
         """Every cell of an n = 5, 3x3 sweep is its own line search, to the bit."""

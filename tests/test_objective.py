@@ -27,7 +27,12 @@ from contest_opt import (
     uni,
 )
 from contest_opt.bernstein import h_eval
-from contest_opt.objective import _term_values, _terms, format_objective_config
+from contest_opt.objective import (
+    _term_values,
+    _terms,
+    evaluate_error_bound,
+    format_objective_config,
+)
 
 # quality integral of the uniform-except-last policy at cost exponent 2,
 # frozen from a 1e6-node right-Riemann sum of the closed-form integrand
@@ -168,6 +173,15 @@ class TestClosedForm:
 
     def test_mixed(self):
         assert evaluate_hm_closed_form(0.5, 1.0, 2) == pytest.approx(7 / 12)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("beta", [1e300, 1e308])
+    def test_huge_beta_is_finite(self, n, beta):
+        # at 1e308, beta * n overflows; the welfare term's limit is 1
+        got = evaluate_hm_closed_form(0.5, beta, n)
+        assert math.isfinite(got)
+        spec = ConvexCombo(0.5)
+        assert abs(got - evaluate(spec, beta, hm(n))) <= evaluate_error_bound(spec, beta, hm(n))
 
 
 class TestGradient:

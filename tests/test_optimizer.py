@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,13 @@ from contest_opt import (
     uni,
     verify,
 )
-from contest_opt.objective import evaluate_error_bound, lattice_bracket, lattice_value
+from contest_opt.objective import (
+    _term_values,
+    _terms,
+    evaluate_error_bound,
+    lattice_bracket,
+    lattice_value,
+)
 from contest_opt.optimizer import (
     GRID_QUAD,
     _LATTICE_GUARD,
@@ -358,7 +365,7 @@ class TestLineSearch:
     def test_mix_gap_is_pinned(self):
         result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
                                        quad=QuadratureConfig(m=4000))
-        assert result.value == 0.44456681085414484
+        assert result.value == 0.444566810854145
         assert result.certified_gap == 0.031360556058693555
 
     def test_order_statistic_beats_neighbors(self):
@@ -401,6 +408,39 @@ class TestLineSearchBatch:
         bad = Posynomial(((1.0, 1.0), (-1.0, 2.0), (1.0, 3.0)))
         with pytest.raises(StructuralConditionError):
             two_level_line_search_batch([ConvexCombo(0.5), bad, MaxOrderStat()], 5.0, 5)
+
+
+class TestFactoredScan:
+    SPECS = (
+        ConvexCombo(0.0),
+        ConvexCombo(0.24),
+        ConvexCombo(1.0),
+        Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+        MaxOrderStat(),
+        Exponential((1.5, 0.5), truncation_m=6),  # the two rates share every shape
+        SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+    )
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    @pytest.mark.parametrize("length", [1, 44, 128])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_scan_is_the_per_spec_sum(self, n, length, beta):
+        fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
+        p1s = np.linspace(1.0, 1.0 / (n - 1), length)
+        h = fam.c0[:, None] + fam.c1[:, None] * p1s
+        got = fam.scan(self.SPECS, beta, p1s)
+        reversed_batch = fam.scan(self.SPECS[::-1], beta, p1s)[::-1]
+        for spec, values, other in zip(self.SPECS, got, reversed_batch):
+            want = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)
+            # rounding is relative to the terms' size, which a negative
+            # coefficient's cancellation hides from the value
+            size = _term_values([replace(t, coef=abs(t.coef)) for t in _terms(spec, beta, n)],
+                                fam.x[:, None], h, h).T @ fam.w
+            assert values.shape == (length,)
+            assert np.all(np.abs(values - want) <= 1e-14 * size)
+            # a spec's values do not depend on the batch it shares
+            alone = fam.scan([spec], beta, p1s)[0]
+            assert values.tobytes() == other.tobytes() == alone.tobytes()
 
 
 class TestGridSearch:

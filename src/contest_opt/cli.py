@@ -107,6 +107,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     _check_common(args)
+    if args.classify_tol is not None and not (args.classify_tol >= 0.0
+                                              and math.isfinite(args.classify_tol)):
+        raise ContestOptError("--classify-tol must be finite and >= 0, got %r"
+                              % args.classify_tol)
     spec = _objective_from_args(args)
     if args.method == "bnb":
         if not isinstance(spec, obj.ConvexCombo):

@@ -183,22 +183,42 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
     exponent takes one power.  Callers that integrate several term lists on
     the same g pass one dict to every call.  One power at a time keeps the
     memory of a call at one extra array of g's shape.
+
+    The sum is bit for bit 0.0 + part_1 + part_2 + ..., but it starts from
+    the first part's own array.  Each part is one fresh temporary, multiplied
+    in place, and a unit coefficient multiplies nothing; the memo's array is
+    only read.  0.0 + part differs from part only in the sign of a zero, so
+    0.0 is still added where the first part can hold -0.0 (a negative
+    coefficient; g and h are sums of nonnegative products, so hold none) or
+    is the memo's array itself.
     """
+    if not terms:
+        return np.zeros_like(g)
     powers = {} if powers is None else powers
-    total = np.zeros_like(g)
+    total = None
     for t in terms:
+        fresh = True
         if t.g_exp == 0.0:
             part = np.full_like(g, t.coef)
         else:
             if t.g_exp not in powers:
                 powers.clear()
                 powers[t.g_exp] = np.power(g, t.g_exp)
-            part = t.coef * powers[t.g_exp]
+            part = powers[t.g_exp]
+            if t.coef == 1.0:
+                fresh = False
+            else:
+                part = t.coef * part
         if t.times_h:
-            part = part * h
+            part = np.multiply(part, h, out=part if fresh else None)
+            fresh = True
         if t.x_pow:
-            part = part * np.power(x, t.x_pow)
-        total += part
+            part = np.multiply(part, np.power(x, t.x_pow), out=part if fresh else None)
+            fresh = True
+        if total is None:
+            total = part + 0.0 if not fresh or math.copysign(1.0, t.coef) < 0.0 else part
+        else:
+            total += part
     return total
 
 

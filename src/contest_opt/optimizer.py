@@ -18,8 +18,9 @@ points on either side, so the lower of the two bounds holds; the root,
 which has no neighbours, keeps the rise/fall bound unless no term is
 concave.  The active set algorithm bisects the interval with the largest
 upper bound until the incumbent is within the (quadrature-adjusted)
-tolerance.  Each call builds one `_TwoLevelFamily` (nodes, c0, c1,
-rise/fall weights) and reads values, bounds and step moves from it.
+tolerance.  Every call reads values, bounds and step moves from one
+`_TwoLevelFamily` (nodes, c0, c1, |c1|, rise/fall weights), built once per
+(n, rule) and shared read-only (`_family`).
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -211,9 +212,12 @@ class _TwoLevelFamily:
         self.x, self.w = quad.nodes_weights()
         dec = c_decomposition(n, self.x)
         self.c0, self.c1 = dec.c0, dec.c1
+        self.abs_c1 = np.abs(self.c1)
         rising = dec.c1 >= 0.0
         self.split = np.column_stack((np.where(rising, self.w, 0.0),
                                       np.where(rising, 0.0, self.w)))
+        for arr in (self.c0, self.c1, self.abs_c1, self.split):
+            arr.setflags(write=False)
 
     def _h(self, p1s: np.ndarray) -> np.ndarray:
         """h at every node (rows) and top share in `p1s` (columns)."""
@@ -270,20 +274,32 @@ class _TwoLevelFamily:
         |coef| I[x^a |c1|^r] s^r for 0 < r <= 1 and |coef| r I[x^a |c1|] s
         for r > 1; a term with r = 0 is constant.
         """
-        abs_c1 = np.abs(self.c1)
         lipschitz, holder = 0.0, []
         for t in _terms(spec, b, self.n):
             r = t.power
             w = self.w * self.x ** t.x_pow if t.x_pow else self.w
             if r > 1.0:
-                lipschitz += abs(t.coef) * r * float(abs_c1 @ w)
+                lipschitz += abs(t.coef) * r * float(self.abs_c1 @ w)
             elif r > 0.0:
-                holder.append((abs(t.coef) * float((abs_c1 ** r) @ w), r))
+                holder.append((abs(t.coef) * float((self.abs_c1 ** r) @ w), r))
         return lipschitz, holder
 
     def error_bound(self, spec: ObjectiveSpec, b: float) -> float:
         """Per-evaluation quadrature allowance; p1 = 1 maximizes every term's range."""
         return evaluate_error_bound(spec, b, hm(self.n), self.quad)
+
+
+@lru_cache(maxsize=8)
+def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
+    """The `_TwoLevelFamily` of (n, quad), built once and shared read-only
+    by every caller and thread.  At `BNB_QUAD` a build takes longer than a
+    whole branch-and-bound call on n = 4, and the family holds 4 MB.
+
+    Eight families hold four n at both default rules that reach here
+    (`BNB_QUAD`, `LINE_QUAD`).  Cycling branch-and-bound and a line search
+    over n = 4, 5, 6 needs six: with room for four, 50 of 120 such lookups
+    rebuilt a family."""
+    return _TwoLevelFamily(n, quad)
 
 
 def _bounds(at_lo: _EndpointSums, at_hi: _EndpointSums) -> tuple[float, float]:
@@ -327,7 +343,7 @@ def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
     """(L, U) objective bounds over the p1-interval [lo, hi]."""
     b = beta_value(beta)
-    fam = _TwoLevelFamily(n, quad or BNB_QUAD)
+    fam = _family(n, quad or BNB_QUAD)
     domain_lo = 1.0 / (n - 1)
     if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
         raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
@@ -358,7 +374,7 @@ def gap_constants(n: int, alpha: float, beta, mode: str = "exact",
         return c1, c2
     if mode != "exact":
         raise DomainError("mode must be 'exact' or 'rough'")
-    lipschitz, holder = _TwoLevelFamily(n, quad or BNB_QUAD).step_moves(ConvexCombo(alpha), b)
+    lipschitz, holder = _family(n, quad or BNB_QUAD).step_moves(ConvexCombo(alpha), b)
     return lipschitz, sum((k for k, _ in holder), 0.0)
 
 
@@ -381,7 +397,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
         return OptResult(hm(2), evaluate(ConvexCombo(alpha), b, hm(2), cfg.quad), 0.0, 0,
                          "bnb:n2-shortcut-hm", True, 0, config)
 
-    fam, spec = _TwoLevelFamily(n, cfg.quad), ConvexCombo(alpha)
+    fam, spec = _family(n, cfg.quad), ConvexCombo(alpha)
     delta = fam.error_bound(spec, b)
     eps_eff = cfg.epsilon - 2.0 * delta
     if eps_eff <= 0:
@@ -530,7 +546,7 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
         return [OptResult(hm(2), evaluate(spec, b, hm(2), quad), None, 1, "line:n2-hm",
                           False, 0, config) for spec, config in zip(specs, configs)]
 
-    fam = _TwoLevelFamily(n, quad)
+    fam = _family(n, quad)
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
     chunk = min(128, steps)
     scans = zip(*[fam.scan(specs, b, p1_grid[start:start + chunk])

@@ -119,8 +119,11 @@ def classify_structure(p: Policy, tol: float = 1e-6) -> StructureClass:
     """Match a policy against the two-level shape, HM/UNI taking precedence.
 
     TwoLevel requires the bottom share to vanish and the middle ranks to be
-    mutually equal, all within ``tol``.  Anything else is Other.
+    mutually equal, all within ``tol``, which must be finite and
+    nonnegative.  Anything else is Other.
     """
+    if not (tol >= 0.0 and np.isfinite(tol)):
+        raise DomainError("classification tolerance must be finite and >= 0, got %r" % (tol,))
     arr = p.as_array()
     n = p.n
     slack = tol + 1e-12  # guard against float dust in exact-tolerance hits

@@ -114,6 +114,14 @@ class TestOptimize:
         record = json.loads(out)
         assert record["policy"][0] == 1.0  # concave costs concentrate the prize
 
+    @pytest.mark.parametrize("method", ["line", "bnb"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_classify_tol_is_usage_error(self, capsys, method, value):
+        code, out, err = run_cli(capsys, "optimize", "--method", method, "--n", "5",
+                                 "--classify-tol", value)
+        assert code == 1 and out == ""
+        assert err == "error: --classify-tol must be finite and >= 0, got %r\n" % float(value)
+
     def test_line_method(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "line", "--n", "5",
                                "--alpha", "1", "--beta", "2", "--steps", "100")
@@ -165,6 +173,18 @@ class TestSweep:
     LARGER = ("sweep", "--n", "6", "--cells", "8", "--alpha-min", "0.02",
               "--beta-min", "0.3", "--beta-max", "4.5", "--steps", "90", "--quad-m", "3000")
     LARGER_SHA256 = "7689a443f106b7b3cac52d1890f6525820af4d5b1d0fd2b9a8103b02b0f3a29b"
+
+    def test_two_workers_write_the_one_worker_bytes(self, capsys, monkeypatch):
+        """Columns on two threads, sharing one cold-built family, agree with one."""
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CONTEST_OPT_THREADS", workers)
+            optimizer._family.cache_clear()
+            code, out, _ = run_cli(capsys, *self.LARGER)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[1].encode("utf-8")).hexdigest() == self.LARGER_SHA256
 
     def test_larger_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, *self.LARGER)

@@ -28,6 +28,7 @@ from contest_opt import (
 )
 from contest_opt.bernstein import h_eval
 from contest_opt.objective import (
+    _Term,
     _term_values,
     _terms,
     evaluate_error_bound,
@@ -130,6 +131,28 @@ class TestEvaluate:
             assert abs(high - low) <= bound
 
 
+def _memo_edge_cases():
+    """(label, terms, x, h, g) for each way a term sum can start."""
+    x = np.linspace(0.01, 1.0, 300)
+    rng = np.random.default_rng(9)
+    g = np.column_stack([h_eval(random_reduced_policy(rng, 5), x) for _ in range(5)])
+    g[:40] = 0.0  # where g vanishes, a negative coefficient gives -0.0
+    yield "1d_g", _terms(ConvexCombo(0.24), 2.0, 5), x, g[:, 1], g[:, 1]
+    yield "1d_unit_power_alone", [_Term(1.0, 0.5)], x, g[:, 2], g[:, 2]
+    xcol = x[:, None]
+    yield "constant_first", [_Term(0.7, 0.0), _Term(1.0, 0.5),
+                             _Term(2.0, 0.5, times_h=True)], xcol, g, g
+    yield "negative_at_zero_g", [_Term(-1.5, 0.5), _Term(-1.0, 3.0)], xcol, g, g
+    yield "negative_constant_first", [_Term(-0.25, 0.0), _Term(1.0, 0.5)], xcol, g, g
+    h = g + np.linspace(0.0, 0.2, g.shape[1])  # h = g + p_n, as on the full lattice
+    yield "x_pow_times_h", [_Term(5.0, 0.5, x_pow=4.0, times_h=True),
+                            _Term(1.0, 0.5)], xcol, h, g
+    yield "unit_x_pow_times_h", [_Term(1.0, 0.5, x_pow=3.0, times_h=True),
+                                 _Term(-2.0, 0.5, x_pow=1.0)], xcol, h, g
+    yield "unit_power_then_more", [_Term(1.0, 0.5), _Term(1.0, 0.5),
+                                   _Term(0.3, 0.5, times_h=True)], xcol, h, g
+
+
 class TestPowerMemo:
     @staticmethod
     def reference(terms, x, h, g):
@@ -162,6 +185,20 @@ class TestPowerMemo:
         _term_values(_terms(ConvexCombo(0.5), 2.0, 5), xcol, g, g, shared)
         assert _term_values(terms, xcol, g, g, shared).tobytes() == want
         assert len(shared) <= 1
+
+    @pytest.mark.parametrize("case", list(_memo_edge_cases()), ids=lambda case: case[0])
+    def test_edge_cases_match_the_zero_started_sum(self, case):
+        """Each starting shape sums to the bits of 0.0 + part_1 + ..., and the
+        memo's power is read, never written."""
+        label, terms, x, h, g = case
+        want = self.reference(terms, x, h, g)
+        for seeded in (False, True):
+            memo = {0.5: np.power(g, 0.5)} if seeded else {}
+            got = _term_values(terms, x, h, g, memo)
+            assert got.tobytes() == want.tobytes(), label
+            for exp, power in memo.items():
+                assert power.tobytes() == np.power(g, exp).tobytes(), label
+                assert got is not power, label
 
 
 class TestClosedForm:

@@ -44,6 +44,7 @@ from contest_opt.optimizer import (
     _bounds,
     _chord_secant_upper,
     _convexity_classes,
+    _family,
     _lattice_matrix,
     _screen_weights,
     _worker_count,
@@ -302,6 +303,30 @@ class TestBranchAndBound:
         payload = json.loads(result.to_json())
         assert payload["method"] == "bnb"
         assert payload["policy"] == list(result.policy.values)
+
+
+class TestFamilyCache:
+    def test_equal_configs_share_one_read_only_family(self):
+        fam = _family(5, QuadratureConfig(m=3000))
+        assert _family(5, QuadratureConfig(m=3000)) is fam
+        assert _family(6, QuadratureConfig(m=3000)) is not fam
+        for arr in (fam.x, fam.w, fam.c0, fam.c1, fam.abs_c1, fam.split):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    # the five (n, alpha, beta) strata of the certify_bnb benchmark workload
+    BNB_DRAWS = ((5, 0.24, 2.0), (4, 0.45, 2.6), (5, 0.50, 2.0), (6, 0.05, 2.5), (4, 0.30, 0.8))
+
+    def test_cold_and_warm_cache_agree(self):
+        for n, alpha, beta in self.BNB_DRAWS:
+            for eps in (1e-3, 1e-4):
+                _family.cache_clear()
+                cold = branch_and_bound(n, alpha, beta, BnbConfig(eps))
+                warm = branch_and_bound(n, alpha, beta, BnbConfig(eps))
+                assert cold.certified and warm.certified
+                assert ((cold.value, cold.certified_gap, cold.nodes_explored)
+                        == (warm.value, warm.certified_gap, warm.nodes_explored))
+                assert cold.policy.values == warm.policy.values
 
 
 class TestWorkerCount:

@@ -99,6 +99,11 @@ class TestClassifyStructure:
         assert classify_structure(near_uni, 0.01).tag == "UNI"
         assert classify_structure(near_uni, 1e-4).tag == "Other"
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf"), float("-inf")])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            classify_structure(hm(5), tol)
+
 
 class TestParsePolicy:
     def test_comma_separated(self):

@@ -13,7 +13,7 @@ stable well beyond n = 60.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lgamma
+from math import isfinite, lgamma
 
 import numpy as np
 
@@ -44,14 +44,40 @@ def _log_binomials(n: int) -> np.ndarray:
     return np.array([log_binomial(n - 1, i - 1) for i in range(1, n + 1)])
 
 
+def _basis_rows(n: int, flat: np.ndarray, idx: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """Write a_i(x) into `out`, one row per rank i = idx + 1 and one column
+    per point of the 1-d `flat`, and return it.
+
+    Each value is C(n-1, i-1) x^(n-i) (1-x)^(i-1) taken in log space, one
+    element at a time, so a row is bit for bit the same whichever other
+    rows and points come with it.  Endpoints are patched exactly:
+    a_i(0) = [i == n], a_i(1) = [i == 1].  `scratch`, of the shape of
+    `out`, holds the (1-x) half; without it that half is a temporary.
+    """
+    logc = _log_binomials(n)[idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logx = np.log(flat)
+        log1mx = np.log1p(-flat)
+        np.multiply((n - 1 - idx).astype(float)[:, None], logx, out=out)  # n-i
+        np.add(logc[:, None], out, out=out)
+        out += np.multiply(idx.astype(float)[:, None], log1mx, out=scratch)  # i-1
+        np.exp(out, out=out)
+    at0 = flat == 0.0
+    at1 = flat == 1.0
+    if np.any(at0):
+        out[:, at0] = (idx == n - 1)[:, None]
+    if np.any(at1):
+        out[:, at1] = (idx == 0)[:, None]
+    return out
+
+
 def basis_columns(n: int, x, ranks) -> np.ndarray:
     """Basis values a_i(x) for the ranks i in `ranks`: shape
     ``x.shape + (len(ranks),)``, with a scalar x taken as one point.
 
-    Each value is C(n-1, i-1) x^(n-i) (1-x)^(i-1) taken in log space, one
-    element at a time, so a column is bit for bit the same whichever other
-    columns come with it.  Endpoints are patched exactly:
-    a_i(0) = [i == n], a_i(1) = [i == 1].
+    A column is bit for bit the same whichever other columns come with it
+    (see `_basis_rows`).
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -61,20 +87,8 @@ def basis_columns(n: int, x, ranks) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _check_unit_interval(x)
     flat = np.atleast_1d(x).ravel()
-    logc = _log_binomials(n)[idx]
-    powers_x = (n - 1 - idx).astype(float)  # n-i
-    powers_1mx = idx.astype(float)  # i-1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.log(flat)
-        log1mx = np.log1p(-flat)
-        # one row per rank, so numpy's inner loops run along the points
-        out = np.exp(logc[:, None] + powers_x[:, None] * logx + powers_1mx[:, None] * log1mx)
-    at0 = flat == 0.0
-    at1 = flat == 1.0
-    if np.any(at0):
-        out[:, at0] = (idx == n - 1)[:, None]
-    if np.any(at1):
-        out[:, at1] = (idx == 0)[:, None]
+    # one row per rank, so numpy's inner loops run along the points
+    out = _basis_rows(n, flat, idx, np.empty((len(idx), flat.size)))
     return np.ascontiguousarray(out.T).reshape((x.shape or (1,)) + (len(idx),))
 
 
@@ -88,27 +102,43 @@ def basis_matrix(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _basis_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``basis_matrix(n, x) @ coeffs`` without the full (points, n) matrix.
+    """``basis_matrix(n, x) @ coeffs`` for an x already checked to lie in
+    [0, 1], without the full (points, n) matrix.
 
-    Works through blocks of about `_BLOCK_ELEMENTS` basis values.  A 1-d x
+    Works through runs of about `_BLOCK_ELEMENTS` basis values.  A 1-d x
     is cut into runs whose length is a multiple of 64, with a lone last
     point kept in the run before it, and an n-d x into runs of whole
-    last-axis rows.  The matrix-vector kernel thus meets the same row
-    groups as in one product, and each value is bitwise the same.
+    last-axis rows.  Every run writes its basis rows and their transpose
+    into the same two buffers, and its product has the shape it would have
+    in one product, so the matrix-vector kernel meets the same row groups
+    and each value is bitwise the same.
     """
     if x.size * n <= _BLOCK_ELEMENTS:
-        return basis_matrix(n, x) @ coeffs
-    if x.ndim == 1:
+        starts = [0]
+    elif x.ndim == 1:
         step = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
+        starts = list(range(0, len(x), step))
+        if len(starts) > 1 and len(x) % step == 1:
+            del starts[-1]  # numpy takes a one-row product by another kernel
     else:
         step = _BLOCK_ELEMENTS // (n * x[0].size)
         if step == 0:
             return np.stack([_basis_dot(n, row, coeffs) for row in x])
-    starts = range(0, len(x), step)
-    if x.ndim == 1 and len(starts) > 1 and len(x) % step == 1:
-        starts = starts[:-1]  # numpy takes a one-row product by another kernel
-    ends = list(starts[1:]) + [len(x)]
-    return np.concatenate([basis_matrix(n, x[a:b]) @ coeffs for a, b in zip(starts, ends)])
+        starts = list(range(0, len(x), step))
+    ends = starts[1:] + [len(x)]
+    most = n * max(x[a:b].size for a, b in zip(starts, ends))
+    by_rank, by_point = np.empty(most), np.empty(most)
+    ranks = np.arange(n)
+    out = np.empty(x.shape)
+    for a, b in zip(starts, ends):
+        flat = x[a:b].ravel()
+        size = flat.size * n
+        rows = _basis_rows(n, flat, ranks, by_rank[:size].reshape(n, flat.size),
+                           by_point[:size].reshape(n, flat.size))
+        matrix = by_point[:size].reshape(flat.size, n)
+        matrix[...] = rows.T
+        np.matmul(matrix.reshape(x[a:b].shape + (n,)), coeffs, out=out[a:b])
+    return out
 
 
 def weights_dot_basis(n: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -172,8 +202,15 @@ def h_inverse(p: Policy, y, tol: float = TOL_INV, max_iter: int = MAX_BISECT):
     """Unique x in [0, 1] with h(x, p) = y, by bisection.
 
     h is strictly increasing for nontrivial p, so bisection converges
-    unconditionally; y must lie in [p_n, p_1].
+    unconditionally; y must lie in [p_n, p_1].  It stops once x is pinned
+    within tol/(n-1), after `max_iter` steps, or once every midpoint it
+    keeps equals an end of its bracket: such a bracket no longer moves, so
+    the steps left would return that same midpoint.
     """
+    if max_iter < 1:
+        raise DomainError("max_iter must be at least 1, got %r" % (max_iter,))
+    if not (tol >= 0.0 and isfinite(tol)):
+        raise DomainError("tol must be finite and >= 0, got %r" % (tol,))
     if not is_nontrivial(p):
         raise TrivialPolicyError("h is constant for the all-equal policy")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -184,12 +221,15 @@ def h_inverse(p: Policy, y, tol: float = TOL_INV, max_iter: int = MAX_BISECT):
             "y outside [p_n, p_1] = [%.9g, %.9g]" % (lo_val, hi_val)
         )
     y_clip = np.clip(y_arr, lo_val, hi_val)
+    at_end = (y_clip == lo_val) | (y_clip == hi_val)  # set exactly after the loop
     lo = np.zeros_like(y_clip)
     hi = np.ones_like(y_clip)
     # dh/dx <= n-1, so an x-interval of tol/(n-1) pins h within tol
     x_tol = tol / max(p.n - 1, 1)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
+        if np.all(at_end | (mid == lo) | (mid == hi)):
+            break
         below = h_eval(p, mid) < y_clip
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

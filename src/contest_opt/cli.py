@@ -212,8 +212,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise ContestOptError("--seed must be >= 0, got %d" % args.seed)
+
+
 def cmd_equilibrium(args) -> int:
     _check_common(args)
+    _check_seed(args)
     policy = parse_policy(args.policy, args.n)
     model = eq.EquilibriumModel(policy, args.beta)
     buf = io.StringIO()
@@ -244,6 +250,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ContestOptError("--trials must be at least 1, got %d" % args.trials)
+    _check_seed(args)
     results = verify_mod.run_checks(only=args.only, seed=args.seed, trials=args.trials)
     if not results:
         sys.stderr.write("error: no checks match %r\n" % args.only)

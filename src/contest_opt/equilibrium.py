@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import h_eval, h_inverse
-from .errors import DomainError, RangeError, TrivialPolicyError
+from .errors import BudgetExceededError, DomainError, RangeError, TrivialPolicyError
 from .objective import DEFAULT_QUAD, ConvexCombo, beta_value, lattice_value
 from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
@@ -27,6 +27,9 @@ from .quadrature import QuadratureConfig
 _SIM_CHUNK = 250_000
 # rounds per audit block: bounds the (rounds, n-1) temporaries of `_rank_counts`
 _AUDIT_ROWS = 16_384
+# largest CDF table and deviation grid: memory and time grow with each
+MAX_TABLE_POINTS = 100_000
+MAX_DEVIATION_GRID = 100_000
 
 
 @dataclass(frozen=True)
@@ -84,8 +87,10 @@ def quantile(model: EquilibriumModel, u):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise DomainError("quantile argument must lie in [0, 1]")
-    inner = np.clip(h_eval(model.policy, u_arr) - model.policy.pn, 0.0, None)
-    out = inner ** (1.0 / model.beta)
+    out = h_eval(model.policy, u_arr)
+    out -= model.policy.pn
+    np.clip(out, 0.0, None, out=out)
+    out **= 1.0 / model.beta
     return float(out[0]) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
 
 
@@ -144,6 +149,9 @@ def cdf_table(model: EquilibriumModel, points: int = 101) -> np.ndarray:
     """Uniform q-grid table of (q, F(q)) pairs over the support."""
     if points < 2:
         raise DomainError("need at least 2 table points")
+    if points > MAX_TABLE_POINTS:
+        raise BudgetExceededError("CDF table of %d points exceeds the cap of %d"
+                                  % (points, MAX_TABLE_POINTS))
     q = np.linspace(0.0, model.q_max, points)
     return np.column_stack([q, cdf(model, q)])
 
@@ -152,20 +160,40 @@ def _chunk_seeds(seed: int, chunks: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(chunks)
 
 
+def _grid_positions(grid: np.ndarray, values: np.ndarray):
+    """``np.searchsorted(grid, values)``, the number of grid points strictly
+    below each value, and the grid point at that index (inf past the end).
+
+    For a uniform grid from 0, ``floor(v (size-1) / grid[-1])`` is at most
+    two below that count and never above it, so steps up while the next
+    grid point is still below v make it exact.
+    """
+    size = grid.size
+    padded = np.append(grid, np.inf)
+    scale = (size - 1) / grid[-1] if size > 1 else 0.0
+    pos = np.clip(values * scale, 0, size).astype(np.intp)
+    while True:
+        at = padded[pos]
+        up = at < values
+        if not up.any():
+            return pos, at
+        pos += up
+
+
 def _rank_counts(opponents: np.ndarray, grid: np.ndarray, rng) -> np.ndarray:
     """Integer table counts[k, g]: rounds in which a deviation to grid[g]
     against that round's opponents takes rank k + 1.
 
-    The rank is one plus the number of opponents strictly above the
-    deviation.  Sorting each round's grid positions once gives, for every
-    order statistic, a histogram whose cumulative sums count the rounds it
-    beats at each grid point.  Rounds with an opponent exactly on a grid
-    point (a null event) take the per-point rule instead, with the tie
-    broken uniformly by `rng`.
+    `grid` is ``np.linspace(0, grid[-1], grid.size)``.  The rank is one
+    plus the number of opponents strictly above the deviation.  Sorting
+    each round's grid positions once gives, for every order statistic, a
+    histogram whose cumulative sums count the rounds it beats at each grid
+    point.  Rounds with an opponent exactly on a grid point (a null event)
+    take the per-point rule instead, with the tie broken uniformly by `rng`.
     """
     size = grid.size
-    below = np.searchsorted(grid, opponents)  # grid points strictly below
-    tie_rows = (grid[np.minimum(below, size - 1)] == opponents).any(axis=1)
+    below, at = _grid_positions(grid, opponents)
+    tie_rows = (at == opponents).any(axis=1)
     below = np.sort(below[~tie_rows], axis=1)
     rounds, m = below.shape
     # column j of `below` holds each round's (m - j)-th largest opponent
@@ -201,6 +229,11 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
         raise DomainError("need at least 1000 samples, got %d" % samples)
     if deviation_grid < 1:
         raise DomainError("need at least 1 deviation grid point, got %d" % deviation_grid)
+    if deviation_grid > MAX_DEVIATION_GRID:
+        raise BudgetExceededError("deviation grid of %d points exceeds the cap of %d"
+                                  % (deviation_grid, MAX_DEVIATION_GRID))
+    if seed < 0:
+        raise DomainError("seed must be >= 0, got %d" % seed)
     n = model.policy.n
     pvals = model.policy.as_array()
     pn = model.policy.pn
@@ -218,9 +251,10 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
         done += rounds
         rng = np.random.default_rng(seeds[c])
         qualities = quantile(model, rng.random((rounds, n)).ravel()).reshape(rounds, n)
-        ranked = -np.sort(-qualities, axis=1)
+        ascending = np.sort(qualities, axis=1)
         chosen_rank = rng.choice(n, size=rounds, p=pvals)
-        awarded = ranked[np.arange(rounds), chosen_rank]
+        # rank k + 1, counted from the top, sits at column n - 1 - k
+        awarded = ascending[np.arange(rounds), n - 1 - chosen_rank]
         welfare_sum += awarded.sum()
         welfare_sq += (awarded**2).sum()
         quality_sum += qualities.sum()

@@ -191,6 +191,61 @@ class TestHInverse:
         with pytest.raises(TrivialPolicyError):
             h_inverse(make_policy((0.25,) * 4), 0.25)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iterations_rejected(self, max_iter):
+        # no step would return the first midpoint, 0.5, for every point
+        with pytest.raises(DomainError, match="max_iter"):
+            h_inverse(hm(5), [0.01, 0.5], max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("inf"), float("-inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            h_inverse(hm(5), [0.01, 0.5], tol=tol)
+
+    def test_zero_tolerance_stops_when_the_bisection_stalls(self):
+        assert h_inverse(hm(5), 0.0625, tol=0.0) == pytest.approx(0.5, abs=1e-15)
+
+
+def plain_bisection(p, y, steps=bernstein.MAX_BISECT):
+    """`steps` bisection steps with no early exit, endpoints set exactly."""
+    y = np.clip(np.asarray(y, dtype=float), p.pn, p.p1)
+    lo, hi = np.zeros_like(y), np.ones_like(y)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = h_eval(p, mid) < y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    out[y == p.pn] = 0.0
+    out[y == p.p1] = 1.0
+    return out
+
+
+class TestStalledBisection:
+    """Below the spacing of doubles, bisection stops once no bracket moves."""
+
+    @pytest.mark.parametrize("n", [11, 12, 20, 50])
+    def test_same_bits_as_every_step(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        for zero_bottom in (True, False):
+            p = random_policy(rng, n, zero_bottom=zero_bottom)
+            beta = rng.uniform(0.8, 3.0)
+            q_max = (p.p1 - p.pn) ** (1.0 / beta)
+            # the CDF table's targets, both ends included, and random ones
+            y = np.concatenate([p.pn + np.linspace(0.0, q_max, 101) ** beta,
+                                rng.uniform(p.pn, p.p1, 50), [p.pn, p.p1]])
+            calls = []
+            real = bernstein.h_eval
+            monkeypatch.setattr(bernstein, "h_eval", lambda *a: calls.append(1) or real(*a))
+            x = h_inverse(p, y, tol=1e-15)
+            monkeypatch.setattr(bernstein, "h_eval", real)
+            assert np.array_equal(x, plain_bisection(p, y))
+            assert len(calls) < bernstein.MAX_BISECT // 2
+
+    def test_all_targets_at_the_ends_take_no_step(self, monkeypatch):
+        p = uni(12)
+        monkeypatch.setattr(bernstein, "h_eval", None)  # would fail if called
+        assert np.array_equal(h_inverse(p, [p.pn, p.p1, p.pn], tol=1e-15), [0.0, 1.0, 0.0])
+
 
 class TestBlockedEvaluation:
     """h and dh/dx are built block by block, each value bitwise as in one product."""
@@ -201,17 +256,25 @@ class TestBlockedEvaluation:
     def reference(p, x):
         n, arr = p.n, p.as_array()
         value = basis_matrix(n, np.atleast_1d(x)) @ arr
-        slope = (n - 1) * (basis_matrix(n - 1, np.atleast_1d(x)) @ (arr[:-1] - arr[1:]))
+        if n == 2:
+            slope = np.full(np.shape(x), arr[0] - arr[1])
+        else:
+            slope = (n - 1) * (basis_matrix(n - 1, np.atleast_1d(x)) @ (arr[:-1] - arr[1:]))
         return value.reshape(np.shape(x)), slope.reshape(np.shape(x))
 
     @pytest.mark.parametrize("budget", [64, 1000, 1 << 16])
     def test_bitwise_equal_to_one_product(self, monkeypatch, budget):
         monkeypatch.setattr(bernstein, "_BLOCK_ELEMENTS", budget)
         rng = np.random.default_rng(budget)
-        for n in (3, 4, 5, 8, 20, 33):
+        for n in range(2, 41):
             p = random_policy(rng, n, zero_bottom=bool(rng.integers(2)))
-            for shape in self.SHAPES:
+            step = max(64, budget // n // 64 * 64)  # a 1-d run's length
+            # a lone last point joins the run before it; one more point is a run
+            lone = [(step + 1,), (3 * step + 1,), (3 * step + 2,)]
+            for shape in self.SHAPES + lone:
                 x = rng.random(shape)
+                if x.ndim:  # the exact endpoint values inside blocks too
+                    x.flat[::97], x.flat[1::89] = 0.0, 1.0
                 value, slope = h_eval(p, x), h_derivative(p, x)
                 ref_value, ref_slope = self.reference(p, x)
                 assert np.shape(value) == np.shape(slope) == shape

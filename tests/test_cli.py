@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from contest_opt import QuadratureConfig, parse_objective_config, parse_policy
-from contest_opt import optimizer
+from contest_opt import equilibrium, optimizer
 from contest_opt import verify
 from contest_opt.cli import main
 from contest_opt.policy import classify_structure
@@ -281,6 +281,38 @@ class TestEquilibriumCommand:
         assert code == 1 and "deviation grid" in err
         assert out == ""  # checked before the CDF table is written
 
+    # stdout of each command, pinned before the sampler, the CDF bisection
+    # and the deviation audit were last reworked; the 12-rank policy (p_n = 0)
+    # inverts h below the spacing of doubles
+    PINNED = {
+        ("--policy", "hm", "--n", "5"):
+            "02e6246791ec8cbefd2edb49553d5f6359bca9395ce3f9cde288368260605365",
+        ("--policy", "0.3,0.2,0.1,0.08,0.07,0.06,0.05,0.04,0.04,0.03,0.03,0",
+         "--n", "12", "--beta", "1.5"):
+            "570a8fbfabf871107ba2fbae0da2f1f2c100ef244f171228f905c3841d303a78",
+    }
+
+    @pytest.mark.parametrize("policy_args", list(PINNED))
+    def test_output_is_pinned(self, capsys, policy_args):
+        code, out, _ = run_cli(capsys, "equilibrium", *policy_args,
+                               "--simulate", "20000", "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[policy_args]
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "equilibrium", "--policy", "hm", "--n", "5",
+                                 "--simulate", "2000", "--seed", "-1")
+        assert code == 1 and out == "" and "--seed" in err
+
+    @pytest.mark.parametrize("flag, cap, extra", [
+        ("--points", equilibrium.MAX_TABLE_POINTS, ()),
+        ("--deviation-grid", equilibrium.MAX_DEVIATION_GRID, ("--points", "2")),
+    ])
+    def test_size_above_the_cap_is_refused(self, capsys, flag, cap, extra):
+        code, out, err = run_cli(capsys, "equilibrium", "--policy", "hm", "--n", "5",
+                                 "--simulate", "2000", flag, str(cap + 1), *extra)
+        assert code == 3 and out == "" and "exceeds the cap of %d" % cap in err
+
 
 class TestVerifyCommand:
     def test_subset_run_passes(self, capsys):
@@ -305,6 +337,15 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--trials", trials, *only)
         assert code == 1 and out == ""
         assert "--trials must be at least 1" in err
+
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "run_checks", never)
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--trials", "1",
+                                 "--only", "bernstein")
+        assert code == 1 and out == "" and "--seed" in err
 
     def test_whole_registry_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "10")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from contest_opt import (
+    BudgetExceededError,
     DomainError,
     EquilibriumModel,
     QuadratureConfig,
@@ -21,7 +22,13 @@ from contest_opt import (
     utility,
     welfare_quality_analytic,
 )
-from contest_opt.equilibrium import _SIM_CHUNK, _rank_counts
+from contest_opt.equilibrium import (
+    _SIM_CHUNK,
+    MAX_DEVIATION_GRID,
+    MAX_TABLE_POINTS,
+    _grid_positions,
+    _rank_counts,
+)
 
 
 def random_model(rng, n=5):
@@ -181,6 +188,19 @@ class TestSimulate:
         with pytest.raises(Exception):
             simulate(model, 10, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            simulate(EquilibriumModel(hm(5), 2.0), 2000, seed=-1)
+
+    def test_deviation_grid_cap(self):
+        model = EquilibriumModel(hm(5), 2.0)
+        with pytest.raises(BudgetExceededError, match="deviation grid"):
+            simulate(model, 2000, seed=0, deviation_grid=MAX_DEVIATION_GRID + 1)
+
+    def test_table_cap(self):
+        with pytest.raises(BudgetExceededError, match="CDF table"):
+            cdf_table(EquilibriumModel(hm(5), 2.0), MAX_TABLE_POINTS + 1)
+
 
 def per_point_counts(opponents, grid):
     """counts[k, g] by the per-grid-point loop, for rounds without ties."""
@@ -189,6 +209,25 @@ def per_point_counts(opponents, grid):
     for g, point in enumerate(grid):
         counts[:, g] = np.bincount((opponents > point).sum(axis=1), minlength=n)
     return counts
+
+
+class TestGridPositions:
+    """The deviation grid's positions equal `np.searchsorted` exactly."""
+
+    # at size 1000 the last top puts the first estimate two places below
+    # the count for 38 values just above a grid point
+    @pytest.mark.parametrize("size", [1, 2, 50, 1000])
+    @pytest.mark.parametrize("top", [0.2, 1.2, 1.0 / 3.0 + 0.2, 0.0132435482 + 0.2,
+                                     0.23681557248910187])
+    def test_matches_searchsorted(self, size, top):
+        grid = np.linspace(0.0, top, size)
+        rng = np.random.default_rng(size)
+        values = np.concatenate([
+            grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf), [0.0],
+            rng.uniform(0.0, top, 5000), rng.uniform(0.0, 1.5 * top, 1000)])
+        pos, at = _grid_positions(grid, values)
+        assert np.array_equal(pos, np.searchsorted(grid, values))
+        assert np.array_equal(at, np.append(grid, np.inf)[pos])
 
 
 class TestRankCounts:

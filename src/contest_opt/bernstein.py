@@ -214,6 +214,8 @@ def h_inverse(p: Policy, y, tol: float = TOL_INV, max_iter: int = MAX_BISECT):
     if not is_nontrivial(p):
         raise TrivialPolicyError("h is constant for the all-equal policy")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all(np.isfinite(y_arr)):
+        raise RangeError("y must be finite")
     lo_val, hi_val = p.pn, p.p1
     slack = 1e-9 * max(1.0, abs(hi_val))
     if np.any(y_arr < lo_val - slack) or np.any(y_arr > hi_val + slack):

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -162,8 +161,8 @@ def cmd_sweep(args) -> int:
     """Write the alpha x beta portrait of optimal two-level policies as CSV.
 
     Each beta column is one `two_level_line_search_batch` over the column's
-    alphas, so the column shares one scan of the two-level family; the pool
-    takes one column per task.  Rows are sorted by (alpha, beta).
+    alphas, so the column shares the grid points its line searches
+    evaluate.  Rows are sorted by (alpha, beta).
     """
     _check_common(args)
     cells = 1000 if args.full else args.cells
@@ -188,19 +187,15 @@ def cmd_sweep(args) -> int:
     spacing = (1.0 - 1.0 / (args.n - 1)) / (args.steps - 1)
     tol = max(1e-6, 0.5 * spacing)
 
-    def column(beta):
+    rows = []
+    for beta in betas:
         results = opt.two_level_line_search_batch(
             [obj.ConvexCombo(alpha) for alpha in alphas], beta, args.n,
             steps=args.steps, quad=quad)
-        rows = []
         for alpha, result in zip(alphas, results):
             p = result.policy.values
             tag = classify_structure(result.policy, tol).tag
             rows.append((alpha, beta, p[0], p[1], result.value, tag))
-        return rows
-
-    with ThreadPoolExecutor(max_workers=opt._worker_count()) as pool:
-        rows = [row for col in pool.map(column, betas) for row in col]
     rows.sort(key=lambda r: (r[0], r[1]))
 
     buf = io.StringIO()

@@ -30,6 +30,9 @@ _AUDIT_ROWS = 16_384
 # largest CDF table and deviation grid: memory and time grow with each
 MAX_TABLE_POINTS = 100_000
 MAX_DEVIATION_GRID = 100_000
+# largest n x G of the deviation audit, whose tables hold n (G + 1) counts
+# per block: n = 40 at the largest grid peaked at 206 MB
+MAX_AUDIT_CELLS = 40 * MAX_DEVIATION_GRID
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,8 @@ class SimReport:
 def cdf(model: EquilibriumModel, q):
     """Equilibrium CDF at quality q, for q in [0, q_max]."""
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.all(np.isfinite(q_arr)):
+        raise RangeError("q must be finite")
     qm = model.q_max
     if np.any(q_arr < -1e-15) or np.any(q_arr > qm + 1e-12):
         raise RangeError("q outside the support [0, %.9g]" % qm)
@@ -232,9 +237,12 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
     if deviation_grid > MAX_DEVIATION_GRID:
         raise BudgetExceededError("deviation grid of %d points exceeds the cap of %d"
                                   % (deviation_grid, MAX_DEVIATION_GRID))
+    n = model.policy.n
+    if n * deviation_grid > MAX_AUDIT_CELLS:
+        raise BudgetExceededError("deviation audit of %d contestants x %d grid points exceeds "
+                                  "the cap of %d" % (n, deviation_grid, MAX_AUDIT_CELLS))
     if seed < 0:
         raise DomainError("seed must be >= 0, got %d" % seed)
-    n = model.policy.n
     pvals = model.policy.as_array()
     pn = model.policy.pn
     grid = np.linspace(0.0, model.q_max + 0.2, deviation_grid)

@@ -6,7 +6,8 @@ to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
 ``h(x, p1) = c0(x) + c1(x) p1``, which yields computable interval bounds
 
     L(I) = max(G(l), G(u))
-    U(I) = G evaluated at max(h_l, h_u), i.e. h_u where c1 >= 0, h_l where c1 < 0
+    U(I) = each term at the end of I where its integrand is largest: at u
+           where coef * c1 >= 0, at l elsewhere
 
 and the gap contraction  U - L <= how far the objective's terms move over
 a step of |I| (`_TwoLevelFamily.step_moves`).  This rise/fall bound is
@@ -18,7 +19,9 @@ points on either side, so the lower of the two bounds holds; the root,
 which has no neighbours, keeps the rise/fall bound unless no term is
 concave.  The active set algorithm bisects the interval with the largest
 upper bound until the incumbent is within the (quadrature-adjusted)
-tolerance.  Every call reads values, bounds and step moves from one
+tolerance.  The line search finds the best point of its p1 grid with the
+same two bounds, dropping grid cells instead of scanning them
+(`_grid_argmax`).  Every call reads values, bounds and step moves from one
 `_TwoLevelFamily` (nodes, c0, c1, |c1|, rise/fall weights), built once per
 (n, rule) and shared read-only (`_family`).
 
@@ -36,9 +39,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import os
-from functools import lru_cache
-from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -166,7 +168,7 @@ def c_decomposition(n: int, x) -> CDecomposition:
 
 class _EndpointSums(NamedTuple):
     """The rise and fall sums of the convex terms, then of the concave terms,
-    at one top share (see `_TwoLevelFamily`)."""
+    at one top share, or as arrays at several (see `_TwoLevelFamily`)."""
 
     vex_rise: float
     vex_fall: float
@@ -191,16 +193,28 @@ def _convexity_classes(spec: ObjectiveSpec, b: float, n: int):
     that are concave: h is affine in p1 at each node, so coef * x^a * h^r is
     convex when coef * (r - 1) >= 0 and concave otherwise."""
     terms = _terms(spec, b, n)
-    return ([t for t in terms if t.coef * (t.power - 1.0) >= 0.0],
-            [t for t in terms if t.coef * (t.power - 1.0) < 0.0])
+    return ([t for t in terms if _is_convex(t)], [t for t in terms if not _is_convex(t)])
+
+
+def _is_convex(t: _Term) -> bool:
+    return t.coef * (t.power - 1.0) >= 0.0
+
+
+def _rise_column(t: _Term) -> int:
+    """The column of `_TwoLevelFamily.split` whose nodes the term grows on as
+    p1 grows: 0, where c1 >= 0, for a nonnegative coefficient; 1, where
+    c1 < 0, for a negative one, which falls as h rises.  Over [lo, hi] a
+    term's integrand is largest at hi on those nodes and at lo on the rest,
+    which is the rise/fall bound (`_rise_fall_upper`)."""
+    return 0 if t.coef >= 0.0 else 1
 
 
 class _TwoLevelFamily:
     """The two-level chain h = c0(x) + c1(x)*p1 on the nodes of one rule.
 
-    Every term of the welfare/quality mix is nondecreasing in h, so over
-    [lo, hi] the pointwise max of its integrand sits at hi where c1 >= 0
-    and at lo where c1 < 0.  `endpoint_sums` integrates one endpoint against
+    Every term x^a * h^r is nondecreasing in h, so at each node it grows
+    with p1 where its coefficient times c1 is >= 0 and falls elsewhere
+    (`_rise_column`).  `endpoint_sums` integrates one endpoint against
     both halves of the weights, once per convexity class: G(p1) is the sum
     of the four and U(lo, hi) = rise(hi) + fall(lo).
     """
@@ -219,50 +233,48 @@ class _TwoLevelFamily:
         for arr in (self.c0, self.c1, self.abs_c1, self.split):
             arr.setflags(write=False)
 
-    def _h(self, p1s: np.ndarray) -> np.ndarray:
-        """h at every node (rows) and top share in `p1s` (columns)."""
-        h = np.multiply.outer(self.c1, p1s)
-        h += self.c0[:, None]
-        return h
-
     def values(self, spec: ObjectiveSpec, b: float, p1s: np.ndarray) -> np.ndarray:
         """Objective values at each top share in `p1s`, summed term by term
         at each node (`lattice_value`)."""
-        return lattice_value(spec, b, self._h(p1s), 0.0, self.x, self.w, self.n)
+        h = np.multiply.outer(self.c1, p1s)
+        h += self.c0[:, None]
+        return lattice_value(spec, b, h, 0.0, self.x, self.w, self.n)
 
-    def scan(self, specs, b: float, p1s: np.ndarray) -> list[np.ndarray]:
-        """Each objective's values at each top share in `p1s`, from one
-        integral per term shape.
+    @cached_property
+    def _split_and_w(self) -> np.ndarray:
+        """The (m, 3) weights [rise half, fall half, all] of `shape_sums`."""
+        weights = np.column_stack((self.split, self.w))
+        weights.setflags(write=False)
+        return weights
 
-        A term's shape, x^a * h^r with its welfare factor, holds no
-        coefficient, so each distinct shape among all the objectives' terms
-        is integrated once, with one power memo, and each objective's values
-        are the sum of coef * integral over its own terms, in their order.
-        They differ from `values`, which sums the terms at each node first,
-        only in rounding: the line search picks its cell from them and
-        refines it on `values`.
+    def shape_sums(self, shapes, p1: float) -> np.ndarray:
+        """Integrals of each unit-coefficient term in `shapes` at p1, one row
+        each: over the two halves of `split`, then over all the nodes.
+
+        One h and one power memo serve every shape, and each row is one
+        product of its integrand with the (m, 3) weights, so a row depends
+        on its shape and p1 alone, not on the shapes beside it.
         """
-        h = self._h(p1s)
-        xcol = self.x[:, None]
+        h = self.c0 + self.c1 * p1
         powers: dict = {}
-        integrals: dict = {}
-
-        def integral(t: _Term) -> np.ndarray:
-            shape = (t.g_exp, t.x_pow, t.times_h)
-            if shape not in integrals:
-                unit = _Term(1.0, *shape)
-                integrals[shape] = _term_values([unit], xcol, h, h, powers).T @ self.w
-            return integrals[shape]
-
-        return [sum(t.coef * integral(t) for t in _terms(spec, b, self.n)) for spec in specs]
+        return np.array([_term_values([unit], self.x, h, h, powers) @ self._split_and_w
+                         for unit in shapes])
 
     def endpoint_sums(self, classes, p1: float) -> _EndpointSums:
         """`_EndpointSums` at p1 of the two term lists of `_convexity_classes`,
         from one h and one power memo."""
         h = self.c0 + self.c1 * p1
         powers: dict = {}
-        vex, cav = (_term_values(terms, self.x, h, h, powers) @ self.split
-                    for terms in classes)
+
+        def rise_fall(terms) -> np.ndarray:
+            sums = _term_values([t for t in terms if _rise_column(t) == 0],
+                                self.x, h, h, powers) @ self.split
+            falling = [t for t in terms if _rise_column(t) == 1]
+            if falling:
+                sums += (_term_values(falling, self.x, h, h, powers) @ self.split)[::-1]
+            return sums
+
+        vex, cav = (rise_fall(terms) for terms in classes)
         return _EndpointSums(float(vex[0]), float(vex[1]), float(cav[0]), float(cav[1]))
 
     def step_moves(self, spec: ObjectiveSpec, b: float) -> tuple[float, list[tuple[float, float]]]:
@@ -292,8 +304,8 @@ class _TwoLevelFamily:
 @lru_cache(maxsize=8)
 def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
     """The `_TwoLevelFamily` of (n, quad), built once and shared read-only
-    by every caller and thread.  At `BNB_QUAD` a build takes longer than a
-    whole branch-and-bound call on n = 4, and the family holds 4 MB.
+    by every caller.  At `BNB_QUAD` a build takes longer than a whole
+    branch-and-bound call on n = 4, and the family holds 4 MB.
 
     Eight families hold four n at both default rules that reach here
     (`BNB_QUAD`, `LINE_QUAD`).  Cycling branch-and-bound and a line search
@@ -302,14 +314,19 @@ def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
     return _TwoLevelFamily(n, quad)
 
 
+def _rise_fall_upper(at_lo: _EndpointSums, at_hi: _EndpointSums):
+    """The rise/fall bound over [lo, hi]: every term's rising half at hi and
+    its falling half at lo (`_rise_column`)."""
+    return at_hi.vex_rise + at_hi.cav_rise + at_lo.vex_fall + at_lo.cav_fall
+
+
 def _bounds(at_lo: _EndpointSums, at_hi: _EndpointSums) -> tuple[float, float]:
     """(L, U) over [lo, hi] from the sums at its ends: U is the rise/fall bound."""
-    rise = at_hi.vex_rise + at_hi.cav_rise
-    return max(at_lo.value, at_hi.value), rise + at_lo.vex_fall + at_lo.cav_fall
+    return max(at_lo.value, at_hi.value), _rise_fall_upper(at_lo, at_hi)
 
 
-def _chord_secant_upper(lo: float, hi: float, at_lo: _EndpointSums, at_hi: _EndpointSums,
-                        left_slope: Optional[float], right_slope: Optional[float]) -> float:
+def _chord_secant_upper(lo, hi, at_lo: _EndpointSums, at_hi: _EndpointSums,
+                        left_slope, right_slope):
     """Upper bound over [lo, hi] from the chord of the convex terms plus the
     lower of the concave terms' secants; inf with no secant.
 
@@ -319,24 +336,39 @@ def _chord_secant_upper(lo: float, hi: float, at_lo: _EndpointSums, at_hi: _Endp
     linear, so its max sits at lo, hi or where the secants cross.  The
     bound is widened by `BRACKET_ROUNDING` times the ends' absolute class
     sums: each secant is extrapolated over at most the width of its base.
+
+    Branch-and-bound passes floats, with None for a missing slope; the line
+    search passes arrays, bounded elementwise, with nan for one.
     """
+    left = math.nan if left_slope is None else left_slope
+    right = math.nan if right_slope is None else right_slope
+    # min and max that skip a nan: numpy's on arrays, and on floats two
+    # that cost a tenth as much
+    least, most = (np.fmin, np.fmax) if isinstance(hi, np.ndarray) else (_fmin, _fmax)
     width = hi - lo
 
-    def bound_at(t: float) -> float:
-        cav = math.inf
-        if left_slope is not None:
-            cav = at_lo.cav + left_slope * t
-        if right_slope is not None:
-            cav = min(cav, at_hi.cav - right_slope * (width - t))
+    def bound_at(t):
+        cav = least(least(at_lo.cav + left * t, at_hi.cav - right * (width - t)), math.inf)
         return at_lo.vex + (at_hi.vex - at_lo.vex) * (t / width) + cav
 
-    points = [0.0, width]
-    if left_slope is not None and right_slope is not None and left_slope != right_slope:
-        cross = (at_hi.cav - at_lo.cav - right_slope * width) / (left_slope - right_slope)
-        points.append(min(max(cross, 0.0), width))
+    # the secants cross at nan where one is missing, which `most` takes to
+    # the end 0, and at +-inf, an end, where they are parallel
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = least(most(np.divide(at_hi.cav - at_lo.cav - right * width, left - right),
+                           0.0), width)
     rounding = BRACKET_ROUNDING * (abs(at_lo.vex) + abs(at_lo.cav)
                                    + abs(at_hi.vex) + abs(at_hi.cav))
-    return max(bound_at(t) for t in points) + rounding
+    return most(most(bound_at(0.0), bound_at(width)), bound_at(cross)) + rounding
+
+
+def _fmin(a: float, b: float) -> float:
+    """`np.fmin` of two floats: the lower, or the one that is not nan."""
+    return b if a != a or b < a else a
+
+
+def _fmax(a: float, b: float) -> float:
+    """`np.fmax` of two floats: the higher, or the one that is not nan."""
+    return b if a != a or b > a else a
 
 
 def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
@@ -426,7 +458,8 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
                       right_slope: Optional[float]) -> Interval:
         at_lo, at_hi = endpoint(lo), endpoint(hi)
         lower, upper = _bounds(at_lo, at_hi)
-        upper = min(upper, _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope))
+        upper = min(upper, float(_chord_secant_upper(lo, hi, at_lo, at_hi,
+                                                     left_slope, right_slope)))
         return Interval(lo, hi, lower, upper, depth, left_slope, right_slope)
 
     lo0, hi0 = 1.0 / (n - 1), 1.0
@@ -487,24 +520,9 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
     )
 
 
-def _worker_count() -> int:
-    """Sweep pool size: CONTEST_OPT_THREADS, else up to 8, never above the CPU count."""
-    cpus = os.cpu_count() or 1
-    env = os.environ.get("CONTEST_OPT_THREADS", "").strip()
-    if not env:
-        return min(8, cpus)
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise DomainError("CONTEST_OPT_THREADS must be a positive integer, got %r" % env)
-    return min(count, cpus)
-
-
 def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
                           quad: QuadratureConfig | None = None) -> OptResult:
-    """Scan the two-level family on a uniform p1 grid, then Brent-refine the best cell.
+    """Best point of a uniform p1 grid over the two-level family, Brent-refined in its cell.
 
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
@@ -517,16 +535,16 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
 
 def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
                                 quad: QuadratureConfig | None = None) -> list[OptResult]:
-    """`two_level_line_search` for each objective of `specs`, from one scan.
+    """`two_level_line_search` for each objective of `specs` at once.
 
     The objectives share beta, n and the rule, so they share one two-level
-    family, one p1 grid and, per chunk of 128 grid points, one integral per
-    term shape (`_TwoLevelFamily.scan`): the alpha column of a sweep
-    integrates two shapes per chunk, whatever its number of alphas.  Each
-    objective then gets its own argmax, bounded Brent refinement of its
-    best cell on its own term-by-term sum (`_TwoLevelFamily.values`) and
-    gap, so every result is bit for bit the single search's.  An objective
-    outside the covered class fails the whole batch before any scan.
+    family, one p1 grid and the grid points `_grid_argmax` evaluates: the
+    alpha column of a sweep integrates two term shapes per point, whatever
+    its number of alphas.  Each objective then gets bounded Brent
+    refinement of its best cell on its own term-by-term sum
+    (`_TwoLevelFamily.values`) and its own gap, so every result is bit for
+    bit the single search's.  An objective outside the covered class fails
+    the whole batch before any grid point is evaluated.
     """
     b = beta_value(beta)
     for spec in specs:
@@ -548,16 +566,10 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
 
     fam = _family(n, quad)
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
-    chunk = min(128, steps)
-    scans = zip(*[fam.scan(specs, b, p1_grid[start:start + chunk])
-                  for start in range(0, steps, chunk)])
     step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
     results = []
-    for spec, config, pieces in zip(specs, configs, scans):
-        values = np.concatenate(pieces)
-        best = int(np.argmax(values))
-        best_p1, best_val = float(p1_grid[best]), float(values[best])
-
+    for spec, config, best, best_val in zip(specs, configs, *_grid_argmax(fam, specs, b, p1_grid)):
+        best_p1, best_val = float(p1_grid[best]), float(best_val)
         cell = (p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)])
         res = sp_optimize.minimize_scalar(lambda v: -fam.values(spec, b, np.array([v]))[0],
                                           bounds=cell, method="bounded",
@@ -571,6 +583,111 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
         results.append(OptResult(two_level(n, best_p1), best_val, gap, steps,
                                  "line_search", True, 0, config))
     return results
+
+
+class _BatchSums:
+    """Each objective's sums at points of the two-level chain, for objectives
+    that share beta and n.
+
+    Each point is evaluated on its own (`_TwoLevelFamily.shape_sums`), and
+    each objective combines the integrals of its own terms in its term
+    order, elementwise, so a sum depends on its objective and point alone,
+    not on the batch.  Objectives whose terms match in shape, convexity
+    class and rising half (`_rise_column`), in order, share one
+    coefficient matrix.
+    """
+
+    def __init__(self, fam: _TwoLevelFamily, specs, b: float):
+        self.fam, self.count = fam, len(specs)
+        terms = [_terms(spec, b, fam.n) for spec in specs]
+        # sorted, so that shapes with one power of h sit together
+        self.shapes = sorted({replace(t, coef=1.0) for ts in terms for t in ts},
+                             key=lambda u: (u.g_exp, u.x_pow, u.times_h))
+        row = {unit: i for i, unit in enumerate(self.shapes)}
+        groups: dict[tuple, list[int]] = {}
+        for k, ts in enumerate(terms):
+            key = tuple((row[replace(t, coef=1.0)], _is_convex(t), _rise_column(t)) for t in ts)
+            groups.setdefault(key, []).append(k)
+        self.groups = [(key, ks, np.array([[t.coef for t in terms[k]] for k in ks]).T)
+                       for key, ks in groups.items()]
+        self.no_cav = np.array([all(map(_is_convex, ts)) for ts in terms], dtype=bool)
+
+    def at(self, p1s) -> np.ndarray:
+        """(value, size, vex_rise, vex_fall, cav_rise, cav_fall) at each top
+        share of `p1s` (rows) for each objective (columns): size integrates
+        the terms with their coefficients' magnitudes, and the rest are the
+        fields of `_EndpointSums`."""
+        sums = np.stack([self.fam.shape_sums(self.shapes, p1) for p1 in p1s], axis=1)
+        out = np.empty((6, len(p1s), self.count))
+        for key, ks, coef in self.groups:
+            part = np.zeros((6, len(p1s), len(ks)))
+            for c, (s, convex, up) in zip(coef, key):
+                part[0] += sums[s, :, 2, None] * c
+                part[1] += sums[s, :, 2, None] * abs(c)
+                part[4 - 2 * convex] += sums[s, :, up, None] * c
+                part[5 - 2 * convex] += sums[s, :, 1 - up, None] * c
+            out[:, :, ks] = part
+        return out
+
+
+def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
+    """Each objective's first best point of `p1_grid` (its index) and value,
+    as a full scan would find them, from few evaluated points.
+
+    Cells of grid indices are bisected level by level for all the
+    objectives at once, starting from the whole grid.  Each cell's bound,
+    per objective, is the lower of the rise/fall bound (`_rise_fall_upper`)
+    and the convex terms' chord plus the lower of the concave terms'
+    secants through the nearest evaluated points outside it
+    (`_chord_secant_upper`), widened by `BRACKET_ROUNDING` times the
+    terms' absolute size at its ends.  A cell leaves an objective's search
+    once its bound is below that objective's best evaluated value, and
+    cells still searched by any objective are split at their middle index
+    until none has an interior point.  A point never evaluated for an
+    objective then lies below one that was, so the first best evaluated
+    point is the full scan's.  Values come from `_BatchSums`, so they do
+    not depend on the batch either.
+    """
+    batch = _BatchSums(fam, specs, b)
+    steps = len(p1_grid)
+    idx = np.array([0, steps - 1])  # evaluated grid indices, ascending
+    data = batch.at(p1_grid[idx])
+    lo, hi = idx[:1], idx[1:]
+    live = np.ones((1, len(specs)), dtype=bool)  # cell, objective
+    while True:
+        inner = hi - lo > 1
+        lo, hi, live = lo[inner], hi[inner], live[inner]
+        if not len(lo):
+            break
+        at = np.searchsorted(idx, lo), np.searchsorted(idx, hi)
+        ends = [_EndpointSums(*data[2:, pos]) for pos in at]
+        cav, p1s = data[4] + data[5], p1_grid[idx]
+
+        def secant(a, z):
+            # a == z where no point lies beyond the cell on that side: 0/0 is
+            # the nan that means no secant
+            with np.errstate(invalid="ignore"):
+                return (cav[z] - cav[a]) / (p1s[z] - p1s[a])[:, None]
+
+        left = secant(np.maximum(at[0] - 1, 0), at[0])
+        right = secant(at[1], np.minimum(at[1] + 1, len(idx) - 1))
+        # with no concave term every secant of the concave part is the zero line
+        left[:, batch.no_cav] = right[:, batch.no_cav] = 0.0
+        upper = np.fmin(_rise_fall_upper(*ends), _chord_secant_upper(
+            p1_grid[lo, None], p1_grid[hi, None], *ends, left, right))
+        upper += BRACKET_ROUNDING * (data[1, at[0]] + data[1, at[1]])
+        live &= upper >= data[0].max(axis=0)
+        split = live.any(axis=1)
+        lo, hi, live = lo[split], hi[split], live[split]
+        if not len(lo):
+            break
+        mid = (lo + hi) // 2
+        order = np.argsort(np.concatenate((idx, mid)))
+        idx = np.concatenate((idx, mid))[order]
+        data = np.concatenate((data, batch.at(p1_grid[mid])), axis=1)[:, order]
+        lo, hi, live = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.vstack((live, live))
+    best = np.argmax(data[0], axis=0)
+    return idx[best], data[0, best, np.arange(len(specs))]
 
 
 def count_lattice_policies(n: int, resolution: int) -> int:

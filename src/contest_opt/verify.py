@@ -8,13 +8,13 @@ the check thresholds, so a run can be audited without rerunning it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import bernstein, equilibrium, objective, optimizer, structure
-from .objective import ConvexCombo, Exponential
+from .objective import ConvexCombo, Exponential, MaxOrderStat, Posynomial, SocialWelfare
 from .policy import Policy, hm, make_policy, two_level, uni
 from .quadrature import QuadratureConfig
 
@@ -295,6 +295,48 @@ def check_bnb_certificate(seed: int, trials: int) -> CheckResult:
     return _result("optimizer.bnb_certificate", ok, margin, seed)
 
 
+def _line_argmax_specs(rng: np.random.Generator, beta: float):
+    """One to three objectives the line search covers at beta, from every
+    family; a drawn posynomial outside the class is left out."""
+    draws = (
+        lambda: ConvexCombo(float(rng.random())),
+        lambda: Posynomial(((float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.2, 1.5))),
+                            (float(rng.uniform(0.1, 2.0)), float(rng.uniform(1.6, 4.0))))),
+        lambda: MaxOrderStat(),
+        lambda: Exponential((float(rng.uniform(0.2, 3.0)),)),
+        lambda: SocialWelfare(((float(rng.random()), float(rng.uniform(0.5, 3.0))),)),
+    )
+    specs = [draws[int(i)]() for i in rng.integers(0, len(draws), int(rng.integers(1, 4)))]
+    return [s for s in specs if objective.structural_condition_holds(s, beta)]
+
+
+def check_line_argmax(seed: int, trials: int) -> CheckResult:
+    """The line search's grid pick is the best point of a full scan of the
+    grid, up to rounding ties: the margin is the largest shortfall of the
+    pick's scanned value below the scan's best, relative to the terms'
+    integrated magnitudes."""
+    rng = np.random.default_rng(seed)
+    quad = QuadratureConfig(m=400)
+    worst = 0.0
+    for _ in range(trials):
+        n, beta = int(rng.integers(3, 13)), float(rng.uniform(0.2, 5.0))
+        steps = int(rng.choice([2, 3, int(rng.integers(4, 300))]))
+        specs = _line_argmax_specs(rng, beta)
+        if not specs:
+            continue
+        fam = optimizer._TwoLevelFamily(n, quad)
+        p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
+        picks, _ = optimizer._grid_argmax(fam, specs, beta, p1s)
+        for spec, pick in zip(specs, picks):
+            scan = fam.values(spec, beta, p1s)
+            best = int(np.argmax(scan))
+            h = np.multiply.outer(fam.c1, p1s[[pick, best]]) + fam.c0[:, None]
+            terms = [replace(t, coef=abs(t.coef)) for t in objective._terms(spec, beta, n)]
+            scale = (objective._term_values(terms, fam.x[:, None], h, h).T @ fam.w).max()
+            worst = max(worst, (scan[best] - scan[pick]) / scale)
+    return _result("optimizer.line_argmax", worst <= 1e-12, worst, seed)
+
+
 def check_sign_examples(seed: int, trials: int) -> CheckResult:
     cases = [
         ((1, -2, 3, 0, 4), 2, 4),
@@ -415,6 +457,7 @@ CHECKS: dict[str, Callable[[int, int], CheckResult]] = {
     "optimizer.affine_decomposition": check_affine_decomposition,
     "optimizer.bound_sandwich": check_bound_sandwich,
     "optimizer.bnb_certificate": check_bnb_certificate,
+    "optimizer.line_argmax": check_line_argmax,
     "structure.sign_change_examples": check_sign_examples,
     "structure.variation_diminishing_sweep": check_vd_sweep,
     "structure.schur_directions": check_schur_directions,

@@ -187,6 +187,13 @@ class TestHInverse:
         with pytest.raises(RangeError):
             h_inverse(uni(5), 0.5)
 
+    @pytest.mark.parametrize("y", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_target_rejected(self, y):
+        with pytest.raises(RangeError, match="finite"):
+            h_inverse(hm(5), y)
+        with pytest.raises(RangeError, match="finite"):
+            h_inverse(hm(5), [0.5, y])
+
     def test_trivial_policy_rejected(self):
         with pytest.raises(TrivialPolicyError):
             h_inverse(make_policy((0.25,) * 4), 0.25)

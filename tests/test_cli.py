@@ -88,11 +88,6 @@ class TestOptimize:
         code, out, err = run_cli(capsys, command, *extra, flag, value)
         assert code == 1 and flag in err and out == ""
 
-    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONTEST_OPT_THREADS", "abc")
-        code, _, err = run_cli(capsys, "sweep", "--cells", "1")
-        assert code == 1 and "CONTEST_OPT_THREADS" in err
-
     def test_grid_flat_policy_value_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "grid", "--n", "6",
                                "--beta", "5", "--objective",
@@ -173,18 +168,6 @@ class TestSweep:
     LARGER = ("sweep", "--n", "6", "--cells", "8", "--alpha-min", "0.02",
               "--beta-min", "0.3", "--beta-max", "4.5", "--steps", "90", "--quad-m", "3000")
     LARGER_SHA256 = "7689a443f106b7b3cac52d1890f6525820af4d5b1d0fd2b9a8103b02b0f3a29b"
-
-    def test_two_workers_write_the_one_worker_bytes(self, capsys, monkeypatch):
-        """Columns on two threads, sharing one cold-built family, agree with one."""
-        outputs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("CONTEST_OPT_THREADS", workers)
-            optimizer._family.cache_clear()
-            code, out, _ = run_cli(capsys, *self.LARGER)
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-        assert hashlib.sha256(outputs[1].encode("utf-8")).hexdigest() == self.LARGER_SHA256
 
     def test_larger_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, *self.LARGER)
@@ -313,6 +296,13 @@ class TestEquilibriumCommand:
                                  "--simulate", "2000", flag, str(cap + 1), *extra)
         assert code == 3 and out == "" and "exceeds the cap of %d" % cap in err
 
+    def test_audit_above_the_cells_cap_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "equilibrium", "--policy", "hm", "--n", "41",
+                                 "--simulate", "2000", "--deviation-grid",
+                                 str(equilibrium.MAX_DEVIATION_GRID))
+        assert code == 3 and out == ""
+        assert "exceeds the cap of %d" % equilibrium.MAX_AUDIT_CELLS in err
+
 
 class TestVerifyCommand:
     def test_subset_run_passes(self, capsys):
@@ -351,7 +341,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--trials", "10")
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
-        assert len(records) == 24
+        assert len(records) == 25
         assert [r["name"] for r in records] == list(verify.CHECKS)
         assert all(r["status"] == "pass" for r in records)
 

@@ -24,6 +24,7 @@ from contest_opt import (
 )
 from contest_opt.equilibrium import (
     _SIM_CHUNK,
+    MAX_AUDIT_CELLS,
     MAX_DEVIATION_GRID,
     MAX_TABLE_POINTS,
     _grid_positions,
@@ -57,6 +58,14 @@ class TestCdf:
         model = EquilibriumModel(uni(5), 2.0)
         with pytest.raises(RangeError):
             cdf(model, model.q_max + 0.1)
+
+    @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_quality_rejected(self, q):
+        model = EquilibriumModel(hm(5), 2.0)
+        with pytest.raises(RangeError, match="finite"):
+            cdf(model, q)
+        with pytest.raises(RangeError, match="finite"):
+            cdf(model, [0.1, q])
 
     def test_trivial_policy_rejected(self):
         with pytest.raises(TrivialPolicyError):
@@ -196,6 +205,13 @@ class TestSimulate:
         model = EquilibriumModel(hm(5), 2.0)
         with pytest.raises(BudgetExceededError, match="deviation grid"):
             simulate(model, 2000, seed=0, deviation_grid=MAX_DEVIATION_GRID + 1)
+
+    @pytest.mark.parametrize("n, grid", [(41, MAX_DEVIATION_GRID), (4001, 1000)])
+    def test_audit_cells_cap(self, n, grid):
+        """The audit's tables grow with n x G; each grid alone is within its cap."""
+        assert n * grid > MAX_AUDIT_CELLS and grid <= MAX_DEVIATION_GRID
+        with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_AUDIT_CELLS):
+            simulate(EquilibriumModel(hm(n), 2.0), 2000, seed=0, deviation_grid=grid)
 
     def test_table_cap(self):
         with pytest.raises(BudgetExceededError, match="CDF table"):

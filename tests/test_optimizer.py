@@ -1,7 +1,6 @@
 """Interval bounds, branch-and-bound, line search and the lattice oracle."""
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +39,7 @@ from contest_opt.objective import (
 from contest_opt.optimizer import (
     GRID_QUAD,
     _LATTICE_GUARD,
+    _BatchSums,
     _TwoLevelFamily,
     _bounds,
     _chord_secant_upper,
@@ -47,7 +47,8 @@ from contest_opt.optimizer import (
     _family,
     _lattice_matrix,
     _screen_weights,
-    _worker_count,
+    _grid_argmax,
+    _rise_fall_upper,
     count_lattice_policies,
     two_level_line_search_batch,
 )
@@ -329,32 +330,6 @@ class TestFamilyCache:
                 assert cold.policy.values == warm.policy.values
 
 
-class TestWorkerCount:
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delenv("CONTEST_OPT_THREADS", raising=False)
-
-    def test_default_is_the_cpu_count(self):
-        assert _worker_count() == 2
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count() == 1
-
-    def test_environment_is_clamped_to_the_cpus(self, monkeypatch):
-        monkeypatch.setenv("CONTEST_OPT_THREADS", "1")
-        assert _worker_count() == 1
-        monkeypatch.setenv("CONTEST_OPT_THREADS", " 100000 ")
-        assert _worker_count() == 2
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
-    def test_bad_environment_is_a_domain_error(self, monkeypatch, raw):
-        monkeypatch.setenv("CONTEST_OPT_THREADS", raw)
-        with pytest.raises(DomainError, match="CONTEST_OPT_THREADS"):
-            _worker_count()
-
-
 class TestLineSearch:
     def test_flat_profile_at_unit_cost(self):
         result = two_level_line_search(ConvexCombo(0.0), 1.0, 5, steps=200, quad=FAST)
@@ -390,7 +365,8 @@ class TestLineSearch:
     def test_mix_gap_is_pinned(self):
         result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
                                        quad=QuadratureConfig(m=4000))
-        assert result.value == 0.444566810854145
+        # the grid's p1 = 1/4 beats Brent: its value is the grid point's own
+        assert result.value == 0.4445668108541439
         assert result.certified_gap == 0.031360556058693555
 
     def test_order_statistic_beats_neighbors(self):
@@ -414,9 +390,9 @@ class TestLineSearchBatch:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_each_result_is_the_single_search(self, n):
         quad = QuadratureConfig(m=1000)
-        # 150 steps span two scan chunks, the second a partial one
         batch = two_level_line_search_batch(self.SPECS, 2.0, n, steps=150, quad=quad)
         assert len(batch) == len(self.SPECS)
+        assert two_level_line_search_batch([], 2.0, n, steps=150, quad=quad) == []
         for spec, got in zip(self.SPECS, batch):
             want = two_level_line_search(spec, 2.0, n, steps=150, quad=quad)
             assert got.value == want.value
@@ -427,24 +403,39 @@ class TestLineSearchBatch:
 
     def test_one_uncovered_objective_fails_the_batch_before_any_scan(self, monkeypatch):
         def no_scan(*args):
-            raise AssertionError("scanned before the structural check")
+            raise AssertionError("evaluated a grid point before the structural check")
 
-        monkeypatch.setattr(_TwoLevelFamily, "scan", no_scan)
+        monkeypatch.setattr(_TwoLevelFamily, "shape_sums", no_scan)
         bad = Posynomial(((1.0, 1.0), (-1.0, 2.0), (1.0, 3.0)))
         with pytest.raises(StructuralConditionError):
             two_level_line_search_batch([ConvexCombo(0.5), bad, MaxOrderStat()], 5.0, 5)
 
 
+# the five families, with a negative coefficient in a posynomial that the
+# structural check covers at both betas below
+LINE_SPECS = (
+    ConvexCombo(0.0),  # alpha = 0 and 1 drop a term
+    ConvexCombo(0.24),
+    ConvexCombo(1.0),
+    Posynomial(((0.5, 0.5), (1.0, 2.0))),
+    Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+    MaxOrderStat(),
+    Exponential((1.5, 0.5), truncation_m=6),  # the two rates share every shape
+    SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+)
+
+
+def term_sizes(fam, spec, beta, p1s):
+    """Each point's terms integrated with their coefficients' magnitudes:
+    the scale of its rounding, which a negative coefficient's cancellation
+    hides from the value."""
+    h = fam.c0[:, None] + fam.c1[:, None] * p1s
+    terms = [replace(t, coef=abs(t.coef)) for t in _terms(spec, beta, fam.n)]
+    return _term_values(terms, fam.x[:, None], h, h).T @ fam.w
+
+
 class TestFactoredScan:
-    SPECS = (
-        ConvexCombo(0.0),
-        ConvexCombo(0.24),
-        ConvexCombo(1.0),
-        Posynomial(((-1.0, 1.0), (2.0, 3.0))),
-        MaxOrderStat(),
-        Exponential((1.5, 0.5), truncation_m=6),  # the two rates share every shape
-        SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
-    )
+    """The line search's grid points: one integral per term shape."""
 
     @pytest.mark.parametrize("beta", [0.6, 2.0])
     @pytest.mark.parametrize("length", [1, 44, 128])
@@ -453,19 +444,64 @@ class TestFactoredScan:
         fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
         p1s = np.linspace(1.0, 1.0 / (n - 1), length)
         h = fam.c0[:, None] + fam.c1[:, None] * p1s
-        got = fam.scan(self.SPECS, beta, p1s)
-        reversed_batch = fam.scan(self.SPECS[::-1], beta, p1s)[::-1]
-        for spec, values, other in zip(self.SPECS, got, reversed_batch):
+        got = _BatchSums(fam, LINE_SPECS, beta).at(p1s)
+        reversed_batch = _BatchSums(fam, LINE_SPECS[::-1], beta).at(p1s)[:, :, ::-1]
+        reversed_points = _BatchSums(fam, LINE_SPECS, beta).at(p1s[::-1])[:, ::-1]
+        for k, spec in enumerate(LINE_SPECS):
+            value, size, *classes = got[:, :, k]
             want = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)
-            # rounding is relative to the terms' size, which a negative
-            # coefficient's cancellation hides from the value
-            size = _term_values([replace(t, coef=abs(t.coef)) for t in _terms(spec, beta, n)],
-                                fam.x[:, None], h, h).T @ fam.w
-            assert values.shape == (length,)
-            assert np.all(np.abs(values - want) <= 1e-14 * size)
-            # a spec's values do not depend on the batch it shares
-            alone = fam.scan([spec], beta, p1s)[0]
-            assert values.tobytes() == other.tobytes() == alone.tobytes()
+            assert value.shape == (length,)
+            assert np.allclose(size, term_sizes(fam, spec, beta, p1s), rtol=1e-14, atol=0.0)
+            assert np.all(np.abs(value - want) <= 1e-14 * size)
+            assert np.all(np.abs(sum(classes) - want) <= 1e-14 * size)
+            # a spec's sums depend neither on the batch nor on the other points
+            alone = _BatchSums(fam, [spec], beta).at(p1s)[:, :, 0]
+            for other in (reversed_batch[:, :, k], reversed_points[:, :, k], alone):
+                assert got[:, :, k].tobytes() == other.tobytes()
+
+
+class TestGridArgmax:
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_pick_is_the_exhaustive_scan_best(self, n, beta):
+        fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
+        for steps in (2, 3, 7, 150, 1000):
+            p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
+            picks, values = _grid_argmax(fam, LINE_SPECS, beta, p1s)
+            for spec, pick, value in zip(LINE_SPECS, picks, values):
+                scan = fam.values(spec, beta, p1s)
+                scale = term_sizes(fam, spec, beta, p1s).max()
+                assert scan[pick] >= scan.max() - 1e-12 * scale, (spec, steps)
+                assert abs(value - scan[pick]) <= 1e-12 * scale
+
+    def test_anchor_evaluates_few_points(self, monkeypatch):
+        """Pruning, not a full scan, finds the anchor's best of 1000 points."""
+        calls = []
+        shape_sums = _TwoLevelFamily.shape_sums
+
+        def counting(fam, shapes, p1):
+            calls.append(p1)
+            return shape_sums(fam, shapes, p1)
+
+        monkeypatch.setattr(_TwoLevelFamily, "shape_sums", counting)
+        result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=1000)
+        assert result.certified
+        assert len(calls) == len(set(calls)) < 60
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    def test_rise_fall_bound_holds_for_negative_coefficients(self, beta):
+        """A negative term is largest at the other end of an interval."""
+        spec, n = Posynomial(((-1.0, 1.0), (2.0, 3.0))), 5
+        fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
+        classes = _convexity_classes(spec, beta, n)
+        assert any(t.coef < 0 for terms in classes for t in terms)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            lo, hi = np.sort(rng.uniform(0.25, 1.0, 2))
+            p1s = np.linspace(lo, hi, 60)
+            at_lo, at_hi = fam.endpoint_sums(classes, lo), fam.endpoint_sums(classes, hi)
+            slack = 1e-12 * term_sizes(fam, spec, beta, p1s).max()
+            assert fam.values(spec, beta, p1s).max() <= _rise_fall_upper(at_lo, at_hi) + slack
 
 
 class TestGridSearch:

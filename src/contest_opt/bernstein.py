@@ -6,14 +6,15 @@ policy polynomial ``h(x, p) = sum_i a_i(x) p_i`` is strictly increasing in
 x whenever p is nontrivial; everything downstream (equilibrium CDF, reduced
 objectives, bounds) is built on h, its derivative and its inverse.
 
-Binomial coefficients are taken in log space so that evaluation stays
-stable well beyond n = 60.
+h and its derivative are taken by nested multiplication, with no
+transcendental call, for n up to `_NESTED_MAX_N`; single basis values, and
+h above that n, are taken in log space.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isfinite, lgamma
+from math import comb, isfinite, lgamma
 
 import numpy as np
 
@@ -24,6 +25,11 @@ TOL_INV = 1e-12
 MAX_BISECT = 200
 # basis values held at once by `_basis_dot`
 _BLOCK_ELEMENTS = 1 << 16
+# largest n for `_nested_dot`: its partial sums are bounded by
+# sum_k C(n-1, k) max p <= 2^(n-1) max p, finite in doubles only below n ~ 1020
+_NESTED_MAX_N = 1000
+# points per block of `_nested_dot`, whose three work vectors then stay in cache
+_NESTED_BLOCK = 1 << 14
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -33,9 +39,13 @@ def log_binomial(n: int, k: int) -> float:
     return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
-def _check_unit_interval(x: np.ndarray) -> None:
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("x must lie in [0, 1]")
+def check_unit_interval(x: np.ndarray, what: str = "x") -> None:
+    """Raise DomainError unless every value of the array x lies in [0, 1].
+
+    min and max carry a NaN through, and a NaN fails both comparisons.
+    """
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise DomainError("%s must lie in [0, 1]" % what)
 
 
 @lru_cache(maxsize=64)
@@ -85,7 +95,7 @@ def basis_columns(n: int, x, ranks) -> np.ndarray:
     if np.any(idx < 0) or np.any(idx > n - 1):
         raise DomainError("rank indices must lie in 1..%d" % n)
     x = np.asarray(x, dtype=float)
-    _check_unit_interval(x)
+    check_unit_interval(x)
     flat = np.atleast_1d(x).ravel()
     # one row per rank, so numpy's inner loops run along the points
     out = _basis_rows(n, flat, idx, np.empty((len(idx), flat.size)))
@@ -141,6 +151,53 @@ def _basis_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _binomials(n: int) -> np.ndarray:
+    # C(n-1, k) for k = 0..n-1, each rounded once from the exact integer
+    return np.array([float(comb(n - 1, k)) for k in range(n)])
+
+
+def _nested_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``basis_matrix(n, x) @ coeffs`` by nested multiplication, for an x
+    already checked to lie in [0, 1], 1 <= n <= `_NESTED_MAX_N` and
+    nonnegative coeffs.
+
+    With N = n-1, s = 1-x and b_k = coeffs[N-k] C(N, k), the sum is
+    sum_k b_k x^k s^(N-k).  From acc = b_N it takes acc = acc x + b_k s^(N-k)
+    for k = N-1 down to 0, keeping the power of s as it goes: O(n)
+    multiply-adds per point, all of nonnegative terms, so nothing cancels.
+    Every value depends on its own x alone, whatever the shape of x or the
+    blocking, and the ends are exact: x = 0 gives b_0 = coeffs[-1] and
+    x = 1 gives b_N = coeffs[0].  Works through blocks of `_NESTED_BLOCK`
+    points with the same three work vectors.
+    """
+    b = coeffs[::-1] * _binomials(n)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    size = min(flat.size, _NESTED_BLOCK)
+    s_work, power_work, term_work = np.empty(size), np.empty(size), np.empty(size)
+    for a in range(0, flat.size, _NESTED_BLOCK):
+        xb = flat[a:a + _NESTED_BLOCK]
+        m = xb.size
+        s = np.subtract(1.0, xb, out=s_work[:m])
+        power, term = power_work[:m], term_work[:m]
+        power[...] = s
+        acc = out[a:a + m]
+        acc[...] = b[-1]
+        for k in range(n - 2, -1, -1):
+            acc *= xb
+            acc += np.multiply(power, b[k], out=term)
+            if k:
+                power *= s
+    return out.reshape(x.shape)
+
+
+def _dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """``basis_matrix(n, x) @ coeffs``: nested multiplication up to
+    `_NESTED_MAX_N`, where it cannot overflow, and log-space rows above."""
+    return (_nested_dot if n <= _NESTED_MAX_N else _basis_dot)(n, x, coeffs)
+
+
 def weights_dot_basis(n: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``weights @ basis_matrix(n, x)`` for a 1-d x, summed over blocks of
     about `_BLOCK_ELEMENTS` basis values, so memory does not grow with
@@ -157,7 +214,7 @@ def basis_eval(n: int, i: int, x):
     if n < 2 or not 1 <= i <= n:
         raise DomainError("rank index i=%d outside 1..%d" % (i, n))
     x_arr = np.asarray(x, dtype=float)
-    _check_unit_interval(x_arr)
+    check_unit_interval(x_arr)
     values = basis_columns(n, np.atleast_1d(x_arr), [i])[..., 0]
     return float(values[0]) if np.isscalar(x) or x_arr.ndim == 0 else values
 
@@ -172,8 +229,8 @@ def basis_integral(n: int, i: int) -> float:
 def h_eval(p: Policy, x):
     """Policy polynomial h(x, p); h(0, p) = p_n and h(1, p) = p_1."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_interval(x_arr)
-    values = _basis_dot(p.n, x_arr, p.as_array())
+    check_unit_interval(x_arr)
+    values = _dot(p.n, x_arr, p.as_array())
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 
@@ -188,13 +245,10 @@ def h_derivative(p: Policy, x):
     """
     n = p.n
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_unit_interval(x_arr)
+    check_unit_interval(x_arr)
     arr = p.as_array()
     diffs = arr[:-1] - arr[1:]  # nonnegative for a valid policy
-    if n == 2:
-        values = np.full_like(x_arr, diffs[0])
-    else:
-        values = (n - 1) * _basis_dot(n - 1, x_arr, diffs)
+    values = (n - 1) * _dot(n - 1, x_arr, diffs)
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 

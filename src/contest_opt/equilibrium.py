@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import h_eval, h_inverse
+from .bernstein import check_unit_interval, h_eval, h_inverse
 from .errors import BudgetExceededError, DomainError, RangeError, TrivialPolicyError
 from .objective import DEFAULT_QUAD, ConvexCombo, beta_value, lattice_value
 from .policy import Policy, is_nontrivial
@@ -33,6 +33,9 @@ MAX_DEVIATION_GRID = 100_000
 # largest n x G of the deviation audit, whose tables hold n (G + 1) counts
 # per block: n = 40 at the largest grid peaked at 206 MB
 MAX_AUDIT_CELLS = 40 * MAX_DEVIATION_GRID
+# largest n x rounds of one sampler chunk, whose draws, qualities and sorted
+# copy hold about 26 bytes per draw: n = 100 at full chunks peaked at 658 MB
+MAX_SIM_DRAWS = 100 * _SIM_CHUNK
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,7 @@ def cdf(model: EquilibriumModel, q):
 def quantile(model: EquilibriumModel, u):
     """Inverse CDF: quality played at quantile u in [0, 1]."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
-        raise DomainError("quantile argument must lie in [0, 1]")
+    check_unit_interval(u_arr, "quantile argument")
     out = h_eval(model.policy, u_arr)
     out -= model.policy.pn
     np.clip(out, 0.0, None, out=out)
@@ -105,9 +107,7 @@ def expected_revenue(p: Policy, f_of_q) -> float:
     Equals h(F, p): the rank distribution against n-1 independent draws is
     binomial, and the prize-weighted sum collapses to the policy polynomial.
     """
-    f_arr = np.asarray(f_of_q, dtype=float)
-    if np.any(f_arr < 0.0) or np.any(f_arr > 1.0):
-        raise DomainError("CDF level must lie in [0, 1]")
+    check_unit_interval(np.asarray(f_of_q, dtype=float), "CDF level")
     return h_eval(p, f_of_q)
 
 
@@ -118,7 +118,7 @@ def utility(model: EquilibriumModel, q):
     rank outright but overpays, so the payoff falls below p_n.
     """
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any(q_arr < 0.0):
+    if q_arr.size and not q_arr.min() >= 0.0:  # a NaN fails too
         raise DomainError("deviation quality must be nonnegative")
     qm = model.q_max
     inside = q_arr <= qm
@@ -241,6 +241,9 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
     if n * deviation_grid > MAX_AUDIT_CELLS:
         raise BudgetExceededError("deviation audit of %d contestants x %d grid points exceeds "
                                   "the cap of %d" % (n, deviation_grid, MAX_AUDIT_CELLS))
+    if n * min(samples, _SIM_CHUNK) > MAX_SIM_DRAWS:
+        raise BudgetExceededError("%d contestants x %d rounds per chunk exceeds the cap of "
+                                  "%d draws" % (n, min(samples, _SIM_CHUNK), MAX_SIM_DRAWS))
     if seed < 0:
         raise DomainError("seed must be >= 0, got %d" % seed)
     pvals = model.policy.as_array()

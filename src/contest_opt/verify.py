@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -92,6 +93,57 @@ def check_derivative_fd(seed: int, trials: int) -> CheckResult:
         fd = (bernstein.h_eval(p, x + delta) - bernstein.h_eval(p, x - delta)) / (2 * delta)
         worst = max(worst, abs(bernstein.h_derivative(p, x) - fd))
     return _result("bernstein.derivative_fd", worst <= 1e-6, worst, seed)
+
+
+def h_exact(values, x: float) -> tuple[int, int]:
+    """h(x, p) exactly, as (numerator, denominator), for p = `values` (floats
+    or dyadic Fractions) and a float x.
+
+    With x = a/d, the numerator is sum_k C(N, k) a^k (d-a)^(N-k) p_{n-k}
+    over a common denominator, summed in integers by nested multiplication;
+    nothing is normalised, so the cost stays linear in the size of the
+    numbers per degree.
+    """
+    fx = Fraction(x)
+    a, d = fx.numerator, fx.denominator
+    shares = [Fraction(v) for v in values]
+    common = max(f.denominator for f in shares)  # every denominator is a power of 2
+    nums = [f.numerator * (common // f.denominator) for f in shares]
+    top = len(values) - 1
+    acc, power = nums[0], 1
+    for k in range(top - 1, -1, -1):
+        power *= d - a
+        acc = acc * a + math.comb(top, k) * nums[top - k] * power
+    return acc, d**top * common
+
+
+def h_error_ratio(value: float, exact: tuple[int, int], n: int) -> float:
+    """|value - exact| over the bound n 2^-52 exact + 1e-300, taken in
+    integers: 1 or less meets the bound."""
+    num, den = exact
+    v, floor = Fraction(value), Fraction(1e-300)
+    excess = abs(v.numerator * den - num * v.denominator) * 2**52 * floor.denominator
+    bound = (n * num * floor.denominator + floor.numerator * den * 2**52) * v.denominator
+    return excess / bound
+
+
+def check_h_exact(seed: int, trials: int) -> CheckResult:
+    """h and dh/dx against exact rational values, at the ends, the extremes
+    of the doubles and random points: within n 2^-52 |h| + 1e-300 and
+    (n-1) 2^-52 |dh/dx| + 1e-300."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(max(trials // 4, 5)):
+        n = int(rng.integers(2, 41))
+        p = _random_policy(rng, n, zero_bottom=bool(rng.integers(2)))
+        x = np.append([0.0, 1.0, 1e-300, 2.0**-53, 1.0 - 2.0**-53, 0.5], rng.random(4))
+        values = p.as_array().tolist()
+        diffs = [Fraction(hi) - Fraction(lo) for hi, lo in zip(values, values[1:])]
+        for xi, h, slope in zip(x, bernstein.h_eval(p, x), bernstein.h_derivative(p, x)):
+            num, den = h_exact(diffs, xi)
+            worst = max(worst, h_error_ratio(h, h_exact(values, xi), n),
+                        h_error_ratio(slope, ((n - 1) * num, den), n - 1))
+    return _result("bernstein.h_exact", worst <= 1.0, worst, seed)
 
 
 def check_alpha_linearity(seed: int, trials: int) -> CheckResult:
@@ -444,6 +496,7 @@ CHECKS: dict[str, Callable[[int, int], CheckResult]] = {
     "bernstein.h_monotone": check_h_monotone,
     "bernstein.inverse_roundtrip": check_inverse_roundtrip,
     "bernstein.derivative_fd": check_derivative_fd,
+    "bernstein.h_exact": check_h_exact,
     "objective.alpha_linearity": check_alpha_linearity,
     "objective.flat_linear_cost": check_flat_linear_cost,
     "objective.riemann_refinement": check_riemann_refinement,

@@ -303,6 +303,13 @@ class TestEquilibriumCommand:
         assert code == 3 and out == ""
         assert "exceeds the cap of %d" % equilibrium.MAX_AUDIT_CELLS in err
 
+    def test_draws_above_the_cap_are_refused(self, capsys):
+        n = equilibrium.MAX_SIM_DRAWS // equilibrium._SIM_CHUNK + 1
+        code, out, err = run_cli(capsys, "equilibrium", "--policy", "uni", "--n", str(n),
+                                 "--simulate", str(equilibrium._SIM_CHUNK))
+        assert code == 3 and out == ""
+        assert "exceeds the cap of %d draws" % equilibrium.MAX_SIM_DRAWS in err
+
 
 class TestVerifyCommand:
     def test_subset_run_passes(self, capsys):
@@ -341,7 +348,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--trials", "10")
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
-        assert len(records) == 25
+        assert len(records) == 26
         assert [r["name"] for r in records] == list(verify.CHECKS)
         assert all(r["status"] == "pass" for r in records)
 

@@ -10,9 +10,12 @@ from contest_opt import (
     QuadratureConfig,
     RangeError,
     TrivialPolicyError,
+    basis_eval,
     cdf,
     cdf_table,
     expected_revenue,
+    h_derivative,
+    h_eval,
     hm,
     make_policy,
     quantile,
@@ -26,6 +29,7 @@ from contest_opt.equilibrium import (
     _SIM_CHUNK,
     MAX_AUDIT_CELLS,
     MAX_DEVIATION_GRID,
+    MAX_SIM_DRAWS,
     MAX_TABLE_POINTS,
     _grid_positions,
     _rank_counts,
@@ -217,6 +221,18 @@ class TestSimulate:
         with pytest.raises(BudgetExceededError, match="CDF table"):
             cdf_table(EquilibriumModel(hm(5), 2.0), MAX_TABLE_POINTS + 1)
 
+    @pytest.mark.parametrize("n, samples", [
+        (MAX_SIM_DRAWS // _SIM_CHUNK + 1, _SIM_CHUNK),
+        (MAX_SIM_DRAWS // _SIM_CHUNK + 1, 10 * _SIM_CHUNK),
+        (40_000, 1_000_000),  # n x G = 4,000,000 is within the audit's cap
+    ])
+    def test_draws_cap(self, n, samples, monkeypatch):
+        """A chunk's draws grow with n x rounds; it is refused before any array."""
+        assert n * min(samples, _SIM_CHUNK) > MAX_SIM_DRAWS
+        monkeypatch.setattr(np.random, "default_rng", None)  # would fail if called
+        with pytest.raises(BudgetExceededError, match="cap of %d draws" % MAX_SIM_DRAWS):
+            simulate(EquilibriumModel(uni(n), 2.0), samples, seed=0, deviation_grid=100)
+
 
 def per_point_counts(opponents, grid):
     """counts[k, g] by the per-grid-point loop, for rounds without ties."""
@@ -332,3 +348,19 @@ class TestSimulateRecomputed:
     def test_empty_deviation_grid_rejected(self):
         with pytest.raises(DomainError):
             simulate(EquilibriumModel(hm(5), 2.0), 2000, seed=0, deviation_grid=0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: h_eval(hm(5), NAN),
+    lambda: h_derivative(hm(5), NAN),
+    lambda: basis_eval(5, 2, NAN),
+    lambda: expected_revenue(hm(5), NAN),
+    lambda: quantile(EquilibriumModel(hm(5), 2.0), NAN),
+    lambda: utility(EquilibriumModel(hm(5), 2.0), [0.1, NAN]),
+], ids=["h_eval", "h_derivative", "basis_eval", "expected_revenue", "quantile", "utility"])
+def test_nan_is_outside_every_domain(call):
+    with pytest.raises(DomainError):
+        call()

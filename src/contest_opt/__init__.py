@@ -8,7 +8,6 @@ structural mathematics the optimizers rely on.
 """
 
 from .bernstein import (
-    basis_eval,
     basis_integral,
     basis_matrix,
     h_derivative,
@@ -50,7 +49,6 @@ from .objective import (
     gradient,
     gradient_weight,
     parse_objective_config,
-    reduced_integrand,
 )
 from .optimizer import (
     BnbConfig,

@@ -209,16 +209,6 @@ def weights_dot_basis(n: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-def basis_eval(n: int, i: int, x):
-    """a_i(x) = C(n-1, i-1) x^(n-i) (1-x)^(i-1), in [0, 1]."""
-    if n < 2 or not 1 <= i <= n:
-        raise DomainError("rank index i=%d outside 1..%d" % (i, n))
-    x_arr = np.asarray(x, dtype=float)
-    check_unit_interval(x_arr)
-    values = basis_columns(n, np.atleast_1d(x_arr), [i])[..., 0]
-    return float(values[0]) if np.isscalar(x) or x_arr.ndim == 0 else values
-
-
 def basis_integral(n: int, i: int) -> float:
     """Exact moment of any basis element over [0, 1]: always 1/n."""
     if n < 2 or not 1 <= i <= n:

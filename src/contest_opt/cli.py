@@ -217,12 +217,15 @@ def cmd_equilibrium(args) -> int:
     _check_seed(args)
     policy = parse_policy(args.policy, args.n)
     model = eq.EquilibriumModel(policy, args.beta)
+    if args.simulate:
+        # the audit's budgets, before the table takes any time
+        eq.check_simulate(policy.n, args.simulate, args.seed, args.deviation_grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["q", "F"])
     for q, f in eq.cdf_table(model, args.points):
         writer.writerow([_fmt(q), _fmt(f)])
-    # simulate before writing, so bad audit input leaves no partial output
+    # simulate before writing, so a failed audit leaves no partial output
     report = (eq.simulate(model, args.simulate, args.seed, deviation_grid=args.deviation_grid)
               if args.simulate else None)
     _emit(buf.getvalue(), args.output)

@@ -216,6 +216,27 @@ def _rank_counts(opponents: np.ndarray, grid: np.ndarray, rng) -> np.ndarray:
     return counts
 
 
+def check_simulate(n: int, samples: int, seed: int, deviation_grid: int = 50) -> None:
+    """Refuse the arguments of a `simulate` call with n contestants before
+    any work: the sample floor, the deviation grid, every budget and the
+    seed."""
+    if samples < 1000:
+        raise DomainError("need at least 1000 samples, got %d" % samples)
+    if deviation_grid < 1:
+        raise DomainError("need at least 1 deviation grid point, got %d" % deviation_grid)
+    if deviation_grid > MAX_DEVIATION_GRID:
+        raise BudgetExceededError("deviation grid of %d points exceeds the cap of %d"
+                                  % (deviation_grid, MAX_DEVIATION_GRID))
+    if n * deviation_grid > MAX_AUDIT_CELLS:
+        raise BudgetExceededError("deviation audit of %d contestants x %d grid points exceeds "
+                                  "the cap of %d" % (n, deviation_grid, MAX_AUDIT_CELLS))
+    if n * min(samples, _SIM_CHUNK) > MAX_SIM_DRAWS:
+        raise BudgetExceededError("%d contestants x %d rounds per chunk exceeds the cap of "
+                                  "%d draws" % (n, min(samples, _SIM_CHUNK), MAX_SIM_DRAWS))
+    if seed < 0:
+        raise DomainError("seed must be >= 0, got %d" % seed)
+
+
 def simulate(model: EquilibriumModel, samples: int, seed: int,
              deviation_grid: int = 50) -> SimReport:
     """Play the symmetric profile for `samples` rounds and audit it.
@@ -230,22 +251,8 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
     Samples are partitioned into fixed-size chunks with independent child
     streams of `seed`, and merged by summation, so results are reproducible.
     """
-    if samples < 1000:
-        raise DomainError("need at least 1000 samples, got %d" % samples)
-    if deviation_grid < 1:
-        raise DomainError("need at least 1 deviation grid point, got %d" % deviation_grid)
-    if deviation_grid > MAX_DEVIATION_GRID:
-        raise BudgetExceededError("deviation grid of %d points exceeds the cap of %d"
-                                  % (deviation_grid, MAX_DEVIATION_GRID))
     n = model.policy.n
-    if n * deviation_grid > MAX_AUDIT_CELLS:
-        raise BudgetExceededError("deviation audit of %d contestants x %d grid points exceeds "
-                                  "the cap of %d" % (n, deviation_grid, MAX_AUDIT_CELLS))
-    if n * min(samples, _SIM_CHUNK) > MAX_SIM_DRAWS:
-        raise BudgetExceededError("%d contestants x %d rounds per chunk exceeds the cap of "
-                                  "%d draws" % (n, min(samples, _SIM_CHUNK), MAX_SIM_DRAWS))
-    if seed < 0:
-        raise DomainError("seed must be >= 0, got %d" % seed)
+    check_simulate(n, samples, seed, deviation_grid)
     pvals = model.policy.as_array()
     pn = model.policy.pn
     grid = np.linspace(0.0, model.q_max + 0.2, deviation_grid)

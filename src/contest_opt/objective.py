@@ -31,10 +31,17 @@ from .quadrature import QuadratureConfig
 
 PN_TOL = 1e-12
 # Rounding allowance of `lattice_bracket`: the full value and the bracket sum
-# the same terms in different orders, a relative error of about 1e-15 of the
-# terms' integrated size.  g = B(p - p_n) is a sum of nonnegative products,
+# the same nonnegative products in different orders, the bracket by Horner's
+# rule where it can (`_HORNER_MAX_DEGREE`), a relative error below 1e-13 of
+# the terms' integrated size.  g = B(p - p_n) is a sum of nonnegative products,
 # so its rounding is relative too and this one allowance covers it.
 BRACKET_ROUNDING = 1e-9
+# Largest degree in q = g^e0 that `lattice_bracket` sums by Horner's rule.
+# With nonnegative coefficients and q >= 0 the Horner sum of degree d is
+# within gamma_2d = 2du / (1 - 2du) of the exact one, relative (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 5),
+# and q^j carries j times the one power's rounding: below 1e-13 at d = 64.
+_HORNER_MAX_DEGREE = 64
 
 DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
 
@@ -231,16 +238,6 @@ def _require_reduced(p: Policy) -> None:
         )
 
 
-def reduced_integrand(spec: ObjectiveSpec, beta, p: Policy, x):
-    """Pointwise integrand of the equilibrium-free objective at x."""
-    b = beta_value(beta)
-    _require_reduced(p)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.atleast_1d(h_eval(p, x_arr))
-    values = _term_values(_terms(spec, b, p.n), x_arr, h, h)
-    return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
-
-
 def evaluate(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None = None) -> float:
     """Quadrature value of the reduced objective."""
     b = beta_value(beta)
@@ -342,6 +339,54 @@ def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     return values.T @ w + _lattice_constant(spec, n, pn)
 
 
+def _root_plan(terms, e0: float):
+    """The terms as polynomials in q = g^e0, one per power of x:
+    {x_pow: {j: [a_j, b_j]}} for the sum of x^x_pow q^j (a_j + b_j h).
+    None unless every exponent is j * e0 in floating point for an integer
+    j <= `_HORNER_MAX_DEGREE`."""
+    plan: dict[float, dict[int, list[float]]] = {}
+    for t in terms:
+        j = round(t.g_exp / e0)
+        if j > _HORNER_MAX_DEGREE or j * e0 != t.g_exp:
+            return None
+        coefs = plan.setdefault(t.x_pow, {}).setdefault(j, [0.0, 0.0])
+        coefs[t.times_h] += t.coef
+    return plan
+
+
+def _root_values(plan, x: np.ndarray, g: np.ndarray, pn, q: np.ndarray) -> np.ndarray:
+    """Sum of a `_root_plan` at the nodes, by Horner's rule in q per power of
+    x.  A coefficient a_j + b_j h enters as b_j g + (a_j + b_j p_n), so h is
+    never formed."""
+    total = None
+    for x_pow, coefs in plan.items():
+        degree = max(coefs)
+        a, b = coefs[degree]
+        if b:
+            part = b * g
+            part += a + b * pn
+            if degree:
+                part *= q
+        else:
+            part = a * q if degree else np.full_like(q, a)
+        for j in range(degree - 1, -1, -1):
+            a, b = coefs.get(j, (0.0, 0.0))
+            if b:
+                part += b * g
+                part += a + b * pn
+            elif a:
+                part += a
+            if j:
+                part *= q
+        if x_pow:
+            part *= np.power(x, x_pow)
+        if total is None:
+            total = part
+        else:
+            total += part
+    return total
+
+
 def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
                     w_low: np.ndarray, w_high: np.ndarray, n: int):
     """Lower and upper bounds on `lattice_value` from a subset of its nodes.
@@ -358,20 +403,36 @@ def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     P.w_high, likewise for N, and the value lies in
     [P.w_low - N.w_high, P.w_high - N.w_low] plus the lattice constant.
 
+    P and N are summed in root form where their exponents allow: with e0
+    the smallest positive exponent of g among all the terms, each is a
+    polynomial in q = g^e0 (`_root_plan`), summed by Horner's rule from the
+    one power q (`_root_values`).  A class whose exponents are not integer
+    multiples of e0 takes one power per term (`_term_values`).
+
     Both ends are widened by `BRACKET_ROUNDING` times
     P.w_high + N.w_high + |constant|.  `g` holds the policies' values at
-    the subset's nodes `x`, shaped as for `lattice_value`.
+    the subset's nodes `x`, shaped as for `lattice_value`.  With every node
+    and `w_low` = `w_high` = the rule's weights, the bracket is only the
+    rounding allowance wide.
     """
     b = beta_value(beta)
     pn = np.asarray(pn)
     xcol = x if g.ndim == 1 else x[:, None]
     terms = _terms(spec, b, n)
-    h = _welfare_factor(terms, g, pn)
-    rise = _term_values([t for t in terms if t.coef > 0.0], xcol, h, g)
-    fall = _term_values([replace(t, coef=-t.coef) for t in terms if t.coef < 0.0],
-                        xcol, h, g)
-    rise_low, rise_high = rise.T @ w_low, rise.T @ w_high
-    fall_low, fall_high = fall.T @ w_low, fall.T @ w_high
+    classes = ([t for t in terms if t.coef > 0.0],
+               [replace(t, coef=-t.coef) for t in terms if t.coef < 0.0])
+    e0 = min((t.g_exp for t in terms if t.g_exp > 0.0), default=0.0)
+    plans = [_root_plan(c, e0) if c and e0 else None for c in classes]
+    q = None if plans == [None, None] else np.power(g, e0)
+
+    def class_sums(sign_class, plan):
+        if not sign_class:
+            return 0.0, 0.0
+        values = (_term_values(sign_class, xcol, _welfare_factor(sign_class, g, pn), g)
+                  if plan is None else _root_values(plan, xcol, g, pn, q))
+        return values.T @ w_low, values.T @ w_high
+
+    (rise_low, rise_high), (fall_low, fall_high) = map(class_sums, classes, plans)
     constant = _lattice_constant(spec, n, pn)
     slack = BRACKET_ROUNDING * (rise_high + fall_high + np.abs(constant))
     return (rise_low - fall_high + constant - slack,

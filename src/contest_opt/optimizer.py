@@ -30,8 +30,14 @@ assuming any structure theorem, so it can confirm, rather than presuppose,
 where optima live; bottom shares above zero are handled through the shifted
 polynomial g = B(p - p_n), the policy polynomial of the shares less the
 bottom one, which is exactly zero on a flat policy.  Rigorous brackets from
-a subset of the quadrature nodes rule out most candidates before any is
-integrated at every node.
+every 25th, then every 5th quadrature node rule out most candidates; a last
+bracket at every node, only its rounding allowance wide, leaves the
+finalists, and only those are summed again term by term.  Each bracket sums
+its rising and its falling terms in root form: where every exponent of g is
+an integer multiple j <= 64 of the smallest, e0, a sign class is a
+polynomial in q = g^e0, summed by Horner's rule, and both classes share the
+one power q (`objective.lattice_bracket`).  An exponential reward so costs
+one power per node and candidate, not one per Taylor term.
 """
 
 from __future__ import annotations
@@ -82,10 +88,9 @@ _GRID_BLOCK_ELEMENTS = 1 << 16
 # for the full pass and cut grid_search's CPU time 7- to 25-fold; strides
 # 50 then 10 left up to 8,019 and were slower.
 _SCREEN_STRIDES = (25, 5)
-# grid_search sums the candidates within _TIE_ROUNDING of its best again, in
-# aligned windows of _SUM_WINDOW candidates at every node (see there)
+# grid_search sums its finalists again in aligned windows of _SUM_WINDOW
+# candidates at every node (see there)
 _SUM_WINDOW = 16
-_TIE_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -769,8 +774,11 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     Candidates are screened before they are integrated in full: each stage
     brackets every remaining candidate's quadrature sum from every
     `_SCREEN_STRIDES`-th node (`objective.lattice_bracket`) and drops those
-    whose upper end lies below the best lower end.  A dropped candidate's
-    value is below another's, so the argmax is still the exhaustive one.
+    whose upper end lies below the best lower end.  A last stage brackets
+    at every node with the rule's own weights, so its bracket is only the
+    rounding allowance wide; its survivors are the finalists.  A dropped
+    candidate's value is below another's, so the argmax is still the
+    exhaustive one.
     """
     b = beta_value(beta)
     if not 0 < granularity <= 0.5:
@@ -800,29 +808,26 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
             pieces.append(fn(_shifted(sub, block), block[:, -1]))
         return [np.concatenate(parts) for parts in zip(*pieces)]
 
+    # a stage on more than half the nodes would save no work; the last is exact
+    stages = [stage for stage in (_screen_weights(w, stride) for stride in _SCREEN_STRIDES)
+              if 2 * len(stage[0]) <= len(x)]
+    stages.append((np.arange(len(x)), w, w))
     keep, rows = np.arange(len(candidates)), candidates
-    for stride in _SCREEN_STRIDES:
-        nodes, w_low, w_high = _screen_weights(w, stride)
-        if 2 * len(nodes) > len(x):
-            continue  # too few nodes for a stage to save work
+    for nodes, w_low, w_high in stages:
         lower, upper = over_batches(
             rows, nodes,
             lambda g, pn: lattice_bracket(spec, b, g, pn, x[nodes], w_low, w_high, n))
         survive = upper >= lower.max()
         keep, rows = keep[survive], rows[survive]
-    (values,) = over_batches(
-        rows, np.arange(len(x)), lambda g, pn: (lattice_value(spec, b, g, pn, x, w, n),))
 
     # BLAS picks the kernel that sums a column by where the column sits in its
-    # call (OpenBLAS takes columns in fours), so a survivor's value can differ
+    # call (OpenBLAS takes columns in fours), so a finalist's value can differ
     # in the last bit from the one a pass over the whole lattice, in batches
-    # of a multiple of `_SUM_WINDOW`, computes.  The few near the top are
-    # summed again in their aligned window, which repeats that pass's
-    # arithmetic bit for bit, except in the lattice's last window: there the
-    # kernel also depends on the size of the call.
-    top = values.max()
-    finalists = keep[values >= top - _TIE_ROUNDING * max(1.0, abs(top))]
-    exact = {}
+    # of a multiple of `_SUM_WINDOW`, computes.  The finalists are summed in
+    # their aligned window, which repeats that pass's arithmetic bit for bit,
+    # except in the lattice's last window: there the kernel also depends on
+    # the size of the call.
+    finalists, exact = keep, {}
     for start in np.unique(finalists // _SUM_WINDOW) * _SUM_WINDOW:
         block = candidates[start:start + _SUM_WINDOW]
         sums = lattice_value(spec, b, _shifted(basis, block), block[:, -1], x, w, n)

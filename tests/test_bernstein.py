@@ -12,7 +12,6 @@ from contest_opt import (
     DomainError,
     RangeError,
     TrivialPolicyError,
-    basis_eval,
     basis_integral,
     basis_matrix,
     h_derivative,
@@ -38,10 +37,10 @@ def random_policy(rng, n, zero_bottom=False):
 
 class TestBasisEval:
     def test_first_element_is_power(self):
-        assert basis_eval(5, 1, 0.5) == pytest.approx(0.0625, abs=1e-15)
+        assert basis_matrix(5, np.array([0.5]))[0, 0] == pytest.approx(0.0625, abs=1e-15)
 
     def test_last_element_is_complement_power(self):
-        assert basis_eval(5, 5, 0.25) == pytest.approx(0.31640625, abs=1e-15)
+        assert basis_matrix(5, np.array([0.25]))[0, 4] == pytest.approx(0.31640625, abs=1e-15)
 
     def test_partition_of_unity_random(self):
         rng = np.random.default_rng(42)
@@ -65,9 +64,9 @@ class TestBasisEval:
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_endpoints_exact(self):
-        assert basis_eval(7, 7, 0.0) == 1.0
-        assert basis_eval(7, 1, 1.0) == 1.0
-        assert basis_eval(7, 3, 0.0) == 0.0
+        at_zero, at_one = basis_matrix(7, np.array([0.0, 1.0]))
+        assert at_zero[6] == 1.0 and at_one[0] == 1.0
+        assert at_zero[2] == 0.0
 
     def test_selected_columns_are_the_matrix_columns(self):
         """Each column is bit for bit the same whichever others come with it."""
@@ -83,15 +82,9 @@ class TestBasisEval:
         with pytest.raises(DomainError):
             bernstein.basis_columns(5, x, [6])
 
-    def test_rank_out_of_range(self):
-        with pytest.raises(DomainError):
-            basis_eval(5, 0, 0.5)
-        with pytest.raises(DomainError):
-            basis_eval(5, 6, 0.5)
-
     def test_x_out_of_range(self):
         with pytest.raises(DomainError):
-            basis_eval(5, 1, 1.5)
+            basis_matrix(5, np.array([1.5]))
 
 
 class TestBasisIntegral:

@@ -310,6 +310,24 @@ class TestEquilibriumCommand:
         assert code == 3 and out == ""
         assert "exceeds the cap of %d draws" % equilibrium.MAX_SIM_DRAWS in err
 
+    @pytest.mark.parametrize("extra, code", [
+        # 40,000 x 250,000 draws a chunk; at n = 40,000 the table takes seconds
+        (("--policy", "uni", "--n", "40000", "--deviation-grid", "100",
+          "--simulate", "1000000"), 3),
+        (("--n", "41", "--deviation-grid", str(equilibrium.MAX_DEVIATION_GRID)), 3),
+        (("--deviation-grid", str(equilibrium.MAX_DEVIATION_GRID + 1)), 3),
+        (("--deviation-grid", "0"), 1),
+        (("--simulate", "999"), 1),
+    ], ids=["draws", "cells", "grid_cap", "grid_empty", "sample_floor"])
+    def test_audit_is_refused_before_the_table(self, capsys, monkeypatch, extra, code):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the CDF table was built before the audit's checks")
+
+        monkeypatch.setattr(equilibrium, "cdf_table", no_table)
+        got, out, _ = run_cli(capsys, "equilibrium", "--policy", "hm", "--n", "5",
+                              "--simulate", "2000", *extra)
+        assert got == code and out == ""
+
 
 class TestVerifyCommand:
     def test_subset_run_passes(self, capsys):

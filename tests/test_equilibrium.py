@@ -10,7 +10,7 @@ from contest_opt import (
     QuadratureConfig,
     RangeError,
     TrivialPolicyError,
-    basis_eval,
+    basis_matrix,
     cdf,
     cdf_table,
     expected_revenue,
@@ -356,11 +356,11 @@ NAN = float("nan")
 @pytest.mark.parametrize("call", [
     lambda: h_eval(hm(5), NAN),
     lambda: h_derivative(hm(5), NAN),
-    lambda: basis_eval(5, 2, NAN),
+    lambda: basis_matrix(5, NAN),
     lambda: expected_revenue(hm(5), NAN),
     lambda: quantile(EquilibriumModel(hm(5), 2.0), NAN),
     lambda: utility(EquilibriumModel(hm(5), 2.0), [0.1, NAN]),
-], ids=["h_eval", "h_derivative", "basis_eval", "expected_revenue", "quantile", "utility"])
+], ids=["h_eval", "h_derivative", "basis_matrix", "expected_revenue", "quantile", "utility"])
 def test_nan_is_outside_every_domain(call):
     with pytest.raises(DomainError):
         call()

@@ -23,7 +23,6 @@ from contest_opt import (
     hm,
     make_policy,
     parse_objective_config,
-    reduced_integrand,
     uni,
 )
 from contest_opt.bernstein import h_eval
@@ -33,6 +32,7 @@ from contest_opt.objective import (
     _terms,
     evaluate_error_bound,
     format_objective_config,
+    lattice_value,
 )
 
 # quality integral of the uniform-except-last policy at cost exponent 2,
@@ -48,6 +48,13 @@ FAST = QuadratureConfig(m=20_000)
 def random_reduced_policy(rng, n):
     raw = np.sort(rng.dirichlet(np.ones(n - 1)))[::-1]
     return make_policy(list(raw) + [0.0])
+
+
+def reduced_integrand(spec, beta, p, x):
+    """The objective's integrand at x: `lattice_value` with x as its one
+    node, of weight one."""
+    xs = np.array([x])
+    return float(lattice_value(spec, beta, h_eval(p, xs), 0.0, xs, np.ones(1), p.n))
 
 
 class TestReducedIntegrand:
@@ -69,11 +76,11 @@ class TestReducedIntegrand:
 
     def test_bottom_share_precondition(self):
         with pytest.raises(ReductionPreconditionError):
-            reduced_integrand(ConvexCombo(0.0), 1.0, make_policy((0.4, 0.3, 0.3)), 0.5)
+            evaluate(ConvexCombo(0.0), 1.0, make_policy((0.4, 0.3, 0.3)), FAST)
 
     def test_trivial_policy_rejected(self):
         with pytest.raises(TrivialPolicyError):
-            reduced_integrand(ConvexCombo(0.0), 1.0, make_policy((0.25,) * 4), 0.5)
+            evaluate(ConvexCombo(0.0), 1.0, make_policy((0.25,) * 4), FAST)
 
 
 class TestEvaluate:

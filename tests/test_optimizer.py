@@ -30,6 +30,7 @@ from contest_opt import (
     verify,
 )
 from contest_opt.objective import (
+    _HORNER_MAX_DEGREE,
     _term_values,
     _terms,
     evaluate_error_bound,
@@ -570,6 +571,16 @@ SCREEN_SPECS = (
     Exponential((1.5,)),
     SocialWelfare(((0.5, 1.0),)),
 )
+# the bracket's root form: 1.5/beta is no integer multiple of 1/beta, so the
+# posynomial falls back to one power per term; a Taylor order of 50; an order
+# past the degree bound, which falls back too; and the welfare factor h at a
+# power of q below the top one
+ROOT_FORM_SPECS = (
+    Posynomial(((1.0, 1.0), (1.0, 1.5))),
+    Exponential((10.0,)),
+    Exponential((1.5,), _HORNER_MAX_DEGREE + 1),
+    SocialWelfare(((0.5, 1.0), (0.5, 2.0))),
+)
 # both rules, either left endpoint, and node counts that are multiples of
 # neither stride
 SCREEN_QUADS = (
@@ -599,7 +610,7 @@ class TestLatticeScreening:
             pn = shares[:, -1]
             g = basis_matrix(n, x) @ (shares - shares[:, -1:]).T
             assert np.any(pn > 0)
-            for spec in SCREEN_SPECS:
+            for spec in SCREEN_SPECS + ROOT_FORM_SPECS:
                 for beta in (0.6, 1.0, 2.0, 2.8, 5.0):
                     value = lattice_value(spec, beta, g, pn, x, w, n)
                     for stride in (25, 5, 7):
@@ -611,12 +622,15 @@ class TestLatticeScreening:
                                                        w_low, w_high, n)
                         assert np.all(lower <= value), (spec, beta, stride)
                         assert np.all(value <= upper), (spec, beta, stride)
+                    # the exact stage: every node at the rule's own weights
+                    lower, upper = lattice_bracket(spec, beta, g, pn, x, w, w, n)
+                    assert np.all(lower <= value) and np.all(value <= upper), (spec, beta)
 
     @pytest.mark.parametrize("spec,beta", [(spec, 1.7) for spec in SCREEN_SPECS] + [
         # unit cost: every candidate with p_n = 0 is worth 1/n up to the
         # quadrature error, so hardly any can be ruled out
         (ConvexCombo(0.0), 1.0),
-    ])
+    ] + [(spec, 1.7) for spec in ROOT_FORM_SPECS])
     def test_screened_argmax_is_the_exhaustive_one(self, spec, beta):
         x, w = GRID_QUAD.nodes_weights()
         for n, granularity in ((4, 0.05), (5, 0.04)):
@@ -628,3 +642,28 @@ class TestLatticeScreening:
             assert result.policy.values == tuple(shares[best])
             assert result.value == pytest.approx(values[best], rel=1e-12, abs=0.0)
             assert result.nodes_explored == len(shares)
+
+    @pytest.mark.parametrize("spec, powers", [
+        (Exponential((1.5,)), 1),
+        (Exponential((1.0, 2.5)), 1),
+        (SCREEN_SPECS[1], 1),
+        (ROOT_FORM_SPECS[3], 1),
+        (ROOT_FORM_SPECS[0], 2),
+        (ROOT_FORM_SPECS[2], _HORNER_MAX_DEGREE + 1),
+    ], ids=["exp", "exp_two_rates", "posynomial_both_signs", "social",
+            "posynomial_fallback", "exp_past_degree_bound"])
+    def test_powers_of_g(self, monkeypatch, spec, powers):
+        """Terms of exponents j/beta share one power of g, so the bracket
+        of an exponential costs one power, not one per Taylor term."""
+        x, w = GRID_QUAD.nodes_weights()
+        shares = _lattice_matrix(5, 10)
+        g = basis_matrix(5, x) @ (shares - shares[:, -1:]).T
+        calls, power = [], np.power
+
+        def spy(base, exponent, *args, **kwargs):
+            calls.append(exponent)
+            return power(base, exponent, *args, **kwargs)
+
+        monkeypatch.setattr(np, "power", spy)
+        lattice_bracket(spec, 1.7, g, shares[:, -1], x, w, w, 5)
+        assert len(calls) == powers

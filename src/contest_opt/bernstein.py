@@ -7,8 +7,8 @@ x whenever p is nontrivial; everything downstream (equilibrium CDF, reduced
 objectives, bounds) is built on h, its derivative and its inverse.
 
 h and its derivative are taken by nested multiplication, with no
-transcendental call, for n up to `_NESTED_MAX_N`; single basis values, and
-h above that n, are taken in log space.
+transcendental call, for n up to `_NESTED_MAX_N`, and refused above it;
+basis values are taken in log space.
 """
 
 from __future__ import annotations
@@ -18,25 +18,18 @@ from math import comb, isfinite, lgamma
 
 import numpy as np
 
-from .errors import DomainError, RangeError, TrivialPolicyError
+from .errors import BudgetExceededError, DomainError, RangeError, TrivialPolicyError
 from .policy import Policy, is_nontrivial
 
 TOL_INV = 1e-12
 MAX_BISECT = 200
-# basis values held at once by `_basis_dot`
+# basis values held at once by `weights_dot_basis`
 _BLOCK_ELEMENTS = 1 << 16
-# largest n for `_nested_dot`: its partial sums are bounded by
+# largest n of h, whose `_nested_dot` partial sums are bounded by
 # sum_k C(n-1, k) max p <= 2^(n-1) max p, finite in doubles only below n ~ 1020
 _NESTED_MAX_N = 1000
 # points per block of `_nested_dot`, whose three work vectors then stay in cache
 _NESTED_BLOCK = 1 << 14
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k) via lgamma; requires 0 <= k <= n."""
-    if not 0 <= k <= n:
-        raise DomainError("binomial out of range: C(%d, %d)" % (n, k))
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
 
 def check_unit_interval(x: np.ndarray, what: str = "x") -> None:
@@ -50,20 +43,18 @@ def check_unit_interval(x: np.ndarray, what: str = "x") -> None:
 
 @lru_cache(maxsize=64)
 def _log_binomials(n: int) -> np.ndarray:
-    # log C(n-1, i-1) for i = 1..n
-    return np.array([log_binomial(n - 1, i - 1) for i in range(1, n + 1)])
+    # log C(n-1, k) for k = 0..n-1
+    return np.array([lgamma(n) - lgamma(k + 1) - lgamma(n - k) for k in range(n)])
 
 
-def _basis_rows(n: int, flat: np.ndarray, idx: np.ndarray, out: np.ndarray,
-                scratch: np.ndarray | None = None) -> np.ndarray:
+def _basis_rows(n: int, flat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write a_i(x) into `out`, one row per rank i = idx + 1 and one column
     per point of the 1-d `flat`, and return it.
 
     Each value is C(n-1, i-1) x^(n-i) (1-x)^(i-1) taken in log space, one
     element at a time, so a row is bit for bit the same whichever other
     rows and points come with it.  Endpoints are patched exactly:
-    a_i(0) = [i == n], a_i(1) = [i == 1].  `scratch`, of the shape of
-    `out`, holds the (1-x) half; without it that half is a temporary.
+    a_i(0) = [i == n], a_i(1) = [i == 1].
     """
     logc = _log_binomials(n)[idx]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -71,7 +62,7 @@ def _basis_rows(n: int, flat: np.ndarray, idx: np.ndarray, out: np.ndarray,
         log1mx = np.log1p(-flat)
         np.multiply((n - 1 - idx).astype(float)[:, None], logx, out=out)  # n-i
         np.add(logc[:, None], out, out=out)
-        out += np.multiply(idx.astype(float)[:, None], log1mx, out=scratch)  # i-1
+        out += np.multiply(idx.astype(float)[:, None], log1mx)  # i-1
         np.exp(out, out=out)
     at0 = flat == 0.0
     at1 = flat == 1.0
@@ -109,46 +100,6 @@ def basis_matrix(n: int, x: np.ndarray) -> np.ndarray:
     rank.
     """
     return basis_columns(n, x, np.arange(1, n + 1))
-
-
-def _basis_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``basis_matrix(n, x) @ coeffs`` for an x already checked to lie in
-    [0, 1], without the full (points, n) matrix.
-
-    Works through runs of about `_BLOCK_ELEMENTS` basis values.  A 1-d x
-    is cut into runs whose length is a multiple of 64, with a lone last
-    point kept in the run before it, and an n-d x into runs of whole
-    last-axis rows.  Every run writes its basis rows and their transpose
-    into the same two buffers, and its product has the shape it would have
-    in one product, so the matrix-vector kernel meets the same row groups
-    and each value is bitwise the same.
-    """
-    if x.size * n <= _BLOCK_ELEMENTS:
-        starts = [0]
-    elif x.ndim == 1:
-        step = max(64, _BLOCK_ELEMENTS // n // 64 * 64)
-        starts = list(range(0, len(x), step))
-        if len(starts) > 1 and len(x) % step == 1:
-            del starts[-1]  # numpy takes a one-row product by another kernel
-    else:
-        step = _BLOCK_ELEMENTS // (n * x[0].size)
-        if step == 0:
-            return np.stack([_basis_dot(n, row, coeffs) for row in x])
-        starts = list(range(0, len(x), step))
-    ends = starts[1:] + [len(x)]
-    most = n * max(x[a:b].size for a, b in zip(starts, ends))
-    by_rank, by_point = np.empty(most), np.empty(most)
-    ranks = np.arange(n)
-    out = np.empty(x.shape)
-    for a, b in zip(starts, ends):
-        flat = x[a:b].ravel()
-        size = flat.size * n
-        rows = _basis_rows(n, flat, ranks, by_rank[:size].reshape(n, flat.size),
-                           by_point[:size].reshape(n, flat.size))
-        matrix = by_point[:size].reshape(flat.size, n)
-        matrix[...] = rows.T
-        np.matmul(matrix.reshape(x[a:b].shape + (n,)), coeffs, out=out[a:b])
-    return out
 
 
 @lru_cache(maxsize=64)
@@ -192,12 +143,6 @@ def _nested_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """``basis_matrix(n, x) @ coeffs``: nested multiplication up to
-    `_NESTED_MAX_N`, where it cannot overflow, and log-space rows above."""
-    return (_nested_dot if n <= _NESTED_MAX_N else _basis_dot)(n, x, coeffs)
-
-
 def weights_dot_basis(n: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``weights @ basis_matrix(n, x)`` for a 1-d x, summed over blocks of
     about `_BLOCK_ELEMENTS` basis values, so memory does not grow with
@@ -216,11 +161,20 @@ def basis_integral(n: int, i: int) -> float:
     return 1.0 / n
 
 
+def _h_points(p: Policy, x) -> np.ndarray:
+    """x as an array of at least one dimension, for h of p or its inverse;
+    a policy of n above `_NESTED_MAX_N` is refused before any array is built."""
+    if p.n > _NESTED_MAX_N:
+        raise BudgetExceededError("h of n = %d contestants exceeds the cap of n = %d"
+                                  % (p.n, _NESTED_MAX_N))
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
 def h_eval(p: Policy, x):
     """Policy polynomial h(x, p); h(0, p) = p_n and h(1, p) = p_1."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _h_points(p, x)
     check_unit_interval(x_arr)
-    values = _dot(p.n, x_arr, p.as_array())
+    values = _nested_dot(p.n, x_arr, p.as_array())
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 
@@ -234,11 +188,11 @@ def h_derivative(p: Policy, x):
     validated against central finite differences in the test suite.
     """
     n = p.n
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _h_points(p, x)
     check_unit_interval(x_arr)
     arr = p.as_array()
     diffs = arr[:-1] - arr[1:]  # nonnegative for a valid policy
-    values = (n - 1) * _dot(n - 1, x_arr, diffs)
+    values = (n - 1) * _nested_dot(n - 1, x_arr, diffs)
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 
@@ -257,7 +211,7 @@ def h_inverse(p: Policy, y, tol: float = TOL_INV, max_iter: int = MAX_BISECT):
         raise DomainError("tol must be finite and >= 0, got %r" % (tol,))
     if not is_nontrivial(p):
         raise TrivialPolicyError("h is constant for the all-equal policy")
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    y_arr = _h_points(p, y)
     if not np.all(np.isfinite(y_arr)):
         raise RangeError("y must be finite")
     lo_val, hi_val = p.pn, p.p1

@@ -168,8 +168,7 @@ def cmd_sweep(args) -> int:
     cells = 1000 if args.full else args.cells
     if cells < 1:
         raise ContestOptError("sweep needs at least 1 cell per axis")
-    if args.steps < 2:
-        raise ContestOptError("sweep needs at least 2 line-search steps")
+    opt.check_line_steps(args.steps)
     for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
         if not 0.0 <= value <= 1.0:
             raise ContestOptError("%s must lie in [0, 1], got %r" % (flag, value))

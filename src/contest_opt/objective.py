@@ -25,7 +25,12 @@ from typing import Union
 import numpy as np
 
 from .bernstein import h_eval, weights_dot_basis
-from .errors import DomainError, ReductionPreconditionError, TrivialPolicyError
+from .errors import (
+    BudgetExceededError,
+    DomainError,
+    ReductionPreconditionError,
+    TrivialPolicyError,
+)
 from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
 
@@ -42,8 +47,18 @@ BRACKET_ROUNDING = 1e-9
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 5),
 # and q^j carries j times the one power's rounding: below 1e-13 at d = 64.
 _HORNER_MAX_DEGREE = 64
+# Most Taylor terms an `Exponential` expands to, over all its rates.  Every
+# term takes a power of h at each node: at DEFAULT_QUAD, `evaluate` of the
+# 2,149 terms of the default order at lambda = 709 took 17.5 s CPU and
+# `optimize --method line` 99 s.  The cap admits two such rates.
+MAX_TAYLOR_TERMS = 5000
 
 DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
+
+
+def _check_finite_terms(terms, what: str) -> None:
+    if not all(math.isfinite(v) for term in terms for v in term):
+        raise DomainError("%s must be finite, got %r" % (what, terms))
 
 
 def beta_value(beta: float) -> float:
@@ -73,6 +88,7 @@ class Posynomial:
     def __post_init__(self) -> None:
         if not self.terms:
             raise DomainError("posynomial needs at least one term")
+        _check_finite_terms(self.terms, "posynomial terms")
         ks = [k for _, k in self.terms]
         if any(k <= 0 for k in ks):
             raise DomainError("posynomial exponents must be positive")
@@ -93,10 +109,20 @@ class Exponential:
     truncation_m: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.lambdas or any(l <= 0 for l in self.lambdas):
-            raise DomainError("exponential rates must be positive")
+        if not self.lambdas or not all(0.0 < l < math.inf for l in self.lambdas):
+            raise DomainError("exponential rates must be positive and finite, got %r"
+                              % (self.lambdas,))
+        try:
+            math.fsum(map(math.exp, self.lambdas))
+        except OverflowError:
+            raise DomainError("exponential rates %r overflow: the sum of exp(lambda) "
+                              "exceeds the largest double" % (self.lambdas,)) from None
         if self.truncation_m is not None and self.truncation_m < 1:
             raise DomainError("truncation order must be >= 1")
+        count = len(self.lambdas) * (self.order() + 1)
+        if count > MAX_TAYLOR_TERMS:
+            raise BudgetExceededError("exponential of %d Taylor terms exceeds the cap of %d"
+                                      % (count, MAX_TAYLOR_TERMS))
 
     def order(self) -> int:
         # remainder < 1e-12 for rates up to about 10
@@ -116,6 +142,7 @@ class SocialWelfare:
     platform_terms: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        _check_finite_terms(self.platform_terms, "platform terms")
         ks = [k for _, k in self.platform_terms]
         if any(e < 0 for e, _ in self.platform_terms):
             raise DomainError("platform term coefficients must be nonnegative")
@@ -478,41 +505,58 @@ def parse_objective_config(text: str) -> ObjectiveSpec:
     """Parse "objective=convex alpha=0.24" style strings.
 
     Forms: convex (alpha=), posynomial (terms=e:k,...), orderstat,
-    exp (lambdas=, optional truncation=), social (terms=e:k,...).
+    exp (lambdas=, optional truncation=), social (optional terms=e:k,...).
+    A missing, repeated, unread or unparsable key is a DomainError naming it.
     """
     fields: dict[str, str] = {}
     for token in text.split():
         if "=" not in token:
             raise DomainError("expected key=value, got %r" % token)
         key, value = token.split("=", 1)
+        if key in fields:
+            raise DomainError("%s= given twice in %r" % (key, text))
         fields[key] = value
     kind = fields.pop("objective", None)
     if kind is None:
         raise DomainError("missing objective= in %r" % text)
 
-    def _pairs(raw: str) -> tuple[tuple[float, float], ...]:
-        pairs = []
-        for chunk in raw.split(","):
-            try:
-                e_str, k_str = chunk.split(":")
-                pairs.append((float(e_str), float(k_str)))
-            except ValueError as exc:
-                raise DomainError("bad term %r, expected e:k" % chunk) from exc
-        return tuple(sorted(pairs, key=lambda ek: ek[1]))
+    def take(key: str) -> str:
+        if key not in fields:
+            raise DomainError("objective=%s needs %s=" % (kind, key))
+        return fields.pop(key)
+
+    def number(key: str, raw: str, cast=float):
+        try:
+            return cast(raw)
+        except ValueError:
+            raise DomainError("%s= takes numbers, got %r" % (key, raw)) from None
+
+    def pairs(key: str) -> tuple[tuple[float, float], ...]:
+        out = []
+        for chunk in take(key).split(","):
+            if chunk.count(":") != 1:
+                raise DomainError("%s=: bad term %r, expected e:k" % (key, chunk))
+            out.append(tuple(number(key, v) for v in chunk.split(":")))
+        return tuple(sorted(out, key=lambda ek: ek[1]))
 
     if kind == "convex":
-        return ConvexCombo(alpha=float(fields["alpha"]))
-    if kind == "posynomial":
-        return Posynomial(terms=_pairs(fields["terms"]))
-    if kind == "orderstat":
-        return MaxOrderStat()
-    if kind == "exp":
-        lambdas = tuple(float(v) for v in fields["lambdas"].split(","))
-        trunc = int(fields["truncation"]) if "truncation" in fields else None
-        return Exponential(lambdas=lambdas, truncation_m=trunc)
-    if kind == "social":
-        return SocialWelfare(platform_terms=_pairs(fields["terms"]) if "terms" in fields else ())
-    raise DomainError("unknown objective kind %r" % kind)
+        spec = ConvexCombo(alpha=number("alpha", take("alpha")))
+    elif kind == "posynomial":
+        spec = Posynomial(terms=pairs("terms"))
+    elif kind == "orderstat":
+        spec = MaxOrderStat()
+    elif kind == "exp":
+        lambdas = tuple(number("lambdas", v) for v in take("lambdas").split(","))
+        trunc = number("truncation", take("truncation"), int) if "truncation" in fields else None
+        spec = Exponential(lambdas=lambdas, truncation_m=trunc)
+    elif kind == "social":
+        spec = SocialWelfare(platform_terms=pairs("terms") if "terms" in fields else ())
+    else:
+        raise DomainError("unknown objective kind %r" % kind)
+    if fields:
+        raise DomainError("objective=%s does not read %s"
+                          % (kind, ", ".join(key + "=" for key in fields)))
+    return spec
 
 
 def format_objective_config(spec: ObjectiveSpec) -> str:

@@ -77,6 +77,9 @@ GRID_QUAD = QuadratureConfig(m=1000, rule="trapezoid", exclude_left_endpoint=Fal
 LINE_QUAD = QuadratureConfig(m=20_000, rule="right_riemann", exclude_left_endpoint=True)
 
 _LATTICE_GUARD = 10**8
+# most points of a line search's p1 grid, 8 bytes each: `optimize --method
+# line` peaked at 160 MB with 10^7 and at 864 MB with 10^8
+MAX_LINE_STEPS = 10_000_000
 # grid_search holds about this many (node, candidate) values, 512 kB, per
 # temporary.  On the lattice_oracle operations below 1 << 18 took 3% and
 # 1 << 20 took 36% more CPU, and larger temporaries stay resident in the
@@ -525,6 +528,15 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
     )
 
 
+def check_line_steps(steps: int) -> None:
+    """Refuse a line-search grid of fewer than 2 or more than `MAX_LINE_STEPS` points."""
+    if steps < 2:
+        raise DomainError("need at least 2 line-search steps")
+    if steps > MAX_LINE_STEPS:
+        raise BudgetExceededError("line search of %d steps exceeds the cap of %d"
+                                  % (steps, MAX_LINE_STEPS))
+
+
 def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
                           quad: QuadratureConfig | None = None) -> OptResult:
     """Best point of a uniform p1 grid over the two-level family, Brent-refined in its cell.
@@ -532,7 +544,8 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
     objective gets a gap certificate: the family's step moves over one
-    grid step, plus twice the per-evaluation quadrature allowance.  This is
+    grid step, plus twice the per-evaluation quadrature allowance; a gap or
+    value that overflows is reported uncertified.  This is
     `two_level_line_search_batch` on a batch of one.
     """
     return two_level_line_search_batch([spec], beta, n, steps, quad)[0]
@@ -561,8 +574,7 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
                 % format_objective_config(spec)
             )
     quad = quad or LINE_QUAD
-    if steps < 2:
-        raise DomainError("need at least 2 line-search steps")
+    check_line_steps(steps)
     configs = [{"n": n, "steps": steps, "objective": format_objective_config(spec),
                 "beta": b, "quad_m": quad.m, "quad_rule": quad.rule} for spec in specs]
     if n == 2:
@@ -585,8 +597,10 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
         lipschitz, holder = fam.step_moves(spec, b)
         gap = (lipschitz * step + sum(k * step ** r for k, r in holder)
                + 2.0 * fam.error_bound(spec, b))
+        # a bound that overflowed certifies nothing
+        certified = math.isfinite(gap) and math.isfinite(best_val)
         results.append(OptResult(two_level(n, best_p1), best_val, gap, steps,
-                                 "line_search", True, 0, config))
+                                 "line_search", certified, 0, config))
     return results
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contest_opt import (
+    BudgetExceededError,
     DomainError,
     RangeError,
     TrivialPolicyError,
@@ -252,27 +253,10 @@ class TestStalledBisection:
 
 
 class TestBlockedEvaluation:
-    """Work in blocks: the log-space path, which serves n above
-    `_NESTED_MAX_N`, gives each value bitwise as in one product, and memory
-    does not grow with points times n."""
+    """Work in blocks: values keep the shape of x, and memory does not grow
+    with points times n."""
 
     SHAPES = [(), (1,), (7,), (1000,), (4097,), (4161,), (3, 333), (50, 41), (2, 3, 129)]
-
-    @pytest.mark.parametrize("budget", [64, 1000, 1 << 16])
-    def test_bitwise_equal_to_one_product(self, monkeypatch, budget):
-        monkeypatch.setattr(bernstein, "_BLOCK_ELEMENTS", budget)
-        rng = np.random.default_rng(budget)
-        for n in range(2, 41):
-            coeffs = random_policy(rng, n, zero_bottom=bool(rng.integers(2))).as_array()
-            step = max(64, budget // n // 64 * 64)  # a 1-d run's length
-            # a lone last point joins the run before it; one more point is a run
-            lone = [(step + 1,), (3 * step + 1,), (3 * step + 2,)]
-            for shape in self.SHAPES + lone:
-                x = np.atleast_1d(rng.random(shape))
-                x.flat[::97], x.flat[1::89] = 0.0, 1.0  # the exact endpoints inside blocks too
-                value = bernstein._basis_dot(n, x, coeffs)
-                assert value.shape == x.shape
-                assert np.array_equal(value, basis_matrix(n, x) @ coeffs)
 
     def test_scalar_and_zero_d_inputs_give_floats(self):
         p = uni(20)
@@ -332,28 +316,29 @@ class TestNestedKernel:
             assert max(worst_error_ratios(p, x)) <= 1.0
 
     def test_within_the_error_bound_at_the_split(self):
-        """Up to `_NESTED_MAX_N` both meet the bound.  One above it, dh/dx is
-        still nested (degree n-1) and h takes log-space rows, whose binomials
-        carry lgamma's absolute error: that missed the bound by 1.53x here,
-        so it is held to 8x."""
+        """At the largest n that h takes, `_NESTED_MAX_N`, both meet the bound."""
         # exact powers of x = 1e-300 take minutes at this degree
         rng = np.random.default_rng(1000)
         x = np.array([0.0, 1.0, 2.0**-53, 1.0 - 2.0**-53, rng.random()])
-        top = bernstein._NESTED_MAX_N
-        assert max(worst_error_ratios(random_policy(rng, top), x)) <= 1.0
-        h_ratio, slope_ratio = worst_error_ratios(random_policy(rng, top + 1), x)
-        assert slope_ratio <= 1.0 and h_ratio <= 8.0
+        p = random_policy(rng, bernstein._NESTED_MAX_N)
+        assert max(worst_error_ratios(p, x)) <= 1.0
 
-    def test_log_space_runs_only_above_the_split(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("log-space path ran")
+    def test_refused_above_the_cap(self, monkeypatch):
+        """One above `_NESTED_MAX_N`, h, dh/dx and the inverse raise
+        BudgetExceededError before any array of points is built."""
 
-        monkeypatch.setattr(bernstein, "_basis_dot", never)
-        x = np.array([0.25, 0.5])
-        h_eval(uni(bernstein._NESTED_MAX_N), x)
-        h_derivative(uni(bernstein._NESTED_MAX_N + 1), x)
-        with pytest.raises(AssertionError, match="log-space"):
-            h_eval(uni(bernstein._NESTED_MAX_N + 1), x)
+        class NoArray:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("an array of points was built")
+
+        monkeypatch.setattr(bernstein, "_nested_dot", None)  # would fail if called
+        p = uni(bernstein._NESTED_MAX_N + 1)
+        for fn in (h_eval, h_derivative, h_inverse):
+            with pytest.raises(BudgetExceededError, match="cap of n = 1000"):
+                fn(p, NoArray())
+        # the inverse refuses even targets at the ends, which need no h
+        with pytest.raises(BudgetExceededError):
+            h_inverse(p, [p.pn, p.p1])
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(17)

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from contest_opt import QuadratureConfig, parse_objective_config, parse_policy
-from contest_opt import equilibrium, optimizer
+from contest_opt import bernstein, equilibrium, optimizer, quadrature
 from contest_opt import verify
 from contest_opt.cli import main
 from contest_opt.policy import classify_structure
@@ -42,6 +42,13 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", "--policy", "0.2,0.3,0.5")
         assert code == 1
         assert "non-increasing" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "equilibrium"])
+    def test_h_above_its_cap_is_refused(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", str(bernstein._NESTED_MAX_N + 1),
+                                 "--policy", "uni")
+        assert code == 3 and out == ""
+        assert "exceeds the cap of n = %d" % bernstein._NESTED_MAX_N in err
 
     def test_json_output_parses(self, capsys):
         code, out, _ = run_cli(capsys, "evaluate", "--policy", "uni", "--n", "5",
@@ -116,6 +123,35 @@ class TestOptimize:
                                  "--classify-tol", value)
         assert code == 1 and out == ""
         assert err == "error: --classify-tol must be finite and >= 0, got %r\n" % float(value)
+
+    @pytest.mark.parametrize("text, code", [
+        ("objective=convex", 1),
+        ("objective=posynomial", 1),
+        ("objective=exp", 1),
+        ("objective=convex alpha=abc", 1),
+        ("objective=exp lambdas=1 truncation=x", 1),
+        ("objective=orderstat alpha=0.3 lambdas=2", 1),
+        ("objective=posynomial terms=1:nan", 1),
+        ("objective=exp lambdas=nan", 1),
+        ("objective=exp lambdas=inf", 1),
+        ("objective=exp lambdas=800", 1),
+        ("objective=exp lambdas=1 truncation=100000000", 3),
+    ])
+    def test_bad_objective_strings_are_refused(self, capsys, text, code):
+        got, out, err = run_cli(capsys, "optimize", "--method", "line", "--n", "5",
+                                "--objective", text)
+        assert got == code and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, cap", [
+        (("optimize", "--method", "line", "--steps"), optimizer.MAX_LINE_STEPS),
+        (("sweep", "--cells", "2", "--steps"), optimizer.MAX_LINE_STEPS),
+        (("evaluate", "--policy", "hm", "--quad-m"), quadrature.MAX_M),
+        (("optimize", "--method", "bnb", "--quad-m"), quadrature.MAX_M),
+    ])
+    def test_sizes_above_the_cap_are_refused(self, capsys, argv, cap):
+        code, out, err = run_cli(capsys, *argv, str(cap + 1))
+        assert code == 3 and out == "" and "exceeds the cap of %d" % cap in err
 
     def test_line_method(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "line", "--n", "5",

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from contest_opt import (
+    BudgetExceededError,
     ConvexCombo,
+    DomainError,
     Exponential,
     MaxOrderStat,
     Posynomial,
@@ -26,7 +28,9 @@ from contest_opt import (
     uni,
 )
 from contest_opt.bernstein import h_eval
+from contest_opt.quadrature import MAX_M
 from contest_opt.objective import (
+    MAX_TAYLOR_TERMS,
     _Term,
     _term_values,
     _terms,
@@ -112,6 +116,11 @@ class TestEvaluate:
                 ConvexCombo(0.0), beta, p, FAST
             )
             assert mixed == pytest.approx(ends, abs=1e-12)
+
+    def test_quadrature_above_the_cap_is_refused(self):
+        assert ORACLE_QUAD.m == MAX_M
+        with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_M):
+            QuadratureConfig(m=MAX_M + 1)
 
     def test_riemann_refinement_bound(self):
         """A monotone integrand pins successive Riemann sums together."""
@@ -316,6 +325,50 @@ class TestConfigFormat:
     def test_social_welfare_rejects_negative_platform_terms(self):
         with pytest.raises(Exception):
             SocialWelfare(platform_terms=((-1.0, 2.0),))
+
+    @pytest.mark.parametrize("text, key", [
+        ("objective=convex", "alpha="),
+        ("objective=posynomial", "terms="),
+        ("objective=exp", "lambdas="),
+        ("objective=convex alpha=abc", "alpha="),
+        ("objective=exp lambdas=1 truncation=x", "truncation="),
+        ("objective=posynomial terms=1:2:3", "terms="),
+        ("objective=orderstat alpha=0.3 lambdas=2", "alpha=, lambdas="),
+        ("objective=social alpha=0.3", "alpha="),
+        ("objective=convex alpha=0.1 alpha=0.2", "alpha="),
+    ])
+    def test_bad_keys_name_the_key(self, text, key):
+        with pytest.raises(DomainError, match=key):
+            parse_objective_config(text)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: Posynomial(((1.0, v),)),
+        lambda v: Posynomial(((v, 1.0),)),
+        lambda v: SocialWelfare(((v, 1.0),)),
+        lambda v: SocialWelfare(((1.0, v),)),
+        lambda v: Exponential((v,)),
+        lambda v: Exponential((1.0, v)),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_are_refused(self, make, value):
+        with pytest.raises(DomainError, match="finite"):
+            make(value)
+
+    def test_exponential_sums_must_not_overflow(self):
+        Exponential((709.0, 709.0))  # 2 e^709 is below the largest double
+        for lambdas in ((800.0,), (709.0, 709.0, 709.0)):
+            with pytest.raises(DomainError, match="overflow"):
+                Exponential(lambdas)
+
+    def test_taylor_terms_above_the_cap_are_refused(self):
+        # the default order at the largest rate, twice, is admitted
+        assert len(_terms(Exponential((709.0, 709.0)), 2.0, 5)) <= MAX_TAYLOR_TERMS
+        Exponential((1.0,), truncation_m=MAX_TAYLOR_TERMS - 1)
+        for spec in (dict(lambdas=(1.0,), truncation_m=MAX_TAYLOR_TERMS),
+                     dict(lambdas=(1.0,), truncation_m=10**8),
+                     dict(lambdas=(1.0,) * 250)):  # 24 terms each
+            with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_TAYLOR_TERMS):
+                Exponential(**spec)
 
     def test_posynomial_requires_increasing_exponents(self):
         with pytest.raises(Exception):

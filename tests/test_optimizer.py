@@ -39,6 +39,7 @@ from contest_opt.objective import (
 )
 from contest_opt.optimizer import (
     GRID_QUAD,
+    MAX_LINE_STEPS,
     _LATTICE_GUARD,
     _BatchSums,
     _TwoLevelFamily,
@@ -369,6 +370,18 @@ class TestLineSearch:
         # the grid's p1 = 1/4 beats Brent: its value is the grid point's own
         assert result.value == 0.4445668108541439
         assert result.certified_gap == 0.031360556058693555
+
+    def test_steps_above_the_cap_are_refused(self, monkeypatch):
+        monkeypatch.setattr(np, "linspace", None)  # would fail if called
+        with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_LINE_STEPS):
+            two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=MAX_LINE_STEPS + 1)
+
+    def test_an_overflowed_gap_is_not_certified(self):
+        # every term is finite, but the step moves of the largest rate overflow
+        result = two_level_line_search(Exponential((709.0,)), 2.0, 5, steps=20,
+                                       quad=QuadratureConfig(m=50))
+        assert math.isfinite(result.value) and not math.isfinite(result.certified_gap)
+        assert not result.certified
 
     def test_order_statistic_beats_neighbors(self):
         result = two_level_line_search(MaxOrderStat(), 2.0, 5, steps=500, quad=FAST)

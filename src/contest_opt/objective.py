@@ -209,7 +209,7 @@ def _lattice_constant(spec: ObjectiveSpec, n: int, pn: float) -> float:
 
 
 def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
-                 powers: dict | None = None) -> np.ndarray:
+                 powers: dict | None = None, read_only: bool = False) -> np.ndarray:
     """Sum of the terms' integrands at the nodes.
 
     `powers` holds the last power of g computed, as {g_exp: g**g_exp}, and a
@@ -220,16 +220,18 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
 
     The sum is bit for bit 0.0 + part_1 + part_2 + ..., but it starts from
     the first part's own array.  Each part is one fresh temporary, multiplied
-    in place, and a unit coefficient multiplies nothing; the memo's array is
-    only read.  0.0 + part differs from part only in the sign of a zero, so
-    0.0 is still added where the first part can hold -0.0 (a negative
-    coefficient; g and h are sums of nonnegative products, so hold none) or
-    is the memo's array itself.
+    in place, and a unit coefficient multiplies nothing.  0.0 + part differs
+    from part only in the sign of a zero, so 0.0 is still added where the
+    first part can hold -0.0: a negative coefficient; g and h are sums of
+    nonnegative products, so hold none, nor do their powers.  The memo's
+    array is only read: a second part is added into a new array, and a sum
+    of the memo's part alone is returned as a copy, or as the memo's array
+    itself to a caller that passes `read_only` and only reads the sum.
     """
     if not terms:
         return np.zeros_like(g)
     powers = {} if powers is None else powers
-    total = None
+    total, owned = None, False
     for t in terms:
         fresh = True
         if t.g_exp == 0.0:
@@ -250,10 +252,14 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
             part = np.multiply(part, np.power(x, t.x_pow), out=part if fresh else None)
             fresh = True
         if total is None:
-            total = part + 0.0 if not fresh or math.copysign(1.0, t.coef) < 0.0 else part
-        else:
+            total, owned = part, fresh
+            if fresh and math.copysign(1.0, t.coef) < 0.0:
+                total += 0.0
+        elif owned:
             total += part
-    return total
+        else:
+            total, owned = total + part, True
+    return total if owned or read_only else total + 0.0
 
 
 def _require_reduced(p: Policy) -> None:

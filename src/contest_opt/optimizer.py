@@ -23,7 +23,10 @@ tolerance.  The line search finds the best point of its p1 grid with the
 same two bounds, dropping grid cells instead of scanning them
 (`_grid_argmax`).  Every call reads values, bounds and step moves from one
 `_TwoLevelFamily` (nodes, c0, c1, |c1|, rise/fall weights), built once per
-(n, rule) and shared read-only (`_family`).
+(n, rule) and shared read-only (`_family`).  Both searches and
+`interval_bounds` read values and bounds through one kernel, `_BatchSums`,
+which integrates each term shape against the rise and fall weights once
+per point, so the searches agree bit for bit at any p1 both visit.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -45,7 +48,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -80,6 +83,11 @@ _LATTICE_GUARD = 10**8
 # most points of a line search's p1 grid, 8 bytes each: `optimize --method
 # line` peaked at 160 MB with 10^7 and at 864 MB with 10^8
 MAX_LINE_STEPS = 10_000_000
+# most values of grid_search's (nodes, n) basis.  With 2 candidates,
+# 12 million (n = 60, 200,001 nodes) peaked at 286 MB and 6 million at
+# 181 MB (n = 60) to 243 MB (n = 6); n = 5 at every node count the rules
+# allow is admitted.
+MAX_GRID_BASIS = 6_000_000
 # grid_search holds about this many (node, candidate) values, 512 kB, per
 # temporary.  On the lattice_oracle operations below 1 << 18 took 3% and
 # 1 << 20 took 36% more CPU, and larger temporaries stay resident in the
@@ -142,10 +150,16 @@ class OptResult:
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
+        """The result as one strict JSON object: a value or gap that is not
+        finite, which JSON cannot hold, is written as null."""
+        def finite(v: Optional[float]) -> Optional[float]:
+            return v if v is not None and math.isfinite(v) else None
+
         payload = {
             "policy": list(self.policy.values),
-            "value": self.value,
-            "gap": self.certified_gap,
+            "value": finite(self.value),
+            "gap": finite(self.certified_gap),
+            "certified": self.certified,
             "nodes": self.nodes_explored,
             "method": self.method,
             "config": self.config,
@@ -175,9 +189,11 @@ def c_decomposition(n: int, x) -> CDecomposition:
 
 
 class _EndpointSums(NamedTuple):
-    """The rise and fall sums of the convex terms, then of the concave terms,
-    at one top share, or as arrays at several (see `_TwoLevelFamily`)."""
+    """One objective's value at one top share, then the rise and fall sums
+    of its convex terms and of its concave terms there: the first five rows
+    of `_BatchSums.at`, as floats or as arrays over several points."""
 
+    value: float
     vex_rise: float
     vex_fall: float
     cav_rise: float
@@ -191,20 +207,10 @@ class _EndpointSums(NamedTuple):
     def cav(self) -> float:
         return self.cav_rise + self.cav_fall
 
-    @property
-    def value(self) -> float:
-        return self.vex + self.cav
-
-
-def _convexity_classes(spec: ObjectiveSpec, b: float, n: int):
-    """The objective's terms that are convex in p1 on the chain, and those
-    that are concave: h is affine in p1 at each node, so coef * x^a * h^r is
-    convex when coef * (r - 1) >= 0 and concave otherwise."""
-    terms = _terms(spec, b, n)
-    return ([t for t in terms if _is_convex(t)], [t for t in terms if not _is_convex(t)])
-
 
 def _is_convex(t: _Term) -> bool:
+    """On the chain h is affine in p1 at each node, so coef * x^a * h^r is
+    convex in p1 when coef * (r - 1) >= 0 and concave otherwise."""
     return t.coef * (t.power - 1.0) >= 0.0
 
 
@@ -222,9 +228,11 @@ class _TwoLevelFamily:
 
     Every term x^a * h^r is nondecreasing in h, so at each node it grows
     with p1 where its coefficient times c1 is >= 0 and falls elsewhere
-    (`_rise_column`).  `endpoint_sums` integrates one endpoint against
-    both halves of the weights, once per convexity class: G(p1) is the sum
-    of the four and U(lo, hi) = rise(hi) + fall(lo).
+    (`_rise_column`).  `shape_sums` integrates each term shape at one top
+    share against the two halves of the weights, `split`; `_BatchSums`
+    combines them into each objective's value, G(p1) = rise + fall summed
+    over its terms, and its rise and fall sums per convexity class, from
+    which U(lo, hi) = rise(hi) + fall(lo).
     """
 
     def __init__(self, n: int, quad: QuadratureConfig):
@@ -248,42 +256,19 @@ class _TwoLevelFamily:
         h += self.c0[:, None]
         return lattice_value(spec, b, h, 0.0, self.x, self.w, self.n)
 
-    @cached_property
-    def _split_and_w(self) -> np.ndarray:
-        """The (m, 3) weights [rise half, fall half, all] of `shape_sums`."""
-        weights = np.column_stack((self.split, self.w))
-        weights.setflags(write=False)
-        return weights
-
     def shape_sums(self, shapes, p1: float) -> np.ndarray:
-        """Integrals of each unit-coefficient term in `shapes` at p1, one row
-        each: over the two halves of `split`, then over all the nodes.
+        """Integrals of each unit-coefficient term in `shapes` at p1 over the
+        two halves of `split`, one row each.
 
         One h and one power memo serve every shape, and each row is one
-        product of its integrand with the (m, 3) weights, so a row depends
+        product of its integrand with the (m, 2) weights, so a row depends
         on its shape and p1 alone, not on the shapes beside it.
         """
-        h = self.c0 + self.c1 * p1
+        h = self.c1 * p1
+        h += self.c0
         powers: dict = {}
-        return np.array([_term_values([unit], self.x, h, h, powers) @ self._split_and_w
+        return np.array([_term_values([unit], self.x, h, h, powers, read_only=True) @ self.split
                          for unit in shapes])
-
-    def endpoint_sums(self, classes, p1: float) -> _EndpointSums:
-        """`_EndpointSums` at p1 of the two term lists of `_convexity_classes`,
-        from one h and one power memo."""
-        h = self.c0 + self.c1 * p1
-        powers: dict = {}
-
-        def rise_fall(terms) -> np.ndarray:
-            sums = _term_values([t for t in terms if _rise_column(t) == 0],
-                                self.x, h, h, powers) @ self.split
-            falling = [t for t in terms if _rise_column(t) == 1]
-            if falling:
-                sums += (_term_values(falling, self.x, h, h, powers) @ self.split)[::-1]
-            return sums
-
-        vex, cav = (rise_fall(terms) for terms in classes)
-        return _EndpointSums(float(vex[0]), float(vex[1]), float(cav[0]), float(cav[1]))
 
     def step_moves(self, spec: ObjectiveSpec, b: float) -> tuple[float, list[tuple[float, float]]]:
         """How far the objective moves when p1 moves by s: at most
@@ -320,6 +305,60 @@ def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
     over n = 4, 5, 6 needs six: with room for four, 50 of 120 such lookups
     rebuilt a family."""
     return _TwoLevelFamily(n, quad)
+
+
+class _BatchSums:
+    """Each objective's sums at points of the two-level chain, for objectives
+    that share beta and n: what branch-and-bound, `interval_bounds` and the
+    line search's `_grid_argmax` read of the chain.
+
+    Each point is evaluated on its own (`_TwoLevelFamily.shape_sums`), and
+    each objective combines the integrals of its own terms in its term
+    order, elementwise, so a sum depends on its objective and point alone,
+    not on the batch.  A term's whole integral is the sum of its two
+    halves.  Objectives whose terms match in shape, convexity class and
+    rising half (`_rise_column`), in order, share one coefficient matrix.
+    """
+
+    def __init__(self, fam: _TwoLevelFamily, specs, b: float):
+        self.fam, self.count = fam, len(specs)
+        terms = [_terms(spec, b, fam.n) for spec in specs]
+        # sorted, so that shapes with one power of h sit together
+        self.shapes = sorted({replace(t, coef=1.0) for ts in terms for t in ts},
+                             key=lambda u: (u.g_exp, u.x_pow, u.times_h))
+        row = {unit: i for i, unit in enumerate(self.shapes)}
+        groups: dict[tuple, list[int]] = {}
+        for k, ts in enumerate(terms):
+            key = tuple((row[replace(t, coef=1.0)], _is_convex(t), _rise_column(t)) for t in ts)
+            groups.setdefault(key, []).append(k)
+        # per term: its shape's row, its class's block of `at` (0 convex,
+        # 1 concave), its halves in (rise, fall) order, and its coefficients
+        # alone and with their magnitudes
+        self.groups = []
+        for key, ks in groups.items():
+            coefs = np.array([[t.coef for t in terms[k]] for k in ks]).T
+            self.groups.append((ks, [(s, 1 - convex, slice(up, None, 1 - 2 * up), c,
+                                      np.stack((c, np.abs(c)))[:, None])
+                                     for c, (s, convex, up) in zip(coefs, key)]))
+        self.no_cav = np.array([all(map(_is_convex, ts)) for ts in terms], dtype=bool)
+
+    def at(self, p1s) -> np.ndarray:
+        """(value, vex_rise, vex_fall, cav_rise, cav_fall, size) at each top
+        share of `p1s` (rows) for each objective (columns): the first five
+        are the fields of `_EndpointSums`, and size integrates the terms
+        with their coefficients' magnitudes."""
+        halves = np.array([self.fam.shape_sums(self.shapes, p1) for p1 in p1s]).reshape(
+            len(p1s), len(self.shapes), 2).transpose(1, 2, 0)  # shape, half, point
+        whole = halves[:, 0] + halves[:, 1]
+        out = np.empty((6, len(p1s), self.count))
+        for ks, adds in self.groups:
+            part = np.zeros((6, len(p1s), len(ks)))
+            value_size, classes = part[::5], part[1:5].reshape(2, 2, *part.shape[1:])
+            for s, block, rise_fall, coef, with_size in adds:
+                value_size += whole[s, :, None] * with_size
+                classes[block] += halves[s, rise_fall, :, None] * coef
+            out[:, :, ks] = part
+        return out
 
 
 def _rise_fall_upper(at_lo: _EndpointSums, at_hi: _EndpointSums):
@@ -387,8 +426,8 @@ def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
     domain_lo = 1.0 / (n - 1)
     if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
         raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
-    classes = _convexity_classes(ConvexCombo(alpha), b, n)
-    lower, upper = _bounds(fam.endpoint_sums(classes, lo), fam.endpoint_sums(classes, hi))
+    ends = _BatchSums(fam, [ConvexCombo(alpha)], b).at([lo, hi])[:5, :, 0].T.tolist()
+    lower, upper = _bounds(*(_EndpointSums(*end) for end in ends))
     return lower, max(upper, lower)
 
 
@@ -446,13 +485,13 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
             "raise epsilon or the node count" % (cfg.epsilon, 2 * delta)
         )
 
-    classes = _convexity_classes(spec, b, n)
-    sums: dict[float, _EndpointSums] = {}  # four floats per visited endpoint
+    batch = _BatchSums(fam, [spec], b)
+    sums: dict[float, _EndpointSums] = {}  # five floats per visited endpoint
 
     def endpoint(p1: float) -> _EndpointSums:
         hit = sums.get(p1)
         if hit is None:
-            hit = sums[p1] = fam.endpoint_sums(classes, p1)
+            hit = sums[p1] = _EndpointSums(*batch.at([p1])[:5, 0, 0].tolist())
         return hit
 
     def value(p1: float) -> float:
@@ -479,7 +518,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
         best_p1, best_val = hi0, v_hi
 
     # with no concave term every secant of the concave part is the zero line
-    root_slope = 0.0 if not classes[1] else None
+    root_slope = 0.0 if batch.no_cav[0] else None
     root = make_interval(lo0, hi0, 0, root_slope, root_slope)
     # ties on the upper bound break toward the leftmost interval
     heap: list[tuple[float, float, Interval]] = [(-root.upper, root.lo, root)]
@@ -604,51 +643,6 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     return results
 
 
-class _BatchSums:
-    """Each objective's sums at points of the two-level chain, for objectives
-    that share beta and n.
-
-    Each point is evaluated on its own (`_TwoLevelFamily.shape_sums`), and
-    each objective combines the integrals of its own terms in its term
-    order, elementwise, so a sum depends on its objective and point alone,
-    not on the batch.  Objectives whose terms match in shape, convexity
-    class and rising half (`_rise_column`), in order, share one
-    coefficient matrix.
-    """
-
-    def __init__(self, fam: _TwoLevelFamily, specs, b: float):
-        self.fam, self.count = fam, len(specs)
-        terms = [_terms(spec, b, fam.n) for spec in specs]
-        # sorted, so that shapes with one power of h sit together
-        self.shapes = sorted({replace(t, coef=1.0) for ts in terms for t in ts},
-                             key=lambda u: (u.g_exp, u.x_pow, u.times_h))
-        row = {unit: i for i, unit in enumerate(self.shapes)}
-        groups: dict[tuple, list[int]] = {}
-        for k, ts in enumerate(terms):
-            key = tuple((row[replace(t, coef=1.0)], _is_convex(t), _rise_column(t)) for t in ts)
-            groups.setdefault(key, []).append(k)
-        self.groups = [(key, ks, np.array([[t.coef for t in terms[k]] for k in ks]).T)
-                       for key, ks in groups.items()]
-        self.no_cav = np.array([all(map(_is_convex, ts)) for ts in terms], dtype=bool)
-
-    def at(self, p1s) -> np.ndarray:
-        """(value, size, vex_rise, vex_fall, cav_rise, cav_fall) at each top
-        share of `p1s` (rows) for each objective (columns): size integrates
-        the terms with their coefficients' magnitudes, and the rest are the
-        fields of `_EndpointSums`."""
-        sums = np.stack([self.fam.shape_sums(self.shapes, p1) for p1 in p1s], axis=1)
-        out = np.empty((6, len(p1s), self.count))
-        for key, ks, coef in self.groups:
-            part = np.zeros((6, len(p1s), len(ks)))
-            for c, (s, convex, up) in zip(coef, key):
-                part[0] += sums[s, :, 2, None] * c
-                part[1] += sums[s, :, 2, None] * abs(c)
-                part[4 - 2 * convex] += sums[s, :, up, None] * c
-                part[5 - 2 * convex] += sums[s, :, 1 - up, None] * c
-            out[:, :, ks] = part
-        return out
-
-
 def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
     """Each objective's first best point of `p1_grid` (its index) and value,
     as a full scan would find them, from few evaluated points.
@@ -679,8 +673,8 @@ def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
         if not len(lo):
             break
         at = np.searchsorted(idx, lo), np.searchsorted(idx, hi)
-        ends = [_EndpointSums(*data[2:, pos]) for pos in at]
-        cav, p1s = data[4] + data[5], p1_grid[idx]
+        ends = [_EndpointSums(*data[:5, pos]) for pos in at]
+        cav, p1s = data[3] + data[4], p1_grid[idx]
 
         def secant(a, z):
             # a == z where no point lies beyond the cell on that side: 0/0 is
@@ -694,7 +688,7 @@ def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
         left[:, batch.no_cav] = right[:, batch.no_cav] = 0.0
         upper = np.fmin(_rise_fall_upper(*ends), _chord_secant_upper(
             p1_grid[lo, None], p1_grid[hi, None], *ends, left, right))
-        upper += BRACKET_ROUNDING * (data[1, at[0]] + data[1, at[1]])
+        upper += BRACKET_ROUNDING * (data[5, at[0]] + data[5, at[1]])
         live &= upper >= data[0].max(axis=0)
         split = live.any(axis=1)
         lo, hi, live = lo[split], hi[split], live[split]
@@ -810,6 +804,9 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     config = {"n": n, "granularity": granularity, "objective": format_objective_config(spec),
               "beta": b, "quad_m": quad.m, "quad_rule": quad.rule}
     x, w = quad.nodes_weights()
+    if len(x) * n > MAX_GRID_BASIS:
+        raise BudgetExceededError("grid basis of %d nodes x %d shares exceeds the cap of %d values"
+                                  % (len(x), n, MAX_GRID_BASIS))
     basis = basis_matrix(n, x)
     candidates = _lattice_matrix(n, resolution)
 

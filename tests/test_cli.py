@@ -4,8 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from contest_opt import bernstein, equilibrium, optimizer, quadrature
 from contest_opt import verify
 from contest_opt.cli import main
 from contest_opt.policy import classify_structure
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +120,37 @@ class TestOptimize:
         assert code == 0
         record = json.loads(out)
         assert record["policy"][0] == 1.0  # concave costs concentrate the prize
+
+    def test_json_is_strict_and_carries_the_certificate(self, capsys):
+        """An overflowed gap is null, not Infinity, and the record says it
+        certifies nothing."""
+        def refuse(constant):
+            raise AssertionError("non-standard JSON constant %s" % constant)
+
+        code, out, _ = run_cli(capsys, "optimize", "--method", "line", "--objective",
+                               "objective=exp lambdas=709", "--steps", "20",
+                               "--quad-m", "50", "--format", "json")
+        assert code == 0
+        record = json.loads(out, parse_constant=refuse)
+        assert record["gap"] is None and record["certified"] is False
+        assert record["value"] > 0
+
+    def test_grid_basis_above_the_cap_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--n", "60",
+                                 "--granularity", "0.5", "--quad-m", "200000")
+        assert code == 3 and out == ""
+        assert "exceeds the cap of %d" % optimizer.MAX_GRID_BASIS in err
+
+    def test_readme_order_statistic_example(self, capsys):
+        """The command and the block the README prints under it, read from
+        README.md itself."""
+        text = README.read_text()
+        command = 'contest-opt optimize --method line --n 5 --objective "objective=orderstat" --beta 2'
+        assert command in text
+        block = text.split("The order-statistic example above prints:", 1)[1].split("```")[1]
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0
+        assert out == textwrap.dedent(block).strip("\n") + "\n"
 
     @pytest.mark.parametrize("method", ["line", "bnb"])
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])

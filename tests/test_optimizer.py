@@ -1,5 +1,6 @@
 """Interval bounds, branch-and-bound, line search and the lattice oracle."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -39,13 +40,14 @@ from contest_opt.objective import (
 )
 from contest_opt.optimizer import (
     GRID_QUAD,
+    MAX_GRID_BASIS,
     MAX_LINE_STEPS,
     _LATTICE_GUARD,
     _BatchSums,
+    _EndpointSums,
     _TwoLevelFamily,
     _bounds,
     _chord_secant_upper,
-    _convexity_classes,
     _family,
     _lattice_matrix,
     _screen_weights,
@@ -55,8 +57,14 @@ from contest_opt.optimizer import (
     two_level_line_search_batch,
 )
 from contest_opt.bernstein import basis_matrix, h_eval
+from contest_opt.quadrature import MAX_M
 
 FAST = QuadratureConfig(m=20_000)
+
+
+def endpoint(batch, p1):
+    """The batch's one objective's sums at p1, as branch-and-bound reads them."""
+    return _EndpointSums(*batch.at([p1])[:5, 0, 0].tolist())
 
 
 class TestCDecomposition:
@@ -154,11 +162,11 @@ class TestChordSecantBound:
 
     QUAD = QuadratureConfig(m=5000)
 
-    def bound(self, fam, classes, lo, hi, left, right):
+    def bound(self, batch, lo, hi, left, right):
         def slope(a, b):
-            return (fam.endpoint_sums(classes, b).cav - fam.endpoint_sums(classes, a).cav) / (b - a)
+            return (endpoint(batch, b).cav - endpoint(batch, a).cav) / (b - a)
 
-        at_lo, at_hi = fam.endpoint_sums(classes, lo), fam.endpoint_sums(classes, hi)
+        at_lo, at_hi = endpoint(batch, lo), endpoint(batch, hi)
         left_slope = None if left is None else slope(left, lo)
         right_slope = None if right is None else slope(hi, right)
         return min(_bounds(at_lo, at_hi)[1],
@@ -191,7 +199,7 @@ class TestChordSecantBound:
     def test_bound_holds_and_is_never_looser(self):
         for n, alpha, beta, lo, hi, left, right in self.draws():
             spec, fam = ConvexCombo(alpha), _TwoLevelFamily(n, self.QUAD)
-            bound = self.bound(fam, _convexity_classes(spec, beta, n), lo, hi, left, right)
+            bound = self.bound(_BatchSums(fam, [spec], beta), lo, hi, left, right)
             p1s = np.append(np.linspace(lo, hi, 198), np.random.default_rng(7).uniform(lo, hi, 2))
             assert fam.values(spec, beta, p1s).max() <= bound
             assert bound <= interval_bounds(n, alpha, beta, lo, hi, self.QUAD)[1]
@@ -268,7 +276,7 @@ class TestBranchAndBound:
         assert result.certified
 
     def test_memory_does_not_grow_with_nodes(self, child_peak_mb):
-        """31 nodes at eps 1e-4 keep four floats per endpoint, not four arrays."""
+        """31 nodes at eps 1e-4 keep five floats per endpoint, not five arrays."""
         peak_mb = child_peak_mb(
             "from contest_opt.cli import main\n"
             "assert main(['optimize', '--method', 'bnb', '--n', '5', '--alpha', '0.24',"
@@ -300,12 +308,11 @@ class TestBranchAndBound:
         assert np.all(np.diff(running) >= 0)
 
     def test_json_round_trip(self):
-        import json
-
         result = branch_and_bound(5, 0.0, 2.0, BnbConfig(epsilon=1e-3))
         payload = json.loads(result.to_json())
-        assert payload["method"] == "bnb"
+        assert payload["method"] == "bnb" and payload["certified"] is True
         assert payload["policy"] == list(result.policy.values)
+        assert payload["gap"] == result.certified_gap
 
 
 class TestFamilyCache:
@@ -367,9 +374,19 @@ class TestLineSearch:
     def test_mix_gap_is_pinned(self):
         result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
                                        quad=QuadratureConfig(m=4000))
-        # the grid's p1 = 1/4 beats Brent: its value is the grid point's own
-        assert result.value == 0.4445668108541439
+        # the grid's p1 = 1/4 beats Brent: its value is the grid point's own,
+        # each term's whole integral the sum of its two halves
+        assert result.value == 0.44456681085414457
         assert result.certified_gap == 0.031360556058693555
+
+    def test_branch_and_bound_reads_the_same_value_bits(self):
+        """Both searches take a point's value from `_BatchSums`' value row:
+        at the anchor both pick the grid's first point, p1 = 1/4."""
+        quad = QuadratureConfig(m=4000)
+        line = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120, quad=quad)
+        bnb = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-2, quad=quad))
+        assert bnb.certified and line.policy.p1 == bnb.policy.p1 == 0.25
+        assert line.value.hex() == bnb.value.hex()
 
     def test_steps_above_the_cap_are_refused(self, monkeypatch):
         monkeypatch.setattr(np, "linspace", None)  # would fail if called
@@ -382,6 +399,17 @@ class TestLineSearch:
                                        quad=QuadratureConfig(m=50))
         assert math.isfinite(result.value) and not math.isfinite(result.certified_gap)
         assert not result.certified
+        payload = json.loads(result.to_json(), parse_constant=self.refuse)
+        assert payload["gap"] is None and payload["certified"] is False
+
+    @staticmethod
+    def refuse(constant):
+        raise AssertionError("non-standard JSON constant %s" % constant)
+
+    def test_a_value_that_is_not_finite_is_null_in_json(self):
+        result = replace(two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=20, quad=FAST),
+                         value=math.inf)
+        assert json.loads(result.to_json(), parse_constant=self.refuse)["value"] is None
 
     def test_order_statistic_beats_neighbors(self):
         result = two_level_line_search(MaxOrderStat(), 2.0, 5, steps=500, quad=FAST)
@@ -462,7 +490,7 @@ class TestFactoredScan:
         reversed_batch = _BatchSums(fam, LINE_SPECS[::-1], beta).at(p1s)[:, :, ::-1]
         reversed_points = _BatchSums(fam, LINE_SPECS, beta).at(p1s[::-1])[:, ::-1]
         for k, spec in enumerate(LINE_SPECS):
-            value, size, *classes = got[:, :, k]
+            value, *classes, size = got[:, :, k]
             want = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)
             assert value.shape == (length,)
             assert np.allclose(size, term_sizes(fam, spec, beta, p1s), rtol=1e-14, atol=0.0)
@@ -507,13 +535,13 @@ class TestGridArgmax:
         """A negative term is largest at the other end of an interval."""
         spec, n = Posynomial(((-1.0, 1.0), (2.0, 3.0))), 5
         fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
-        classes = _convexity_classes(spec, beta, n)
-        assert any(t.coef < 0 for terms in classes for t in terms)
+        assert any(t.coef < 0 for t in _terms(spec, beta, n))
+        batch = _BatchSums(fam, [spec], beta)
         rng = np.random.default_rng(3)
         for _ in range(40):
             lo, hi = np.sort(rng.uniform(0.25, 1.0, 2))
             p1s = np.linspace(lo, hi, 60)
-            at_lo, at_hi = fam.endpoint_sums(classes, lo), fam.endpoint_sums(classes, hi)
+            at_lo, at_hi = endpoint(batch, lo), endpoint(batch, hi)
             slack = 1e-12 * term_sizes(fam, spec, beta, p1s).max()
             assert fam.values(spec, beta, p1s).max() <= _rise_fall_upper(at_lo, at_hi) + slack
 
@@ -537,6 +565,19 @@ class TestGridSearch:
         result = grid_search(Posynomial(((-1.0, 1.0),)), beta, n, 1 / (5 * n))
         assert result.policy.values == (1.0 / n,) * n
         assert result.value == 0.0
+
+    def test_basis_above_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        from contest_opt import optimizer
+
+        def no_basis(*args):
+            raise AssertionError("built the basis")
+
+        monkeypatch.setattr(optimizer, "basis_matrix", no_basis)
+        quad = QuadratureConfig(m=200_000, rule="trapezoid", exclude_left_endpoint=False)
+        with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_GRID_BASIS):
+            grid_search(ConvexCombo(0.0), 2.0, 60, 0.5, quad)
+        # n = 5 fits at every node count a rule allows (trapezoid adds one)
+        assert 5 * (MAX_M + 1) <= MAX_GRID_BASIS
 
     def test_granularity_must_divide_one(self):
         with pytest.raises(DomainError):

@@ -53,7 +53,6 @@ from .objective import (
 from .optimizer import (
     BnbConfig,
     CDecomposition,
-    Interval,
     OptResult,
     branch_and_bound,
     c_decomposition,

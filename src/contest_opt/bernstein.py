@@ -196,17 +196,15 @@ def h_derivative(p: Policy, x):
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 
-def h_inverse(p: Policy, y, tol: float = TOL_INV, max_iter: int = MAX_BISECT):
+def h_inverse(p: Policy, y, tol: float = TOL_INV):
     """Unique x in [0, 1] with h(x, p) = y, by bisection.
 
     h is strictly increasing for nontrivial p, so bisection converges
     unconditionally; y must lie in [p_n, p_1].  It stops once x is pinned
-    within tol/(n-1), after `max_iter` steps, or once every midpoint it
+    within tol/(n-1), after `MAX_BISECT` steps, or once every midpoint it
     keeps equals an end of its bracket: such a bracket no longer moves, so
     the steps left would return that same midpoint.
     """
-    if max_iter < 1:
-        raise DomainError("max_iter must be at least 1, got %r" % (max_iter,))
     if not (tol >= 0.0 and isfinite(tol)):
         raise DomainError("tol must be finite and >= 0, got %r" % (tol,))
     if not is_nontrivial(p):
@@ -226,7 +224,7 @@ def h_inverse(p: Policy, y, tol: float = TOL_INV, max_iter: int = MAX_BISECT):
     hi = np.ones_like(y_clip)
     # dh/dx <= n-1, so an x-interval of tol/(n-1) pins h within tol
     x_tol = tol / max(p.n - 1, 1)
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if np.all(at_end | (mid == lo) | (mid == hi)):
             break

@@ -57,9 +57,20 @@ def _quad_from_args(args, default: QuadratureConfig) -> QuadratureConfig:
 
 
 def _objective_from_args(args) -> obj.ObjectiveSpec:
-    if getattr(args, "objective", None):
+    if args.objective is not None:
         return obj.parse_objective_config(args.objective)
-    return obj.ConvexCombo(alpha=args.alpha)
+    return obj.ConvexCombo(alpha=0.0 if args.alpha is None else args.alpha)
+
+
+def _refuse_unread(args, flags, where: str) -> None:
+    """Refuse the first of `flags` that was given: `where` it is not read.
+
+    Flags that only some paths read default to None, so a given one is
+    told apart from one left out; each path that reads one sets its default.
+    """
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ContestOptError("%s is not read %s" % (flag, where))
 
 
 def _check_common(args) -> None:
@@ -74,6 +85,8 @@ def _check_common(args) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    if args.objective is not None:
+        _refuse_unread(args, ["--alpha"], "with --objective")
     _check_common(args)
     policy = parse_policy(args.policy, args.n)
     spec = _objective_from_args(args)
@@ -105,6 +118,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    reads = {"bnb": "--epsilon", "grid": "--granularity", "line": "--steps"}
+    _refuse_unread(args, [flag for method, flag in reads.items() if method != args.method],
+                   "by --method %s" % args.method)
+    if args.objective is not None:
+        _refuse_unread(args, ["--alpha"], "with --objective")
     _check_common(args)
     if args.classify_tol is not None and not (args.classify_tol >= 0.0
                                               and math.isfinite(args.classify_tol)):
@@ -121,23 +139,24 @@ def cmd_optimize(args) -> int:
         if args.n == 2:
             sys.stderr.write("note: n=2 admits only the winner-take-all split; "
                              "returning it directly\n")
-        cfg = opt.BnbConfig(epsilon=args.epsilon,
+        cfg = opt.BnbConfig(epsilon=1e-3 if args.epsilon is None else args.epsilon,
                             quad=_quad_from_args(args, opt.BNB_QUAD))
         result = opt.branch_and_bound(args.n, spec.alpha, args.beta, cfg)
     elif args.method == "line":
         result = opt.two_level_line_search(
-            spec, args.beta, args.n, steps=args.steps,
+            spec, args.beta, args.n, steps=1000 if args.steps is None else args.steps,
             quad=_quad_from_args(args, opt.LINE_QUAD))
     elif args.method == "grid":
+        granularity = 0.02 if args.granularity is None else args.granularity
         result = opt.grid_search(
-            spec, args.beta, args.n, args.granularity,
+            spec, args.beta, args.n, granularity,
             quad=_quad_from_args(args, opt.GRID_QUAD))
     else:  # pragma: no cover - argparse restricts choices
         raise ContestOptError("unknown method %r" % args.method)
 
     tol = args.classify_tol
     if tol is None:
-        tol = 0.5 * args.granularity if args.method == "grid" else 1e-6
+        tol = 0.5 * granularity if args.method == "grid" else 1e-6
     shape = classify_structure(result.policy, tol)
     summary = {
         "policy": str(result.policy),
@@ -164,8 +183,11 @@ def cmd_sweep(args) -> int:
     alphas, so the column shares the grid points its line searches
     evaluate.  Rows are sorted by (alpha, beta).
     """
+    if args.full:
+        _refuse_unread(args, ["--cells", "--budget"], "with --full")
     _check_common(args)
-    cells = 1000 if args.full else args.cells
+    cells = 1000 if args.full else 50 if args.cells is None else args.cells
+    budget = 10_000 if args.budget is None else args.budget
     if cells < 1:
         raise ContestOptError("sweep needs at least 1 cell per axis")
     opt.check_line_steps(args.steps)
@@ -175,10 +197,10 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ContestOptError("%s must be positive and finite, got %r" % (flag, value))
-    if cells * cells > args.budget and not args.full:
+    if cells * cells > budget and not args.full:
         raise BudgetExceededError(
             "sweep of %d cells exceeds budget %d; pass --full for the "
-            "overnight-scale run" % (cells * cells, args.budget)
+            "overnight-scale run" % (cells * cells, budget)
         )
     alphas = np.linspace(args.alpha_min, args.alpha_max, cells)
     betas = np.linspace(args.beta_min, args.beta_max, cells)
@@ -293,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--policy", required=True,
                            help='shares "0.4,0.2,0.2,0.2,0" or hm | uni | two:<p1>')
         if "objective" in groups:
-            p.add_argument("--alpha", type=float, default=0.0,
-                           help="welfare weight of the convex objective")
+            p.add_argument("--alpha", type=float, default=None,
+                           help="welfare weight of the convex objective (default 0); "
+                                "not read with --objective")
             p.add_argument("--objective", default=None,
                            help='config string, e.g. "objective=posynomial terms=2:3,-3:2,2:1"')
 
@@ -305,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="find an optimal policy")
     common(p_opt, "beta", "quad", "format", "objective")
     p_opt.add_argument("--method", choices=["bnb", "grid", "line"], default="bnb")
-    p_opt.add_argument("--epsilon", type=float, default=1e-3,
-                       help="certified additive gap for bnb")
-    p_opt.add_argument("--granularity", type=float, default=0.02,
-                       help="share lattice spacing for grid search")
-    p_opt.add_argument("--steps", type=int, default=1000,
-                       help="top-share grid points for line search")
+    p_opt.add_argument("--epsilon", type=float, default=None,
+                       help="certified additive gap, bnb only (default 1e-3)")
+    p_opt.add_argument("--granularity", type=float, default=None,
+                       help="share lattice spacing, grid only (default 0.02)")
+    p_opt.add_argument("--steps", type=int, default=None,
+                       help="top-share grid points, line only (default 1000)")
     p_opt.add_argument("--classify-tol", type=float, default=None,
                        help="structure classification tolerance")
     p_opt.set_defaults(func=cmd_optimize)
@@ -321,15 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Writes CSV with columns alpha, beta, p1, p2, value, "
                     "structure_tag; rows sorted by (alpha, beta).")
     common(p_sweep, "quad")
-    p_sweep.add_argument("--cells", type=int, default=50, help="cells per axis")
+    p_sweep.add_argument("--cells", type=int, default=None,
+                         help="cells per axis (default 50); not read with --full")
     p_sweep.add_argument("--alpha-min", type=float, default=0.05)
     p_sweep.add_argument("--alpha-max", type=float, default=1.0)
     p_sweep.add_argument("--beta-min", type=float, default=0.1)
     p_sweep.add_argument("--beta-max", type=float, default=5.0)
     p_sweep.add_argument("--steps", type=int, default=300,
                          help="line-search points per cell")
-    p_sweep.add_argument("--budget", type=int, default=10_000,
-                         help="maximum cell count without --full")
+    p_sweep.add_argument("--budget", type=int, default=None,
+                         help="maximum cell count (default 10000); not read with --full")
     p_sweep.add_argument("--full", action="store_true",
                          help="1000x1000 cells; overnight-scale")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -22,11 +22,11 @@ upper bound until the incumbent is within the (quadrature-adjusted)
 tolerance.  The line search finds the best point of its p1 grid with the
 same two bounds, dropping grid cells instead of scanning them
 (`_grid_argmax`).  Every call reads values, bounds and step moves from one
-`_TwoLevelFamily` (nodes, c0, c1, |c1|, rise/fall weights), built once per
-(n, rule) and shared read-only (`_family`).  Both searches and
-`interval_bounds` read values and bounds through one kernel, `_BatchSums`,
-which integrates each term shape against the rise and fall weights once
-per point, so the searches agree bit for bit at any p1 both visit.
+`_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
+nonnegative), built once per (n, rule) and shared read-only (`_family`).
+Both searches and `interval_bounds` read values and bounds through one
+kernel, `_BatchSums`, which integrates each term shape on either side of
+the cut once per point, so the searches agree bit for bit at any p1.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -99,9 +99,8 @@ _GRID_BLOCK_ELEMENTS = 1 << 16
 # for the full pass and cut grid_search's CPU time 7- to 25-fold; strides
 # 50 then 10 left up to 8,019 and were slower.
 _SCREEN_STRIDES = (25, 5)
-# grid_search sums its finalists again in aligned windows of _SUM_WINDOW
-# candidates at every node (see there)
-_SUM_WINDOW = 16
+# most intervals branch-and-bound opens before it gives up uncertified
+MAX_BNB_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,6 @@ class Interval:
 class BnbConfig:
     epsilon: float
     quad: QuadratureConfig = BNB_QUAD
-    max_nodes: int = 200_000
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -215,21 +213,25 @@ def _is_convex(t: _Term) -> bool:
 
 
 def _rise_column(t: _Term) -> int:
-    """The column of `_TwoLevelFamily.split` whose nodes the term grows on as
-    p1 grows: 0, where c1 >= 0, for a nonnegative coefficient; 1, where
-    c1 < 0, for a negative one, which falls as h rises.  Over [lo, hi] a
-    term's integrand is largest at hi on those nodes and at lo on the rest,
-    which is the rise/fall bound (`_rise_fall_upper`)."""
+    """The half of the nodes, in (rise, fall) order, that the term grows on
+    as p1 grows: 0, from `_TwoLevelFamily.cut` on, where c1 >= 0, for a
+    nonnegative coefficient; 1, before it, where c1 <= 0, for a negative
+    one, which falls as h rises.  Over [lo, hi] a term's integrand is
+    largest at hi on those nodes and at lo on the rest, which is the
+    rise/fall bound (`_rise_fall_upper`)."""
     return 0 if t.coef >= 0.0 else 1
 
 
 class _TwoLevelFamily:
     """The two-level chain h = c0(x) + c1(x)*p1 on the nodes of one rule.
 
-    Every term x^a * h^r is nondecreasing in h, so at each node it grows
-    with p1 where its coefficient times c1 is >= 0 and falls elsewhere
-    (`_rise_column`).  `shape_sums` integrates each term shape at one top
-    share against the two halves of the weights, `split`; `_BatchSums`
+    Up to a positive factor c1 is (n-1) x^(n-1) + (1-x)^(n-1) - 1, convex,
+    0 at x = 0 and positive at x = 1, so it changes sign once: it is <= 0
+    before the node index `cut` and >= 0 from there on, which the build
+    checks.  Every term x^a * h^r is nondecreasing in h, so at each node it
+    grows with p1 where its coefficient times c1 is >= 0 and falls
+    elsewhere (`_rise_column`).  `shape_sums` integrates each term shape at
+    one top share over the nodes on either side of the cut; `_BatchSums`
     combines them into each objective's value, G(p1) = rise + fall summed
     over its terms, and its rise and fall sums per convexity class, from
     which U(lo, hi) = rise(hi) + fall(lo).
@@ -242,11 +244,13 @@ class _TwoLevelFamily:
         self.x, self.w = quad.nodes_weights()
         dec = c_decomposition(n, self.x)
         self.c0, self.c1 = dec.c0, dec.c1
-        self.abs_c1 = np.abs(self.c1)
-        rising = dec.c1 >= 0.0
-        self.split = np.column_stack((np.where(rising, self.w, 0.0),
-                                      np.where(rising, 0.0, self.w)))
-        for arr in (self.c0, self.c1, self.abs_c1, self.split):
+        falling = np.flatnonzero(self.c1 < 0.0)
+        self.cut = int(falling[-1]) + 1 if len(falling) else 0
+        if np.any(self.c1[:self.cut] > 0.0):
+            raise DomainError("c1 changes sign more than once on the nodes of n=%d, m=%d, "
+                              "rule %s; the rise/fall bound needs one cut"
+                              % (n, quad.m, quad.rule))
+        for arr in (self.c0, self.c1):
             arr.setflags(write=False)
 
     def values(self, spec: ObjectiveSpec, b: float, p1s: np.ndarray) -> np.ndarray:
@@ -258,17 +262,19 @@ class _TwoLevelFamily:
 
     def shape_sums(self, shapes, p1: float) -> np.ndarray:
         """Integrals of each unit-coefficient term in `shapes` at p1 over the
-        two halves of `split`, one row each.
+        nodes from `cut` on and over those before it, in that (rise, fall)
+        order, one row each.
 
-        One h and one power memo serve every shape, and each row is one
-        product of its integrand with the (m, 2) weights, so a row depends
-        on its shape and p1 alone, not on the shapes beside it.
+        One h and one power memo serve every shape, and each row is two dot
+        products of its integrand with the weights, so a row depends on its
+        shape and p1 alone, not on the shapes beside it.
         """
         h = self.c1 * p1
         h += self.c0
         powers: dict = {}
-        return np.array([_term_values([unit], self.x, h, h, powers, read_only=True) @ self.split
-                         for unit in shapes])
+        rise, fall = slice(self.cut, None), slice(None, self.cut)
+        values = (_term_values([unit], self.x, h, h, powers, read_only=True) for unit in shapes)
+        return np.array([(v[rise] @ self.w[rise], v[fall] @ self.w[fall]) for v in values])
 
     def step_moves(self, spec: ObjectiveSpec, b: float) -> tuple[float, list[tuple[float, float]]]:
         """How far the objective moves when p1 moves by s: at most
@@ -280,13 +286,14 @@ class _TwoLevelFamily:
         for r > 1; a term with r = 0 is constant.
         """
         lipschitz, holder = 0.0, []
+        abs_c1 = np.abs(self.c1)
         for t in _terms(spec, b, self.n):
             r = t.power
             w = self.w * self.x ** t.x_pow if t.x_pow else self.w
             if r > 1.0:
-                lipschitz += abs(t.coef) * r * float(self.abs_c1 @ w)
+                lipschitz += abs(t.coef) * r * float(abs_c1 @ w)
             elif r > 0.0:
-                holder.append((abs(t.coef) * float((self.abs_c1 ** r) @ w), r))
+                holder.append((abs(t.coef) * float((abs_c1 ** r) @ w), r))
         return lipschitz, holder
 
     def error_bound(self, spec: ObjectiveSpec, b: float) -> float:
@@ -298,7 +305,8 @@ class _TwoLevelFamily:
 def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
     """The `_TwoLevelFamily` of (n, quad), built once and shared read-only
     by every caller.  At `BNB_QUAD` a build takes longer than a whole
-    branch-and-bound call on n = 4, and the family holds 4 MB.
+    branch-and-bound call on n = 4, and the family's c0 and c1 take
+    1.6 MB; the nodes and weights are the rule's own cached arrays.
 
     Eight families hold four n at both default rules that reach here
     (`BNB_QUAD`, `LINE_QUAD`).  Cycling branch-and-bound and a line search
@@ -316,8 +324,9 @@ class _BatchSums:
     each objective combines the integrals of its own terms in its term
     order, elementwise, so a sum depends on its objective and point alone,
     not on the batch.  A term's whole integral is the sum of its two
-    halves.  Objectives whose terms match in shape, convexity class and
-    rising half (`_rise_column`), in order, share one coefficient matrix.
+    halves, on either side of `_TwoLevelFamily.cut`.  Objectives whose
+    terms match in shape, convexity class and rising half
+    (`_rise_column`), in order, share one coefficient matrix.
     """
 
     def __init__(self, fam: _TwoLevelFamily, specs, b: float):
@@ -531,7 +540,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
         top_upper = active.upper
         if top_upper <= best_val + eps_eff:
             break  # the largest upper bound is within tolerance: done
-        if nodes >= cfg.max_nodes:
+        if nodes >= MAX_BNB_NODES:
             certified = False
             break
         mid = 0.5 * (active.lo + active.hi)
@@ -831,21 +840,10 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
         survive = upper >= lower.max()
         keep, rows = keep[survive], rows[survive]
 
-    # BLAS picks the kernel that sums a column by where the column sits in its
-    # call (OpenBLAS takes columns in fours), so a finalist's value can differ
-    # in the last bit from the one a pass over the whole lattice, in batches
-    # of a multiple of `_SUM_WINDOW`, computes.  The finalists are summed in
-    # their aligned window, which repeats that pass's arithmetic bit for bit,
-    # except in the lattice's last window: there the kernel also depends on
-    # the size of the call.
-    finalists, exact = keep, {}
-    for start in np.unique(finalists // _SUM_WINDOW) * _SUM_WINDOW:
-        block = candidates[start:start + _SUM_WINDOW]
-        sums = lattice_value(spec, b, _shifted(basis, block), block[:, -1], x, w, n)
-        exact.update(zip(range(start, start + len(block)), sums))
-    final = np.array([exact[k] for k in finalists])
-    # ties go to the earliest candidate: `finalists` is in enumeration order
-    best_idx = finalists[int(np.argmax(final))]
+    final, = over_batches(rows, np.arange(len(x)),
+                          lambda g, pn: (lattice_value(spec, b, g, pn, x, w, n),))
+    # ties go to the earliest candidate: `keep` is in enumeration order
+    best_idx = keep[int(np.argmax(final))]
     best = make_policy(candidates[best_idx])
     return OptResult(best, float(final.max()), None, len(candidates), "grid_search",
                      False, 0, config)

@@ -196,12 +196,6 @@ class TestHInverse:
         with pytest.raises(TrivialPolicyError):
             h_inverse(make_policy((0.25,) * 4), 0.25)
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_no_iterations_rejected(self, max_iter):
-        # no step would return the first midpoint, 0.5, for every point
-        with pytest.raises(DomainError, match="max_iter"):
-            h_inverse(hm(5), [0.01, 0.5], max_iter=max_iter)
-
     @pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("inf"), float("-inf")])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(DomainError, match="tol"):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from contest_opt import QuadratureConfig, parse_objective_config, parse_policy
-from contest_opt import bernstein, equilibrium, optimizer, quadrature
+from contest_opt import bernstein, equilibrium, objective, optimizer, quadrature
 from contest_opt import verify
 from contest_opt.cli import main
 from contest_opt.policy import classify_structure
@@ -99,6 +99,40 @@ class TestOptimize:
         extra = ("--policy", "hm") if command == "equilibrium" else ("--cells", "2")
         code, out, err = run_cli(capsys, command, *extra, flag, value)
         assert code == 1 and flag in err and out == ""
+
+    @pytest.mark.parametrize("argv, flag, where", [
+        (("optimize", "--method", "grid", "--n", "4", "--granularity", "0.1",
+          "--epsilon", "1e-9", "--steps", "7"), "--epsilon", "by --method grid"),
+        (("optimize", "--method", "grid", "--steps", "7"), "--steps", "by --method grid"),
+        (("optimize", "--method", "bnb", "--granularity", "0.1"), "--granularity",
+         "by --method bnb"),
+        (("optimize", "--method", "bnb", "--steps", "7"), "--steps", "by --method bnb"),
+        (("optimize", "--method", "line", "--alpha", "0.9", "--objective",
+          "objective=orderstat", "--epsilon", "5", "--granularity", "0.3"), "--epsilon",
+         "by --method line"),
+        (("optimize", "--method", "line", "--granularity", "0.3"), "--granularity",
+         "by --method line"),
+        (("optimize", "--method", "line", "--alpha", "0.9", "--objective",
+          "objective=orderstat"), "--alpha", "with --objective"),
+        (("evaluate", "--policy", "hm", "--alpha", "0.9", "--objective",
+          "objective=orderstat"), "--alpha", "with --objective"),
+        (("sweep", "--full", "--cells", "2"), "--cells", "with --full"),
+        (("sweep", "--full", "--budget", "4"), "--budget", "with --full"),
+    ])
+    def test_flags_the_path_does_not_read_are_refused(self, capsys, monkeypatch, argv, flag,
+                                                      where):
+        """Refused before any work: nothing below the command line runs."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused run did work")
+
+        for module, name in ((optimizer, "branch_and_bound"), (optimizer, "grid_search"),
+                             (optimizer, "two_level_line_search"),
+                             (optimizer, "two_level_line_search_batch"),
+                             (objective, "evaluate")):
+            monkeypatch.setattr(module, name, no_work)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: %s is not read %s\n" % (flag, where)
 
     def test_grid_flat_policy_value_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "grid", "--n", "6",

@@ -38,8 +38,12 @@ from contest_opt.objective import (
     lattice_bracket,
     lattice_value,
 )
+from contest_opt import optimizer
 from contest_opt.optimizer import (
+    BNB_QUAD,
+    CDecomposition,
     GRID_QUAD,
+    LINE_QUAD,
     MAX_GRID_BASIS,
     MAX_LINE_STEPS,
     _LATTICE_GUARD,
@@ -291,6 +295,12 @@ class TestBranchAndBound:
         assert result.certified and result.certified_gap <= 1e-3
         assert result.nodes_explored == 1 and result.max_depth == 0
 
+    def test_node_cap_leaves_the_result_uncertified(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "MAX_BNB_NODES", 3)
+        result = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-3))
+        assert not result.certified
+        assert result.nodes_explored == 3 and result.certified_gap > 1e-3
+
     def test_two_player_shortcut(self):
         result = branch_and_bound(2, 0.5, 2.0, BnbConfig(epsilon=1e-3))
         assert result.policy.values == hm(2).values
@@ -320,7 +330,9 @@ class TestFamilyCache:
         fam = _family(5, QuadratureConfig(m=3000))
         assert _family(5, QuadratureConfig(m=3000)) is fam
         assert _family(6, QuadratureConfig(m=3000)) is not fam
-        for arr in (fam.x, fam.w, fam.c0, fam.c1, fam.abs_c1, fam.split):
+        assert 0 < fam.cut < len(fam.x)
+        assert np.all(fam.c1[:fam.cut] <= 0.0) and np.all(fam.c1[fam.cut:] >= 0.0)
+        for arr in (fam.x, fam.w, fam.c0, fam.c1):
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 
@@ -500,6 +512,42 @@ class TestFactoredScan:
             alone = _BatchSums(fam, [spec], beta).at(p1s)[:, :, 0]
             for other in (reversed_batch[:, :, k], reversed_points[:, :, k], alone):
                 assert got[:, :, k].tobytes() == other.tobytes()
+
+
+class TestChainCut:
+    """c1 changes sign once on the nodes, so one index splits them into the
+    nodes where it is <= 0 and those where it is >= 0."""
+
+    # branch-and-bound's, the line search's and the sweep's rules, and a
+    # trapezoid rule that keeps x = 0
+    @pytest.mark.parametrize("quad", [
+        BNB_QUAD, LINE_QUAD, QuadratureConfig(m=5000),
+        QuadratureConfig(m=4000, rule="trapezoid", exclude_left_endpoint=False),
+    ], ids=["bnb", "line", "sweep", "trapezoid"])
+    def test_one_cut_for_every_n(self, quad):
+        for n in range(3, 41):
+            fam = _TwoLevelFamily(n, quad)
+            assert 0 < fam.cut < len(fam.x)
+            assert np.all(fam.c1[:fam.cut] <= 0.0) and np.all(fam.c1[fam.cut:] >= 0.0)
+
+    def test_a_second_sign_change_is_refused(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "c_decomposition",
+                            lambda n, x: CDecomposition(np.zeros_like(x), np.cos(6.0 * x)))
+        with pytest.raises(DomainError, match="n=5, m=1000, rule right_riemann"):
+            _TwoLevelFamily(5, QuadratureConfig(m=1000))
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_shape_sums_match_masked_weights(self, n, beta):
+        fam = _TwoLevelFamily(n, QuadratureConfig(m=3000))
+        shapes = _BatchSums(fam, LINE_SPECS, beta).shapes
+        rising = fam.c1 >= 0.0
+        masked = np.column_stack((np.where(rising, fam.w, 0.0), np.where(rising, 0.0, fam.w)))
+        for p1 in (1.0 / (n - 1), 0.4, 1.0):
+            h = fam.c0 + fam.c1 * p1
+            want = np.array([_term_values([unit], fam.x, h, h, {}) @ masked for unit in shapes])
+            got = fam.shape_sums(shapes, p1)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 class TestGridArgmax:

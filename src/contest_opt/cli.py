@@ -21,7 +21,7 @@ from . import objective as obj
 from . import optimizer as opt
 from . import verify as verify_mod
 from .errors import BudgetExceededError, ContestOptError
-from .policy import classify_structure, parse_policy
+from .policy import Policy, classify_structure, parse_policy
 from .quadrature import QuadratureConfig
 
 EXIT_OK = 0
@@ -84,11 +84,22 @@ def _check_common(args) -> None:
         raise ContestOptError("epsilon must be positive")
 
 
+def _policy_from_args(args) -> Policy:
+    """The --policy of evaluate and equilibrium.  A share list sets n itself,
+    so a given --n must match its length; the named forms take n from --n,
+    5 when it is left out."""
+    policy = parse_policy(args.policy, 5 if args.n is None else args.n)
+    if args.n is not None and policy.n != args.n:
+        raise ContestOptError("--n %d does not match the %d shares of --policy"
+                              % (args.n, policy.n))
+    return policy
+
+
 def cmd_evaluate(args) -> int:
     if args.objective is not None:
         _refuse_unread(args, ["--alpha"], "with --objective")
     _check_common(args)
-    policy = parse_policy(args.policy, args.n)
+    policy = _policy_from_args(args)
     spec = _objective_from_args(args)
     quad = _quad_from_args(args, obj.DEFAULT_QUAD)
     value = obj.evaluate(spec, args.beta, policy, quad)
@@ -236,7 +247,7 @@ def _check_seed(args) -> None:
 def cmd_equilibrium(args) -> int:
     _check_common(args)
     _check_seed(args)
-    policy = parse_policy(args.policy, args.n)
+    policy = _policy_from_args(args)
     model = eq.EquilibriumModel(policy, args.beta)
     if args.simulate:
         # the audit's budgets, before the table takes any time
@@ -300,7 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *groups):
         """--n and --output, plus the named groups of flags the command reads."""
-        p.add_argument("--n", type=int, default=5, help="number of contestants")
+        if "policy" in groups:
+            p.add_argument("--n", type=int, default=None,
+                           help="number of contestants (default 5); a share list "
+                                "sets its own, which a given --n must match")
+        else:
+            p.add_argument("--n", type=int, default=5, help="number of contestants")
         if "beta" in groups:
             p.add_argument("--beta", type=float, default=2.0, help="cost exponent")
         if "quad" in groups:

@@ -218,6 +218,12 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
     the same g pass one dict to every call.  One power at a time keeps the
     memory of a call at one extra array of g's shape.
 
+    A term's `coef` may also be a column, one coefficient per row of g, so
+    objectives whose terms match in shape are summed in one pass; each
+    element still takes the operations, in the order, of its own scalar
+    coefficient.  A first column with any negative coefficient adds 0.0 to
+    every row, which leaves the rows that hold no -0.0 as they are.
+
     The sum is bit for bit 0.0 + part_1 + part_2 + ..., but it starts from
     the first part's own array.  Each part is one fresh temporary, multiplied
     in place, and a unit coefficient multiplies nothing.  0.0 + part differs
@@ -241,7 +247,7 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
                 powers.clear()
                 powers[t.g_exp] = np.power(g, t.g_exp)
             part = powers[t.g_exp]
-            if t.coef == 1.0:
+            if not isinstance(t.coef, np.ndarray) and t.coef == 1.0:
                 fresh = False
             else:
                 part = t.coef * part
@@ -253,7 +259,7 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
             fresh = True
         if total is None:
             total, owned = part, fresh
-            if fresh and math.copysign(1.0, t.coef) < 0.0:
+            if fresh and np.signbit(t.coef).any():
                 total += 0.0
         elif owned:
             total += part

@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .bernstein import basis_columns, basis_matrix
 from .errors import BudgetExceededError, DomainError, StructuralConditionError
@@ -99,6 +98,13 @@ _GRID_BLOCK_ELEMENTS = 1 << 16
 # for the full pass and cut grid_search's CPU time 7- to 25-fold; strides
 # 50 then 10 left up to 8,019 and were slower.
 _SCREEN_STRIDES = (25, 5)
+# _TwoLevelFamily.values holds at most this many values, 128 kB, per
+# temporary.  Under glibc's default malloc settings larger temporaries are
+# mapped afresh or trimmed from the heap after use: on a 2-core x86-64 VM,
+# `sweep --n 5` (m = 5000) spent 1.4 s in system time on page faults with
+# whole 50-alpha columns per block and 0.3 s with 4 rows, against 0.04 s
+# with 3 rows.
+_VALUES_BLOCK = 1 << 14
 # most intervals branch-and-bound opens before it gives up uncertified
 MAX_BNB_NODES = 200_000
 
@@ -253,12 +259,32 @@ class _TwoLevelFamily:
         for arr in (self.c0, self.c1):
             arr.setflags(write=False)
 
-    def values(self, spec: ObjectiveSpec, b: float, p1s: np.ndarray) -> np.ndarray:
-        """Objective values at each top share in `p1s`, summed term by term
-        at each node (`lattice_value`)."""
-        h = np.multiply.outer(self.c1, p1s)
-        h += self.c0[:, None]
-        return lattice_value(spec, b, h, 0.0, self.x, self.w, self.n)
+    def values(self, specs, b: float, p1s) -> np.ndarray:
+        """Each objective of `specs` at the top share beside it in `p1s`,
+        summed term by term at each node.
+
+        Objectives whose terms match in shape, in order, share passes of
+        `_term_values` over blocks of `_VALUES_BLOCK` values: one row of h
+        per objective, each term's coefficients as a column.  Each row is
+        integrated by its own dot product with the weights, so a value
+        depends on its objective and point alone, not on the batch.
+        """
+        p1s = np.asarray(p1s, dtype=float)
+        out = np.empty(len(p1s))
+        terms = [_terms(spec, b, self.n) for spec in specs]
+        groups: dict[tuple, list[int]] = {}
+        for k, ts in enumerate(terms):
+            groups.setdefault(tuple((t.g_exp, t.x_pow, t.times_h) for t in ts), []).append(k)
+        rows = max(1, _VALUES_BLOCK // len(self.x))
+        for key, members in groups.items():
+            for start in range(0, len(members), rows):
+                ks = members[start:start + rows]
+                h = p1s[ks, None] * self.c1
+                h += self.c0
+                coefs = np.array([[t.coef for t in terms[k]] for k in ks]).T[..., None]
+                columns = [_Term(c, *shape) for c, shape in zip(coefs, key)]
+                out[ks] = [row @ self.w for row in _term_values(columns, self.x, h, h)]
+        return out
 
     def shape_sums(self, shapes, p1: float) -> np.ndarray:
         """Integrals of each unit-coefficient term in `shapes` at p1 over the
@@ -587,7 +613,8 @@ def check_line_steps(steps: int) -> None:
 
 def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
                           quad: QuadratureConfig | None = None) -> OptResult:
-    """Best point of a uniform p1 grid over the two-level family, Brent-refined in its cell.
+    """Best point of a uniform p1 grid over the two-level family, refined in its cell
+    by bounded Brent minimization (`_brent_steps`).
 
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
@@ -607,10 +634,13 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     family, one p1 grid and the grid points `_grid_argmax` evaluates: the
     alpha column of a sweep integrates two term shapes per point, whatever
     its number of alphas.  Each objective then gets bounded Brent
-    refinement of its best cell on its own term-by-term sum
-    (`_TwoLevelFamily.values`) and its own gap, so every result is bit for
-    bit the single search's.  An objective outside the covered class fails
-    the whole batch before any grid point is evaluated.
+    refinement of its best cell (`_brent_steps`) on its own term-by-term
+    sum and its own gap.  The refinements run in lockstep
+    (`_run_in_lockstep`): each round evaluates every search's next point in
+    one `_TwoLevelFamily.values` call, whose values do not depend on the
+    batch, so every result is bit for bit the single search's.  An
+    objective outside the covered class fails the whole batch before any
+    grid point is evaluated.
     """
     b = beta_value(beta)
     for spec in specs:
@@ -632,15 +662,17 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     fam = _family(n, quad)
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
     step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
+    picks, pick_values = _grid_argmax(fam, specs, b, p1_grid)
+    # each best point's cell, as Python floats: Brent's scalar arithmetic
+    # gives the same bits on them and runs about three times faster
+    cells = [p1_grid[[max(best - 1, 0), min(best + 1, steps - 1)]].tolist() for best in picks]
+    searches = [_brent_steps(lo, hi, 1e-10) for lo, hi in cells]
     results = []
-    for spec, config, best, best_val in zip(specs, configs, *_grid_argmax(fam, specs, b, p1_grid)):
+    for spec, config, best, best_val, (x, fun) in zip(specs, configs, picks, pick_values,
+                                                      _run_in_lockstep(fam, specs, b, searches)):
         best_p1, best_val = float(p1_grid[best]), float(best_val)
-        cell = (p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)])
-        res = sp_optimize.minimize_scalar(lambda v: -fam.values(spec, b, np.array([v]))[0],
-                                          bounds=cell, method="bounded",
-                                          options={"xatol": 1e-10})
-        if -res.fun > best_val:
-            best_p1, best_val = float(res.x), float(-res.fun)
+        if -fun > best_val:
+            best_p1, best_val = x, -fun
 
         lipschitz, holder = fam.step_moves(spec, b)
         gap = (lipschitz * step + sum(k * step ** r for k, r in holder)
@@ -650,6 +682,158 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
         results.append(OptResult(two_level(n, best_p1), best_val, gap, steps,
                                  "line_search", certified, 0, config))
     return results
+
+
+def _run_in_lockstep(fam: _TwoLevelFamily, specs, b: float, searches) -> list:
+    """Run one `_brent_steps` search per objective of `specs`, all in rounds:
+    each round evaluates every pending trial point in one
+    `_TwoLevelFamily.values` call and sends each search its point's negated
+    value, as a Python float.  Returns each search's (x, f)."""
+    points = [next(search) for search in searches]
+    outcomes: list = [None] * len(searches)
+    pending = list(range(len(searches)))
+    while pending:
+        values = fam.values([specs[k] for k in pending], b, [points[k] for k in pending])
+        waiting = []
+        for k, value in zip(pending, values.tolist()):
+            try:
+                points[k] = searches[k].send(-value)
+                waiting.append(k)
+            except StopIteration as done:
+                outcomes[k] = done.value
+        pending = waiting
+    return outcomes
+
+
+# _brent_steps follows scipy 1.17.1's
+# scipy.optimize._optimize._minimize_scalar_bounded, Brent's FMIN (R. P.
+# Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5), with
+# its constants, order of operations and 500-evaluation cap, on floats.
+# SciPy's license:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+_BRENT_MAX_EVALS = 500
+
+
+def _brent_steps(lo: float, hi: float, xatol: float):
+    """Bounded Brent minimization over [lo, hi], as a generator.
+
+    It yields each trial point and takes the function's value there by
+    `send`, so a caller can evaluate many searches' points together.  It
+    returns (x, f), the best point and its value, once the bracket is
+    within about `xatol` or after `_BRENT_MAX_EVALS` values.  The points
+    and the result are those of scipy's ``minimize_scalar(method="bounded")``
+    bit for bit: only its numpy calls on scalars are replaced, np.abs by
+    abs, np.sign(v) + (v == 0) by 1.0 if v >= 0 else -1.0, and np.maximum
+    by max.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = yield x
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # a parabolic step, where the fit is acceptable
+        if abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            if ((abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)
+            else:
+                golden = 1
+
+        if golden:  # a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _BRENT_MAX_EVALS:
+            break
+    return xf, fx
 
 
 def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):

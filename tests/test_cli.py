@@ -43,6 +43,16 @@ class TestEvaluate:
                                "--beta", "2")
         assert code == 0 and "value:" in out
 
+    def test_n_must_match_the_share_list(self, capsys):
+        code, out, err = run_cli(capsys, "evaluate", "--policy", "0.6,0.4,0", "--n", "5")
+        assert code == 1 and out == ""
+        assert "--n 5 does not match the 3 shares of --policy" in err
+        code, out, _ = run_cli(capsys, "evaluate", "--policy", "0.6,0.4,0", "--n", "3")
+        assert code == 0 and "policy: 0.6,0.4,0\n" in out
+        # a named form without --n keeps n = 5
+        code, out, _ = run_cli(capsys, "evaluate", "--policy", "uni")
+        assert code == 0 and "policy: 0.25,0.25,0.25,0.25,0\n" in out
+
     def test_order_violation_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", "--policy", "0.2,0.3,0.5")
         assert code == 1
@@ -393,6 +403,15 @@ class TestEquilibriumCommand:
                                  "--simulate", "2000", "--seed", "-1")
         assert code == 1 and out == "" and "--seed" in err
 
+    def test_n_must_match_the_share_list(self, capsys):
+        code, out, err = run_cli(capsys, "equilibrium", "--policy", "0.5,0.3,0.2,0",
+                                 "--n", "3", "--points", "3")
+        assert code == 1 and out == ""
+        assert "--n 3 does not match the 4 shares of --policy" in err
+        shares = run_cli(capsys, "equilibrium", "--policy", "1,0,0,0,0", "--points", "3")
+        named = run_cli(capsys, "equilibrium", "--policy", "hm", "--points", "3")
+        assert shares[0] == named[0] == 0 and shares == named
+
     @pytest.mark.parametrize("flag, cap, extra", [
         ("--points", equilibrium.MAX_TABLE_POINTS, ()),
         ("--deviation-grid", equilibrium.MAX_DEVIATION_GRID, ("--points", "2")),
@@ -503,6 +522,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "closed_form" in proc.stdout
+
+    def test_a_sweep_loads_no_scipy(self):
+        """The package runs on numpy alone: importing the command line and
+        running a one-cell sweep loads no scipy module."""
+        script = textwrap.dedent("""
+            import sys
+            from contest_opt.cli import main
+            assert main(["sweep", "--n", "5", "--cells", "1", "--steps", "20",
+                         "--quad-m", "400"]) == 0
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

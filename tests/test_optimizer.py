@@ -66,6 +66,11 @@ from contest_opt.quadrature import MAX_M
 FAST = QuadratureConfig(m=20_000)
 
 
+def scan(fam, spec, beta, p1s):
+    """One objective's values at every top share of `p1s`."""
+    return fam.values([spec] * len(p1s), beta, p1s)
+
+
 def endpoint(batch, p1):
     """The batch's one objective's sums at p1, as branch-and-bound reads them."""
     return _EndpointSums(*batch.at([p1])[:5, 0, 0].tolist())
@@ -205,7 +210,7 @@ class TestChordSecantBound:
             spec, fam = ConvexCombo(alpha), _TwoLevelFamily(n, self.QUAD)
             bound = self.bound(_BatchSums(fam, [spec], beta), lo, hi, left, right)
             p1s = np.append(np.linspace(lo, hi, 198), np.random.default_rng(7).uniform(lo, hi, 2))
-            assert fam.values(spec, beta, p1s).max() <= bound
+            assert scan(fam, spec, beta, p1s).max() <= bound
             assert bound <= interval_bounds(n, alpha, beta, lo, hi, self.QUAD)[1]
 
     @pytest.mark.parametrize("n, alpha, beta", [(5, 0.24, 2.0), (12, 0.3, 2.5), (6, 0.0, 4.0)])
@@ -226,7 +231,7 @@ class TestChordSecantBound:
         assert result.certified and len(seen) == result.nodes_explored > 1
         fam = _TwoLevelFamily(n, quad)
         for lo, hi, upper in seen:
-            assert fam.values(ConvexCombo(alpha), beta, np.linspace(lo, hi, 50)).max() <= upper
+            assert scan(fam, ConvexCombo(alpha), beta, np.linspace(lo, hi, 50)).max() <= upper
 
 
 class TestGapConstants:
@@ -375,13 +380,13 @@ class TestLineSearch:
         assert result.certified and math.isfinite(result.certified_gap)
         fam = _TwoLevelFamily(5, quad)
         p1s = np.linspace(0.25, 1.0, 20_000)
-        scan = np.concatenate([fam.values(spec, beta, p1s[i:i + 1000])
-                               for i in range(0, len(p1s), 1000)])
-        assert result.value + result.certified_gap >= scan.max()
+        values = np.concatenate([scan(fam, spec, beta, p1s[i:i + 1000])
+                                 for i in range(0, len(p1s), 1000)])
+        assert result.value + result.certified_gap >= values.max()
         # the step-move rule bounds every move between neighbours of the scan
         lipschitz, holder = fam.step_moves(spec, beta)
         s = p1s[1] - p1s[0]
-        assert np.abs(np.diff(scan)).max() <= lipschitz * s + sum(k * s ** r for k, r in holder)
+        assert np.abs(np.diff(values)).max() <= lipschitz * s + sum(k * s ** r for k, r in holder)
 
     def test_mix_gap_is_pinned(self):
         result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
@@ -464,6 +469,21 @@ class TestLineSearchBatch:
         with pytest.raises(StructuralConditionError):
             two_level_line_search_batch([ConvexCombo(0.5), bad, MaxOrderStat()], 5.0, 5)
 
+    @pytest.mark.parametrize("beta", [0.7, 2.5])
+    def test_a_sweep_column_is_its_single_searches(self, beta):
+        """Alphas 0 and 1 have one term each, so their Brent points are
+        evaluated apart from the interior alphas', which share blocks of
+        several rows at the sweep's node count."""
+        quad = QuadratureConfig(m=5000)
+        assert optimizer._VALUES_BLOCK // quad.m > 1
+        specs = [ConvexCombo(alpha) for alpha in np.linspace(0.0, 1.0, 13)]
+        batch = two_level_line_search_batch(specs, beta, 5, steps=60, quad=quad)
+        for spec, got in zip(specs, batch):
+            want = two_level_line_search(spec, beta, 5, steps=60, quad=quad)
+            assert got.value == want.value
+            assert got.policy.values == want.policy.values
+            assert got.certified_gap == want.certified_gap
+
 
 # the five families, with a negative coefficient in a posynomial that the
 # structural check covers at both betas below
@@ -486,6 +506,81 @@ def term_sizes(fam, spec, beta, p1s):
     h = fam.c0[:, None] + fam.c1[:, None] * p1s
     terms = [replace(t, coef=abs(t.coef)) for t in _terms(spec, beta, fam.n)]
     return _term_values(terms, fam.x[:, None], h, h).T @ fam.w
+
+
+class TestValues:
+    """`_TwoLevelFamily.values`, which Brent's points and the scans read."""
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    @pytest.mark.parametrize("m", [1000, 5000, 20_000])
+    def test_a_value_depends_on_its_objective_and_point_alone(self, m, beta):
+        """Each value is the one the objective takes alone at its point, and
+        the bits of `lattice_value` on that point's (m, 1) column of h."""
+        n = 5
+        fam = _TwoLevelFamily(n, QuadratureConfig(m=m))
+        rng = np.random.default_rng(m)
+        specs = [LINE_SPECS[int(k)] for k in rng.integers(0, len(LINE_SPECS), 40)]
+        p1s = rng.uniform(1.0 / (n - 1), 1.0, len(specs))
+        got = fam.values(specs, beta, p1s)
+        for spec, p1, value in zip(specs, p1s, got):
+            h = np.multiply.outer(fam.c1, [p1])
+            h += fam.c0[:, None]
+            column = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)[0]
+            alone = fam.values([spec], beta, [p1])[0]
+            assert value.tobytes() == column.tobytes() == alone.tobytes()
+
+
+def brent_run(fn, lo, hi, xatol):
+    """`_brent_steps` driven one point at a time: (x, f, evaluations)."""
+    search = optimizer._brent_steps(lo, hi, xatol)
+    x, count = next(search), 0
+    while True:
+        count += 1
+        try:
+            x = search.send(fn(x))
+        except StopIteration as done:
+            return (*done.value, count)
+
+
+class TestBrentSteps:
+    """The in-house bounded Brent search against scipy's, bit for bit."""
+
+    @staticmethod
+    def functions(rng):
+        """Seeded smooth, kinked, linear, flat and step functions, some with
+        their minimum at or beyond an end of the bracket."""
+        c, s, w = rng.uniform(-0.5, 1.5), rng.uniform(0.1, 10.0), rng.uniform(1.0, 30.0)
+        return (
+            lambda x: s * (x - c) ** 2,
+            lambda x: math.cos(w * x + c) + 0.1 * x,
+            lambda x: s * abs(x - c),
+            lambda x: s * x,
+            lambda x: -s * x,
+            lambda x: 0.25,
+            lambda x: float(x >= c),
+            lambda x: -float(x >= c),
+            lambda x: float(math.floor(w * x)),
+            lambda x: max(x - c, 0.0) * s,
+        )
+
+    def test_matches_scipy_bounded(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            lo = float(rng.uniform(-2.0, 1.0))
+            hi = lo + float(rng.choice([1e-9, 1e-4, rng.uniform(0.01, 3.0)]))
+            xatol = float(10.0 ** rng.uniform(-12, -3))
+            for fn in self.functions(rng):
+                want = optimize.minimize_scalar(fn, bounds=(lo, hi), method="bounded",
+                                                options={"xatol": xatol})
+                x, f, count = brent_run(fn, lo, hi, xatol)
+                assert (float(x).hex(), float(f).hex(), count) == (
+                    float(want.x).hex(), float(want.fun).hex(), want.nfev)
+
+    def test_stops_at_the_evaluation_cap(self):
+        # with xatol 0 and the minimum at x = 0 the tolerance shrinks with x
+        x, f, count = brent_run(abs, -1.0, 1.0, 0.0)
+        assert count == optimizer._BRENT_MAX_EVALS and abs(x) < 1e-100
 
 
 class TestFactoredScan:
@@ -559,10 +654,10 @@ class TestGridArgmax:
             p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
             picks, values = _grid_argmax(fam, LINE_SPECS, beta, p1s)
             for spec, pick, value in zip(LINE_SPECS, picks, values):
-                scan = fam.values(spec, beta, p1s)
+                scanned = scan(fam, spec, beta, p1s)
                 scale = term_sizes(fam, spec, beta, p1s).max()
-                assert scan[pick] >= scan.max() - 1e-12 * scale, (spec, steps)
-                assert abs(value - scan[pick]) <= 1e-12 * scale
+                assert scanned[pick] >= scanned.max() - 1e-12 * scale, (spec, steps)
+                assert abs(value - scanned[pick]) <= 1e-12 * scale
 
     def test_anchor_evaluates_few_points(self, monkeypatch):
         """Pruning, not a full scan, finds the anchor's best of 1000 points."""
@@ -591,7 +686,7 @@ class TestGridArgmax:
             p1s = np.linspace(lo, hi, 60)
             at_lo, at_hi = endpoint(batch, lo), endpoint(batch, hi)
             slack = 1e-12 * term_sizes(fam, spec, beta, p1s).max()
-            assert fam.values(spec, beta, p1s).max() <= _rise_fall_upper(at_lo, at_hi) + slack
+            assert scan(fam, spec, beta, p1s).max() <= _rise_fall_upper(at_lo, at_hi) + slack
 
 
 class TestGridSearch:

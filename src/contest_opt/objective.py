@@ -37,11 +37,12 @@ from .quadrature import QuadratureConfig
 PN_TOL = 1e-12
 # Rounding allowance of `lattice_bracket`: the full value and the bracket sum
 # the same nonnegative products in different orders, the bracket by Horner's
-# rule where it can (`_HORNER_MAX_DEGREE`), a relative error below 1e-13 of
+# rule of degree at most `_HORNER_MAX_DEGREE`, a relative error below 1e-13 of
 # the terms' integrated size.  g = B(p - p_n) is a sum of nonnegative products,
 # so its rounding is relative too and this one allowance covers it.
 BRACKET_ROUNDING = 1e-9
-# Largest degree in q = g^e0 that `lattice_bracket` sums by Horner's rule.
+# Largest degree in q = g^e0 that `lattice_bracket` sums by Horner's rule; a
+# term of higher degree takes its own power of g.
 # With nonnegative coefficients and q >= 0 the Horner sum of degree d is
 # within gamma_2d = 2du / (1 - 2du) of the exact one, relative (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 5),
@@ -218,12 +219,6 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
     the same g pass one dict to every call.  One power at a time keeps the
     memory of a call at one extra array of g's shape.
 
-    A term's `coef` may also be a column, one coefficient per row of g, so
-    objectives whose terms match in shape are summed in one pass; each
-    element still takes the operations, in the order, of its own scalar
-    coefficient.  A first column with any negative coefficient adds 0.0 to
-    every row, which leaves the rows that hold no -0.0 as they are.
-
     The sum is bit for bit 0.0 + part_1 + part_2 + ..., but it starts from
     the first part's own array.  Each part is one fresh temporary, multiplied
     in place, and a unit coefficient multiplies nothing.  0.0 + part differs
@@ -247,7 +242,7 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
                 powers.clear()
                 powers[t.g_exp] = np.power(g, t.g_exp)
             part = powers[t.g_exp]
-            if not isinstance(t.coef, np.ndarray) and t.coef == 1.0:
+            if t.coef == 1.0:
                 fresh = False
             else:
                 part = t.coef * part
@@ -259,7 +254,7 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
             fresh = True
         if total is None:
             total, owned = part, fresh
-            if fresh and np.signbit(t.coef).any():
+            if fresh and math.copysign(1.0, t.coef) < 0.0:
                 total += 0.0
         elif owned:
             total += part
@@ -353,13 +348,6 @@ def gradient(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None
     return weights_dot_basis(p.n, x, weight * w)[: p.n - 1]
 
 
-def _welfare_factor(terms, g: np.ndarray, pn) -> np.ndarray:
-    """h = g + p_n for the welfare terms; g itself where every p_n is 0."""
-    if not any(t.times_h for t in terms) or not np.any(pn):
-        return g
-    return g + pn
-
-
 def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
                   w: np.ndarray, n: int):
     """Objective value for arbitrary ordered policies (p_n possibly > 0).
@@ -374,32 +362,44 @@ def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     pn = np.asarray(pn)
     terms = _terms(spec, b, n)
     xcol = x if g.ndim == 1 else x[:, None]
-    values = _term_values(terms, xcol, _welfare_factor(terms, g, pn), g)
+    h = g + pn if pn.any() and any(t.times_h for t in terms) else g
+    values = _term_values(terms, xcol, h, g)
     return values.T @ w + _lattice_constant(spec, n, pn)
 
 
 def _root_plan(terms, e0: float):
-    """The terms as polynomials in q = g^e0, one per power of x:
-    {x_pow: {j: [a_j, b_j]}} for the sum of x^x_pow q^j (a_j + b_j h).
-    None unless every exponent is j * e0 in floating point for an integer
-    j <= `_HORNER_MAX_DEGREE`."""
-    plan: dict[float, dict[int, list[float]]] = {}
+    """The terms as polynomials in a root power q = g^root, one per root and
+    power of x: {(root, x_pow): {j: [a_j, b_j]}} for the sum of
+    x^x_pow q^j (a_j + b_j h).  A term whose exponent is j * e0 in floating
+    point for an integer j <= `_HORNER_MAX_DEGREE` takes the root e0; any
+    other takes its own exponent as its root, with j = 1."""
+    plan: dict[tuple[float, float], dict[int, list[float]]] = {}
     for t in terms:
-        j = round(t.g_exp / e0)
-        if j > _HORNER_MAX_DEGREE or j * e0 != t.g_exp:
-            return None
-        coefs = plan.setdefault(t.x_pow, {}).setdefault(j, [0.0, 0.0])
+        # a ratio past the bound, or inf or nan from an overflowed exponent,
+        # is no j
+        ratio = t.g_exp / e0
+        root, j = e0, (round(ratio) if ratio <= _HORNER_MAX_DEGREE else -1)
+        if j * e0 != t.g_exp:
+            root, j = t.g_exp, 1
+        coefs = plan.setdefault((root, t.x_pow), {}).setdefault(j, [0.0, 0.0])
         coefs[t.times_h] += t.coef
     return plan
 
 
-def _root_values(plan, x: np.ndarray, g: np.ndarray, pn, q: np.ndarray) -> np.ndarray:
-    """Sum of a `_root_plan` at the nodes, by Horner's rule in q per power of
-    x.  A coefficient a_j + b_j h enters as b_j g + (a_j + b_j p_n), so h is
-    never formed."""
+def _root_values(plan, x: np.ndarray, g: np.ndarray, pn, powers: dict) -> np.ndarray:
+    """Sum of a `_root_plan` at the nodes, by Horner's rule in q per root and
+    power of x.  A coefficient a_j + b_j h enters as b_j g + (a_j + b_j p_n),
+    so h is never formed.  `powers` holds the last root power computed, as
+    {root: g**root}, as in `_term_values`; callers that sum several plans on
+    the same g pass one dict to every call."""
     total = None
-    for x_pow, coefs in plan.items():
+    for (root, x_pow), coefs in plan.items():
         degree = max(coefs)
+        if degree:
+            if root not in powers:
+                powers.clear()
+                powers[root] = np.power(g, root)
+            q = powers[root]
         a, b = coefs[degree]
         if b:
             part = b * g
@@ -407,7 +407,7 @@ def _root_values(plan, x: np.ndarray, g: np.ndarray, pn, q: np.ndarray) -> np.nd
             if degree:
                 part *= q
         else:
-            part = a * q if degree else np.full_like(q, a)
+            part = a * q if degree else np.full_like(g, a)
         for j in range(degree - 1, -1, -1):
             a, b = coefs.get(j, (0.0, 0.0))
             if b:
@@ -442,11 +442,13 @@ def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     P.w_high, likewise for N, and the value lies in
     [P.w_low - N.w_high, P.w_high - N.w_low] plus the lattice constant.
 
-    P and N are summed in root form where their exponents allow: with e0
-    the smallest positive exponent of g among all the terms, each is a
-    polynomial in q = g^e0 (`_root_plan`), summed by Horner's rule from the
-    one power q (`_root_values`).  A class whose exponents are not integer
-    multiples of e0 takes one power per term (`_term_values`).
+    P and N are summed in root form: with e0 the smallest positive exponent
+    of g among all the terms, the terms whose exponents are small integer
+    multiples of e0 make a polynomial in q = g^e0, and each other term is
+    its own polynomial of degree 1 in its own power (`_root_plan`).  Each
+    is summed by Horner's rule (`_root_values`), and both classes share the
+    powers they take, so an exponential costs one power, not one per
+    Taylor term.
 
     Both ends are widened by `BRACKET_ROUNDING` times
     P.w_high + N.w_high + |constant|.  `g` holds the policies' values at
@@ -460,18 +462,17 @@ def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     terms = _terms(spec, b, n)
     classes = ([t for t in terms if t.coef > 0.0],
                [replace(t, coef=-t.coef) for t in terms if t.coef < 0.0])
-    e0 = min((t.g_exp for t in terms if t.g_exp > 0.0), default=0.0)
-    plans = [_root_plan(c, e0) if c and e0 else None for c in classes]
-    q = None if plans == [None, None] else np.power(g, e0)
+    # with no positive exponent every term is a constant, j = 0 of any root
+    e0 = min((t.g_exp for t in terms if t.g_exp > 0.0), default=1.0)
+    powers: dict = {}
 
-    def class_sums(sign_class, plan):
+    def class_sums(sign_class):
         if not sign_class:
             return 0.0, 0.0
-        values = (_term_values(sign_class, xcol, _welfare_factor(sign_class, g, pn), g)
-                  if plan is None else _root_values(plan, xcol, g, pn, q))
+        values = _root_values(_root_plan(sign_class, e0), xcol, g, pn, powers)
         return values.T @ w_low, values.T @ w_high
 
-    (rise_low, rise_high), (fall_low, fall_high) = map(class_sums, classes, plans)
+    (rise_low, rise_high), (fall_low, fall_high) = map(class_sums, classes)
     constant = _lattice_constant(spec, n, pn)
     slack = BRACKET_ROUNDING * (rise_high + fall_high + np.abs(constant))
     return (rise_low - fall_high + constant - slack,

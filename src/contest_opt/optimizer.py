@@ -36,11 +36,12 @@ bottom one, which is exactly zero on a flat policy.  Rigorous brackets from
 every 25th, then every 5th quadrature node rule out most candidates; a last
 bracket at every node, only its rounding allowance wide, leaves the
 finalists, and only those are summed again term by term.  Each bracket sums
-its rising and its falling terms in root form: where every exponent of g is
-an integer multiple j <= 64 of the smallest, e0, a sign class is a
-polynomial in q = g^e0, summed by Horner's rule, and both classes share the
-one power q (`objective.lattice_bracket`).  An exponential reward so costs
-one power per node and candidate, not one per Taylor term.
+its rising and its falling terms in root form: the terms whose exponents of
+g are integer multiples j <= 64 of the smallest, e0, make a polynomial in
+q = g^e0, summed by Horner's rule, each other term takes its own power, and
+both classes share the powers (`objective.lattice_bracket`).  An
+exponential reward so costs one power per node and candidate, not one per
+Taylor term.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .objective import (
     beta_value,
     evaluate,
     evaluate_error_bound,
+    evaluate_hm_closed_form,
     format_objective_config,
     lattice_bracket,
     lattice_value,
@@ -98,13 +100,6 @@ _GRID_BLOCK_ELEMENTS = 1 << 16
 # for the full pass and cut grid_search's CPU time 7- to 25-fold; strides
 # 50 then 10 left up to 8,019 and were slower.
 _SCREEN_STRIDES = (25, 5)
-# _TwoLevelFamily.values holds at most this many values, 128 kB, per
-# temporary.  Under glibc's default malloc settings larger temporaries are
-# mapped afresh or trimmed from the heap after use: on a 2-core x86-64 VM,
-# `sweep --n 5` (m = 5000) spent 1.4 s in system time on page faults with
-# whole 50-alpha columns per block and 0.3 s with 4 rows, against 0.04 s
-# with 3 rows.
-_VALUES_BLOCK = 1 << 14
 # most intervals branch-and-bound opens before it gives up uncertified
 MAX_BNB_NODES = 200_000
 
@@ -259,32 +254,12 @@ class _TwoLevelFamily:
         for arr in (self.c0, self.c1):
             arr.setflags(write=False)
 
-    def values(self, specs, b: float, p1s) -> np.ndarray:
-        """Each objective of `specs` at the top share beside it in `p1s`,
-        summed term by term at each node.
-
-        Objectives whose terms match in shape, in order, share passes of
-        `_term_values` over blocks of `_VALUES_BLOCK` values: one row of h
-        per objective, each term's coefficients as a column.  Each row is
-        integrated by its own dot product with the weights, so a value
-        depends on its objective and point alone, not on the batch.
-        """
-        p1s = np.asarray(p1s, dtype=float)
-        out = np.empty(len(p1s))
-        terms = [_terms(spec, b, self.n) for spec in specs]
-        groups: dict[tuple, list[int]] = {}
-        for k, ts in enumerate(terms):
-            groups.setdefault(tuple((t.g_exp, t.x_pow, t.times_h) for t in ts), []).append(k)
-        rows = max(1, _VALUES_BLOCK // len(self.x))
-        for key, members in groups.items():
-            for start in range(0, len(members), rows):
-                ks = members[start:start + rows]
-                h = p1s[ks, None] * self.c1
-                h += self.c0
-                coefs = np.array([[t.coef for t in terms[k]] for k in ks]).T[..., None]
-                columns = [_Term(c, *shape) for c, shape in zip(coefs, key)]
-                out[ks] = [row @ self.w for row in _term_values(columns, self.x, h, h)]
-        return out
+    def value(self, spec: ObjectiveSpec, b: float, p1: float) -> float:
+        """The objective at top share p1, summed term by term at each node:
+        `lattice_value` on the chain's h."""
+        h = self.c1 * p1
+        h += self.c0
+        return float(lattice_value(spec, b, h, 0.0, self.x, self.w, self.n))
 
     def shape_sums(self, shapes, p1: float) -> np.ndarray:
         """Integrals of each unit-coefficient term in `shapes` at p1 over the
@@ -507,8 +482,9 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
         "quad_m": cfg.quad.m, "quad_rule": cfg.quad.rule,
     }
     if n == 2:
-        # the ordered two-share simplex with zero bottom is the single point (1, 0)
-        return OptResult(hm(2), evaluate(ConvexCombo(alpha), b, hm(2), cfg.quad), 0.0, 0,
+        # the ordered two-share simplex with zero bottom is the single point
+        # (1, 0), whose exact value needs no quadrature
+        return OptResult(hm(2), evaluate_hm_closed_form(alpha, b, 2), 0.0, 0,
                          "bnb:n2-shortcut-hm", True, 0, config)
 
     fam, spec = _family(n, cfg.quad), ConvexCombo(alpha)
@@ -614,7 +590,7 @@ def check_line_steps(steps: int) -> None:
 def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
                           quad: QuadratureConfig | None = None) -> OptResult:
     """Best point of a uniform p1 grid over the two-level family, refined in its cell
-    by bounded Brent minimization (`_brent_steps`).
+    by bounded Brent minimization (`_brent`).
 
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
@@ -633,14 +609,11 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     The objectives share beta, n and the rule, so they share one two-level
     family, one p1 grid and the grid points `_grid_argmax` evaluates: the
     alpha column of a sweep integrates two term shapes per point, whatever
-    its number of alphas.  Each objective then gets bounded Brent
-    refinement of its best cell (`_brent_steps`) on its own term-by-term
-    sum and its own gap.  The refinements run in lockstep
-    (`_run_in_lockstep`): each round evaluates every search's next point in
-    one `_TwoLevelFamily.values` call, whose values do not depend on the
-    batch, so every result is bit for bit the single search's.  An
-    objective outside the covered class fails the whole batch before any
-    grid point is evaluated.
+    its number of alphas.  Each objective then gets, in turn, bounded Brent
+    refinement of its best cell (`_brent`) on its own term-by-term sum
+    (`_TwoLevelFamily.value`) and its own gap, so every result is bit for
+    bit the single search's.  An objective outside the covered class fails
+    the whole batch before any grid point is evaluated.
     """
     b = beta_value(beta)
     for spec in specs:
@@ -666,10 +639,9 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     # each best point's cell, as Python floats: Brent's scalar arithmetic
     # gives the same bits on them and runs about three times faster
     cells = [p1_grid[[max(best - 1, 0), min(best + 1, steps - 1)]].tolist() for best in picks]
-    searches = [_brent_steps(lo, hi, 1e-10) for lo, hi in cells]
     results = []
-    for spec, config, best, best_val, (x, fun) in zip(specs, configs, picks, pick_values,
-                                                      _run_in_lockstep(fam, specs, b, searches)):
+    for spec, config, best, best_val, (lo, hi) in zip(specs, configs, picks, pick_values, cells):
+        x, fun = _brent(lambda p1: -fam.value(spec, b, p1), lo, hi, 1e-10)
         best_p1, best_val = float(p1_grid[best]), float(best_val)
         if -fun > best_val:
             best_p1, best_val = x, -fun
@@ -684,28 +656,7 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     return results
 
 
-def _run_in_lockstep(fam: _TwoLevelFamily, specs, b: float, searches) -> list:
-    """Run one `_brent_steps` search per objective of `specs`, all in rounds:
-    each round evaluates every pending trial point in one
-    `_TwoLevelFamily.values` call and sends each search its point's negated
-    value, as a Python float.  Returns each search's (x, f)."""
-    points = [next(search) for search in searches]
-    outcomes: list = [None] * len(searches)
-    pending = list(range(len(searches)))
-    while pending:
-        values = fam.values([specs[k] for k in pending], b, [points[k] for k in pending])
-        waiting = []
-        for k, value in zip(pending, values.tolist()):
-            try:
-                points[k] = searches[k].send(-value)
-                waiting.append(k)
-            except StopIteration as done:
-                outcomes[k] = done.value
-        pending = waiting
-    return outcomes
-
-
-# _brent_steps follows scipy 1.17.1's
+# _brent follows scipy 1.17.1's
 # scipy.optimize._optimize._minimize_scalar_bounded, Brent's FMIN (R. P.
 # Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5), with
 # its constants, order of operations and 500-evaluation cap, on floats.
@@ -745,12 +696,10 @@ def _run_in_lockstep(fam: _TwoLevelFamily, specs, b: float, searches) -> list:
 _BRENT_MAX_EVALS = 500
 
 
-def _brent_steps(lo: float, hi: float, xatol: float):
-    """Bounded Brent minimization over [lo, hi], as a generator.
+def _brent(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
+    """Bounded Brent minimization of `f` over [lo, hi].
 
-    It yields each trial point and takes the function's value there by
-    `send`, so a caller can evaluate many searches' points together.  It
-    returns (x, f), the best point and its value, once the bracket is
+    Returns (x, f(x)), the best point and its value, once the bracket is
     within about `xatol` or after `_BRENT_MAX_EVALS` values.  The points
     and the result are those of scipy's ``minimize_scalar(method="bounded")``
     bit for bit: only its numpy calls on scalars are replaced, np.abs by
@@ -764,7 +713,7 @@ def _brent_steps(lo: float, hi: float, xatol: float):
     nfc, xf = fulc, fulc
     rat = e = 0.0
     x = xf
-    fx = yield x
+    fx = f(x)
     num = 1
 
     ffulc = fnfc = fx
@@ -805,7 +754,7 @@ def _brent_steps(lo: float, hi: float, xatol: float):
             rat = golden_mean * e
 
         x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = yield x
+        fu = f(x)
         num += 1
 
         if fu <= fx:

@@ -380,7 +380,7 @@ def check_line_argmax(seed: int, trials: int) -> CheckResult:
         p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
         picks, _ = optimizer._grid_argmax(fam, specs, beta, p1s)
         for spec, pick in zip(specs, picks):
-            scan = fam.values([spec] * steps, beta, p1s)
+            scan = np.array([fam.value(spec, beta, p1) for p1 in p1s])
             best = int(np.argmax(scan))
             h = np.multiply.outer(fam.c1, p1s[[pick, best]]) + fam.c0[:, None]
             terms = [replace(t, coef=abs(t.coef)) for t in objective._terms(spec, beta, n)]

@@ -290,6 +290,14 @@ class TestSweep:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LARGER_SHA256
 
+    # `sweep --n 5` with every other option at its default, the 50x50 portrait
+    DEFAULT_SHA256 = "a26d708eefae2b287163a65bec5708ff39900d01325cc914cb0d90887494a3e9"
+
+    def test_default_sweep_is_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.DEFAULT_SHA256
+
     def test_columns_are_the_per_cell_searches(self, capsys, monkeypatch):
         """Every cell of an n = 5, 3x3 sweep is its own line search, to the bit."""
         batches = []

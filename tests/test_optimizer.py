@@ -35,6 +35,7 @@ from contest_opt.objective import (
     _term_values,
     _terms,
     evaluate_error_bound,
+    evaluate_hm_closed_form,
     lattice_bracket,
     lattice_value,
 )
@@ -68,7 +69,7 @@ FAST = QuadratureConfig(m=20_000)
 
 def scan(fam, spec, beta, p1s):
     """One objective's values at every top share of `p1s`."""
-    return fam.values([spec] * len(p1s), beta, p1s)
+    return np.array([fam.value(spec, beta, p1) for p1 in p1s])
 
 
 def endpoint(batch, p1):
@@ -311,6 +312,15 @@ class TestBranchAndBound:
         assert result.policy.values == hm(2).values
         assert "n2" in result.method
 
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 2.0), (0.0, 0.7), (1.0, 3.0)])
+    def test_two_player_gap_of_zero_is_exact(self, alpha, beta):
+        """The single point's value is the closed form, not a quadrature sum
+        that a coarse rule puts off by far more than the gap of 0 it reports."""
+        cfg = BnbConfig(epsilon=1e-6, quad=QuadratureConfig(m=100))
+        result = branch_and_bound(2, alpha, beta, cfg)
+        assert result.value == evaluate_hm_closed_form(alpha, beta, 2)
+        assert (result.certified_gap, result.certified) == (0.0, True)
+
     def test_refuses_exhausted_error_budget(self):
         with pytest.raises(DomainError):
             branch_and_bound(5, 0.5, 2.0, BnbConfig(epsilon=1e-9, quad=QuadratureConfig(m=1000)))
@@ -471,11 +481,9 @@ class TestLineSearchBatch:
 
     @pytest.mark.parametrize("beta", [0.7, 2.5])
     def test_a_sweep_column_is_its_single_searches(self, beta):
-        """Alphas 0 and 1 have one term each, so their Brent points are
-        evaluated apart from the interior alphas', which share blocks of
-        several rows at the sweep's node count."""
+        """Alphas 0 and 1, with one term each, beside interior alphas at the
+        sweep's node count."""
         quad = QuadratureConfig(m=5000)
-        assert optimizer._VALUES_BLOCK // quad.m > 1
         specs = [ConvexCombo(alpha) for alpha in np.linspace(0.0, 1.0, 13)]
         batch = two_level_line_search_batch(specs, beta, 5, steps=60, quad=quad)
         for spec, got in zip(specs, batch):
@@ -509,37 +517,34 @@ def term_sizes(fam, spec, beta, p1s):
 
 
 class TestValues:
-    """`_TwoLevelFamily.values`, which Brent's points and the scans read."""
+    """`_TwoLevelFamily.value`, which Brent's points and the scans read."""
 
     @pytest.mark.parametrize("beta", [0.6, 2.0])
     @pytest.mark.parametrize("m", [1000, 5000, 20_000])
     def test_a_value_depends_on_its_objective_and_point_alone(self, m, beta):
-        """Each value is the one the objective takes alone at its point, and
-        the bits of `lattice_value` on that point's (m, 1) column of h."""
+        """Each value has the bits of `lattice_value` on that point's (m, 1)
+        column of h."""
         n = 5
         fam = _TwoLevelFamily(n, QuadratureConfig(m=m))
         rng = np.random.default_rng(m)
         specs = [LINE_SPECS[int(k)] for k in rng.integers(0, len(LINE_SPECS), 40)]
-        p1s = rng.uniform(1.0 / (n - 1), 1.0, len(specs))
-        got = fam.values(specs, beta, p1s)
-        for spec, p1, value in zip(specs, p1s, got):
+        for spec, p1 in zip(specs, rng.uniform(1.0 / (n - 1), 1.0, len(specs)).tolist()):
             h = np.multiply.outer(fam.c1, [p1])
             h += fam.c0[:, None]
             column = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)[0]
-            alone = fam.values([spec], beta, [p1])[0]
-            assert value.tobytes() == column.tobytes() == alone.tobytes()
+            assert float(column).hex() == fam.value(spec, beta, p1).hex()
 
 
 def brent_run(fn, lo, hi, xatol):
-    """`_brent_steps` driven one point at a time: (x, f, evaluations)."""
-    search = optimizer._brent_steps(lo, hi, xatol)
-    x, count = next(search), 0
-    while True:
+    """`_brent` on `fn`: (x, f, evaluations)."""
+    count = 0
+
+    def counted(x):
+        nonlocal count
         count += 1
-        try:
-            x = search.send(fn(x))
-        except StopIteration as done:
-            return (*done.value, count)
+        return fn(x)
+
+    return (*optimizer._brent(counted, lo, hi, xatol), count)
 
 
 class TestBrentSteps:
@@ -768,10 +773,10 @@ SCREEN_SPECS = (
     Exponential((1.5,)),
     SocialWelfare(((0.5, 1.0),)),
 )
-# the bracket's root form: 1.5/beta is no integer multiple of 1/beta, so the
-# posynomial falls back to one power per term; a Taylor order of 50; an order
-# past the degree bound, which falls back too; and the welfare factor h at a
-# power of q below the top one
+# the bracket's root form: 1.5/beta is no integer multiple of 1/beta, so that
+# posynomial term takes its own power; a Taylor order of 50; an order past the
+# degree bound, whose last term takes its own power too; and the welfare
+# factor h at a power of q below the top one
 ROOT_FORM_SPECS = (
     Posynomial(((1.0, 1.0), (1.0, 1.5))),
     Exponential((10.0,)),
@@ -827,7 +832,12 @@ class TestLatticeScreening:
         # unit cost: every candidate with p_n = 0 is worth 1/n up to the
         # quadrature error, so hardly any can be ruled out
         (ConvexCombo(0.0), 1.0),
-    ] + [(spec, 1.7) for spec in ROOT_FORM_SPECS])
+    ] + [(spec, 1.7) for spec in ROOT_FORM_SPECS] + [
+        # exponents of g that overflow to inf, alone and beside a subnormal
+        # one, so that their ratio to the smallest is nan or inf
+        (Posynomial(((1.0, 1e300),)), 1e-10),
+        (Posynomial(((1.0, 1e-300), (1.0, 1e300))), 1e-10),
+    ])
     def test_screened_argmax_is_the_exhaustive_one(self, spec, beta):
         x, w = GRID_QUAD.nodes_weights()
         for n, granularity in ((4, 0.05), (5, 0.04)):
@@ -846,12 +856,13 @@ class TestLatticeScreening:
         (SCREEN_SPECS[1], 1),
         (ROOT_FORM_SPECS[3], 1),
         (ROOT_FORM_SPECS[0], 2),
-        (ROOT_FORM_SPECS[2], _HORNER_MAX_DEGREE + 1),
+        (ROOT_FORM_SPECS[2], 2),
     ], ids=["exp", "exp_two_rates", "posynomial_both_signs", "social",
             "posynomial_fallback", "exp_past_degree_bound"])
     def test_powers_of_g(self, monkeypatch, spec, powers):
         """Terms of exponents j/beta share one power of g, so the bracket
-        of an exponential costs one power, not one per Taylor term."""
+        of an exponential costs one power, not one per Taylor term; a term
+        past the degree bound, or of another exponent, adds its own."""
         x, w = GRID_QUAD.nodes_weights()
         shares = _lattice_matrix(5, 10)
         g = basis_matrix(5, x) @ (shares - shares[:, -1:]).T

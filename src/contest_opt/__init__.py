@@ -52,7 +52,6 @@ from .objective import (
 )
 from .optimizer import (
     BnbConfig,
-    CDecomposition,
     OptResult,
     branch_and_bound,
     c_decomposition,

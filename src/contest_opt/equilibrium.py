@@ -20,7 +20,7 @@ import numpy as np
 
 from .bernstein import check_unit_interval, h_eval, h_inverse
 from .errors import BudgetExceededError, DomainError, RangeError, TrivialPolicyError
-from .objective import DEFAULT_QUAD, ConvexCombo, beta_value, lattice_value
+from .objective import ConvexCombo, beta_value, evaluate
 from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
 
@@ -133,21 +133,10 @@ def utility(model: EquilibriumModel, q):
 
 
 def welfare_quality_analytic(p: Policy, beta, quad: QuadratureConfig | None = None) -> tuple[float, float]:
-    """(welfare, quality) of the reduced form: n*I[h^(1+1/b)] and I[h^(1/b)].
-
-    Requires a nontrivial policy with zero bottom share.
-    """
-    b = beta_value(beta)
-    if not is_nontrivial(p):
-        raise TrivialPolicyError("analytic welfare needs a nontrivial policy")
-    if p.pn > 1e-12:
-        raise DomainError("analytic reduced form needs p_n = 0, got %.3g" % p.pn)
-    quad = quad or DEFAULT_QUAD
-    x, w = quad.nodes_weights()
-    h = h_eval(p, x)
-    welfare = float(lattice_value(ConvexCombo(1.0), b, h, 0.0, x, w, p.n))
-    quality = float(lattice_value(ConvexCombo(0.0), b, h, 0.0, x, w, p.n))
-    return welfare, quality
+    """(welfare, quality) of the reduced form, n*I[h^(1+1/b)] and I[h^(1/b)]:
+    `objective.evaluate` at alpha = 1 and at alpha = 0, which needs a
+    nontrivial policy with zero bottom share."""
+    return evaluate(ConvexCombo(1.0), beta, p, quad), evaluate(ConvexCombo(0.0), beta, p, quad)
 
 
 def cdf_table(model: EquilibriumModel, points: int = 101) -> np.ndarray:

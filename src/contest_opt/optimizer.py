@@ -105,26 +105,17 @@ MAX_BNB_NODES = 200_000
 
 
 @dataclass(frozen=True)
-class CDecomposition:
-    """Affine coefficients of h along the two-level family at one x."""
-
-    c0: np.ndarray | float
-    c1: np.ndarray | float
-
-
-@dataclass(frozen=True)
 class Interval:
     """One node of branch-and-bound.  The slopes are those of the concave
     terms' secants through the neighbouring points on the left (ending at
-    lo) and on the right (starting at hi); None where there is none yet."""
+    lo) and on the right (starting at hi); nan where there is none yet."""
 
     lo: float
     hi: float
-    lower: float
     upper: float
     depth: int
-    left_slope: Optional[float] = None
-    right_slope: Optional[float] = None
+    left_slope: float
+    right_slope: float
 
 
 @dataclass(frozen=True)
@@ -166,25 +157,19 @@ class OptResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def c_decomposition(n: int, x) -> CDecomposition:
-    """Split h on the two-level family into c0(x) + c1(x) * p1.
-
-    For n = 2 the family collapses to the winner-take-all point: c0 = 0
-    and h is just a_1(x) * p1.
-    """
-    if n < 2:
-        raise DomainError("n must be >= 2")
+def c_decomposition(n: int, x):
+    """Split h on the two-level family into c0(x) + c1(x) * p1: the pair
+    (c0, c1), floats for a scalar x and arrays otherwise.  The family needs
+    n >= 3, as `two_level` does."""
+    if n < 3:
+        raise DomainError("the two-level family needs n >= 3")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     a1, an = basis_columns(n, x_arr, [1, n]).T
-    if n == 2:
-        c0 = np.zeros_like(a1)
-        c1 = a1
-    else:
-        c0 = (1.0 - a1 - an) / (n - 2)
-        c1 = a1 - c0
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return CDecomposition(float(c0[0]), float(c1[0]))
-    return CDecomposition(c0, c1)
+    c0 = (1.0 - a1 - an) / (n - 2)
+    c1 = a1 - c0
+    if np.ndim(x) == 0:
+        return float(c0[0]), float(c1[0])
+    return c0, c1
 
 
 class _EndpointSums(NamedTuple):
@@ -239,12 +224,9 @@ class _TwoLevelFamily:
     """
 
     def __init__(self, n: int, quad: QuadratureConfig):
-        if n < 3:
-            raise DomainError("the two-level family needs n >= 3")
         self.n, self.quad = n, quad
         self.x, self.w = quad.nodes_weights()
-        dec = c_decomposition(n, self.x)
-        self.c0, self.c1 = dec.c0, dec.c1
+        self.c0, self.c1 = c_decomposition(n, self.x)
         falling = np.flatnonzero(self.c1 < 0.0)
         self.cut = int(falling[-1]) + 1 if len(falling) else 0
         if np.any(self.c1[:self.cut] > 0.0):
@@ -377,13 +359,7 @@ def _rise_fall_upper(at_lo: _EndpointSums, at_hi: _EndpointSums):
     return at_hi.vex_rise + at_hi.cav_rise + at_lo.vex_fall + at_lo.cav_fall
 
 
-def _bounds(at_lo: _EndpointSums, at_hi: _EndpointSums) -> tuple[float, float]:
-    """(L, U) over [lo, hi] from the sums at its ends: U is the rise/fall bound."""
-    return max(at_lo.value, at_hi.value), _rise_fall_upper(at_lo, at_hi)
-
-
-def _chord_secant_upper(lo, hi, at_lo: _EndpointSums, at_hi: _EndpointSums,
-                        left_slope, right_slope):
+def _chord_secant_upper(lo, hi, at_lo: _EndpointSums, at_hi: _EndpointSums, left, right):
     """Upper bound over [lo, hi] from the chord of the convex terms plus the
     lower of the concave terms' secants; inf with no secant.
 
@@ -394,11 +370,9 @@ def _chord_secant_upper(lo, hi, at_lo: _EndpointSums, at_hi: _EndpointSums,
     bound is widened by `BRACKET_ROUNDING` times the ends' absolute class
     sums: each secant is extrapolated over at most the width of its base.
 
-    Branch-and-bound passes floats, with None for a missing slope; the line
-    search passes arrays, bounded elementwise, with nan for one.
+    Branch-and-bound passes floats and the line search arrays, bounded
+    elementwise; both pass nan for a missing slope.
     """
-    left = math.nan if left_slope is None else left_slope
-    right = math.nan if right_slope is None else right_slope
     # min and max that skip a nan: numpy's on arrays, and on floats two
     # that cost a tenth as much
     least, most = (np.fmin, np.fmax) if isinstance(hi, np.ndarray) else (_fmin, _fmax)
@@ -430,39 +404,25 @@ def _fmax(a: float, b: float) -> float:
 
 def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
-    """(L, U) objective bounds over the p1-interval [lo, hi]."""
+    """(L, U) objective bounds over the p1-interval [lo, hi]: L is the better
+    end's value and U the rise/fall bound (`_rise_fall_upper`), at least L."""
     b = beta_value(beta)
     fam = _family(n, quad or BNB_QUAD)
     domain_lo = 1.0 / (n - 1)
     if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
         raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
     ends = _BatchSums(fam, [ConvexCombo(alpha)], b).at([lo, hi])[:5, :, 0].T.tolist()
-    lower, upper = _bounds(*(_EndpointSums(*end) for end in ends))
-    return lower, max(upper, lower)
+    at_lo, at_hi = (_EndpointSums(*end) for end in ends)
+    lower = max(at_lo.value, at_hi.value)
+    return lower, max(_rise_fall_upper(at_lo, at_hi), lower)
 
 
-def gap_constants(n: int, alpha: float, beta, mode: str = "exact",
+def gap_constants(n: int, alpha: float, beta,
                   quad: QuadratureConfig | None = None) -> tuple[float, float]:
-    """Constants (C1, C2) bounding U - L by C1*|I| + C2*|I|^(1/beta).
-
-    "exact" is the family's step moves of the welfare/quality mix, with
-    the terms of exponent r > 1 in C1 and the one with r = 1/beta <= 1 in
-    C2.  "rough" uses closed-form over-estimates from I[|c1|] <= 2/n: for
-    beta >= 1, 2*alpha*(1+1/beta) and
-    (1-alpha)*(beta/(beta+n-1) + (n-2)^(-1/beta)); for beta < 1 the
-    quality term is Lipschitz too, adding 2*(1-alpha)/(beta*n) to C1.
-    """
+    """Constants (C1, C2) bounding U - L by C1*|I| + C2*|I|^(1/beta): the
+    family's step moves of the welfare/quality mix, with the terms of
+    exponent r > 1 in C1 and the one with r = 1/beta <= 1 in C2."""
     b = beta_value(beta)
-    if n < 3:
-        raise DomainError("gap constants need n >= 3")
-    if mode == "rough":
-        c1 = 2.0 * alpha * (1.0 + 1.0 / b)
-        if b < 1.0:
-            return c1 + 2.0 * (1.0 - alpha) / (b * n), 0.0
-        c2 = (1.0 - alpha) * (b / (b + n - 1) + (n - 2) ** (-1.0 / b))
-        return c1, c2
-    if mode != "exact":
-        raise DomainError("mode must be 'exact' or 'rough'")
     lipschitz, holder = _family(n, quad or BNB_QUAD).step_moves(ConvexCombo(alpha), b)
     return lipschitz, sum((k for k, _ in holder), 0.0)
 
@@ -512,13 +472,12 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
         """Slope of the concave terms' secant through lo and hi."""
         return (endpoint(hi).cav - endpoint(lo).cav) / (hi - lo)
 
-    def make_interval(lo: float, hi: float, depth: int, left_slope: Optional[float],
-                      right_slope: Optional[float]) -> Interval:
+    def make_interval(lo: float, hi: float, depth: int, left_slope: float,
+                      right_slope: float) -> Interval:
         at_lo, at_hi = endpoint(lo), endpoint(hi)
-        lower, upper = _bounds(at_lo, at_hi)
-        upper = min(upper, float(_chord_secant_upper(lo, hi, at_lo, at_hi,
-                                                     left_slope, right_slope)))
-        return Interval(lo, hi, lower, upper, depth, left_slope, right_slope)
+        upper = min(_rise_fall_upper(at_lo, at_hi),
+                    float(_chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope)))
+        return Interval(lo, hi, upper, depth, left_slope, right_slope)
 
     lo0, hi0 = 1.0 / (n - 1), 1.0
     best_p1, best_val = lo0, value(lo0)
@@ -529,7 +488,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
         best_p1, best_val = hi0, v_hi
 
     # with no concave term every secant of the concave part is the zero line
-    root_slope = 0.0 if batch.no_cav[0] else None
+    root_slope = 0.0 if batch.no_cav[0] else math.nan
     root = make_interval(lo0, hi0, 0, root_slope, root_slope)
     # ties on the upper bound break toward the leftmost interval
     heap: list[tuple[float, float, Interval]] = [(-root.upper, root.lo, root)]
@@ -595,8 +554,9 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
     objective gets a gap certificate: the family's step moves over one
-    grid step, plus twice the per-evaluation quadrature allowance; a gap or
-    value that overflows is reported uncertified.  This is
+    grid step, plus twice the per-evaluation quadrature allowance, which is
+    the whole gap at n = 2, where hm(2) is the only point; a gap or value
+    that overflows is reported uncertified.  This is
     `two_level_line_search_batch` on a batch of one.
     """
     return two_level_line_search_batch([spec], beta, n, steps, quad)[0]
@@ -629,8 +589,12 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     configs = [{"n": n, "steps": steps, "objective": format_objective_config(spec),
                 "beta": b, "quad_m": quad.m, "quad_rule": quad.rule} for spec in specs]
     if n == 2:
-        return [OptResult(hm(2), evaluate(spec, b, hm(2), quad), None, 1, "line:n2-hm",
-                          False, 0, config) for spec, config in zip(specs, configs)]
+        # hm(2) is the only feasible point, so the step moves are 0 and the
+        # gap is the quadrature allowance alone
+        values = [evaluate(spec, b, hm(2), quad) for spec in specs]
+        gaps = [2.0 * evaluate_error_bound(spec, b, hm(2), quad) for spec in specs]
+        return [OptResult(hm(2), v, gap, 1, "line:n2-hm", math.isfinite(gap) and math.isfinite(v),
+                          0, config) for v, gap, config in zip(values, gaps, configs)]
 
     fam = _family(n, quad)
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)

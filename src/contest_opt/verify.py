@@ -8,7 +8,7 @@ the check thresholds, so a run can be audited without rerunning it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -302,9 +302,9 @@ def check_affine_decomposition(seed: int, trials: int) -> CheckResult:
         n = int(rng.choice([3, 5, 8, 12]))
         x = rng.random()
         p1 = rng.uniform(1.0 / (n - 1), 1.0)
-        dec = optimizer.c_decomposition(n, x)
+        c0, c1 = optimizer.c_decomposition(n, x)
         direct = bernstein.h_eval(two_level(n, p1), x)
-        worst = max(worst, abs(dec.c0 + dec.c1 * p1 - direct))
+        worst = max(worst, abs(c0 + c1 * p1 - direct))
     return _result("optimizer.affine_decomposition", worst <= 1e-12, worst, seed)
 
 
@@ -320,16 +320,12 @@ def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
         if hi - lo < 1e-6:
             continue
         lower, upper = optimizer.interval_bounds(n, alpha, beta, lo, hi, quad)
-        c1, c2 = optimizer.gap_constants(n, alpha, beta, "exact", quad)
+        c1, c2 = optimizer.gap_constants(n, alpha, beta, quad)
         width = hi - lo
         allowance = c1 * width + c2 * width ** (1.0 / beta)
         quad_slack = 2 * objective.evaluate_error_bound(ConvexCombo(alpha), beta, hm(n), quad)
         worst = max(worst, lower - upper)
         worst = max(worst, (upper - lower) - allowance - quad_slack)
-        # an exact constant of 0 (C2 for beta < 1) lies below any rough one;
-        # comparing it would pin the margin at -1e-9
-        rough = optimizer.gap_constants(n, alpha, beta, "rough")
-        worst = max([worst] + [c - r - 1e-9 for c, r in zip((c1, c2), rough) if c > 0.0])
     return _result("optimizer.bound_sandwich", worst <= 1e-9, worst, seed)
 
 
@@ -382,9 +378,7 @@ def check_line_argmax(seed: int, trials: int) -> CheckResult:
         for spec, pick in zip(specs, picks):
             scan = np.array([fam.value(spec, beta, p1) for p1 in p1s])
             best = int(np.argmax(scan))
-            h = np.multiply.outer(fam.c1, p1s[[pick, best]]) + fam.c0[:, None]
-            terms = [replace(t, coef=abs(t.coef)) for t in objective._terms(spec, beta, n)]
-            scale = (objective._term_values(terms, fam.x[:, None], h, h).T @ fam.w).max()
+            scale = optimizer._BatchSums(fam, [spec], beta).at(p1s[[pick, best]])[5].max()
             worst = max(worst, (scan[best] - scan[pick]) / scale)
     return _result("optimizer.line_argmax", worst <= 1e-12, worst, seed)
 

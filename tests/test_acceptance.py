@@ -129,7 +129,7 @@ def test_criterion_05_bnb_certificates():
         ok = ok and result.value >= line.value - epsilon - (line.certified_gap or 0.0)
         worst_gap = max(worst_gap, result.certified_gap)
 
-        c1, c2 = gap_constants(5, alpha, beta, "exact")
+        c1, c2 = gap_constants(5, alpha, beta)
         delta = (alpha * 5 + 1 - alpha) / cfg.quad.m
         eps_prime = epsilon - 4 * delta  # termination threshold net of quadrature
         domain = 1.0 - 1.0 / 4.0

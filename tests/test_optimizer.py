@@ -42,7 +42,6 @@ from contest_opt.objective import (
 from contest_opt import optimizer
 from contest_opt.optimizer import (
     BNB_QUAD,
-    CDecomposition,
     GRID_QUAD,
     LINE_QUAD,
     MAX_GRID_BASIS,
@@ -51,7 +50,6 @@ from contest_opt.optimizer import (
     _BatchSums,
     _EndpointSums,
     _TwoLevelFamily,
-    _bounds,
     _chord_secant_upper,
     _family,
     _lattice_matrix,
@@ -79,29 +77,27 @@ def endpoint(batch, p1):
 
 class TestCDecomposition:
     def test_right_endpoint(self):
-        dec = c_decomposition(5, 1.0)
-        assert dec.c0 == pytest.approx(0.0) and dec.c1 == pytest.approx(1.0)
+        c0, c1 = c_decomposition(5, 1.0)
+        assert c0 == pytest.approx(0.0) and c1 == pytest.approx(1.0)
 
     def test_left_endpoint(self):
-        dec = c_decomposition(5, 0.0)
-        assert dec.c0 == pytest.approx(0.0) and dec.c1 == pytest.approx(0.0)
+        c0, c1 = c_decomposition(5, 0.0)
+        assert c0 == pytest.approx(0.0) and c1 == pytest.approx(0.0)
 
     def test_affine_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
             n = int(rng.choice([3, 5, 8, 12]))
             x, p1 = rng.random(), rng.uniform(1 / (n - 1), 1.0)
-            dec = c_decomposition(n, x)
-            assert dec.c0 + dec.c1 * p1 == pytest.approx(
+            c0, c1 = c_decomposition(n, x)
+            assert c0 + c1 * p1 == pytest.approx(
                 h_eval(two_level(n, p1), x), abs=1e-12
             )
 
     def test_two_players_degenerate(self):
-        # n = 2 collapses the family to h = a_1(x) * p1 = x * p1
-        x = np.random.default_rng(5).random(1000)
-        dec = c_decomposition(2, x)
-        assert np.all(dec.c0 == 0.0)
-        assert np.allclose(dec.c1, x, rtol=0.0, atol=1e-15)
+        # n = 2 collapses the family to the single point hm(2), as in `two_level`
+        with pytest.raises(DomainError, match="needs n >= 3"):
+            c_decomposition(2, np.random.default_rng(5).random(1000))
 
 
 class TestIntervalBounds:
@@ -144,7 +140,7 @@ class TestIntervalBounds:
             mid_value = evaluate(ConvexCombo(alpha), beta, two_level(n, 0.5 * (lo + hi)), FAST)
             assert lower <= upper + 1e-12
             assert max(lower, mid_value) <= upper + 1e-9
-            c1, c2 = gap_constants(n, alpha, beta, "exact", FAST)
+            c1, c2 = gap_constants(n, alpha, beta, FAST)
             width = hi - lo
             slack = 2 * evaluate_error_bound(ConvexCombo(alpha), beta, hm(n), FAST)
             assert upper - lower <= c1 * width + c2 * width ** (1 / beta) + slack
@@ -158,8 +154,8 @@ class TestIntervalBounds:
             alpha, beta = rng.random(), rng.uniform(0.3, 4.0)
             lo = rng.uniform(1 / (n - 1), 1.0)
             hi = rng.uniform(lo, 1.0)
-            dec = c_decomposition(n, x)
-            h_max = np.maximum(dec.c0 + dec.c1 * lo, dec.c0 + dec.c1 * hi)
+            c0, c1 = c_decomposition(n, x)
+            h_max = np.maximum(c0 + c1 * lo, c0 + c1 * hi)
             want = lattice_value(ConvexCombo(alpha), beta, h_max, 0.0, x, w, n)
             _, upper = interval_bounds(n, alpha, beta, lo, hi, FAST)
             assert upper == pytest.approx(want, rel=0.0, abs=1e-12)
@@ -177,9 +173,9 @@ class TestChordSecantBound:
             return (endpoint(batch, b).cav - endpoint(batch, a).cav) / (b - a)
 
         at_lo, at_hi = endpoint(batch, lo), endpoint(batch, hi)
-        left_slope = None if left is None else slope(left, lo)
-        right_slope = None if right is None else slope(hi, right)
-        return min(_bounds(at_lo, at_hi)[1],
+        left_slope = math.nan if left is None else slope(left, lo)
+        right_slope = math.nan if right is None else slope(hi, right)
+        return min(_rise_fall_upper(at_lo, at_hi),
                    _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope))
 
     def draws(self):
@@ -223,7 +219,7 @@ class TestChordSecantBound:
 
         def recording(lo, hi, at_lo, at_hi, left_slope, right_slope):
             upper = _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope)
-            seen.append((lo, hi, min(upper, _bounds(at_lo, at_hi)[1])))
+            seen.append((lo, hi, min(upper, _rise_fall_upper(at_lo, at_hi))))
             return upper
 
         monkeypatch.setattr(optimizer, "_chord_secant_upper", recording)
@@ -241,29 +237,29 @@ class TestGapConstants:
         assert verify.check_bound_sandwich(seed, 200).status == "pass"
 
     def test_pure_quality_drops_welfare_constant(self):
-        c1, _ = gap_constants(5, 0.0, 2.0, "exact", FAST)
+        c1, _ = gap_constants(5, 0.0, 2.0, FAST)
         assert c1 == 0.0
 
-    def test_rough_welfare_constant(self):
-        c1, _ = gap_constants(5, 1.0, 1.0, "rough")
-        assert c1 == pytest.approx(4.0)
 
-    def test_exact_below_rough(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            n = int(rng.choice([3, 5, 8]))
-            alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
-            exact = gap_constants(n, alpha, beta, "exact", FAST)
-            rough = gap_constants(n, alpha, beta, "rough")
-            assert exact[0] <= rough[0] + 1e-9
-            assert exact[1] <= rough[1] + 1e-9
+class TestOptimizerChecks:
+    def test_reference_records_are_pinned(self):
+        """The optimizer records of `verify --seed 42 --trials 200`, at the
+        CLI's 9 significant digits."""
+        records = [(r.name, r.status, "%.9g" % r.worst_margin)
+                   for r in verify.run_checks(only="optimizer", seed=42, trials=200)]
+        assert records == [
+            ("optimizer.affine_decomposition", "pass", "2.77555756e-16"),
+            ("optimizer.bound_sandwich", "pass", "-0.000701554647"),
+            ("optimizer.bnb_certificate", "pass", "-7.90827197e-06"),
+            ("optimizer.line_argmax", "pass", "0"),
+        ]
 
 
 class TestBranchAndBound:
     def test_pure_quality_convex_cost_returns_uniform(self):
         result = branch_and_bound(5, 0.0, 2.0, BnbConfig(epsilon=1e-3))
         assert result.certified and result.certified_gap <= 1e-3
-        c1, c2 = gap_constants(5, 0.0, 2.0, "exact")
+        c1, c2 = gap_constants(5, 0.0, 2.0)
         delta = min(1e-3 / c1 if c1 > 0 else np.inf, (1e-3 / c2) ** 2.0)
         assert 0.25 <= result.policy.p1 <= 0.25 + delta
 
@@ -366,6 +362,16 @@ class TestFamilyCache:
                 assert cold.policy.values == warm.policy.values
 
 
+# one objective of each family the line search covers, at beta 0.6 and 2
+FIVE_FAMILIES = (
+    ConvexCombo(0.24),
+    Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+    MaxOrderStat(),
+    Exponential((1.5,), truncation_m=6),
+    SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+)
+
+
 class TestLineSearch:
     def test_flat_profile_at_unit_cost(self):
         result = two_level_line_search(ConvexCombo(0.0), 1.0, 5, steps=200, quad=FAST)
@@ -377,13 +383,7 @@ class TestLineSearch:
             two_level_line_search(bad, 5.0, 5)
 
     @pytest.mark.parametrize("beta", [0.6, 2.0])
-    @pytest.mark.parametrize("spec", [
-        ConvexCombo(0.24),
-        Posynomial(((-1.0, 1.0), (2.0, 3.0))),
-        MaxOrderStat(),
-        Exponential((1.5,), truncation_m=6),
-        SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
-    ])
+    @pytest.mark.parametrize("spec", FIVE_FAMILIES)
     def test_every_family_is_certified(self, spec, beta):
         quad = QuadratureConfig(m=1000)
         result = two_level_line_search(spec, beta, 5, steps=50, quad=quad)
@@ -397,6 +397,20 @@ class TestLineSearch:
         lipschitz, holder = fam.step_moves(spec, beta)
         s = p1s[1] - p1s[0]
         assert np.abs(np.diff(values)).max() <= lipschitz * s + sum(k * s ** r for k, r in holder)
+
+    @pytest.mark.parametrize("spec", FIVE_FAMILIES)
+    def test_two_players_are_certified(self, spec):
+        """hm(2) is the only feasible point, so the step moves are 0 and the
+        gap is twice the quadrature allowance."""
+        quad = QuadratureConfig(m=1000)
+        result = two_level_line_search(spec, 2.0, 2, quad=quad)
+        assert result.policy.values == hm(2).values
+        assert result.value == evaluate(spec, 2.0, hm(2), quad)
+        assert result.certified
+        assert result.certified_gap == 2.0 * evaluate_error_bound(spec, 2.0, hm(2), quad)
+        if isinstance(spec, ConvexCombo):
+            exact = evaluate_hm_closed_form(spec.alpha, 2.0, 2)
+            assert abs(result.value - exact) <= result.certified_gap
 
     def test_mix_gap_is_pinned(self):
         result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
@@ -632,7 +646,7 @@ class TestChainCut:
 
     def test_a_second_sign_change_is_refused(self, monkeypatch):
         monkeypatch.setattr(optimizer, "c_decomposition",
-                            lambda n, x: CDecomposition(np.zeros_like(x), np.cos(6.0 * x)))
+                            lambda n, x: (np.zeros_like(x), np.cos(6.0 * x)))
         with pytest.raises(DomainError, match="n=5, m=1000, rule right_riemann"):
             _TwoLevelFamily(5, QuadratureConfig(m=1000))
 

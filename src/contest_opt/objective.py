@@ -14,6 +14,9 @@ integrals of powers of the policy polynomial:
 where ``I[f] = integral of f over [0,1]``.  Gradients with respect to the
 top ``n-1`` shares share a single weight function ``w(x)`` multiplying each
 basis element, which is what the structural checks downstream exploit.
+Values and gradient weights alike are sums of terms ``coef * x^a * h^r``
+(``_Term``), summed by one kernel (``_term_values``): the weight is the
+sum of each term's slope ``coef * r * x^a * h^(r-1)``.
 """
 
 from __future__ import annotations
@@ -276,10 +279,8 @@ def evaluate(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None
     """Quadrature value of the reduced objective."""
     b = beta_value(beta)
     _require_reduced(p)
-    quad = quad or DEFAULT_QUAD
-    x, w = quad.nodes_weights()
-    h = h_eval(p, x)
-    return float(_term_values(_terms(spec, b, p.n), x, h, h) @ w)
+    x, w = (quad or DEFAULT_QUAD).nodes_weights()
+    return float(lattice_value(spec, b, h_eval(p, x), 0.0, x, w, p.n))
 
 
 def evaluate_error_bound(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None = None) -> float:
@@ -322,15 +323,10 @@ def gradient_weight(spec: ObjectiveSpec, beta, p: Policy, x):
     _require_reduced(p)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.atleast_1d(h_eval(p, x_arr))
-    total = np.zeros_like(h)
-    for t in _terms(spec, b, p.n):
-        r = t.power
-        if r == 0.0:
-            continue
-        part = t.coef * r * np.power(h, r - 1.0)
-        if t.x_pow:
-            part = part * np.power(x_arr, t.x_pow)
-        total += part
+    # d/dh of coef * x^a * h^r is coef * r * x^a * h^(r-1)
+    slopes = [_Term(t.coef * t.power, t.power - 1.0, t.x_pow)
+              for t in _terms(spec, b, p.n) if t.power != 0.0]
+    total = _term_values(slopes, x_arr, h, h)
     return float(total[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else total
 
 

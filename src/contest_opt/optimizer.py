@@ -371,35 +371,23 @@ def _chord_secant_upper(lo, hi, at_lo: _EndpointSums, at_hi: _EndpointSums, left
     sums: each secant is extrapolated over at most the width of its base.
 
     Branch-and-bound passes floats and the line search arrays, bounded
-    elementwise; both pass nan for a missing slope.
+    elementwise; both pass nan for a missing slope, which `np.fmin` and
+    `np.fmax` skip.
     """
-    # min and max that skip a nan: numpy's on arrays, and on floats two
-    # that cost a tenth as much
-    least, most = (np.fmin, np.fmax) if isinstance(hi, np.ndarray) else (_fmin, _fmax)
     width = hi - lo
 
     def bound_at(t):
-        cav = least(least(at_lo.cav + left * t, at_hi.cav - right * (width - t)), math.inf)
+        cav = np.fmin(np.fmin(at_lo.cav + left * t, at_hi.cav - right * (width - t)), math.inf)
         return at_lo.vex + (at_hi.vex - at_lo.vex) * (t / width) + cav
 
-    # the secants cross at nan where one is missing, which `most` takes to
-    # the end 0, and at +-inf, an end, where they are parallel
+    # the secants cross at nan where one is missing, which `np.fmax` takes
+    # to the end 0, and at +-inf, an end, where they are parallel
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = least(most(np.divide(at_hi.cav - at_lo.cav - right * width, left - right),
-                           0.0), width)
+        cross = np.fmin(np.fmax(np.divide(at_hi.cav - at_lo.cav - right * width, left - right),
+                                0.0), width)
     rounding = BRACKET_ROUNDING * (abs(at_lo.vex) + abs(at_lo.cav)
                                    + abs(at_hi.vex) + abs(at_hi.cav))
-    return most(most(bound_at(0.0), bound_at(width)), bound_at(cross)) + rounding
-
-
-def _fmin(a: float, b: float) -> float:
-    """`np.fmin` of two floats: the lower, or the one that is not nan."""
-    return b if a != a or b < a else a
-
-
-def _fmax(a: float, b: float) -> float:
-    """`np.fmax` of two floats: the higher, or the one that is not nan."""
-    return b if a != a or b > a else a
+    return np.fmax(np.fmax(bound_at(0.0), bound_at(width)), bound_at(cross)) + rounding
 
 
 def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
@@ -892,7 +880,7 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     at every node with the rule's own weights, so its bracket is only the
     rounding allowance wide; its survivors are the finalists.  A dropped
     candidate's value is below another's, so the argmax is still the
-    exhaustive one.
+    exhaustive one; a nan end, where a sum overflows, drops none.
     """
     b = beta_value(beta)
     if not 0 < granularity <= 0.5:
@@ -934,7 +922,8 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
         lower, upper = over_batches(
             rows, nodes,
             lambda g, pn: lattice_bracket(spec, b, g, pn, x[nodes], w_low, w_high, n))
-        survive = upper >= lower.max()
+        # a nan end, from inf - inf where sums overflow, rules nothing out
+        survive = ~(upper < lower.max())
         keep, rows = keep[survive], rows[survive]
 
     final, = over_batches(rows, np.arange(len(x)),

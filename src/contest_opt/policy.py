@@ -110,9 +110,9 @@ def two_level(n: int, p1: float) -> Policy:
     return Policy((p1,) + (mid,) * (n - 2) + (0.0,))
 
 
-def is_nontrivial(p: Policy, tol: float = TOL_ORDER) -> bool:
-    """True iff some pair of shares differs by more than ``tol``."""
-    return (max(p.values) - min(p.values)) > tol
+def is_nontrivial(p: Policy) -> bool:
+    """True iff some pair of shares differs by more than ``TOL_ORDER``."""
+    return (max(p.values) - min(p.values)) > TOL_ORDER
 
 
 def classify_structure(p: Policy, tol: float = 1e-6) -> StructureClass:

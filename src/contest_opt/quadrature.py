@@ -12,6 +12,7 @@ with a singularity at x = 0 are never evaluated there.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,10 @@ class QuadratureConfig:
     exclude_left_endpoint: bool = True
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.m)
+        except TypeError:
+            raise DomainError("quadrature needs an integer m, got %r" % (self.m,)) from None
         if self.m < 2:
             raise DomainError("quadrature needs m >= 2, got %d" % self.m)
         if self.m > MAX_M:

@@ -99,9 +99,13 @@ def sign_changes(seq, zero_tol: float = 0.0) -> SignPattern:
     )
 
 
-def _shape_report(values: np.ndarray, tol: float) -> tuple[list[int], list[str], Optional[int]]:
-    """Classify adjacent steps as -1/0/+1 and locate the descent-to-ascent
-    transition; any descent after an ascent is a violation."""
+def _shape_report(values: np.ndarray) -> tuple[list[int], tuple[int, ...], list[str], Optional[int]]:
+    """Classify adjacent steps as -1/0/+1, a step within 1e-9 times
+    max(1, max |value|) counting as flat, and locate the descent-to-ascent
+    transition; any descent after an ascent is a violation.  Returns
+    (steps, plateaus, violations, transition), the plateaus being the flat
+    steps' 1-based indices."""
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     diffs = np.diff(values)
     steps = np.where(diffs > tol, 1, np.where(diffs < -tol, -1, 0)).tolist()
     violations = []
@@ -114,7 +118,8 @@ def _shape_report(values: np.ndarray, tol: float) -> tuple[list[int], list[str],
                 "descends at step %d after ascending at step %d" % (idx, seen_up)
             )
     transition = int(np.argmin(values)) + 1 if seen_up is not None else None
-    return steps, violations, transition
+    plateaus = tuple(i for i, s in enumerate(steps, start=1) if s == 0)
+    return steps, plateaus, violations, transition
 
 
 @lru_cache(maxsize=None)
@@ -126,29 +131,27 @@ def _warn_small_n(n: int) -> None:
     )
 
 
-def check_gradient_quasiconvexity(d, p: Policy, tol: float | None = None) -> QuasiconvexityReport:
+def check_gradient_quasiconvexity(d, p: Policy) -> QuasiconvexityReport:
     """Verify the descend-then-ascend shape and plateau placement of a
     gradient sequence.
 
-    Plateaus (equal adjacent entries within tol) are admitted only where
-    the theory allows them: flanking the slope-change index, at the last
-    step of an entirely decreasing sequence, or at the first step of an
-    entirely increasing one.  The union of those cases is applied
-    permissively and the matching case is logged.  A plateau spanning both
-    sides of the slope change is always a violation.
+    Plateaus (adjacent entries equal within `_shape_report`'s tolerance)
+    are admitted only where the theory allows them: flanking the
+    slope-change index, at the last step of an entirely decreasing
+    sequence, or at the first step of an entirely increasing one.  The
+    union of those cases is applied permissively and the matching case is
+    logged.  A plateau spanning both sides of the slope change is always a
+    violation.
     """
     values = np.asarray(list(d), dtype=float)
     if values.size < 1:
         raise DomainError("empty gradient sequence")
     if p.n <= 4:
         _warn_small_n(p.n)
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
     if values.size == 1:
         return QuasiconvexityReport(True, 1)
 
-    steps, violations, transition = _shape_report(values, tol)
-    plateaus = tuple(i for i, s in enumerate(steps, start=1) if s == 0)
+    steps, plateaus, violations, transition = _shape_report(values)
 
     if all(s == 0 for s in steps):
         logger.info("gradient sequence is constant (degenerate quasiconvex case)")
@@ -182,22 +185,16 @@ def check_gradient_quasiconvexity(d, p: Policy, tol: float | None = None) -> Qua
     )
 
 
-def check_weight_quasiconvexity(spec: ObjectiveSpec, beta, p: Policy,
-                                grid_m: int = 512, tol: float | None = None) -> QuasiconvexityReport:
-    """Sample the shared gradient weight on (0, 1) and report its shape.
+def check_weight_quasiconvexity(spec: ObjectiveSpec, beta, p: Policy) -> QuasiconvexityReport:
+    """Sample the shared gradient weight at 512 evenly spaced interior
+    points of (0, 1) and report its shape.
 
     For objectives outside the covered class the weight may genuinely fail
     to be quasiconvex; this operation reports what it sees and never
     raises on shape grounds.
     """
-    if grid_m < 3:
-        raise DomainError("need at least 3 sample points")
-    x = np.linspace(0.0, 1.0, grid_m + 2)[1:-1]
-    w = np.asarray(gradient_weight(spec, beta, p, x), dtype=float)
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(w))))
-    steps, violations, transition = _shape_report(w, tol)
-    plateaus = tuple(i for i, s in enumerate(steps, start=1) if s == 0)
+    x = np.linspace(0.0, 1.0, 514)[1:-1]
+    steps, plateaus, violations, transition = _shape_report(gradient_weight(spec, beta, p, x))
     if all(s == 0 for s in steps):
         return QuasiconvexityReport(True, None, plateaus, ())
     return QuasiconvexityReport(
@@ -226,15 +223,15 @@ def symmetric_power_integral(p_values: np.ndarray, r: float) -> float:
     return float((values**r) @ w)
 
 
-def schur_direction(r: float, n: int, trials: int = 200, seed: int = 0,
-                    flat_tol: float = 1e-9) -> SchurDirectionReport:
+def schur_direction(r: float, n: int, trials: int = 200, seed: int = 0) -> SchurDirectionReport:
     """Probe the majorization direction of p -> I[O(x, p)^r] empirically.
 
     Each trial draws a simplex point, applies a Robin-Hood transfer from a
     larger to a smaller coordinate (producing a majorized comparator), and
     signs the difference.  Consistent positive signs mean Schur-convex,
-    consistent negative means Schur-concave, all-small means flat; a sign
-    clash is reported with the offending pair as a counterexample.
+    consistent negative means Schur-concave, all within 1e-9 of zero
+    means flat; a sign clash is reported with the offending pair as a
+    counterexample.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -256,11 +253,11 @@ def schur_direction(r: float, n: int, trials: int = 200, seed: int = 0,
         q[lo] += transfer
         diff = symmetric_power_integral(p, r) - symmetric_power_integral(q, r)
         worst = max(worst, abs(diff))
-        if diff > flat_tol:
+        if diff > 1e-9:
             pos += 1
             if neg and counterexample is None:
                 counterexample = (tuple(p), tuple(q), diff)
-        elif diff < -flat_tol:
+        elif diff < -1e-9:
             neg += 1
             if pos and counterexample is None:
                 counterexample = (tuple(p), tuple(q), diff)

@@ -1,5 +1,6 @@
 """Reduced objective evaluation, gradients and the coefficient condition."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -47,6 +48,19 @@ W_UNI5_B2_ORACLE = 0.4682248757664499
 ORACLE_QUAD = QuadratureConfig(m=10**6, rule="right_riemann")
 
 FAST = QuadratureConfig(m=20_000)
+
+# the five families, with terms dropped at alpha = 0 and 1, a negative
+# coefficient, a power of x and two rates that share every exponent
+WEIGHT_SPECS = (
+    ConvexCombo(0.0),
+    ConvexCombo(0.24),
+    ConvexCombo(1.0),
+    Posynomial(((0.5, 0.5), (1.0, 2.0))),
+    Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+    MaxOrderStat(),
+    Exponential((1.5, 0.5), truncation_m=6),
+    SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+)
 
 
 def random_reduced_policy(rng, n):
@@ -121,6 +135,14 @@ class TestEvaluate:
         assert ORACLE_QUAD.m == MAX_M
         with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_M):
             QuadratureConfig(m=MAX_M + 1)
+
+    @pytest.mark.parametrize("m", [1000.0, 1000.5, "1000"])
+    def test_quadrature_of_a_non_integer_size_is_refused(self, m):
+        with pytest.raises(DomainError, match="integer"):
+            QuadratureConfig(m=m)
+
+    def test_quadrature_takes_a_numpy_integer_size(self):
+        assert QuadratureConfig(m=np.int64(1000)).nodes_weights()[0].shape == (1000,)
 
     def test_riemann_refinement_bound(self):
         """A monotone integrand pins successive Riemann sums together."""
@@ -281,6 +303,27 @@ class TestGradient:
             weight = gradient_weight(spec, 2.0, p, x)
             want = (weight * w) @ basis_matrix(n, x)[:, : n - 1]
             np.testing.assert_allclose(gradient(spec, 2.0, p, FAST), want, rtol=1e-12, atol=0.0)
+
+    # sha256 over the hex of every weight below
+    WEIGHT_SHA256 = "409ded84929bbdc62765bebe7f9519d1bef7dc1354a249221fc9d821a6a1536d"
+
+    def test_weight_bits_are_pinned(self):
+        """The weight's bits over the five families, seeded reduced policies
+        at n = 3-8 and four betas, at nodes that include both ends.  Each
+        value is computed pointwise, with no reduction that BLAS threads
+        could reorder."""
+        rng = np.random.default_rng(61)
+        x = np.linspace(0.0, 1.0, 65)
+        digest = hashlib.sha256()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n in range(3, 9):
+                for p in (uni(n), random_reduced_policy(rng, n), random_reduced_policy(rng, n)):
+                    for beta in (0.5, 1.0, 2.0, 2.8):
+                        for spec in WEIGHT_SPECS:
+                            weights = list(gradient_weight(spec, beta, p, x))
+                            weights += [gradient_weight(spec, beta, p, end) for end in (0.0, 1.0)]
+                            digest.update(" ".join(map(float.hex, weights)).encode())
+        assert digest.hexdigest() == self.WEIGHT_SHA256
 
     def test_memory_does_not_scale_with_points_times_n(self, child_peak_mb):
         """uni(399) at DEFAULT_QUAD once built a 100,000 x 399 basis (709 MB peak)."""

@@ -851,6 +851,9 @@ class TestLatticeScreening:
         # one, so that their ratio to the smallest is nan or inf
         (Posynomial(((1.0, 1e300),)), 1e-10),
         (Posynomial(((1.0, 1e-300), (1.0, 1e300))), 1e-10),
+        # coefficients whose sums overflow, so that some bracket ends are
+        # inf - inf = nan, which rule nothing out
+        (Posynomial(((1e308, 1.0), (1e308, 2.0))), 1.7),
     ])
     def test_screened_argmax_is_the_exhaustive_one(self, spec, beta):
         x, w = GRID_QUAD.nodes_weights()

@@ -207,6 +207,12 @@ def _terms(spec: ObjectiveSpec, beta: float, n: int) -> tuple[_Term, ...]:
     raise DomainError("unknown objective spec %r" % (spec,))
 
 
+def _slope_terms(terms) -> list[_Term]:
+    """d/dh of each term on the reduced domain (g == h): coef * x^a * h^r
+    gives coef * r * x^a * h^(r-1), and a constant term gives nothing."""
+    return [_Term(t.coef * t.power, t.power - 1.0, t.x_pow) for t in terms if t.power != 0.0]
+
+
 def _lattice_constant(spec: ObjectiveSpec, n: int, pn: float) -> float:
     # contestant rents; nonzero only off the reduced domain
     return n * pn if isinstance(spec, SocialWelfare) else 0.0
@@ -323,10 +329,7 @@ def gradient_weight(spec: ObjectiveSpec, beta, p: Policy, x):
     _require_reduced(p)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.atleast_1d(h_eval(p, x_arr))
-    # d/dh of coef * x^a * h^r is coef * r * x^a * h^(r-1)
-    slopes = [_Term(t.coef * t.power, t.power - 1.0, t.x_pow)
-              for t in _terms(spec, b, p.n) if t.power != 0.0]
-    total = _term_values(slopes, x_arr, h, h)
+    total = _term_values(_slope_terms(_terms(spec, b, p.n)), x_arr, h, h)
     return float(total[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else total
 
 

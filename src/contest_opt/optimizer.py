@@ -21,9 +21,11 @@ concave.  The active set algorithm bisects the interval with the largest
 upper bound until the incumbent is within the (quadrature-adjusted)
 tolerance.  The line search finds the best point of its p1 grid with the
 same two bounds, dropping grid cells instead of scanning them
-(`_grid_argmax`).  Every call reads values, bounds and step moves from one
-`_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
-nonnegative), built once per (n, rule) and shared read-only (`_family`).
+(`_grid_argmax`), and refines it where the objective's exact slope in p1
+(`_TwoLevelFamily.slope`) crosses zero next to it (`_slope_root`).  Every
+call reads values, bounds and step moves from one `_TwoLevelFamily`
+(nodes, weights, c0, c1 and the cut where c1 turns nonnegative), built
+once per (n, rule) and shared read-only (`_family`).
 Both searches and `interval_bounds` read values and bounds through one
 kernel, `_BatchSums`, which integrates each term shape on either side of
 the cut once per point, so the searches agree bit for bit at any p1.
@@ -70,6 +72,7 @@ from .objective import (
     lattice_value,
     structural_condition_holds,
     _Term,
+    _slope_terms,
     _term_values,
     _terms,
 )
@@ -233,7 +236,9 @@ class _TwoLevelFamily:
             raise DomainError("c1 changes sign more than once on the nodes of n=%d, m=%d, "
                               "rule %s; the rise/fall bound needs one cut"
                               % (n, quad.m, quad.rule))
-        for arr in (self.c0, self.c1):
+        # the nodes where h does not move with p1
+        self.fixed = np.flatnonzero(self.c1 == 0.0)
+        for arr in (self.c0, self.c1, self.fixed):
             arr.setflags(write=False)
 
     def value(self, spec: ObjectiveSpec, b: float, p1: float) -> float:
@@ -242,6 +247,21 @@ class _TwoLevelFamily:
         h = self.c1 * p1
         h += self.c0
         return float(lattice_value(spec, b, h, 0.0, self.x, self.w, self.n))
+
+    def slope(self, spec: ObjectiveSpec, b: float, p1: float) -> float:
+        """The exact p1-derivative of `value`'s quadrature sum at p1: the sum
+        over the nodes of w * c1 times each term's slope in h,
+        coef * r * x^a * h^(r-1) (`objective._slope_terms`).  Nodes where
+        c1 = 0 (`fixed`) add nothing, though there, as at x = 0 on a
+        trapezoid rule, a term's slope can be inf.  Where h rounds to 0 a
+        slope of power r - 1 < 0 is inf, and so may be the sum, whose sign
+        still holds; terms of both signs there give nan."""
+        h = self.c1 * p1
+        h += self.c0
+        per_node = _term_values(_slope_terms(_terms(spec, b, self.n)), self.x, h, h)
+        per_node *= self.c1
+        per_node[self.fixed] = 0.0
+        return float(per_node @ self.w)
 
     def shape_sums(self, shapes, p1: float) -> np.ndarray:
         """Integrals of each unit-coefficient term in `shapes` at p1 over the
@@ -536,8 +556,9 @@ def check_line_steps(steps: int) -> None:
 
 def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
                           quad: QuadratureConfig | None = None) -> OptResult:
-    """Best point of a uniform p1 grid over the two-level family, refined in its cell
-    by bounded Brent minimization (`_brent`).
+    """Best point of a uniform p1 grid over the two-level family, refined
+    where the objective's slope along the chain crosses zero next to it
+    (`_slope_root`).
 
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
@@ -557,11 +578,13 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     The objectives share beta, n and the rule, so they share one two-level
     family, one p1 grid and the grid points `_grid_argmax` evaluates: the
     alpha column of a sweep integrates two term shapes per point, whatever
-    its number of alphas.  Each objective then gets, in turn, bounded Brent
-    refinement of its best cell (`_brent`) on its own term-by-term sum
-    (`_TwoLevelFamily.value`) and its own gap, so every result is bit for
-    bit the single search's.  An objective outside the covered class fails
-    the whole batch before any grid point is evaluated.
+    its number of alphas.  Each objective then gets, in turn, its own
+    root search of its slope next to its best grid point
+    (`_TwoLevelFamily.slope`, `_slope_root`), one term-by-term value at the
+    root (`_TwoLevelFamily.value`), kept where it beats the grid's, and its
+    own gap, so every result is bit for bit the single search's.  An
+    objective outside the covered class fails the whole batch before any
+    grid point is evaluated.
     """
     b = beta_value(beta)
     for spec in specs:
@@ -588,15 +611,16 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
     step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
     picks, pick_values = _grid_argmax(fam, specs, b, p1_grid)
-    # each best point's cell, as Python floats: Brent's scalar arithmetic
-    # gives the same bits on them and runs about three times faster
-    cells = [p1_grid[[max(best - 1, 0), min(best + 1, steps - 1)]].tolist() for best in picks]
     results = []
-    for spec, config, best, best_val, (lo, hi) in zip(specs, configs, picks, pick_values, cells):
-        x, fun = _brent(lambda p1: -fam.value(spec, b, p1), lo, hi, 1e-10)
-        best_p1, best_val = float(p1_grid[best]), float(best_val)
-        if -fun > best_val:
-            best_p1, best_val = x, -fun
+    for spec, config, best, best_val in zip(specs, configs, picks.tolist(), pick_values.tolist()):
+        best_p1 = float(p1_grid[best])
+        # an infinite slope is a sign, and a nan one leaves the grid pick
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            root = _slope_root(lambda p1: fam.slope(spec, b, p1), p1_grid, best)
+        if root is not None:
+            root_val = fam.value(spec, b, root)
+            if root_val > best_val:
+                best_p1, best_val = root, root_val
 
         lipschitz, holder = fam.step_moves(spec, b)
         gap = (lipschitz * step + sum(k * step ** r for k, r in holder)
@@ -608,133 +632,61 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     return results
 
 
-# _brent follows scipy 1.17.1's
-# scipy.optimize._optimize._minimize_scalar_bounded, Brent's FMIN (R. P.
-# Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5), with
-# its constants, order of operations and 500-evaluation cap, on floats.
-# SciPy's license:
-#
-# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
-# All rights reserved.
-#
-# Redistribution and use in source and binary forms, with or without
-# modification, are permitted provided that the following conditions
-# are met:
-#
-# 1. Redistributions of source code must retain the above copyright
-#    notice, this list of conditions and the following disclaimer.
-#
-# 2. Redistributions in binary form must reproduce the above
-#    copyright notice, this list of conditions and the following
-#    disclaimer in the documentation and/or other materials provided
-#    with the distribution.
-#
-# 3. Neither the name of the copyright holder nor the names of its
-#    contributors may be used to endorse or promote products derived
-#    from this software without specific prior written permission.
-#
-# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
-# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
-# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
-# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
-# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
-# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
-# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
-# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
-# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
-# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
-# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-
-_BRENT_MAX_EVALS = 500
+# `_slope_root` stops once its bracket is this narrow in p1
+_ROOT_XTOL = 1e-13
+# most slopes `_slope_root` evaluates inside a bracket; halving alone narrows
+# a cell of width 1 to `_ROOT_XTOL` in 44
+_ROOT_MAX_EVALS = 100
 
 
-def _brent(f, lo: float, hi: float, xatol: float) -> tuple[float, float]:
-    """Bounded Brent minimization of `f` over [lo, hi].
+def _slope_root(slope, p1_grid: np.ndarray, best: int) -> Optional[float]:
+    """Where `slope` crosses from + to - between the grid's best point and
+    a neighbour, or None.
 
-    Returns (x, f(x)), the best point and its value, once the bracket is
-    within about `xatol` or after `_BRENT_MAX_EVALS` values.  The points
-    and the result are those of scipy's ``minimize_scalar(method="bounded")``
-    bit for bit: only its numpy calls on scalars are replaced, np.abs by
-    abs, np.sign(v) + (v == 0) by 1.0 if v >= 0 else -1.0, and np.maximum
-    by max.
+    From `p1_grid[best]` it steps to the neighbour its slope points to.
+    Where the neighbour's slope has the other sign, Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) narrows the bracket: the next point
+    is where the chord through the ends' slopes crosses zero, and an end
+    kept twice running has its slope halved.  A chord point not strictly
+    inside the bracket, as where an end's slope is infinite, gives way to
+    the midpoint.  The last point is returned once the bracket is within
+    `_ROOT_XTOL`, or at once where the slope is exactly 0.  None where the
+    pick's slope is 0 or nan or points out of the grid, where the
+    neighbour's slope keeps the sign, or where a slope inside is nan.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = f(x)
-    num = 1
-
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = 1
-        # a parabolic step, where the fit is acceptable
-        if abs(e) > tol1:
-            golden = 0
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            if ((abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf))
-                    and (p < q * (b - xf))):
-                rat = (p + 0.0) / q
-                x = xf + rat
-
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    rat = tol1 * (1.0 if xm - xf >= 0 else -1.0)
-            else:
-                golden = 1
-
-        if golden:  # a golden-section step
-            if xf >= xm:
-                e = a - xf
-            else:
-                e = b - xf
-            rat = golden_mean * e
-
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= _BRENT_MAX_EVALS:
+    x = float(p1_grid[best])
+    f = slope(x)
+    if f > 0.0 and best + 1 < len(p1_grid):
+        lo, f_lo, hi = x, f, float(p1_grid[best + 1])
+        f_hi = slope(hi)
+    elif f < 0.0 and best > 0:
+        lo, hi, f_hi = float(p1_grid[best - 1]), x, f
+        f_lo = slope(lo)
+    else:
+        return None
+    if not f_lo > 0.0 > f_hi:
+        return None
+    moved = None  # the end the last point replaced
+    for _ in range(_ROOT_MAX_EVALS):
+        if hi - lo <= _ROOT_XTOL:
             break
-    return xf, fx
+        x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        f = slope(x)
+        if f > 0.0:
+            if moved == "lo":
+                f_hi *= 0.5
+            lo, f_lo, moved = x, f, "lo"
+        elif f < 0.0:
+            if moved == "hi":
+                f_lo *= 0.5
+            hi, f_hi, moved = x, f, "hi"
+        elif f == 0.0:
+            break
+        else:
+            return None
+    return x
 
 
 def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
@@ -880,7 +832,9 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     at every node with the rule's own weights, so its bracket is only the
     rounding allowance wide; its survivors are the finalists.  A dropped
     candidate's value is below another's, so the argmax is still the
-    exhaustive one; a nan end, where a sum overflows, drops none.
+    exhaustive one.  Where a sum overflows, a nan upper end drops nothing
+    and a nan lower end is skipped in taking the best one, and an inf
+    value is read as a value, with no numpy warning.
     """
     b = beta_value(beta)
     if not 0 < granularity <= 0.5:
@@ -918,16 +872,18 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
               if 2 * len(stage[0]) <= len(x)]
     stages.append((np.arange(len(x)), w, w))
     keep, rows = np.arange(len(candidates)), candidates
-    for nodes, w_low, w_high in stages:
-        lower, upper = over_batches(
-            rows, nodes,
-            lambda g, pn: lattice_bracket(spec, b, g, pn, x[nodes], w_low, w_high, n))
-        # a nan end, from inf - inf where sums overflow, rules nothing out
-        survive = ~(upper < lower.max())
-        keep, rows = keep[survive], rows[survive]
+    # a sum that overflows is data: an inf value, or a nan bracket end from
+    # inf - inf, which rules nothing out and is skipped as the best lower end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nodes, w_low, w_high in stages:
+            lower, upper = over_batches(
+                rows, nodes,
+                lambda g, pn: lattice_bracket(spec, b, g, pn, x[nodes], w_low, w_high, n))
+            survive = ~(upper < np.fmax.reduce(lower))
+            keep, rows = keep[survive], rows[survive]
 
-    final, = over_batches(rows, np.arange(len(x)),
-                          lambda g, pn: (lattice_value(spec, b, g, pn, x, w, n),))
+        final, = over_batches(rows, np.arange(len(x)),
+                              lambda g, pn: (lattice_value(spec, b, g, pn, x, w, n),))
     # ties go to the earliest candidate: `keep` is in enumeration order
     best_idx = keep[int(np.argmax(final))]
     best = make_policy(candidates[best_idx])

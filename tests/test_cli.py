@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -233,6 +234,16 @@ class TestOptimize:
         code, out, err = run_cli(capsys, *argv, str(cap + 1))
         assert code == 3 and out == "" and "exceeds the cap of %d" % cap in err
 
+    def test_an_overflowed_value_is_data(self, capsys):
+        """A value that overflows is reported as inf, with no numpy warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--n", "3",
+                                     "--granularity", "0.5", "--objective",
+                                     "objective=posynomial terms=1e308:1,1e308:2")
+        assert code == 0 and err == "" and caught == []
+        assert "value: inf" in out.splitlines()
+
     def test_line_method(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "line", "--n", "5",
                                "--alpha", "1", "--beta", "2", "--steps", "100")
@@ -252,7 +263,7 @@ class TestSweep:
         "0.24,2,0.25,0.25,0.444566811,UNI\n"
         "0.24,3,0.25,0.25,0.579089676,UNI\n"
         "0.9,2,1,0,0.676765618,HM\n"
-        "0.9,3,0.999882772,3.90760347e-05,0.753978693,HM\n"
+        "0.9,3,0.999882775,3.9075111e-05,0.753978693,HM\n"
     )
 
     def test_rows_parse_and_match_optimize(self, capsys):
@@ -283,7 +294,7 @@ class TestSweep:
     # an n = 6, 8x8 sweep with 14 UNI, 33 HM and 17 TwoLevel rows, pinned by digest
     LARGER = ("sweep", "--n", "6", "--cells", "8", "--alpha-min", "0.02",
               "--beta-min", "0.3", "--beta-max", "4.5", "--steps", "90", "--quad-m", "3000")
-    LARGER_SHA256 = "7689a443f106b7b3cac52d1890f6525820af4d5b1d0fd2b9a8103b02b0f3a29b"
+    LARGER_SHA256 = "170b916b92f00281aaf2ab75514f9f9a72cce7b9a097fb07f3859d054c295d07"
 
     def test_larger_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, *self.LARGER)
@@ -291,7 +302,7 @@ class TestSweep:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LARGER_SHA256
 
     # `sweep --n 5` with every other option at its default, the 50x50 portrait
-    DEFAULT_SHA256 = "a26d708eefae2b287163a65bec5708ff39900d01325cc914cb0d90887494a3e9"
+    DEFAULT_SHA256 = "b65527f9d2d00e11a2b3a7d837b61d0e22be13e3919c5d937684b4649ed80a4e"
 
     def test_default_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "5")

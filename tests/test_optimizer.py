@@ -38,6 +38,7 @@ from contest_opt.objective import (
     evaluate_hm_closed_form,
     lattice_bracket,
     lattice_value,
+    structural_condition_holds,
 )
 from contest_opt import optimizer
 from contest_opt.optimizer import (
@@ -56,6 +57,7 @@ from contest_opt.optimizer import (
     _screen_weights,
     _grid_argmax,
     _rise_fall_upper,
+    _slope_root,
     count_lattice_policies,
     two_level_line_search_batch,
 )
@@ -415,8 +417,9 @@ class TestLineSearch:
     def test_mix_gap_is_pinned(self):
         result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
                                        quad=QuadratureConfig(m=4000))
-        # the grid's p1 = 1/4 beats Brent: its value is the grid point's own,
-        # each term's whole integral the sum of its two halves
+        # the grid's p1 = 1/4 is the pick, at the bottom of the grid with its
+        # slope pointing out: its value is the grid point's own, each term's
+        # whole integral the sum of its two halves
         assert result.value == 0.44456681085414457
         assert result.certified_gap == 0.031360556058693555
 
@@ -531,7 +534,7 @@ def term_sizes(fam, spec, beta, p1s):
 
 
 class TestValues:
-    """`_TwoLevelFamily.value`, which Brent's points and the scans read."""
+    """`_TwoLevelFamily.value`, which the refined points and the scans read."""
 
     @pytest.mark.parametrize("beta", [0.6, 2.0])
     @pytest.mark.parametrize("m", [1000, 5000, 20_000])
@@ -549,57 +552,77 @@ class TestValues:
             assert float(column).hex() == fam.value(spec, beta, p1).hex()
 
 
-def brent_run(fn, lo, hi, xatol):
-    """`_brent` on `fn`: (x, f, evaluations)."""
-    count = 0
+class TestSlopeRoot:
+    """`_slope_root` on closed-form slopes over a grid 0.05 apart."""
 
-    def counted(x):
-        nonlocal count
-        count += 1
-        return fn(x)
-
-    return (*optimizer._brent(counted, lo, hi, xatol), count)
-
-
-class TestBrentSteps:
-    """The in-house bounded Brent search against scipy's, bit for bit."""
+    GRID = np.linspace(0.25, 1.0, 16)
 
     @staticmethod
-    def functions(rng):
-        """Seeded smooth, kinked, linear, flat and step functions, some with
-        their minimum at or beyond an end of the bracket."""
-        c, s, w = rng.uniform(-0.5, 1.5), rng.uniform(0.1, 10.0), rng.uniform(1.0, 30.0)
-        return (
-            lambda x: s * (x - c) ** 2,
-            lambda x: math.cos(w * x + c) + 0.1 * x,
-            lambda x: s * abs(x - c),
-            lambda x: s * x,
-            lambda x: -s * x,
-            lambda x: 0.25,
-            lambda x: float(x >= c),
-            lambda x: -float(x >= c),
-            lambda x: float(math.floor(w * x)),
-            lambda x: max(x - c, 0.0) * s,
-        )
+    def counted(fn):
+        calls = []
 
-    def test_matches_scipy_bounded(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(20)
-        for _ in range(60):
-            lo = float(rng.uniform(-2.0, 1.0))
-            hi = lo + float(rng.choice([1e-9, 1e-4, rng.uniform(0.01, 3.0)]))
-            xatol = float(10.0 ** rng.uniform(-12, -3))
-            for fn in self.functions(rng):
-                want = optimize.minimize_scalar(fn, bounds=(lo, hi), method="bounded",
-                                                options={"xatol": xatol})
-                x, f, count = brent_run(fn, lo, hi, xatol)
-                assert (float(x).hex(), float(f).hex(), count) == (
-                    float(want.x).hex(), float(want.fun).hex(), want.nfev)
+        def slope(p1):
+            calls.append(p1)
+            return fn(p1)
 
-    def test_stops_at_the_evaluation_cap(self):
-        # with xatol 0 and the minimum at x = 0 the tolerance shrinks with x
-        x, f, count = brent_run(abs, -1.0, 1.0, 0.0)
-        assert count == optimizer._BRENT_MAX_EVALS and abs(x) < 1e-100
+        return slope, calls
+
+    @pytest.mark.parametrize("root", [0.2713, 0.6123, 0.9871])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_finds_a_known_root(self, root, side):
+        """From the grid point on either side of the root, whose slopes
+        point toward it."""
+        right = int(np.searchsorted(self.GRID, root))
+        slope, calls = self.counted(lambda p1: root ** 3 - p1 ** 3)
+        got = _slope_root(slope, self.GRID, right - 1 if side == "left" else right)
+        assert abs(got - root) <= 1e-13
+        assert len(calls) <= 12
+
+    def test_an_infinite_slope_is_a_sign(self):
+        """Past the root the slope is -inf, so the chord gives way to halving."""
+        slope, calls = self.counted(lambda p1: 0.4213 ** 3 - p1 ** 3 if p1 < 0.43 else -math.inf)
+        got = _slope_root(slope, self.GRID, 3)
+        assert abs(got - 0.4213) <= 1e-13
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("best, fn", [
+        (15, lambda p1: 1.0),  # rising at the top of the grid
+        (0, lambda p1: -1.0),  # falling at its bottom
+        (6, lambda p1: 1.0),  # no sign change at the neighbour
+        (6, lambda p1: 0.0),  # the pick is stationary
+        (6, lambda p1: math.nan),
+        (6, lambda p1: 1.0 if p1 < 0.56 else -1.0 if p1 > 0.58 else math.nan),
+    ], ids=["out_of_the_top", "out_of_the_bottom", "no_bracket", "flat", "nan_at_the_pick",
+            "nan_inside"])
+    def test_no_root_leaves_the_pick(self, best, fn):
+        assert _slope_root(fn, self.GRID, best) is None
+
+
+class TestRefinement:
+    """The reported value against a dense scan of the pick's two cells."""
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0, 5.0])
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    @pytest.mark.parametrize("quad", [
+        QuadratureConfig(m=2000),
+        QuadratureConfig(m=2000, rule="trapezoid", exclude_left_endpoint=False),
+    ], ids=["right_riemann", "trapezoid_with_zero"])
+    def test_no_point_of_the_picks_cells_is_better(self, quad, n, beta):
+        """On the trapezoid rule x = 0 is a node, where c1 = 0 and a slope
+        term of power below 0 is inf: the slope sums only the nodes where
+        c1 != 0."""
+        steps = 40
+        fam = _TwoLevelFamily(n, quad)
+        p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
+        specs = [spec for spec in LINE_SPECS if structural_condition_holds(spec, beta)]
+        results = two_level_line_search_batch(specs, beta, n, steps, quad)
+        picks, _ = _grid_argmax(fam, specs, beta, p1_grid)
+        for spec, best, result in zip(specs, picks, results):
+            p1s = np.linspace(p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)], 401)
+            h = fam.c0[:, None] + fam.c1[:, None] * p1s
+            values = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)
+            scale = term_sizes(fam, spec, beta, p1s).max()
+            assert result.value >= values.max() - 1e-14 * scale, spec
 
 
 class TestFactoredScan:
@@ -860,12 +883,30 @@ class TestLatticeScreening:
         for n, granularity in ((4, 0.05), (5, 0.04)):
             shares = _lattice_matrix(n, round(1 / granularity))
             g = basis_matrix(n, x) @ (shares - shares[:, -1:]).T
-            values = lattice_value(spec, beta, g, shares[:, -1], x, w, n)
+            # the shared kernel warns where a sum overflows; grid_search reads
+            # the inf as a value and warns of nothing
+            with np.errstate(over="ignore"):
+                values = lattice_value(spec, beta, g, shares[:, -1], x, w, n)
             best = int(np.argmax(values))
             result = grid_search(spec, beta, n, granularity)
             assert result.policy.values == tuple(shares[best])
             assert result.value == pytest.approx(values[best], rel=1e-12, abs=0.0)
             assert result.nodes_explored == len(shares)
+
+    @pytest.mark.parametrize("n, granularity, finalists", [(5, 0.04, 36), (4, 0.05, 21)])
+    def test_a_nan_lower_end_still_screens(self, monkeypatch, n, granularity, finalists):
+        """Sums that overflow leave some lower ends nan; the best lower end
+        skips them, so the exact pass gets a few of the candidates, not all."""
+        spec = Posynomial(((1e308, 1.0), (1e308, 2.0)))
+        seen, value = [], optimizer.lattice_value
+
+        def spy(spec, beta, g, *args):
+            seen.append(g.shape[1])
+            return value(spec, beta, g, *args)
+
+        monkeypatch.setattr(optimizer, "lattice_value", spy)
+        result = grid_search(spec, 1.7, n, granularity)
+        assert sum(seen) == finalists < result.nodes_explored
 
     @pytest.mark.parametrize("spec, powers", [
         (Exponential((1.5,)), 1),

@@ -35,7 +35,10 @@ assuming any structure theorem, so it can confirm, rather than presuppose,
 where optima live; bottom shares above zero are handled through the shifted
 polynomial g = B(p - p_n), the policy polynomial of the shares less the
 bottom one, which is exactly zero on a flat policy.  Rigorous brackets from
-every 25th, then every 5th quadrature node rule out most candidates; a last
+every 100th, then every 20th, then every 5th quadrature node rule out most
+candidates: after each of these stages the candidate with the largest upper
+end is summed at every node, and its value, the incumbent, rules out every
+candidate whose upper end lies below it, as the best lower end does.  A last
 bracket at every node, only its rounding allowance wide, leaves the
 finalists, and only those are summed again term by term.  Each bracket sums
 its rising and its falling terms in root form: the terms whose exponents of
@@ -97,12 +100,17 @@ MAX_GRID_BASIS = 6_000_000
 # 1 << 20 took 36% more CPU, and larger temporaries stay resident in the
 # heap after use.
 _GRID_BLOCK_ELEMENTS = 1 << 16
-# Node strides of the screening stages of grid_search.  On the ten
-# lattice_oracle operations of seeds 1-2 (m = 1000, n = 5-6, 0.01 lattice,
-# 46,262 or 189,509 candidates) strides 25 then 5 left 1 to 1,485 candidates
-# for the full pass and cut grid_search's CPU time 7- to 25-fold; strides
-# 50 then 10 left up to 8,019 and were slower.
-_SCREEN_STRIDES = (25, 5)
+# Node strides of the screening stages of grid_search.  On the fifteen
+# lattice_oracle operations of seeds 1-3 (m = 1000, n = 5-6, 0.01 lattice,
+# 46,262 or 189,509 candidates), pruning against the incumbent as well as
+# the best lower end, strides 100, 20 then 5 left 1 to 426 candidates for
+# the full pass, and grid_search's CPU time, geometric mean over the five
+# families, fell from 29.7 ms with strides 25 then 5 and no incumbent to
+# 16.0 ms (one BLAS thread, 2-core VM).  With the incumbent, on seeds 1, 2
+# and 4, 25 then 5 took 29 ms, 50 then 10 24 ms and 100, 20, 5 21 ms.  A
+# stride-100 stage rules out little on the posynomial (42,279 of 46,262 left
+# on seed 1) but costs about a fifth of a stride-20 one.
+_SCREEN_STRIDES = (100, 20, 5)
 # most intervals branch-and-bound opens before it gives up uncertified
 MAX_BNB_NODES = 200_000
 
@@ -752,9 +760,14 @@ def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
 def count_lattice_policies(n: int, resolution: int) -> int:
     """Number of ordered share vectors on the 1/resolution lattice.
 
-    Counts partitions of `resolution` into at most n parts with the
-    standard two-way recurrence, O(n * resolution) time and memory.
+    Counts partitions of `resolution` into at most n parts: resolution // 2
+    + 1 of them at n = 2, else by the standard two-way recurrence, in
+    O(n * resolution) time and memory.  No partition has more parts than
+    `resolution`, so n counts only up to it.
     """
+    if n == 2:
+        return resolution // 2 + 1
+    n = min(n, resolution)
     table = np.zeros((resolution + 1, n + 1), dtype=object)
     table[0, :] = 1
     for total in range(1, resolution + 1):
@@ -762,6 +775,24 @@ def count_lattice_policies(n: int, resolution: int) -> int:
             spill = table[total - parts, parts] if total >= parts else 0
             table[total, parts] = table[total, parts - 1] + spill
     return int(table[resolution, n])
+
+
+def _lattice_exceeds(n: int, resolution: int, guard: int) -> bool:
+    """Whether the lattice surely holds more than `guard` candidates, told
+    without counting them.  For k <= n, the C(r + k - 1, k - 1) ways to
+    split r = `resolution` into k ordered parts sort into partitions of r
+    into at most k parts, at most k! ways to each, so C(r + k - 1, k - 1) / k!
+    bounds the count from below.  The bound rises in k up to about sqrt(r),
+    then falls."""
+    last = 0
+    for k in range(2, min(n, resolution) + 1):
+        bound = math.comb(resolution + k - 1, k - 1) // math.factorial(k)
+        if bound > guard:
+            return True
+        if bound < last:
+            break
+        last = bound
+    return False
 
 
 @lru_cache(maxsize=4)
@@ -827,14 +858,19 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
 
     Candidates are screened before they are integrated in full: each stage
     brackets every remaining candidate's quadrature sum from every
-    `_SCREEN_STRIDES`-th node (`objective.lattice_bracket`) and drops those
-    whose upper end lies below the best lower end.  A last stage brackets
-    at every node with the rule's own weights, so its bracket is only the
-    rounding allowance wide; its survivors are the finalists.  A dropped
-    candidate's value is below another's, so the argmax is still the
-    exhaustive one.  Where a sum overflows, a nan upper end drops nothing
-    and a nan lower end is skipped in taking the best one, and an inf
-    value is read as a value, with no numpy warning.
+    `_SCREEN_STRIDES`-th node (`objective.lattice_bracket`).  The candidate
+    with the largest upper end is then summed at every node
+    (`lattice_value`), and the best such incumbent so far, or the best
+    lower end where that is higher, is the threshold: candidates whose
+    upper end lies below it are dropped.  An upper end covers the full sum
+    with `BRACKET_ROUNDING` to spare, so a dropped candidate is worth less
+    than one that is kept, and the argmax is still the exhaustive one; a
+    tie with the threshold survives.  A last stage brackets at every node
+    with the rule's own weights, so its bracket is only the rounding
+    allowance wide; its survivors are the finalists.  Where a sum
+    overflows, a nan upper end drops nothing and is never the incumbent's
+    pick, a nan lower end or incumbent is skipped in taking the threshold,
+    and an inf value is read as a value, with no numpy warning.
     """
     b = beta_value(beta)
     if not 0 < granularity <= 0.5:
@@ -842,11 +878,13 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     resolution = round(1.0 / granularity)
     if abs(resolution * granularity - 1.0) > 1e-9:
         raise DomainError("1/granularity must be an integer, got %r" % granularity)
-    total = count_lattice_policies(n, resolution)
-    if total > _LATTICE_GUARD:
+    # a count takes O(n * resolution) steps, so a lattice that is surely too
+    # large is refused before it is counted
+    if _lattice_exceeds(n, resolution, _LATTICE_GUARD) or (
+            count_lattice_policies(n, resolution) > _LATTICE_GUARD):
         raise BudgetExceededError(
-            "lattice holds %d candidates (> %d); use two_level_line_search "
-            "for a 1-D search over top shares instead" % (total, _LATTICE_GUARD)
+            "lattice holds more than %d candidates; use two_level_line_search "
+            "for a 1-D search over top shares instead" % _LATTICE_GUARD
         )
     quad = quad or GRID_QUAD
     config = {"n": n, "granularity": granularity, "objective": format_objective_config(spec),
@@ -872,14 +910,21 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
               if 2 * len(stage[0]) <= len(x)]
     stages.append((np.arange(len(x)), w, w))
     keep, rows = np.arange(len(candidates)), candidates
-    # a sum that overflows is data: an inf value, or a nan bracket end from
-    # inf - inf, which rules nothing out and is skipped as the best lower end
+    incumbent = np.nan
+    # a sum that overflows is data: an inf value, or a nan bracket end or
+    # incumbent from inf - inf, which rules nothing out and is skipped in
+    # taking the threshold
     with np.errstate(over="ignore", invalid="ignore"):
         for nodes, w_low, w_high in stages:
             lower, upper = over_batches(
                 rows, nodes,
                 lambda g, pn: lattice_bracket(spec, b, g, pn, x[nodes], w_low, w_high, n))
-            survive = ~(upper < np.fmax.reduce(lower))
+            if len(nodes) < len(x):
+                # the exact value of the largest upper end (nan counts as -inf)
+                top = rows[[np.argmax(np.fmax(upper, -np.inf))]]
+                value = lattice_value(spec, b, _shifted(basis, top), top[:, -1], x, w, n)
+                incumbent = np.fmax(incumbent, value[0])
+            survive = ~(upper < np.fmax(np.fmax.reduce(lower), incumbent))
             keep, rows = keep[survive], rows[survive]
 
         final, = over_batches(rows, np.arange(len(x)),

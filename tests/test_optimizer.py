@@ -56,6 +56,7 @@ from contest_opt.optimizer import (
     _lattice_matrix,
     _screen_weights,
     _grid_argmax,
+    _lattice_exceeds,
     _rise_fall_upper,
     _slope_root,
     count_lattice_policies,
@@ -743,6 +744,29 @@ class TestGridSearch:
         with pytest.raises(BudgetExceededError):
             grid_search(ConvexCombo(0.0), 2.0, 8, 0.005)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 60])
+    def test_a_huge_lattice_is_refused_before_it_is_counted(self, monkeypatch, n):
+        """A count takes n x resolution steps: at 1e-6, n = 3 once took 1.5 s
+        and 136 MB to refuse, and each finer decade ten times more."""
+        def no_count(*args):
+            raise AssertionError("counted the lattice")
+
+        monkeypatch.setattr(optimizer, "count_lattice_policies", no_count)
+        with pytest.raises(BudgetExceededError, match="more than %d" % _LATTICE_GUARD):
+            grid_search(ConvexCombo(0.0), 2.0, n, 1e-9)
+
+    def test_the_uncounted_refusal_is_a_lower_bound(self):
+        for n in range(2, 9):
+            for resolution in range(2, 61):
+                count = count_lattice_policies(n, resolution)
+                for guard in (10, 100, 1000, 10_000):
+                    assert not _lattice_exceeds(n, resolution, guard) or count > guard
+        # the two-part count is closed form, so a fine two-part lattice is cheap
+        for resolution in (2, 3, 10, 11):
+            assert count_lattice_policies(2, resolution) == len(
+                list(recursive_lattice(resolution, 2, resolution)))
+        assert count_lattice_policies(2, 10**9) == 5 * 10**8 + 1
+
     @pytest.mark.parametrize("n,beta", [(6, 5.0), (7, 2.8), (6, 2.0)])
     def test_flat_policy_is_exactly_zero(self, n, beta):
         """-q is best at zero quality, which only the flat policy reaches:
@@ -877,10 +901,17 @@ class TestLatticeScreening:
         # coefficients whose sums overflow, so that some bracket ends are
         # inf - inf = nan, which rule nothing out
         (Posynomial(((1e308, 1.0), (1e308, 2.0))), 1.7),
+    ] + [
+        # the benchmark's five families at other betas
+        (ConvexCombo(0.3), 0.9),
+        (SCREEN_SPECS[1], 2.6),
+        (MaxOrderStat(), 1.2),
+        (Exponential((1.3,)), 2.2),
+        (SocialWelfare(((0.5, 1.0),)), 0.7),
     ])
     def test_screened_argmax_is_the_exhaustive_one(self, spec, beta):
         x, w = GRID_QUAD.nodes_weights()
-        for n, granularity in ((4, 0.05), (5, 0.04)):
+        for n, granularity in ((4, 0.05), (5, 0.04), (5, 0.05), (6, 0.05)):
             shares = _lattice_matrix(n, round(1 / granularity))
             g = basis_matrix(n, x) @ (shares - shares[:, -1:]).T
             # the shared kernel warns where a sum overflows; grid_search reads
@@ -898,15 +929,87 @@ class TestLatticeScreening:
         """Sums that overflow leave some lower ends nan; the best lower end
         skips them, so the exact pass gets a few of the candidates, not all."""
         spec = Posynomial(((1e308, 1.0), (1e308, 2.0)))
-        seen, value = [], optimizer.lattice_value
+        seen, value, bracket = [], optimizer.lattice_value, optimizer.lattice_bracket
 
         def spy(spec, beta, g, *args):
             seen.append(g.shape[1])
             return value(spec, beta, g, *args)
 
+        def screen(*args):
+            seen.clear()  # values summed before the last bracket are incumbents
+            return bracket(*args)
+
         monkeypatch.setattr(optimizer, "lattice_value", spy)
+        monkeypatch.setattr(optimizer, "lattice_bracket", screen)
         result = grid_search(spec, 1.7, n, granularity)
-        assert sum(seen) == finalists < result.nodes_explored
+        assert 0 < sum(seen) <= finalists < result.nodes_explored
+
+    def spy_upper_ends(self, monkeypatch):
+        """Spy on grid_search's brackets: for each stage, by node count, the
+        upper ends it computed, in candidate order."""
+        uppers, bracket = {}, optimizer.lattice_bracket
+
+        def spy(spec, beta, g, pn, x, *args):
+            lower, upper = bracket(spec, beta, g, pn, x, *args)
+            uppers.setdefault(len(x), []).append(upper)
+            return lower, upper
+
+        monkeypatch.setattr(optimizer, "lattice_bracket", spy)
+        return uppers
+
+    def test_all_nan_upper_ends_keep_every_candidate(self, monkeypatch):
+        """Huge coefficients of both signs make every upper end inf - inf:
+        nothing is ruled out, and the incumbent's pick does not raise."""
+        spec = Posynomial(((1e308, 1e-300), (1e308, 2e-300), (-1e308, 3e-300), (-1e308, 4e-300)))
+        uppers = self.spy_upper_ends(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = grid_search(spec, 1.0, 4, 0.04)
+        total = result.nodes_explored
+        counts = [sum(u.size for u in parts) for _, parts in sorted(uppers.items())]
+        first = np.concatenate(uppers[min(uppers)])
+        assert np.all(np.isnan(first))
+        assert counts == [total] * len(counts)
+        assert result.policy.values == tuple(_lattice_matrix(4, 25)[0])
+
+    @pytest.mark.parametrize("n, granularity", [(5, 0.04), (4, 0.05)])
+    def test_an_inf_incumbent_keeps_exactly_the_inf_upper_ends(self, monkeypatch, n, granularity):
+        spec = Posynomial(((1e308, 1.0), (1e308, 2.0)))
+        uppers, value, incumbents = self.spy_upper_ends(monkeypatch), optimizer.lattice_value, []
+
+        def spy(spec, beta, g, *args):
+            out = value(spec, beta, g, *args)
+            if not incumbents:
+                incumbents.append(out)
+            return out
+
+        monkeypatch.setattr(optimizer, "lattice_value", spy)
+        grid_search(spec, 1.7, n, granularity)
+        assert incumbents[0].tolist() == [np.inf]
+        first, second = (np.concatenate(uppers[k]) for k in sorted(uppers)[:2])
+        assert not np.any(np.isnan(first))
+        assert len(second) == np.sum(first == np.inf) > 0
+        assert np.all(second == np.inf)
+
+    @pytest.mark.parametrize("spec, beta, n, granularity", [
+        # alpha = 0 at unit cost: every policy with p_n = 0 is worth 1/n,
+        # up to the quadrature's rounding
+        (ConvexCombo(0.0), 1.0, 5, 0.05),
+        (ConvexCombo(0.0), 1.0, 6, 0.05),
+        # q^(1e-300) is 1 wherever g > 0: every policy but the flat one is
+        # worth exactly the same
+        (Posynomial(((1.0, 1e-300),)), 1.0, 5, 0.05),
+        (Posynomial(((1.0, 1e-300),)), 1.0, 4, 0.04),
+    ], ids=["flat-5", "flat-6", "duplicates-5", "duplicates-4"])
+    def test_ties_go_to_the_earliest_candidate(self, spec, beta, n, granularity):
+        x, w = GRID_QUAD.nodes_weights()
+        shares = _lattice_matrix(n, round(1 / granularity))
+        values = lattice_value(spec, beta, basis_matrix(n, x) @ (shares - shares[:, -1:]).T,
+                               shares[:, -1], x, w, n)
+        result = grid_search(spec, beta, n, granularity)
+        earliest = int(np.flatnonzero(values == values.max())[0])
+        assert result.policy.values == tuple(shares[earliest])
+        if isinstance(spec, Posynomial):
+            assert earliest == 0 and np.sum(values == values.max()) >= len(values) - 1
 
     @pytest.mark.parametrize("spec, powers", [
         (Exponential((1.5,)), 1),

@@ -109,7 +109,9 @@ _GRID_BLOCK_ELEMENTS = 1 << 16
 # 16.0 ms (one BLAS thread, 2-core VM).  With the incumbent, on seeds 1, 2
 # and 4, 25 then 5 took 29 ms, 50 then 10 24 ms and 100, 20, 5 21 ms.  A
 # stride-100 stage rules out little on the posynomial (42,279 of 46,262 left
-# on seed 1) but costs about a fifth of a stride-20 one.
+# on seed 1) but costs about a fifth of a stride-20 one.  Choosing the next
+# stride from the fraction a stage keeps did not beat this tuple in a count
+# of node evaluations over 25 operations.
 _SCREEN_STRIDES = (100, 20, 5)
 # most intervals branch-and-bound opens before it gives up uncertified
 MAX_BNB_NODES = 200_000

@@ -209,13 +209,29 @@ def _terms(spec: ObjectiveSpec, beta: float, n: int) -> tuple[_Term, ...]:
 
 def _slope_terms(terms) -> list[_Term]:
     """d/dh of each term on the reduced domain (g == h): coef * x^a * h^r
-    gives coef * r * x^a * h^(r-1), and a constant term gives nothing."""
-    return [_Term(t.coef * t.power, t.power - 1.0, t.x_pow) for t in terms if t.power != 0.0]
+    gives coef * r * x^a * h^(r-1), and a constant term gives nothing.  A
+    term with a plain factor of h, h * h^e, keeps its exponent e as it is,
+    so the mix's two slope terms take h^(1/beta) and h^(1/beta - 1), which
+    `_term_values` reads off that one power."""
+    return [_Term(t.coef * t.power, t.g_exp if t.times_h else t.g_exp - 1.0, t.x_pow)
+            for t in terms if t.power != 0.0]
 
 
 def _lattice_constant(spec: ObjectiveSpec, n: int, pn: float) -> float:
     # contestant rents; nonzero only off the reduced domain
     return n * pn if isinstance(spec, SocialWelfare) else 0.0
+
+
+def _power_below(g: np.ndarray, above: np.ndarray, exponent: float) -> np.ndarray:
+    """g**exponent from `above` = g**(exponent + 1): above / g where g > 0.
+    Where g is 0, negative or nan, np.power takes the node, so an inf or
+    nan keeps the sign np.power gives it.  The quotient carries the power's
+    rounding and one more, a few units in the last place."""
+    if g.min() > 0.0:
+        return above / g
+    power = np.power(g, exponent)
+    np.divide(above, g, out=power, where=g > 0.0)
+    return power
 
 
 def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
@@ -224,8 +240,10 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
 
     `powers` holds the last power of g computed, as {g_exp: g**g_exp}, and a
     term with the same exponent reuses it, so a mix whose terms share an
-    exponent takes one power.  Callers that integrate several term lists on
-    the same g pass one dict to every call.  One power at a time keeps the
+    exponent takes one power.  A term whose exponent is the memo's less 1
+    reads its power off the memo's (`_power_below`), so the mix's slope
+    takes one power too.  Callers that integrate several term lists on the
+    same g pass one dict to every call.  One power at a time keeps the
     memory of a call at one extra array of g's shape.
 
     The sum is bit for bit 0.0 + part_1 + part_2 + ..., but it starts from
@@ -248,8 +266,11 @@ def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
             part = np.full_like(g, t.coef)
         else:
             if t.g_exp not in powers:
+                held = next(iter(powers.items()), None)
+                power = (_power_below(g, held[1], t.g_exp) if held and held[0] - 1.0 == t.g_exp
+                         else np.power(g, t.g_exp))
                 powers.clear()
-                powers[t.g_exp] = np.power(g, t.g_exp)
+                powers[t.g_exp] = power
             part = powers[t.g_exp]
             if t.coef == 1.0:
                 fresh = False

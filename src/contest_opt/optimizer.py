@@ -54,7 +54,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -246,9 +246,7 @@ class _TwoLevelFamily:
             raise DomainError("c1 changes sign more than once on the nodes of n=%d, m=%d, "
                               "rule %s; the rise/fall bound needs one cut"
                               % (n, quad.m, quad.rule))
-        # the nodes where h does not move with p1
-        self.fixed = np.flatnonzero(self.c1 == 0.0)
-        for arr in (self.c0, self.c1, self.fixed):
+        for arr in (self.c0, self.c1):
             arr.setflags(write=False)
 
     def value(self, spec: ObjectiveSpec, b: float, p1: float) -> float:
@@ -258,20 +256,35 @@ class _TwoLevelFamily:
         h += self.c0
         return float(lattice_value(spec, b, h, 0.0, self.x, self.w, self.n))
 
-    def slope(self, spec: ObjectiveSpec, b: float, p1: float) -> float:
-        """The exact p1-derivative of `value`'s quadrature sum at p1: the sum
-        over the nodes of w * c1 times each term's slope in h,
-        coef * r * x^a * h^(r-1) (`objective._slope_terms`).  Nodes where
-        c1 = 0 (`fixed`) add nothing, though there, as at x = 0 on a
-        trapezoid rule, a term's slope can be inf.  Where h rounds to 0 a
-        slope of power r - 1 < 0 is inf, and so may be the sum, whose sign
-        still holds; terms of both signs there give nan."""
-        h = self.c1 * p1
-        h += self.c0
-        per_node = _term_values(_slope_terms(_terms(spec, b, self.n)), self.x, h, h)
-        per_node *= self.c1
-        per_node[self.fixed] = 0.0
-        return float(per_node @ self.w)
+    @cached_property
+    def _slope_nodes(self) -> tuple[np.ndarray, ...]:
+        """x, c0 and c1 at the nodes where c1 != 0, and c1 * w there: the
+        slope's weights.  A node where c1 = 0 adds nothing to the slope,
+        though there, as at x = 0 on a trapezoid rule, a term's slope can
+        be inf."""
+        weights = self.c1 * self.w
+        moving = self.c1 != 0.0
+        if moving.all():
+            return self.x, self.c0, self.c1, weights
+        return self.x[moving], self.c0[moving], self.c1[moving], weights[moving]
+
+    def slope(self, spec: ObjectiveSpec, b: float):
+        """The exact p1-derivative of `value`'s quadrature sum, as a function
+        of p1: the sum over the nodes of w * c1 times each term's slope in
+        h, coef * r * x^a * h^(r-1) (`objective._slope_terms`).  The terms
+        and weights are built once, here, for every p1 the function is
+        called at.  Where h rounds to 0 a slope of power r - 1 < 0 is inf,
+        and so may be the sum, whose sign still holds; terms of both signs
+        there give nan."""
+        terms = _slope_terms(_terms(spec, b, self.n))
+        x, c0, c1, weights = self._slope_nodes
+
+        def at(p1: float) -> float:
+            h = c1 * p1
+            h += c0
+            return float(_term_values(terms, x, h, h) @ weights)
+
+        return at
 
     def shape_sums(self, shapes, p1: float) -> np.ndarray:
         """Integrals of each unit-coefficient term in `shapes` at p1 over the
@@ -626,7 +639,7 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
         best_p1 = float(p1_grid[best])
         # an infinite slope is a sign, and a nan one leaves the grid pick
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            root = _slope_root(lambda p1: fam.slope(spec, b, p1), p1_grid, best)
+            root = _slope_root(fam.slope(spec, b), p1_grid, best)
         if root is not None:
             root_val = fam.value(spec, b, root)
             if root_val > best_val:
@@ -657,9 +670,14 @@ def _slope_root(slope, p1_grid: np.ndarray, best: int) -> Optional[float]:
     Where the neighbour's slope has the other sign, Illinois regula falsi
     (Dowell & Jarratt, BIT 11, 1971) narrows the bracket: the next point
     is where the chord through the ends' slopes crosses zero, and an end
-    kept twice running has its slope halved.  A chord point not strictly
-    inside the bracket, as where an end's slope is infinite, gives way to
-    the midpoint.  The last point is returned once the bracket is within
+    kept twice running has its slope halved.  A chord point closer than
+    `_ROOT_XTOL` / 2 to an end, as where it rounds onto the end, moves to
+    that distance inside, as Brent's zeroin steps at least a tolerance
+    (Algorithms for Minimization without Derivatives, 1973): a root that
+    close to the end then closes the bracket in one slope, not in one
+    halving per bit of the bracket's width.  Where an end's slope is
+    infinite, or the chord falls outside the bracket, the midpoint stands
+    in.  The last point is returned once the bracket is within
     `_ROOT_XTOL`, or at once where the slope is exactly 0.  None where the
     pick's slope is 0 or nan or points out of the grid, where the
     neighbour's slope keeps the sign, or where a slope inside is nan.
@@ -681,7 +699,9 @@ def _slope_root(slope, p1_grid: np.ndarray, best: int) -> Optional[float]:
         if hi - lo <= _ROOT_XTOL:
             break
         x = lo + f_lo * (hi - lo) / (f_lo - f_hi)
-        if not lo < x < hi:
+        if math.isfinite(f_lo - f_hi) and lo <= x <= hi:
+            x = min(max(x, lo + 0.5 * _ROOT_XTOL), hi - 0.5 * _ROOT_XTOL)
+        else:
             x = 0.5 * (lo + hi)
         f = slope(x)
         if f > 0.0:
@@ -699,12 +719,19 @@ def _slope_root(slope, p1_grid: np.ndarray, best: int) -> Optional[float]:
     return x
 
 
+# grid points `_grid_argmax` evaluates before it bisects: 2^4 + 1, the points
+# of four levels of bisection, in one batch
+_GRID_FIRST_BATCH = 17
+
+
 def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
     """Each objective's first best point of `p1_grid` (its index) and value,
     as a full scan would find them, from few evaluated points.
 
     Cells of grid indices are bisected level by level for all the
-    objectives at once, starting from the whole grid.  Each cell's bound,
+    objectives at once, starting from the cells between
+    `_GRID_FIRST_BATCH` evenly spread points, which skips the first four
+    levels of bisecting the whole grid.  Each cell's bound,
     per objective, is the lower of the rise/fall bound (`_rise_fall_upper`)
     and the convex terms' chord plus the lower of the concave terms'
     secants through the nearest evaluated points outside it
@@ -719,10 +746,12 @@ def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
     """
     batch = _BatchSums(fam, specs, b)
     steps = len(p1_grid)
-    idx = np.array([0, steps - 1])  # evaluated grid indices, ascending
+    # evaluated grid indices, ascending: at most `_GRID_FIRST_BATCH` spread
+    # evenly, a spacing of at least 1 that rounds to distinct indices
+    idx = np.round(np.linspace(0, steps - 1, min(steps, _GRID_FIRST_BATCH))).astype(int)
     data = batch.at(p1_grid[idx])
-    lo, hi = idx[:1], idx[1:]
-    live = np.ones((1, len(specs)), dtype=bool)  # cell, objective
+    lo, hi = idx[:-1], idx[1:]
+    live = np.ones((len(lo), len(specs)), dtype=bool)  # cell, objective
     while True:
         inner = hi - lo > 1
         lo, hi, live = lo[inner], hi[inner], live[inner]
@@ -834,8 +863,9 @@ def _lattice_matrix(n: int, resolution: int) -> np.ndarray:
 
 def _screen_weights(w: np.ndarray, stride: int):
     """Every `stride`-th node index, plus the last, with the low and high
-    weights of `objective.lattice_bracket` over the blocks between them."""
-    nodes = np.unique(np.append(np.arange(0, len(w), stride), len(w) - 1))
+    weights of `objective.lattice_bracket` over the blocks between them.
+    Index arithmetic, not np.unique, which imports numpy.ma on first use."""
+    nodes = np.append(np.arange(0, len(w) - 1, stride), len(w) - 1)
     mass = np.add.reduceat(w, nodes)  # block masses; the last is the last weight
     high = np.concatenate(([0.0], mass[:-1]))
     high[-1] += mass[-1]

@@ -263,7 +263,7 @@ class TestSweep:
         "0.24,2,0.25,0.25,0.444566811,UNI\n"
         "0.24,3,0.25,0.25,0.579089676,UNI\n"
         "0.9,2,1,0,0.676765618,HM\n"
-        "0.9,3,0.999882775,3.9075111e-05,0.753978693,HM\n"
+        "0.9,3,0.999882775,3.90751109e-05,0.753978693,HM\n"
     )
 
     def test_rows_parse_and_match_optimize(self, capsys):
@@ -294,7 +294,7 @@ class TestSweep:
     # an n = 6, 8x8 sweep with 14 UNI, 33 HM and 17 TwoLevel rows, pinned by digest
     LARGER = ("sweep", "--n", "6", "--cells", "8", "--alpha-min", "0.02",
               "--beta-min", "0.3", "--beta-max", "4.5", "--steps", "90", "--quad-m", "3000")
-    LARGER_SHA256 = "170b916b92f00281aaf2ab75514f9f9a72cce7b9a097fb07f3859d054c295d07"
+    LARGER_SHA256 = "3618b677f11cbb7b97fef07f3b018cb2a6e44ceb865615b3fa9295733e4bcc0a"
 
     def test_larger_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, *self.LARGER)
@@ -302,7 +302,7 @@ class TestSweep:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LARGER_SHA256
 
     # `sweep --n 5` with every other option at its default, the 50x50 portrait
-    DEFAULT_SHA256 = "b65527f9d2d00e11a2b3a7d837b61d0e22be13e3919c5d937684b4649ed80a4e"
+    DEFAULT_SHA256 = "a317920b02eb11848cc3d40bc00bfc30c54424867ad2dcf6a284053294f02568"
 
     def test_default_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "5")
@@ -555,6 +555,24 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--method", "grid", "--n", "5", "--alpha", "0", "--beta", "2",
+         "--granularity", "0.05"),
+        ("sweep", "--cells", "1"),
+    ], ids=["grid", "sweep"])
+    def test_no_numpy_ma_is_loaded(self, argv):
+        """numpy.ma, which np.unique imports on its first call, takes a
+        fresh interpreter 9-14 ms to import; neither command needs it."""
+        script = textwrap.dedent("""
+            import sys
+            from contest_opt.cli import main
+            assert main(%r) == 0
+            print("numpy.ma" in sys.modules)
+        """ % (list(argv),))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

@@ -305,7 +305,7 @@ class TestGradient:
             np.testing.assert_allclose(gradient(spec, 2.0, p, FAST), want, rtol=1e-12, atol=0.0)
 
     # sha256 over the hex of every weight below
-    WEIGHT_SHA256 = "409ded84929bbdc62765bebe7f9519d1bef7dc1354a249221fc9d821a6a1536d"
+    WEIGHT_SHA256 = "434b9759154c2ed7c02137be9ac6dc0598920f859d928eb6d261899f163775b7"
 
     def test_weight_bits_are_pinned(self):
         """The weight's bits over the five families, seeded reduced policies

@@ -553,6 +553,63 @@ class TestValues:
             assert float(column).hex() == fam.value(spec, beta, p1).hex()
 
 
+class TestSlope:
+    """`_TwoLevelFamily.slope`, which reads a slope term's h^(r-1) off the
+    h^r beside it, against one np.power per term."""
+
+    @staticmethod
+    def two_powers(fam, spec, beta, p1):
+        """The slope with every term's own power of h: the sum of each term's
+        coef * r * x^a * h^(r-1) times w * c1 over the nodes where c1 != 0,
+        and that sum with the terms' magnitudes."""
+        moving = fam.c1 != 0.0
+        x, c1w = fam.x[moving], (fam.c1 * fam.w)[moving]
+        h = fam.c0[moving] + fam.c1[moving] * p1
+        parts = [t.coef * t.power * x ** t.x_pow * np.power(h, t.power - 1.0)
+                 for t in _terms(spec, beta, fam.n) if t.power != 0.0]
+        return sum(parts) @ c1w, sum(map(np.abs, parts)) @ np.abs(c1w)
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    @pytest.mark.parametrize("quad", [
+        QuadratureConfig(m=2000),
+        QuadratureConfig(m=2000, rule="trapezoid", exclude_left_endpoint=False),
+    ], ids=["right_riemann", "trapezoid_with_zero"])
+    def test_one_power_matches_two(self, quad, n, beta):
+        """On the trapezoid rule x = 0 is a node, where c1 = 0 and h = 0:
+        it adds nothing to either sum.  At p1 = 1 h can round to 0 or below
+        near x = 0, where both sums are inf or nan alike."""
+        fam = _TwoLevelFamily(n, quad)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for spec in LINE_SPECS:
+                slope = fam.slope(spec, beta)
+                for p1 in (1.0 / (n - 1), 0.5, 1.0):
+                    want, scale = self.two_powers(fam, spec, beta, p1)
+                    got = slope(p1)
+                    if math.isfinite(want):
+                        assert abs(got - want) <= 1e-12 * scale, (spec, p1)
+                    else:
+                        assert np.array_equal(got, want, equal_nan=True), (spec, p1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_zero_h_keeps_the_infinite_sign(self, monkeypatch, sign):
+        """h is exactly 0 at the first node, where c1 != 0: the quality
+        term's h^(1/beta - 1) is inf there, not the nan of 0 / 0, and the
+        slope is inf with the sign of c1."""
+
+        def chain(n, x):
+            c1 = np.where(x < 0.5, -1.0, 1.0) if sign < 0 else np.ones_like(x)
+            c0 = np.ones_like(x)
+            c0[0] = -0.5 * c1[0]
+            return c0, c1
+
+        monkeypatch.setattr(optimizer, "c_decomposition", chain)
+        fam = _TwoLevelFamily(5, QuadratureConfig(m=1000))
+        assert fam.c0[0] + fam.c1[0] * 0.5 == 0.0
+        with np.errstate(divide="ignore"):
+            assert fam.slope(ConvexCombo(0.24), 2.0)(0.5) == sign * math.inf
+
+
 class TestSlopeRoot:
     """`_slope_root` on closed-form slopes over a grid 0.05 apart."""
 
@@ -585,6 +642,48 @@ class TestSlopeRoot:
         got = _slope_root(slope, self.GRID, 3)
         assert abs(got - 0.4213) <= 1e-13
         assert len(calls) <= 12
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_chord_point_on_the_kept_end_steps_inside(self, side):
+        """The root lies 1e-17 inside a grid point, so the first chord point
+        rounds onto that end.  Halving toward it took 41 slopes in all; half
+        the tolerance inside the end closes the bracket in one, 3 in all."""
+        lo, hi = float(self.GRID[6]), float(self.GRID[7])
+        if side == "left":
+            fn, best, root = (lambda p1: 1e-17 - (p1 - lo)), 6, lo
+        else:
+            fn, best, root = (lambda p1: (hi - p1) - 1e-17), 7, hi
+        f_lo, f_hi = fn(lo), fn(hi)
+        assert f_lo > 0.0 > f_hi
+        assert lo + f_lo * (hi - lo) / (f_lo - f_hi) == root
+        slope, calls = self.counted(fn)
+        got = _slope_root(slope, self.GRID, best)
+        assert abs(got - root) <= 1e-13
+        assert len(calls) == 3
+
+    def test_a_sweep_cell_stops_at_the_tolerance(self, monkeypatch):
+        """A cell of the default sweep whose slope reaches 6.6e-16 on its
+        12th evaluation: the search took 18 halvings after it, 30 slopes in
+        all, and found the root 0.9994351926209065."""
+        seen = []
+
+        def counting(slope, p1_grid, best):
+            calls = []
+
+            def counted(p1):
+                calls.append(p1)
+                return slope(p1)
+
+            seen.append((_slope_root(counted, p1_grid, best), len(calls)))
+            return seen[-1][0]
+
+        monkeypatch.setattr(optimizer, "_slope_root", counting)
+        alpha, beta = np.linspace(0.05, 1.0, 50)[12], np.linspace(0.1, 5.0, 50)[13]
+        two_level_line_search(ConvexCombo(alpha), beta, 5, steps=300,
+                              quad=QuadratureConfig(m=5000))
+        (root, slopes), = seen
+        assert abs(root - 0.9994351926209065) <= 1e-13
+        assert slopes <= 14
 
     @pytest.mark.parametrize("best, fn", [
         (15, lambda p1: 1.0),  # rising at the top of the grid
@@ -693,7 +792,8 @@ class TestGridArgmax:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_pick_is_the_exhaustive_scan_best(self, n, beta):
         fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
-        for steps in (2, 3, 7, 150, 1000):
+        # sizes around the first batch of 17 points, too
+        for steps in (2, 3, 7, 16, 17, 18, 33, 150, 1000):
             p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
             picks, values = _grid_argmax(fam, LINE_SPECS, beta, p1s)
             for spec, pick, value in zip(LINE_SPECS, picks, values):
@@ -855,6 +955,16 @@ SCREEN_QUADS = (
 
 
 class TestLatticeScreening:
+    def test_screen_nodes_are_every_stride_th_and_the_last(self):
+        """Index arithmetic gives the nodes np.unique gave, which imports
+        numpy.ma on its first call."""
+        for count in (1, 2, 3, 99, 100, 101, 1001, 5000):
+            w = np.full(count, 1.0 / count)
+            for stride in (1, 2, 5, 7, 20, 100):
+                nodes, _, _ = _screen_weights(w, stride)
+                want = np.unique(np.append(np.arange(0, count, stride), count - 1))
+                assert nodes.dtype == want.dtype and np.array_equal(nodes, want), (count, stride)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_enumeration_order_is_the_recursive_one(self, n):
         for resolution in (1, 2, 7, 20, 50):

@@ -11,24 +11,23 @@ to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
 
 and the gap contraction  U - L <= how far the objective's terms move over
 a step of |I| (`_TwoLevelFamily.step_moves`).  This rise/fall bound is
-what `interval_bounds` returns.  Branch-and-bound also splits the terms
-by shape: a term coef * x^a * h^r is convex in p1 when coef * (r - 1) >= 0
+what `interval_bounds` returns.  The searches also split the terms by
+shape: a term coef * x^a * h^r is convex in p1 when coef * (r - 1) >= 0
 and concave otherwise.  Over an interval the convex terms lie below their
-chord, and the concave ones below the secants through the neighbouring
-points on either side, so the lower of the two bounds holds; the root,
-which has no neighbours, keeps the rise/fall bound unless no term is
-concave.  The active set algorithm bisects the interval with the largest
-upper bound until the incumbent is within the (quadrature-adjusted)
-tolerance.  The line search finds the best point of its p1 grid with the
-same two bounds, dropping grid cells instead of scanning them
-(`_grid_argmax`), and refines it where the objective's exact slope in p1
-(`_TwoLevelFamily.slope`) crosses zero next to it (`_slope_root`).  Every
-call reads values, bounds and step moves from one `_TwoLevelFamily`
-(nodes, weights, c0, c1 and the cut where c1 turns nonnegative), built
-once per (n, rule) and shared read-only (`_family`).
-Both searches and `interval_bounds` read values and bounds through one
-kernel, `_BatchSums`, which integrates each term shape on either side of
-the cut once per point, so the searches agree bit for bit at any p1.
+chord, and the concave ones below the secants through the nearest points
+on either side, so the lower of the two bounds holds; an interval with no
+point beyond it keeps the rise/fall bound unless no term is concave.
+Branch-and-bound and the line search bisect a grid of top shares level by
+level, for a batch of objectives at once (`_bisect`), and drop a cell once
+its bound is below the best value plus a (quadrature-adjusted) tolerance;
+the line search refines its best grid point where the objective's exact
+slope in p1 (`_TwoLevelFamily.slope`) crosses zero next to it
+(`_slope_root`).  Every call reads values, bounds and step moves from one
+`_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
+nonnegative), built once per (n, rule) and shared read-only (`_family`),
+and values and bounds through one kernel, `_BatchSums`, which integrates
+each term shape on either side of the cut once per point, so the searches
+agree bit for bit at any p1.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -51,7 +50,6 @@ Taylor term.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from functools import cached_property, lru_cache
@@ -87,6 +85,10 @@ GRID_QUAD = QuadratureConfig(m=1000, rule="trapezoid", exclude_left_endpoint=Fal
 LINE_QUAD = QuadratureConfig(m=20_000, rule="right_riemann", exclude_left_endpoint=True)
 
 _LATTICE_GUARD = 10**8
+# most bytes `_lattice_matrix` may take (`_lattice_bytes`): `optimize
+# --method grid` peaked at 211 MB at n = 8, granularity 0.01 (244 MB by that
+# count), and at 300 MB at n = 2, granularity 1e-7 (320 MB)
+MAX_LATTICE_BYTES = 256 * 2**20
 # most points of a line search's p1 grid, 8 bytes each: `optimize --method
 # line` peaked at 160 MB with 10^7 and at 864 MB with 10^8
 MAX_LINE_STEPS = 10_000_000
@@ -113,22 +115,11 @@ _GRID_BLOCK_ELEMENTS = 1 << 16
 # stride from the fraction a stage keeps did not beat this tuple in a count
 # of node evaluations over 25 operations.
 _SCREEN_STRIDES = (100, 20, 5)
-# most intervals branch-and-bound opens before it gives up uncertified
+# most cells branch-and-bound bounds before it gives up uncertified
 MAX_BNB_NODES = 200_000
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One node of branch-and-bound.  The slopes are those of the concave
-    terms' secants through the neighbouring points on the left (ending at
-    lo) and on the right (starting at hi); nan where there is none yet."""
-
-    lo: float
-    hi: float
-    upper: float
-    depth: int
-    left_slope: float
-    right_slope: float
+# branch-and-bound's grid: lo + (1 - lo) i / 2^52 for i = 0..2^52 on the
+# chain [lo, 1], about one top share per float near p1 = 1
+_BNB_GRID_STEPS = 2**52
 
 
 @dataclass(frozen=True)
@@ -185,26 +176,6 @@ def c_decomposition(n: int, x):
     return c0, c1
 
 
-class _EndpointSums(NamedTuple):
-    """One objective's value at one top share, then the rise and fall sums
-    of its convex terms and of its concave terms there: the first five rows
-    of `_BatchSums.at`, as floats or as arrays over several points."""
-
-    value: float
-    vex_rise: float
-    vex_fall: float
-    cav_rise: float
-    cav_fall: float
-
-    @property
-    def vex(self) -> float:
-        return self.vex_rise + self.vex_fall
-
-    @property
-    def cav(self) -> float:
-        return self.cav_rise + self.cav_fall
-
-
 def _is_convex(t: _Term) -> bool:
     """On the chain h is affine in p1 at each node, so coef * x^a * h^r is
     convex in p1 when coef * (r - 1) >= 0 and concave otherwise."""
@@ -232,8 +203,8 @@ class _TwoLevelFamily:
     elsewhere (`_rise_column`).  `shape_sums` integrates each term shape at
     one top share over the nodes on either side of the cut; `_BatchSums`
     combines them into each objective's value, G(p1) = rise + fall summed
-    over its terms, and its rise and fall sums per convexity class, from
-    which U(lo, hi) = rise(hi) + fall(lo).
+    over its terms, its rising and falling parts, from which U(lo, hi) =
+    rise(hi) + fall(lo), and its convex and concave parts.
     """
 
     def __init__(self, n: int, quad: QuadratureConfig):
@@ -358,79 +329,197 @@ class _BatchSums:
     def __init__(self, fam: _TwoLevelFamily, specs, b: float):
         self.fam, self.count = fam, len(specs)
         terms = [_terms(spec, b, fam.n) for spec in specs]
+        units = [[replace(t, coef=1.0) for t in ts] for ts in terms]
         # sorted, so that shapes with one power of h sit together
-        self.shapes = sorted({replace(t, coef=1.0) for ts in terms for t in ts},
+        self.shapes = sorted({u for us in units for u in us},
                              key=lambda u: (u.g_exp, u.x_pow, u.times_h))
         row = {unit: i for i, unit in enumerate(self.shapes)}
         groups: dict[tuple, list[int]] = {}
-        for k, ts in enumerate(terms):
-            key = tuple((row[replace(t, coef=1.0)], _is_convex(t), _rise_column(t)) for t in ts)
+        for k, (ts, us) in enumerate(zip(terms, units)):
+            key = tuple((row[u], _is_convex(t), _rise_column(t)) for t, u in zip(ts, us))
             groups.setdefault(key, []).append(k)
-        # per term: its shape's row, its class's block of `at` (0 convex,
-        # 1 concave), its halves in (rise, fall) order, and its coefficients
-        # alone and with their magnitudes
+        # per term: its shape's row; for each row of `at`, what it adds
+        # there, picked from its shape's (whole, rise half, fall half, 0);
+        # and its coefficients, their magnitudes in the size row
         self.groups = []
         for key, ks in groups.items():
             coefs = np.array([[t.coef for t in terms[k]] for k in ks]).T
-            self.groups.append((ks, [(s, 1 - convex, slice(up, None, 1 - 2 * up), c,
-                                      np.stack((c, np.abs(c)))[:, None])
-                                     for c, (s, convex, up) in zip(coefs, key)]))
-        self.no_cav = np.array([all(map(_is_convex, ts)) for ts in terms], dtype=bool)
+            adds = []
+            for c, (s, convex, up) in zip(coefs, key):
+                picks = [0, 1 + up, 2 - up, 0 if convex else 3, 3 if convex else 0, 0]
+                adds.append((s, picks, np.array((c,) * 5 + (np.abs(c),))[:, None]))
+            self.groups.append((ks, adds))
+        # the cap on each objective's concave part: 0 where no term is concave
+        self.cav_cap = np.array([0.0 if all(map(_is_convex, ts)) else np.inf for ts in terms])
 
     def at(self, p1s) -> np.ndarray:
-        """(value, vex_rise, vex_fall, cav_rise, cav_fall, size) at each top
-        share of `p1s` (rows) for each objective (columns): the first five
-        are the fields of `_EndpointSums`, and size integrates the terms
-        with their coefficients' magnitudes."""
-        halves = np.array([self.fam.shape_sums(self.shapes, p1) for p1 in p1s]).reshape(
-            len(p1s), len(self.shapes), 2).transpose(1, 2, 0)  # shape, half, point
-        whole = halves[:, 0] + halves[:, 1]
+        """(value, rise, fall, vex, cav, size) at each top share of `p1s`
+        (rows) for each objective (columns): the value; its parts that rise
+        and that fall as p1 grows, each term's half by `_rise_column`; its
+        convex and its concave terms (`_is_convex`); and size, which
+        integrates the terms with their coefficients' magnitudes."""
+        sums = np.zeros((len(self.shapes), 4, len(p1s)))  # shape, (whole, rise, fall, 0), point
+        sums[:, 1:3] = np.array([self.fam.shape_sums(self.shapes, p1) for p1 in p1s]).reshape(
+            len(p1s), len(self.shapes), 2).transpose(1, 2, 0)
+        np.add(sums[:, 1], sums[:, 2], out=sums[:, 0])
         out = np.empty((6, len(p1s), self.count))
         for ks, adds in self.groups:
             part = np.zeros((6, len(p1s), len(ks)))
-            value_size, classes = part[::5], part[1:5].reshape(2, 2, *part.shape[1:])
-            for s, block, rise_fall, coef, with_size in adds:
-                value_size += whole[s, :, None] * with_size
-                classes[block] += halves[s, rise_fall, :, None] * coef
+            for s, picks, coefs in adds:
+                part += sums[s, picks, :, None] * coefs
+            if len(ks) == self.count:
+                return part
             out[:, :, ks] = part
         return out
 
 
-def _rise_fall_upper(at_lo: _EndpointSums, at_hi: _EndpointSums):
-    """The rise/fall bound over [lo, hi]: every term's rising half at hi and
-    its falling half at lo (`_rise_column`)."""
-    return at_hi.vex_rise + at_hi.cav_rise + at_lo.vex_fall + at_lo.cav_fall
+def _rise_fall_upper(at_lo, at_hi):
+    """The rise/fall bound over [lo, hi] from the `_BatchSums.at` rows at its
+    ends: the rising part at hi plus the falling part at lo."""
+    return at_hi[1] + at_lo[2]
 
 
-def _chord_secant_upper(lo, hi, at_lo: _EndpointSums, at_hi: _EndpointSums, left, right):
-    """Upper bound over [lo, hi] from the chord of the convex terms plus the
-    lower of the concave terms' secants; inf with no secant.
+def _chord_secant_upper(p1s, vex, cav, cav_cap):
+    """Upper bound over a cell [lo, hi] from the chord of the convex terms
+    plus the lower of the concave terms' secants, capped at `cav_cap` (0
+    where no term is concave, else inf, the bound with no secant).
 
-    The left secant passes through (lo, cav(lo)) and the right one through
-    (hi, cav(hi)), and a concave function lies below each secant outside
-    the two points that define it.  The sum is concave and piecewise
-    linear, so its max sits at lo, hi or where the secants cross.  The
-    bound is widened by `BRACKET_ROUNDING` times the ends' absolute class
-    sums: each secant is extrapolated over at most the width of its base.
-
-    Branch-and-bound passes floats and the line search arrays, bounded
-    elementwise; both pass nan for a missing slope, which `np.fmin` and
-    `np.fmax` skip.
+    `p1s` and `cav` hold the top shares and concave sums at the cell's
+    `_STENCIL` and `vex` the convex sums at lo and hi, along their first
+    axis.  A concave function lies below each secant, through the point
+    before and lo or through hi and the point after, outside its base, so
+    the bound, concave and piecewise linear, peaks at lo, hi or where the
+    secants cross.  An end standing in for an outer point makes its secant
+    0/0, a nan that `np.fmin` and `np.fmax` skip.  `_cell_upper` widens
+    the bound for rounding.
     """
-    width = hi - lo
-
-    def bound_at(t):
-        cav = np.fmin(np.fmin(at_lo.cav + left * t, at_hi.cav - right * (width - t)), math.inf)
-        return at_lo.vex + (at_hi.vex - at_lo.vex) * (t / width) + cav
-
-    # the secants cross at nan where one is missing, which `np.fmax` takes
-    # to the end 0, and at +-inf, an end, where they are parallel
+    (vex_lo, vex_hi), cav_lo, cav_hi = vex, cav[1], cav[2]
+    width = p1s[2] - p1s[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.fmin(np.fmax(np.divide(at_hi.cav - at_lo.cav - right * width, left - right),
-                                0.0), width)
-    rounding = BRACKET_ROUNDING * (abs(at_lo.vex) + abs(at_lo.cav)
-                                   + abs(at_hi.vex) + abs(at_hi.cav))
-    return np.fmax(np.fmax(bound_at(0.0), bound_at(width)), bound_at(cross)) + rounding
+        left, right = (cav[1::2] - cav[::2]) / (p1s[1::2] - p1s[::2])
+        # the secants cross at nan where one is missing, which `np.fmax`
+        # takes to the end 0, and at +-inf, an end, where they are parallel
+        cross = np.fmin(np.fmax((cav_hi - cav_lo - right * width) / (left - right), 0.0), width)
+        t = np.empty((3,) + np.shape(cross))  # lo, hi and the crossing, as offsets from lo
+        t[0], t[1], t[2] = 0.0, width, cross
+        concave = np.fmin(np.fmin(cav_lo + left * t, cav_hi - right * (width - t)), cav_cap)
+        return np.fmax.reduce(vex_lo + (vex_hi - vex_lo) * (t / width) + concave)
+
+
+# a cell's stencil, the point before it, its two ends and the point after
+# it, as offsets from `searchsorted(lo, side="right")`, one past its lower end
+_STENCIL = np.arange(-2, 2)[:, None]
+
+
+def _cell_upper(p1s: np.ndarray, sums: np.ndarray, cav_cap: np.ndarray) -> np.ndarray:
+    """Each cell's upper bound (cell, objective) from the top shares `p1s`
+    (4, cell) of its `_STENCIL` and their `_BatchSums.at` rows `sums` (row,
+    4, cell, objective): the lower of the rise/fall and the chord-secant
+    bounds, widened by `BRACKET_ROUNDING` times the terms' size at the ends
+    for the sums' rounding, and the chord-secant bound once more for each
+    secant's extrapolation over at most its base's width.
+    """
+    ends = sums[:, 1:3]
+    rounding = BRACKET_ROUNDING * (ends[5, 0] + ends[5, 1])
+    chord = _chord_secant_upper(p1s[..., None], ends[3], sums[4], cav_cap)
+    return np.fmin(_rise_fall_upper(ends[:, 0], ends[:, 1]), chord + rounding) + rounding
+
+
+class _Bisection(NamedTuple):
+    """The evaluated grid indices, ascending, their top shares and
+    `_BatchSums.at` rows (row, point, objective); the top shares in the
+    order evaluated; per objective, the largest bound of a cell that left
+    unsplit (-inf if none); the cells bounded; the levels split; and
+    whether `max_cells` stopped the search."""
+
+    idx: np.ndarray
+    p1s: np.ndarray
+    data: np.ndarray
+    trace: list
+    leftover: np.ndarray
+    cells: int
+    levels: int
+    capped: bool
+
+
+def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol: float = 0.0,
+            max_cells: float = math.inf) -> _Bisection:
+    """Level-wise branch-and-bound over the grid of top shares `point(i)`,
+    rising in i, for the objectives of `specs` at once, from the cells
+    between the ascending grid indices `idx`.
+
+    A cell stays in an objective's search while its bound (`_cell_upper`,
+    through the nearest evaluated points) is at least that objective's
+    best value plus `tol`.  Each level bounds its cells and splits them at
+    their middle index, each objective's top cell first and then, in a
+    second `_BatchSums.at` call, the rest that still stay.  A cell with no
+    index inside is dropped unbounded.  The search stops when no cell
+    stays or, capped, before it would bound more than `max_cells` cells;
+    the bounds of the cells that stay then count as left over.
+    """
+    batch = _BatchSums(fam, specs, b)
+    leftover = np.full(batch.count, -np.inf)
+    p1s = point(idx)
+    trace = p1s.tolist()
+    # the first and the last point are doubled, so that every cell's
+    # stencil lies in range, its end standing in where no point lies beyond
+    doubled = np.arange(-1, len(idx) + 1).clip(0, len(idx) - 1)
+    data = batch.at(p1s)[:, doubled]
+    idx, p1s = idx[doubled], p1s[doubled]
+    best = data[0].max(axis=0)
+    lo, hi = idx[1:-2], idx[2:-1]  # each cell by the grid indices of its ends
+    live = np.ones((len(lo), batch.count), dtype=bool)  # cell, objective
+    cells = levels = 0
+    capped = False
+    while True:
+        inner = hi - lo > 1
+        if not inner.all():
+            lo, hi, live = lo[inner], hi[inner], live[inner]
+        if not len(lo):
+            break
+        # a doubled first point's stencil starts at its first copy
+        near = idx.searchsorted(lo, side="right") + _STENCIL
+        upper = _cell_upper(p1s[near], data[:, near], batch.cav_cap)
+        upper[~live] = -np.inf
+        cells += len(lo)
+        live = upper >= best + tol
+        stay = live.any(axis=1)
+        splits = int(np.count_nonzero(stay))
+        if not splits or cells + 2 * splits > max_cells:
+            leftover = np.maximum(leftover, upper.max(axis=0))
+            capped = splits > 0
+            break
+        levels += 1
+        mids = (lo + hi) // 2
+        waves = [stay]
+        if splits > 1:
+            # each objective's top cell first, then the rest that still stay
+            top = np.zeros(len(lo), dtype=bool)
+            top[upper.argmax(axis=0)] = True
+            waves = [top, ~top]
+        added, new_p1s, new_data = [idx], [p1s], [data]
+        for wave in waves:
+            wave = wave & stay
+            if not wave.any():
+                continue
+            added.append(mids[wave])
+            new_p1s.append(point(added[-1]))
+            new_data.append(batch.at(new_p1s[-1]))
+            trace += new_p1s[-1].tolist()
+            best = np.maximum(best, new_data[-1][0].max(axis=0))
+            live &= upper >= best + tol
+            stay = live.any(axis=1)
+        upper[live] = -np.inf
+        leftover = np.maximum(leftover, upper.max(axis=0))
+        idx = np.concatenate(added)
+        order = idx.argsort()
+        idx = idx[order]
+        p1s = np.concatenate(new_p1s)[order]
+        data = np.concatenate(new_data, axis=1)[:, order]
+        lo, hi, mids, live = lo[stay], hi[stay], mids[stay], live[stay]
+        lo, hi = np.concatenate((lo, mids)), np.concatenate((mids, hi))
+        live = np.concatenate((live, live))
+    return _Bisection(idx[1:-1], p1s[1:-1], data[:, 1:-1], trace, leftover, cells, levels, capped)
 
 
 def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
@@ -442,10 +531,9 @@ def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
     domain_lo = 1.0 / (n - 1)
     if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
         raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
-    ends = _BatchSums(fam, [ConvexCombo(alpha)], b).at([lo, hi])[:5, :, 0].T.tolist()
-    at_lo, at_hi = (_EndpointSums(*end) for end in ends)
-    lower = max(at_lo.value, at_hi.value)
-    return lower, max(_rise_fall_upper(at_lo, at_hi), lower)
+    at_lo, at_hi = _BatchSums(fam, [ConvexCombo(alpha)], b).at([lo, hi])[:, :, 0].T
+    lower = max(float(at_lo[0]), float(at_hi[0]))
+    return lower, max(float(_rise_fall_upper(at_lo, at_hi)), lower)
 
 
 def gap_constants(n: int, alpha: float, beta,
@@ -460,12 +548,18 @@ def gap_constants(n: int, alpha: float, beta,
 
 def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
                      trace: list | None = None) -> OptResult:
-    """Active-set branch-and-bound over the top share of two-level policies.
+    """Branch-and-bound over the top share of two-level policies.
 
     Returns a policy whose value is within epsilon of the best two-level
     value, with the quadrature budget folded into the certificate: the
     internal stopping threshold is epsilon minus twice the per-evaluation
-    error bound, and the reported gap adds that allowance back.
+    error bound, and the reported gap adds that allowance back.  `_bisect`
+    searches the `_BNB_GRID_STEPS` + 1 grid points from the chain's two
+    ends, and the gap is the largest bound of a cell left over less the
+    best value.  A cell of two neighbouring grid points, under 2.3e-16
+    wide, is dropped unbounded.
+    `nodes_explored` counts the cells bounded, `max_depth` the levels
+    split, and `trace` gets the top shares in the order evaluated.
     """
     b = beta_value(beta)
     config = {
@@ -487,85 +581,18 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
             "raise epsilon or the node count" % (cfg.epsilon, 2 * delta)
         )
 
-    batch = _BatchSums(fam, [spec], b)
-    sums: dict[float, _EndpointSums] = {}  # five floats per visited endpoint
-
-    def endpoint(p1: float) -> _EndpointSums:
-        hit = sums.get(p1)
-        if hit is None:
-            hit = sums[p1] = _EndpointSums(*batch.at([p1])[:5, 0, 0].tolist())
-        return hit
-
-    def value(p1: float) -> float:
-        return endpoint(p1).value
-
-    def slope(lo: float, hi: float) -> float:
-        """Slope of the concave terms' secant through lo and hi."""
-        return (endpoint(hi).cav - endpoint(lo).cav) / (hi - lo)
-
-    def make_interval(lo: float, hi: float, depth: int, left_slope: float,
-                      right_slope: float) -> Interval:
-        at_lo, at_hi = endpoint(lo), endpoint(hi)
-        upper = min(_rise_fall_upper(at_lo, at_hi),
-                    float(_chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope)))
-        return Interval(lo, hi, upper, depth, left_slope, right_slope)
-
-    lo0, hi0 = 1.0 / (n - 1), 1.0
-    best_p1, best_val = lo0, value(lo0)
-    v_hi = value(hi0)
+    # lo + (1 - lo) is 1 exactly for any lo in [0, 1]
+    lo = 1.0 / (n - 1)
+    span = (1.0 - lo) / _BNB_GRID_STEPS
+    run = _bisect(fam, [spec], b, lambda i: lo + span * i, np.array([0, _BNB_GRID_STEPS]),
+                  eps_eff, MAX_BNB_NODES)
     if trace is not None:
-        trace.extend((lo0, hi0))
-    if v_hi > best_val:
-        best_p1, best_val = hi0, v_hi
-
-    # with no concave term every secant of the concave part is the zero line
-    root_slope = 0.0 if batch.no_cav[0] else math.nan
-    root = make_interval(lo0, hi0, 0, root_slope, root_slope)
-    # ties on the upper bound break toward the leftmost interval
-    heap: list[tuple[float, float, Interval]] = [(-root.upper, root.lo, root)]
-    nodes = 1
-    max_depth = 0
-    certified = True
-    top_upper = best_val  # heap-exhausted fallback: nothing left active
-    while heap:
-        _, _, active = heapq.heappop(heap)
-        top_upper = active.upper
-        if top_upper <= best_val + eps_eff:
-            break  # the largest upper bound is within tolerance: done
-        if nodes >= MAX_BNB_NODES:
-            certified = False
-            break
-        mid = 0.5 * (active.lo + active.hi)
-        if not active.lo < mid < active.hi:
-            # float exhaustion: a width-eps interval has U - L far below
-            # eps_eff, so dropping it cannot hide a better optimum
-            top_upper = best_val
-            continue
-        v_mid = value(mid)
-        if trace is not None:
-            trace.append(mid)
-        if v_mid > best_val:
-            best_p1, best_val = mid, v_mid
-        # each child takes the secant through its sibling's ends, and its
-        # parent's secant on its other side
-        depth = active.depth + 1
-        for child in (make_interval(active.lo, mid, depth, active.left_slope, slope(mid, active.hi)),
-                      make_interval(mid, active.hi, depth, slope(active.lo, mid), active.right_slope)):
-            heapq.heappush(heap, (-child.upper, child.lo, child))
-            nodes += 1
-            max_depth = max(max_depth, child.depth)
-
-    gap = max(top_upper - best_val, 0.0) + 2.0 * delta
-    return OptResult(
-        policy=two_level(n, best_p1),
-        value=best_val,
-        certified_gap=gap,
-        nodes_explored=nodes,
-        method="bnb",
-        certified=certified,
-        max_depth=max_depth,
-        config=config,
-    )
+        trace.extend(run.trace)
+    best = int(np.argmax(run.data[0, :, 0]))
+    value = float(run.data[0, best, 0])
+    gap = max(float(run.leftover[0]) - value, 0.0) + 2.0 * delta
+    return OptResult(two_level(n, float(run.p1s[best])), value, gap, run.cells, "bnb",
+                     not run.capped, run.levels, config)
 
 
 def check_line_steps(steps: int) -> None:
@@ -728,64 +755,17 @@ def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
     """Each objective's first best point of `p1_grid` (its index) and value,
     as a full scan would find them, from few evaluated points.
 
-    Cells of grid indices are bisected level by level for all the
-    objectives at once, starting from the cells between
-    `_GRID_FIRST_BATCH` evenly spread points, which skips the first four
-    levels of bisecting the whole grid.  Each cell's bound,
-    per objective, is the lower of the rise/fall bound (`_rise_fall_upper`)
-    and the convex terms' chord plus the lower of the concave terms'
-    secants through the nearest evaluated points outside it
-    (`_chord_secant_upper`), widened by `BRACKET_ROUNDING` times the
-    terms' absolute size at its ends.  A cell leaves an objective's search
-    once its bound is below that objective's best evaluated value, and
-    cells still searched by any objective are split at their middle index
-    until none has an interior point.  A point never evaluated for an
-    objective then lies below one that was, so the first best evaluated
-    point is the full scan's.  Values come from `_BatchSums`, so they do
-    not depend on the batch either.
+    `_bisect` searches the grid's indices, with no tolerance, from
+    `_GRID_FIRST_BATCH` evenly spread points, a spacing of at least 1 that
+    rounds to distinct indices, until no cell has an index inside.  A
+    point never evaluated for an objective then lies below one that was,
+    so the first best evaluated point is the full scan's.
     """
-    batch = _BatchSums(fam, specs, b)
     steps = len(p1_grid)
-    # evaluated grid indices, ascending: at most `_GRID_FIRST_BATCH` spread
-    # evenly, a spacing of at least 1 that rounds to distinct indices
     idx = np.round(np.linspace(0, steps - 1, min(steps, _GRID_FIRST_BATCH))).astype(int)
-    data = batch.at(p1_grid[idx])
-    lo, hi = idx[:-1], idx[1:]
-    live = np.ones((len(lo), len(specs)), dtype=bool)  # cell, objective
-    while True:
-        inner = hi - lo > 1
-        lo, hi, live = lo[inner], hi[inner], live[inner]
-        if not len(lo):
-            break
-        at = np.searchsorted(idx, lo), np.searchsorted(idx, hi)
-        ends = [_EndpointSums(*data[:5, pos]) for pos in at]
-        cav, p1s = data[3] + data[4], p1_grid[idx]
-
-        def secant(a, z):
-            # a == z where no point lies beyond the cell on that side: 0/0 is
-            # the nan that means no secant
-            with np.errstate(invalid="ignore"):
-                return (cav[z] - cav[a]) / (p1s[z] - p1s[a])[:, None]
-
-        left = secant(np.maximum(at[0] - 1, 0), at[0])
-        right = secant(at[1], np.minimum(at[1] + 1, len(idx) - 1))
-        # with no concave term every secant of the concave part is the zero line
-        left[:, batch.no_cav] = right[:, batch.no_cav] = 0.0
-        upper = np.fmin(_rise_fall_upper(*ends), _chord_secant_upper(
-            p1_grid[lo, None], p1_grid[hi, None], *ends, left, right))
-        upper += BRACKET_ROUNDING * (data[5, at[0]] + data[5, at[1]])
-        live &= upper >= data[0].max(axis=0)
-        split = live.any(axis=1)
-        lo, hi, live = lo[split], hi[split], live[split]
-        if not len(lo):
-            break
-        mid = (lo + hi) // 2
-        order = np.argsort(np.concatenate((idx, mid)))
-        idx = np.concatenate((idx, mid))[order]
-        data = np.concatenate((data, batch.at(p1_grid[mid])), axis=1)[:, order]
-        lo, hi, live = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.vstack((live, live))
-    best = np.argmax(data[0], axis=0)
-    return idx[best], data[0, best, np.arange(len(specs))]
+    run = _bisect(fam, specs, b, p1_grid.__getitem__, idx)
+    best = np.argmax(run.data[0], axis=0)
+    return run.idx[best], run.data[0, best, np.arange(len(specs))]
 
 
 def count_lattice_policies(n: int, resolution: int) -> int:
@@ -824,6 +804,14 @@ def _lattice_exceeds(n: int, resolution: int, guard: int) -> bool:
             break
         last = bound
     return False
+
+
+def _lattice_bytes(n: int, count: int) -> int:
+    """Bytes `_lattice_matrix` takes for `count` candidates of n shares, at
+    most: 8 n for the rows, 8 (n - 1) for each level's int32 parent and
+    share and 40 for temporaries.  It peaked at 44 bytes a candidate at
+    n = 2, 71 at n = 5, 110 at n = 8 and 336 at n = 20."""
+    return count * (16 * n + 32)
 
 
 @lru_cache(maxsize=4)
@@ -912,12 +900,17 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
         raise DomainError("1/granularity must be an integer, got %r" % granularity)
     # a count takes O(n * resolution) steps, so a lattice that is surely too
     # large is refused before it is counted
-    if _lattice_exceeds(n, resolution, _LATTICE_GUARD) or (
-            count_lattice_policies(n, resolution) > _LATTICE_GUARD):
+    count = None if _lattice_exceeds(n, resolution, _LATTICE_GUARD) else (
+        count_lattice_policies(n, resolution))
+    if count is None or count > _LATTICE_GUARD:
         raise BudgetExceededError(
             "lattice holds more than %d candidates; use two_level_line_search "
             "for a 1-D search over top shares instead" % _LATTICE_GUARD
         )
+    if _lattice_bytes(n, count) > MAX_LATTICE_BYTES:
+        raise BudgetExceededError(
+            "enumerating %d candidates of %d shares takes about %d MB, above the cap of %d MB"
+            % (count, n, _lattice_bytes(n, count) >> 20, MAX_LATTICE_BYTES >> 20))
     quad = quad or GRID_QUAD
     config = {"n": n, "granularity": granularity, "objective": format_objective_config(spec),
               "beta": b, "quad_m": quad.m, "quad_rule": quad.rule}

@@ -197,6 +197,17 @@ class TestOptimize:
         assert code == 0
         assert out == textwrap.dedent(block).strip("\n") + "\n"
 
+    def test_readme_branch_and_bound_example(self, capsys):
+        """The branch-and-bound command and the block the README prints
+        under it, read from README.md itself."""
+        text = README.read_text()
+        command = "contest-opt optimize --method bnb  --n 5 --alpha 0.24 --beta 2 --epsilon 1e-4"
+        assert command in text
+        block = text.split("The branch-and-bound example above prints:", 1)[1].split("```")[1]
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0
+        assert out == textwrap.dedent(block).strip("\n") + "\n"
+
     @pytest.mark.parametrize("method", ["line", "bnb"])
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_classify_tol_is_usage_error(self, capsys, method, value):

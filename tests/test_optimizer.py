@@ -46,16 +46,18 @@ from contest_opt.optimizer import (
     GRID_QUAD,
     LINE_QUAD,
     MAX_GRID_BASIS,
+    MAX_LATTICE_BYTES,
     MAX_LINE_STEPS,
     _LATTICE_GUARD,
     _BatchSums,
-    _EndpointSums,
     _TwoLevelFamily,
+    _cell_upper,
     _chord_secant_upper,
     _family,
     _lattice_matrix,
     _screen_weights,
     _grid_argmax,
+    _lattice_bytes,
     _lattice_exceeds,
     _rise_fall_upper,
     _slope_root,
@@ -74,8 +76,9 @@ def scan(fam, spec, beta, p1s):
 
 
 def endpoint(batch, p1):
-    """The batch's one objective's sums at p1, as branch-and-bound reads them."""
-    return _EndpointSums(*batch.at([p1])[:5, 0, 0].tolist())
+    """The batch's one objective's `_BatchSums.at` rows at p1: value, its
+    rising and falling parts, its convex and concave terms, and size."""
+    return batch.at([p1])[:, 0, 0]
 
 
 class TestCDecomposition:
@@ -172,14 +175,13 @@ class TestChordSecantBound:
     QUAD = QuadratureConfig(m=5000)
 
     def bound(self, batch, lo, hi, left, right):
-        def slope(a, b):
-            return (endpoint(batch, b).cav - endpoint(batch, a).cav) / (b - a)
-
-        at_lo, at_hi = endpoint(batch, lo), endpoint(batch, hi)
-        left_slope = math.nan if left is None else slope(left, lo)
-        right_slope = math.nan if right is None else slope(hi, right)
-        return min(_rise_fall_upper(at_lo, at_hi),
-                   _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope))
+        """The engine's bound, but for its last rounding allowance, with
+        each missing outer point's place taken by the end beside it."""
+        stencil = np.array([lo if left is None else left, lo, hi, hi if right is None else right])
+        sums = np.array([endpoint(batch, p1) for p1 in stencil]).T  # row, point
+        rounding = optimizer.BRACKET_ROUNDING * (sums[5, 1] + sums[5, 2])
+        chord = _chord_secant_upper(stencil, sums[3, 1:3], sums[4], math.inf)
+        return min(_rise_fall_upper(sums[:, 1], sums[:, 2]), chord + rounding)
 
     def draws(self):
         """Seeded intervals; every other one holds the line search's optimum."""
@@ -215,17 +217,16 @@ class TestChordSecantBound:
 
     @pytest.mark.parametrize("n, alpha, beta", [(5, 0.24, 2.0), (12, 0.3, 2.5), (6, 0.0, 4.0)])
     def test_every_node_bound_holds(self, monkeypatch, n, alpha, beta):
-        """Each node's secants are its neighbours', as the bound needs."""
-        from contest_opt import optimizer
-
+        """Each cell branch-and-bound bounds, one per node, stays under its
+        bound, whose secants pass through the points nearest the cell."""
         seen = []
 
-        def recording(lo, hi, at_lo, at_hi, left_slope, right_slope):
-            upper = _chord_secant_upper(lo, hi, at_lo, at_hi, left_slope, right_slope)
-            seen.append((lo, hi, min(upper, _rise_fall_upper(at_lo, at_hi))))
+        def recording(p1s, sums, cav_cap):
+            upper = _cell_upper(p1s, sums, cav_cap)
+            seen.extend(zip(p1s[1].tolist(), p1s[2].tolist(), upper[:, 0].tolist()))
             return upper
 
-        monkeypatch.setattr(optimizer, "_chord_secant_upper", recording)
+        monkeypatch.setattr(optimizer, "_cell_upper", recording)
         quad = QuadratureConfig(m=20_000)
         result = branch_and_bound(n, alpha, beta, BnbConfig(epsilon=1e-3, quad=quad))
         assert result.certified and len(seen) == result.nodes_explored > 1
@@ -278,6 +279,30 @@ class TestBranchAndBound:
             assert result.certified and result.certified_gap <= eps
             assert result.value >= line.value - eps - line.certified_gap
             assert result.value <= line.value + line.certified_gap + result.certified_gap
+
+    def test_gap_covers_a_dense_scan_of_the_chain(self):
+        """No point of a 2,001-point scan of the chain, on the same rule,
+        lies above the value plus the gap less its quadrature allowance.
+        The scan reads the values both searches read (`_BatchSums`), which
+        match `lattice_value` term by term (`TestFactoredScan`) at a
+        quarter of its cost."""
+        rng = np.random.default_rng(41)
+        quad = QuadratureConfig(m=20_000)
+        cases = 0
+        while cases < 30:
+            n = int(rng.choice([3, 4, 5, 7, 10]))
+            alpha, beta = float(rng.random()), float(rng.uniform(0.5, 4.0))
+            eps = float(rng.choice([1e-2, 1e-3]))
+            fam, spec = _family(n, quad), ConvexCombo(alpha)
+            delta = fam.error_bound(spec, beta)
+            if 2.0 * delta >= eps:
+                continue  # refused: the quadrature allowance takes all of epsilon
+            result = branch_and_bound(n, alpha, beta, BnbConfig(eps, quad=quad))
+            assert result.certified
+            p1s = np.linspace(1.0 / (n - 1), 1.0, 2001)
+            scanned = _BatchSums(fam, [spec], beta).at(p1s)[0, :, 0].max()
+            assert scanned <= result.value + result.certified_gap - 2.0 * delta, (n, alpha, beta)
+            cases += 1
 
     def test_anchor_search_is_pinned(self):
         result = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-3))
@@ -739,12 +764,13 @@ class TestFactoredScan:
         reversed_batch = _BatchSums(fam, LINE_SPECS[::-1], beta).at(p1s)[:, :, ::-1]
         reversed_points = _BatchSums(fam, LINE_SPECS, beta).at(p1s[::-1])[:, ::-1]
         for k, spec in enumerate(LINE_SPECS):
-            value, *classes, size = got[:, :, k]
+            value, rise, fall, vex, cav, size = got[:, :, k]
             want = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)
             assert value.shape == (length,)
             assert np.allclose(size, term_sizes(fam, spec, beta, p1s), rtol=1e-14, atol=0.0)
             assert np.all(np.abs(value - want) <= 1e-14 * size)
-            assert np.all(np.abs(sum(classes) - want) <= 1e-14 * size)
+            assert np.all(np.abs(rise + fall - want) <= 1e-14 * size)
+            assert np.all(np.abs(vex + cav - want) <= 1e-14 * size)
             # a spec's sums depend neither on the batch nor on the other points
             alone = _BatchSums(fam, [spec], beta).at(p1s)[:, :, 0]
             for other in (reversed_batch[:, :, k], reversed_points[:, :, k], alone):
@@ -854,6 +880,28 @@ class TestGridSearch:
         monkeypatch.setattr(optimizer, "count_lattice_policies", no_count)
         with pytest.raises(BudgetExceededError, match="more than %d" % _LATTICE_GUARD):
             grid_search(ConvexCombo(0.0), 2.0, n, 1e-9)
+
+    @pytest.mark.parametrize("n, granularity", [(2, 1e-7), (5, 0.0025), (10, 0.01)])
+    def test_a_lattice_above_the_byte_cap_is_refused_before_it_is_built(self, monkeypatch,
+                                                                           n, granularity):
+        """Each holds fewer than `_LATTICE_GUARD` candidates, yet 5,000,001
+        candidates at n = 2 peaked at 300 MB when they were enumerated."""
+        def no_matrix(*args):
+            raise AssertionError("enumerated the lattice")
+
+        monkeypatch.setattr(optimizer, "_lattice_matrix", no_matrix)
+        count = count_lattice_policies(n, round(1 / granularity))
+        assert count <= _LATTICE_GUARD and _lattice_bytes(n, count) > MAX_LATTICE_BYTES
+        with pytest.raises(BudgetExceededError, match="above the cap of %d MB"
+                           % (MAX_LATTICE_BYTES >> 20)):
+            grid_search(ConvexCombo(0.0), 2.0, n, granularity)
+
+    @pytest.mark.parametrize("n, resolution", [(5, 100), (6, 100), (5, 50), (5, 200), (8, 100)])
+    def test_the_byte_cap_admits_the_working_lattices(self, n, resolution):
+        """The lattice oracle's benchmark lattices (n = 5 and 6 at 0.01), the
+        README's grid example (n = 5 at 0.02), the acceptance suite's 0.005
+        lattice and n = 8 at 0.01."""
+        assert _lattice_bytes(n, count_lattice_policies(n, resolution)) <= MAX_LATTICE_BYTES
 
     def test_the_uncounted_refusal_is_a_lower_bound(self):
         for n in range(2, 9):

@@ -55,7 +55,6 @@ from .optimizer import (
     OptResult,
     branch_and_bound,
     c_decomposition,
-    gap_constants,
     grid_search,
     interval_bounds,
     two_level_line_search,

@@ -239,27 +239,30 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_seed(args) -> None:
-    if args.seed < 0:
-        raise ContestOptError("--seed must be >= 0, got %d" % args.seed)
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ContestOptError("--seed must be >= 0, got %d" % seed)
 
 
 def cmd_equilibrium(args) -> int:
+    if not args.simulate:
+        _refuse_unread(args, ["--seed", "--deviation-grid"], "without --simulate")
     _check_common(args)
-    _check_seed(args)
     policy = _policy_from_args(args)
     model = eq.EquilibriumModel(policy, args.beta)
+    seed = 0 if args.seed is None else args.seed
+    grid = 50 if args.deviation_grid is None else args.deviation_grid
     if args.simulate:
+        _check_seed(seed)
         # the audit's budgets, before the table takes any time
-        eq.check_simulate(policy.n, args.simulate, args.seed, args.deviation_grid)
+        eq.check_simulate(policy.n, args.simulate, seed, grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["q", "F"])
     for q, f in eq.cdf_table(model, args.points):
         writer.writerow([_fmt(q), _fmt(f)])
     # simulate before writing, so a failed audit leaves no partial output
-    report = (eq.simulate(model, args.simulate, args.seed, deviation_grid=args.deviation_grid)
-              if args.simulate else None)
+    report = eq.simulate(model, args.simulate, seed, deviation_grid=grid) if args.simulate else None
     _emit(buf.getvalue(), args.output)
     sys.stderr.write("q_max: %s\n" % _fmt(model.q_max))
     if report is not None:
@@ -280,7 +283,7 @@ def cmd_equilibrium(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ContestOptError("--trials must be at least 1, got %d" % args.trials)
-    _check_seed(args)
+    _check_seed(args.seed)
     results = verify_mod.run_checks(only=args.only, seed=args.seed, trials=args.trials)
     if not results:
         sys.stderr.write("error: no checks match %r\n" % args.only)
@@ -384,8 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--points", type=int, default=101, help="CDF table rows")
     p_eq.add_argument("--simulate", type=int, default=0,
                       help="Monte Carlo sample count (0 = skip)")
-    p_eq.add_argument("--seed", type=int, default=0)
-    p_eq.add_argument("--deviation-grid", type=int, default=50)
+    p_eq.add_argument("--seed", type=int, default=None,
+                      help="sampler seed (default 0); read only with --simulate")
+    p_eq.add_argument("--deviation-grid", type=int, default=None,
+                      help="deviation qualities of the audit (default 50); read only "
+                           "with --simulate")
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_ver = sub.add_parser("verify", help="run the named invariant checks")

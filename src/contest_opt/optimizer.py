@@ -9,20 +9,21 @@ to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
     U(I) = each term at the end of I where its integrand is largest: at u
            where coef * c1 >= 0, at l elsewhere
 
-and the gap contraction  U - L <= how far the objective's terms move over
-a step of |I| (`_TwoLevelFamily.step_moves`).  This rise/fall bound is
-what `interval_bounds` returns.  The searches also split the terms by
-shape: a term coef * x^a * h^r is convex in p1 when coef * (r - 1) >= 0
-and concave otherwise.  Over an interval the convex terms lie below their
-chord, and the concave ones below the secants through the nearest points
-on either side, so the lower of the two bounds holds; an interval with no
-point beyond it keeps the rise/fall bound unless no term is concave.
-Branch-and-bound and the line search bisect a grid of top shares level by
-level, for a batch of objectives at once (`_bisect`), and drop a cell once
-its bound is below the best value plus a (quadrature-adjusted) tolerance;
-the line search refines its best grid point where the objective's exact
+This rise/fall bound is what `interval_bounds` returns.  The searches
+also split the terms by shape: a term coef * x^a * h^r is convex in p1
+when coef * (r - 1) >= 0 and concave otherwise.  Over an interval the
+convex terms lie below their chord, and the concave ones below the
+secants through the nearest points on either side, so the lower of the
+two bounds holds; an interval with no point beyond it keeps the rise/fall
+bound unless no term is concave.  Branch-and-bound and the line search
+bisect a grid of top shares level by level, for a batch of objectives at
+once (`_bisect`), and drop a cell once its bound is below the best value
+plus a (quadrature-adjusted) tolerance.  Every cell is split or bounded,
+so the largest bound of a cell that left the search, less the best value
+and plus twice the quadrature allowance, is either search's gap.  The
+line search refines its best grid point where the objective's exact
 slope in p1 (`_TwoLevelFamily.slope`) crosses zero next to it
-(`_slope_root`).  Every call reads values, bounds and step moves from one
+(`_slope_root`).  Every call reads values and bounds from one
 `_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
 nonnegative), built once per (n, rule) and shared read-only (`_family`),
 and values and bounds through one kernel, `_BatchSums`, which integrates
@@ -273,26 +274,6 @@ class _TwoLevelFamily:
         values = (_term_values([unit], self.x, h, h, powers, read_only=True) for unit in shapes)
         return np.array([(v[rise] @ self.w[rise], v[fall] @ self.w[fall]) for v in values])
 
-    def step_moves(self, spec: ObjectiveSpec, b: float) -> tuple[float, list[tuple[float, float]]]:
-        """How far the objective moves when p1 moves by s: at most
-        lipschitz * s + sum(k * s**r for k, r in holder).
-
-        A term coef * x^a * h^r with r = g_exp + times_h moves h by c1*s at
-        each x, and h stays in [0, 1], so it moves by at most
-        |coef| I[x^a |c1|^r] s^r for 0 < r <= 1 and |coef| r I[x^a |c1|] s
-        for r > 1; a term with r = 0 is constant.
-        """
-        lipschitz, holder = 0.0, []
-        abs_c1 = np.abs(self.c1)
-        for t in _terms(spec, b, self.n):
-            r = t.power
-            w = self.w * self.x ** t.x_pow if t.x_pow else self.w
-            if r > 1.0:
-                lipschitz += abs(t.coef) * r * float(abs_c1 @ w)
-            elif r > 0.0:
-                holder.append((abs(t.coef) * float((abs_c1 ** r) @ w), r))
-        return lipschitz, holder
-
     def error_bound(self, spec: ObjectiveSpec, b: float) -> float:
         """Per-evaluation quadrature allowance; p1 = 1 maximizes every term's range."""
         return evaluate_error_bound(spec, b, hm(self.n), self.quad)
@@ -429,8 +410,9 @@ class _Bisection(NamedTuple):
     """The evaluated grid indices, ascending, their top shares and
     `_BatchSums.at` rows (row, point, objective); the top shares in the
     order evaluated; per objective, the largest bound of a cell that left
-    unsplit (-inf if none); the cells bounded; the levels split; and
-    whether `max_cells` stopped the search."""
+    its search unsplit, which bounds the objective over the whole grid's
+    span; the cells bounded; the levels split; and whether `max_cells`
+    stopped the search."""
 
     idx: np.ndarray
     p1s: np.ndarray
@@ -453,9 +435,12 @@ def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol: 
     best value plus `tol`.  Each level bounds its cells and splits them at
     their middle index, each objective's top cell first and then, in a
     second `_BatchSums.at` call, the rest that still stay.  A cell with no
-    index inside is dropped unbounded.  The search stops when no cell
-    stays or, capped, before it would bound more than `max_cells` cells;
-    the bounds of the cells that stay then count as left over.
+    index inside is bounded but never split.  The search stops when no
+    cell stays or, capped, before it would bound more than `max_cells`
+    cells.  Each cell that leaves an objective's search, dropped, with no
+    index inside or left when the search stops, counts its bound for that
+    objective as left over, so every cell of the grid is split or counted
+    (Shubert, SIAM J. Numer. Anal. 9(3), 1972).
     """
     batch = _BatchSums(fam, specs, b)
     leftover = np.full(batch.count, -np.inf)
@@ -471,17 +456,18 @@ def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol: 
     live = np.ones((len(lo), batch.count), dtype=bool)  # cell, objective
     cells = levels = 0
     capped = False
-    while True:
-        inner = hi - lo > 1
-        if not inner.all():
-            lo, hi, live = lo[inner], hi[inner], live[inner]
-        if not len(lo):
-            break
+    while len(lo):
         # a doubled first point's stencil starts at its first copy
         near = idx.searchsorted(lo, side="right") + _STENCIL
         upper = _cell_upper(p1s[near], data[:, near], batch.cav_cap)
         upper[~live] = -np.inf
         cells += len(lo)
+        inner = hi - lo > 1
+        if not inner.all():
+            leftover = np.maximum(leftover, upper[~inner].max(axis=0))
+            lo, hi, upper = lo[inner], hi[inner], upper[inner]
+            if not len(lo):
+                break
         live = upper >= best + tol
         stay = live.any(axis=1)
         splits = int(np.count_nonzero(stay))
@@ -536,16 +522,6 @@ def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
     return lower, max(float(_rise_fall_upper(at_lo, at_hi)), lower)
 
 
-def gap_constants(n: int, alpha: float, beta,
-                  quad: QuadratureConfig | None = None) -> tuple[float, float]:
-    """Constants (C1, C2) bounding U - L by C1*|I| + C2*|I|^(1/beta): the
-    family's step moves of the welfare/quality mix, with the terms of
-    exponent r > 1 in C1 and the one with r = 1/beta <= 1 in C2."""
-    b = beta_value(beta)
-    lipschitz, holder = _family(n, quad or BNB_QUAD).step_moves(ConvexCombo(alpha), b)
-    return lipschitz, sum((k for k, _ in holder), 0.0)
-
-
 def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
                      trace: list | None = None) -> OptResult:
     """Branch-and-bound over the top share of two-level policies.
@@ -557,7 +533,7 @@ def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
     searches the `_BNB_GRID_STEPS` + 1 grid points from the chain's two
     ends, and the gap is the largest bound of a cell left over less the
     best value.  A cell of two neighbouring grid points, under 2.3e-16
-    wide, is dropped unbounded.
+    wide, is bounded but not split.
     `nodes_explored` counts the cells bounded, `max_depth` the levels
     split, and `trace` gets the top shares in the order evaluated.
     """
@@ -612,11 +588,12 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
 
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
-    objective gets a gap certificate: the family's step moves over one
-    grid step, plus twice the per-evaluation quadrature allowance, which is
-    the whole gap at n = 2, where hm(2) is the only point; a gap or value
-    that overflows is reported uncertified.  This is
-    `two_level_line_search_batch` on a batch of one.
+    objective gets a gap certificate: the largest bound of a cell the
+    grid search left (`_bisect`) less the value, plus twice the
+    per-evaluation quadrature allowance, which is the whole gap at n = 2,
+    where hm(2) is the only point; a gap or value that is not finite is
+    reported uncertified.  This is `two_level_line_search_batch` on a
+    batch of one.
     """
     return two_level_line_search_batch([spec], beta, n, steps, quad)[0]
 
@@ -632,9 +609,12 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     root search of its slope next to its best grid point
     (`_TwoLevelFamily.slope`, `_slope_root`), one term-by-term value at the
     root (`_TwoLevelFamily.value`), kept where it beats the grid's, and its
-    own gap, so every result is bit for bit the single search's.  An
-    objective outside the covered class fails the whole batch before any
-    grid point is evaluated.
+    own gap, so every value and policy is bit for bit the single search's.
+    A gap's cell bounds take their secants through every evaluated point,
+    some of them evaluated for the other objectives, so a gap in a batch
+    can be tighter than the single search's.  An objective outside the
+    covered class fails the whole batch before any grid point is
+    evaluated.
     """
     b = beta_value(beta)
     for spec in specs:
@@ -650,8 +630,8 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     configs = [{"n": n, "steps": steps, "objective": format_objective_config(spec),
                 "beta": b, "quad_m": quad.m, "quad_rule": quad.rule} for spec in specs]
     if n == 2:
-        # hm(2) is the only feasible point, so the step moves are 0 and the
-        # gap is the quadrature allowance alone
+        # hm(2) is the only feasible point, so the gap is the quadrature
+        # allowance alone
         values = [evaluate(spec, b, hm(2), quad) for spec in specs]
         gaps = [2.0 * evaluate_error_bound(spec, b, hm(2), quad) for spec in specs]
         return [OptResult(hm(2), v, gap, 1, "line:n2-hm", math.isfinite(gap) and math.isfinite(v),
@@ -659,10 +639,10 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
 
     fam = _family(n, quad)
     p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
-    step = (1.0 - 1.0 / (n - 1)) / (steps - 1)
-    picks, pick_values = _grid_argmax(fam, specs, b, p1_grid)
+    picks, pick_values, leftover = _grid_argmax(fam, specs, b, p1_grid)
     results = []
-    for spec, config, best, best_val in zip(specs, configs, picks.tolist(), pick_values.tolist()):
+    for spec, config, best, best_val, bound in zip(specs, configs, picks.tolist(),
+                                                   pick_values.tolist(), leftover.tolist()):
         best_p1 = float(p1_grid[best])
         # an infinite slope is a sign, and a nan one leaves the grid pick
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -672,9 +652,7 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
             if root_val > best_val:
                 best_p1, best_val = root, root_val
 
-        lipschitz, holder = fam.step_moves(spec, b)
-        gap = (lipschitz * step + sum(k * step ** r for k, r in holder)
-               + 2.0 * fam.error_bound(spec, b))
+        gap = max(bound - best_val, 0.0) + 2.0 * fam.error_bound(spec, b)
         # a bound that overflowed certifies nothing
         certified = math.isfinite(gap) and math.isfinite(best_val)
         results.append(OptResult(two_level(n, best_p1), best_val, gap, steps,
@@ -752,20 +730,22 @@ _GRID_FIRST_BATCH = 17
 
 
 def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
-    """Each objective's first best point of `p1_grid` (its index) and value,
-    as a full scan would find them, from few evaluated points.
+    """Each objective's first best point of `p1_grid` (its index), value
+    and upper bound over [p1_grid[0], p1_grid[-1]], as a full scan would
+    find the first two, from few evaluated points.
 
     `_bisect` searches the grid's indices, with no tolerance, from
     `_GRID_FIRST_BATCH` evenly spread points, a spacing of at least 1 that
     rounds to distinct indices, until no cell has an index inside.  A
     point never evaluated for an objective then lies below one that was,
-    so the first best evaluated point is the full scan's.
+    so the first best evaluated point is the full scan's.  The bound is
+    `_bisect`'s left-over bound, which covers every cell of the grid.
     """
     steps = len(p1_grid)
     idx = np.round(np.linspace(0, steps - 1, min(steps, _GRID_FIRST_BATCH))).astype(int)
     run = _bisect(fam, specs, b, p1_grid.__getitem__, idx)
     best = np.argmax(run.data[0], axis=0)
-    return run.idx[best], run.data[0, best, np.arange(len(specs))]
+    return run.idx[best], run.data[0, best, np.arange(len(specs))], run.leftover
 
 
 def count_lattice_policies(n: int, resolution: int) -> int:

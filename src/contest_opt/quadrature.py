@@ -6,8 +6,10 @@ which is the bound the optimizer's certificates rely on.  ``trapezoid`` is
 the standard closed rule (the same monotone bound holds, and the actual
 error is O(1/m^2) for smooth integrands).
 
-``exclude_left_endpoint`` clamps nodes below 1/m up to 1/m, so integrands
-with a singularity at x = 0 are never evaluated there.
+``exclude_left_endpoint`` acts only under ``trapezoid``: it moves the node
+at x = 0 to 1/m, keeping its weight, so integrands with a singularity at
+x = 0 are never evaluated there.  Right-Riemann nodes start at 1/m, so
+under ``right_riemann`` the flag changes nothing.
 """
 
 from __future__ import annotations

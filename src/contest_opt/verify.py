@@ -309,9 +309,13 @@ def check_affine_decomposition(seed: int, trials: int) -> CheckResult:
 
 
 def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
+    """L <= the largest value of a 101-point scan of [lo, hi] <= U, for the
+    `interval_bounds` (L, U) of random intervals, each scanned value read
+    from the sums the bounds read (`optimizer._BatchSums`).  The margin is
+    the scan's largest excess over U, below 0 where U holds."""
     rng = np.random.default_rng(seed)
     quad = QuadratureConfig(m=20_000)
-    worst = -np.inf  # the largest signed residual of the required inequalities
+    worst, ordered = -np.inf, True
     for _ in range(min(trials, 40)):
         n = int(rng.choice([3, 5, 8]))
         alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
@@ -320,13 +324,11 @@ def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
         if hi - lo < 1e-6:
             continue
         lower, upper = optimizer.interval_bounds(n, alpha, beta, lo, hi, quad)
-        c1, c2 = optimizer.gap_constants(n, alpha, beta, quad)
-        width = hi - lo
-        allowance = c1 * width + c2 * width ** (1.0 / beta)
-        quad_slack = 2 * objective.evaluate_error_bound(ConvexCombo(alpha), beta, hm(n), quad)
-        worst = max(worst, lower - upper)
-        worst = max(worst, (upper - lower) - allowance - quad_slack)
-    return _result("optimizer.bound_sandwich", worst <= 1e-9, worst, seed)
+        batch = optimizer._BatchSums(optimizer._family(n, quad), [ConvexCombo(alpha)], beta)
+        scanned = batch.at(np.linspace(lo, hi, 101))[0].max()
+        ordered = ordered and lower <= scanned
+        worst = max(worst, scanned - upper)
+    return _result("optimizer.bound_sandwich", ordered and worst <= 1e-9, worst, seed)
 
 
 def check_bnb_certificate(seed: int, trials: int) -> CheckResult:
@@ -374,7 +376,7 @@ def check_line_argmax(seed: int, trials: int) -> CheckResult:
             continue
         fam = optimizer._TwoLevelFamily(n, quad)
         p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
-        picks, _ = optimizer._grid_argmax(fam, specs, beta, p1s)
+        picks, _, _ = optimizer._grid_argmax(fam, specs, beta, p1s)
         for spec, pick in zip(specs, picks):
             scan = np.array([fam.value(spec, beta, p1) for p1 in p1s])
             best = int(np.argmax(scan))

@@ -23,7 +23,6 @@ from contest_opt import (
     classify_structure,
     evaluate,
     evaluate_hm_closed_form,
-    gap_constants,
     gradient,
     grid_search,
     hm,
@@ -112,7 +111,7 @@ def test_criterion_04_two_level_structure():
     verdict(4, ok, "0.02 lattice shapes at beta=2: %s" % tags)
 
 
-def test_criterion_05_bnb_certificates():
+def test_criterion_05_bnb_certificates(holder_constants):
     rng = np.random.default_rng(99)
     start = time.monotonic()
     epsilon = 1e-3
@@ -129,7 +128,7 @@ def test_criterion_05_bnb_certificates():
         ok = ok and result.value >= line.value - epsilon - (line.certified_gap or 0.0)
         worst_gap = max(worst_gap, result.certified_gap)
 
-        c1, c2 = gap_constants(5, alpha, beta)
+        c1, c2 = holder_constants(5, alpha, beta)
         delta = (alpha * 5 + 1 - alpha) / cfg.quad.m
         eps_prime = epsilon - 4 * delta  # termination threshold net of quadrature
         domain = 1.0 - 1.0 / 4.0

@@ -21,7 +21,6 @@ from contest_opt import (
     branch_and_bound,
     c_decomposition,
     evaluate,
-    gap_constants,
     grid_search,
     hm,
     interval_bounds,
@@ -81,6 +80,16 @@ def endpoint(batch, p1):
     return batch.at([p1])[:, 0, 0]
 
 
+def assert_gaps_cover_a_scan(fam, specs, beta, results, points):
+    """No point of a `points`-point scan of the chain, on the searches' own
+    rule, lies above a result's value plus its gap less its quadrature
+    allowance.  The scan reads the sums the searches read (`_BatchSums`)."""
+    p1s = np.linspace(1.0 / (fam.n - 1), 1.0, points)
+    scanned = _BatchSums(fam, specs, beta).at(p1s)[0].max(axis=0)
+    for spec, result, top in zip(specs, results, scanned):
+        assert top <= result.value + result.certified_gap - 2.0 * fam.error_bound(spec, beta), spec
+
+
 class TestCDecomposition:
     def test_right_endpoint(self):
         c0, c1 = c_decomposition(5, 1.0)
@@ -130,7 +139,7 @@ class TestIntervalBounds:
         (3, 0.012520048974219988, 0.7570102426645341, 0.6122174815655762, 0.6162833673497403),
     ]
 
-    def test_sandwich_and_contraction(self):
+    def test_sandwich_and_contraction(self, holder_constants):
         rng = np.random.default_rng(19)
         draws = []
         for _ in range(40):
@@ -146,7 +155,7 @@ class TestIntervalBounds:
             mid_value = evaluate(ConvexCombo(alpha), beta, two_level(n, 0.5 * (lo + hi)), FAST)
             assert lower <= upper + 1e-12
             assert max(lower, mid_value) <= upper + 1e-9
-            c1, c2 = gap_constants(n, alpha, beta, FAST)
+            c1, c2 = holder_constants(n, alpha, beta, FAST)
             width = hi - lo
             slack = 2 * evaluate_error_bound(ConvexCombo(alpha), beta, hm(n), FAST)
             assert upper - lower <= c1 * width + c2 * width ** (1 / beta) + slack
@@ -236,13 +245,12 @@ class TestChordSecantBound:
 
 
 class TestGapConstants:
+    """`verify`'s bound-sandwich check: a scan of [lo, hi] lies between the
+    interval bounds L and U."""
+
     @pytest.mark.parametrize("seed", [120, 136, 283])
     def test_bound_sandwich_check_passes(self, seed):
         assert verify.check_bound_sandwich(seed, 200).status == "pass"
-
-    def test_pure_quality_drops_welfare_constant(self):
-        c1, _ = gap_constants(5, 0.0, 2.0, FAST)
-        assert c1 == 0.0
 
 
 class TestOptimizerChecks:
@@ -260,10 +268,10 @@ class TestOptimizerChecks:
 
 
 class TestBranchAndBound:
-    def test_pure_quality_convex_cost_returns_uniform(self):
+    def test_pure_quality_convex_cost_returns_uniform(self, holder_constants):
         result = branch_and_bound(5, 0.0, 2.0, BnbConfig(epsilon=1e-3))
         assert result.certified and result.certified_gap <= 1e-3
-        c1, c2 = gap_constants(5, 0.0, 2.0)
+        c1, c2 = holder_constants(5, 0.0, 2.0)
         delta = min(1e-3 / c1 if c1 > 0 else np.inf, (1e-3 / c2) ** 2.0)
         assert 0.25 <= result.policy.p1 <= 0.25 + delta
 
@@ -413,18 +421,13 @@ class TestLineSearch:
     @pytest.mark.parametrize("beta", [0.6, 2.0])
     @pytest.mark.parametrize("spec", FIVE_FAMILIES)
     def test_every_family_is_certified(self, spec, beta):
+        """At 2 and 3 steps no cell has a grid index inside, so every cell
+        is bounded and none is split."""
         quad = QuadratureConfig(m=1000)
-        result = two_level_line_search(spec, beta, 5, steps=50, quad=quad)
-        assert result.certified and math.isfinite(result.certified_gap)
-        fam = _TwoLevelFamily(5, quad)
-        p1s = np.linspace(0.25, 1.0, 20_000)
-        values = np.concatenate([scan(fam, spec, beta, p1s[i:i + 1000])
-                                 for i in range(0, len(p1s), 1000)])
-        assert result.value + result.certified_gap >= values.max()
-        # the step-move rule bounds every move between neighbours of the scan
-        lipschitz, holder = fam.step_moves(spec, beta)
-        s = p1s[1] - p1s[0]
-        assert np.abs(np.diff(values)).max() <= lipschitz * s + sum(k * s ** r for k, r in holder)
+        results = [two_level_line_search(spec, beta, 5, steps=steps, quad=quad)
+                   for steps in (2, 3, 50)]
+        assert all(r.certified and math.isfinite(r.certified_gap) for r in results)
+        assert_gaps_cover_a_scan(_family(5, quad), [spec] * 3, beta, results, 20_000)
 
     @pytest.mark.parametrize("spec", FIVE_FAMILIES)
     def test_two_players_are_certified(self, spec):
@@ -445,9 +448,10 @@ class TestLineSearch:
                                        quad=QuadratureConfig(m=4000))
         # the grid's p1 = 1/4 is the pick, at the bottom of the grid with its
         # slope pointing out: its value is the grid point's own, each term's
-        # whole integral the sum of its two halves
+        # whole integral the sum of its two halves; the gap is the largest
+        # cell bound less that value, plus twice the quadrature allowance
         assert result.value == 0.44456681085414457
-        assert result.certified_gap == 0.031360556058693555
+        assert result.certified_gap == 0.000990386856416078
 
     def test_branch_and_bound_reads_the_same_value_bits(self):
         """Both searches take a point's value from `_BatchSums`' value row:
@@ -463,14 +467,32 @@ class TestLineSearch:
         with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_LINE_STEPS):
             two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=MAX_LINE_STEPS + 1)
 
-    def test_an_overflowed_gap_is_not_certified(self):
-        # every term is finite, but the step moves of the largest rate overflow
-        result = two_level_line_search(Exponential((709.0,)), 2.0, 5, steps=20,
-                                       quad=QuadratureConfig(m=50))
-        assert math.isfinite(result.value) and not math.isfinite(result.certified_gap)
-        assert not result.certified
+    def test_an_overflowed_gap_is_not_certified(self, monkeypatch):
+        """The largest rate's cell bounds stay finite, and so does its gap;
+        a bound that overflows still certifies nothing."""
+        args = Exponential((709.0,)), 2.0, 5, 20, QuadratureConfig(m=50)
+        result = two_level_line_search(*args)
+        assert math.isfinite(result.value) and math.isfinite(result.certified_gap)
+        assert result.certified
+        payload = json.loads(result.to_json(), parse_constant=self.refuse)
+        assert payload["gap"] == result.certified_gap and payload["certified"] is True
+
+        def overflowed(*grid_args):
+            picks, values, bounds = _grid_argmax(*grid_args)
+            return picks, values, np.full_like(bounds, math.inf)
+
+        monkeypatch.setattr(optimizer, "_grid_argmax", overflowed)
+        result = two_level_line_search(*args)
+        assert result.certified_gap == math.inf and not result.certified
         payload = json.loads(result.to_json(), parse_constant=self.refuse)
         assert payload["gap"] is None and payload["certified"] is False
+
+    def test_a_large_rate_gets_a_gap_below_its_value(self):
+        """At rate 100 the objective climbs steeply along the chain, and the
+        cell bounds still hold its gap below its value."""
+        result = two_level_line_search(Exponential((100.0,)), 2.0, 5, steps=100,
+                                       quad=QuadratureConfig(m=2000))
+        assert result.certified and 0.0 < result.certified_gap < result.value
 
     @staticmethod
     def refuse(constant):
@@ -509,9 +531,15 @@ class TestLineSearchBatch:
             want = two_level_line_search(spec, 2.0, n, steps=150, quad=quad)
             assert got.value == want.value
             assert got.policy.values == want.policy.values
-            assert got.certified_gap == want.certified_gap
             assert (got.method, got.certified, got.config) == (want.method, want.certified,
                                                                 want.config)
+        # in a batch a gap's secants may pass through other objectives'
+        # points, so it may be tighter than the single search's
+        if n == 2:
+            assert [got.certified_gap for got in batch] == [
+                2.0 * evaluate_error_bound(spec, 2.0, hm(2), quad) for spec in self.SPECS]
+        else:
+            assert_gaps_cover_a_scan(_family(n, quad), self.SPECS, 2.0, batch, 3001)
 
     def test_one_uncovered_objective_fails_the_batch_before_any_scan(self, monkeypatch):
         def no_scan(*args):
@@ -533,7 +561,8 @@ class TestLineSearchBatch:
             want = two_level_line_search(spec, beta, 5, steps=60, quad=quad)
             assert got.value == want.value
             assert got.policy.values == want.policy.values
-            assert got.certified_gap == want.certified_gap
+            assert got.certified
+        assert_gaps_cover_a_scan(_family(5, quad), specs, beta, batch, 3001)
 
 
 # the five families, with a negative coefficient in a posynomial that the
@@ -741,7 +770,7 @@ class TestRefinement:
         p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
         specs = [spec for spec in LINE_SPECS if structural_condition_holds(spec, beta)]
         results = two_level_line_search_batch(specs, beta, n, steps, quad)
-        picks, _ = _grid_argmax(fam, specs, beta, p1_grid)
+        picks, _, _ = _grid_argmax(fam, specs, beta, p1_grid)
         for spec, best, result in zip(specs, picks, results):
             p1s = np.linspace(p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)], 401)
             h = fam.c0[:, None] + fam.c1[:, None] * p1s
@@ -817,11 +846,17 @@ class TestGridArgmax:
     @pytest.mark.parametrize("beta", [0.6, 2.0])
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_pick_is_the_exhaustive_scan_best(self, n, beta):
+        """The pick is the grid's best point, and the bound lies above a
+        dense scan of the whole chain: every cell is split or bounded, one
+        with no grid index inside too, as at 2 and 3 steps."""
         fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
+        chain = np.linspace(1.0 / (n - 1), 1.0, 2001)
+        chain_top = _BatchSums(fam, LINE_SPECS, beta).at(chain)[0].max(axis=0)
         # sizes around the first batch of 17 points, too
         for steps in (2, 3, 7, 16, 17, 18, 33, 150, 1000):
             p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
-            picks, values = _grid_argmax(fam, LINE_SPECS, beta, p1s)
+            picks, values, bounds = _grid_argmax(fam, LINE_SPECS, beta, p1s)
+            assert np.all(chain_top <= bounds), steps
             for spec, pick, value in zip(LINE_SPECS, picks, values):
                 scanned = scan(fam, spec, beta, p1s)
                 scale = term_sizes(fam, spec, beta, p1s).max()

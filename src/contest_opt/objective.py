@@ -14,16 +14,19 @@ integrals of powers of the policy polynomial:
 where ``I[f] = integral of f over [0,1]``.  Gradients with respect to the
 top ``n-1`` shares share a single weight function ``w(x)`` multiplying each
 basis element, which is what the structural checks downstream exploit.
-Values and gradient weights alike are sums of terms ``coef * x^a * h^r``
-(``_Term``), summed by one kernel (``_term_values``): the weight is the
-sum of each term's slope ``coef * r * x^a * h^(r-1)``.
+Values, gradient weights and lattice brackets alike are sums of terms
+``coef * x^a * h^r`` (``_Term``), summed by one kernel: ``_plan`` groups
+the terms into polynomials in a root power q = h^e0, and ``_term_values``
+sums each by Horner's rule, so an exponential's Taylor terms take one
+power of h.  The weight is the sum of each term's slope
+``coef * r * x^a * h^(r-1)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Union
+from dataclasses import dataclass, field
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -39,22 +42,26 @@ from .quadrature import QuadratureConfig
 
 PN_TOL = 1e-12
 # Rounding allowance of `lattice_bracket`: the full value and the bracket sum
-# the same nonnegative products in different orders, the bracket by Horner's
-# rule of degree at most `_HORNER_MAX_DEGREE`, a relative error below 1e-13 of
-# the terms' integrated size.  g = B(p - p_n) is a sum of nonnegative products,
-# so its rounding is relative too and this one allowance covers it.
+# the same groups of one `_plan`, each by Horner's rule of degree at most
+# `_HORNER_MAX_DEGREE`, the bracket each sign apart, so they differ by a
+# relative error below 1e-13 of the terms' integrated size.  g = B(p - p_n)
+# is a sum of nonnegative products, so its rounding is relative too and this
+# one allowance covers it.
 BRACKET_ROUNDING = 1e-9
-# Largest degree in q = g^e0 that `lattice_bracket` sums by Horner's rule; a
-# term of higher degree takes its own power of g.
+# Largest degree in q = g^e0 that `_term_values` sums by Horner's rule, for
+# every value, slope, gradient weight and bracket; a term of higher degree,
+# or of a negative exponent, takes its own power of g.
 # With nonnegative coefficients and q >= 0 the Horner sum of degree d is
 # within gamma_2d = 2du / (1 - 2du) of the exact one, relative (Higham,
 # Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, ch. 5),
 # and q^j carries j times the one power's rounding: below 1e-13 at d = 64.
+# Each group is of one sign, so Horner's rule never runs across signs.
 _HORNER_MAX_DEGREE = 64
 # Most Taylor terms an `Exponential` expands to, over all its rates.  Every
-# term takes a power of h at each node: at DEFAULT_QUAD, `evaluate` of the
-# 2,149 terms of the default order at lambda = 709 took 17.5 s CPU and
-# `optimize --method line` 99 s.  The cap admits two such rates.
+# term past `_HORNER_MAX_DEGREE` takes a power of h at each node: at
+# DEFAULT_QUAD, with one power per term, `evaluate` of the 2,149 terms of the
+# default order at lambda = 709 took 17.5 s CPU and `optimize --method line`
+# 99 s.  The cap admits two such rates.
 MAX_TAYLOR_TERMS = 5000
 
 DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
@@ -166,8 +173,7 @@ ObjectiveSpec = Union[ConvexCombo, Posynomial, MaxOrderStat, Exponential, Social
 # term keeps one plain factor of h = g + p_n even on the full lattice.
 
 
-@dataclass(frozen=True)
-class _Term:
+class _Term(NamedTuple):
     coef: float
     g_exp: float
     x_pow: float = 0.0
@@ -211,8 +217,10 @@ def _slope_terms(terms) -> list[_Term]:
     """d/dh of each term on the reduced domain (g == h): coef * x^a * h^r
     gives coef * r * x^a * h^(r-1), and a constant term gives nothing.  A
     term with a plain factor of h, h * h^e, keeps its exponent e as it is,
-    so the mix's two slope terms take h^(1/beta) and h^(1/beta - 1), which
-    `_term_values` reads off that one power."""
+    so the mix's two slope terms take h^(1/beta) and h^(1/beta - 1).  Where
+    1/beta - 1 is no nonnegative multiple of 1/beta, it is a root of its
+    own, one below the first, and `_term_values` reads its power off the
+    first's (`_power_below`)."""
     return [_Term(t.coef * t.power, t.g_exp if t.times_h else t.g_exp - 1.0, t.x_pow)
             for t in terms if t.power != 0.0]
 
@@ -234,57 +242,113 @@ def _power_below(g: np.ndarray, above: np.ndarray, exponent: float) -> np.ndarra
     return power
 
 
-def _term_values(terms, x: np.ndarray, h: np.ndarray, g: np.ndarray,
+class _Group(NamedTuple):
+    """x^x_pow * sum_j q^j (a_j + b_j h), q = g^root, of one sign: `top` is
+    (a_d, b_d) at the degree d, and `steps` (a_j, b_j, j) for j = d - 1
+    down to 1, and to 0 where the group holds a constant."""
+
+    root: float
+    x_pow: float
+    negative: bool
+    degree: int
+    top: tuple[float, float]
+    steps: tuple[tuple[float, float, int], ...]
+
+
+def _plan(terms) -> tuple[_Group, ...]:
+    """The terms as polynomials in root powers q = g^root, one per root,
+    power of x and sign of the coefficient, in the order the terms first
+    reach them.  With e0 the smallest positive exponent over all the terms,
+    a term whose exponent is j * e0 in floating point for an integer
+    0 <= j <= `_HORNER_MAX_DEGREE` takes the root e0; any other, a negative
+    one among them, takes its own exponent as its root, with j = 1.  A
+    term's coefficient adds to b_j where it has a plain factor of h, else to
+    a_j."""
+    positive = [t.g_exp for t in terms if t.g_exp > 0.0]
+    # with no positive exponent, e0 serves only the constants, j = 0
+    e0 = min(positive) if positive else 1.0
+    groups: dict[tuple, dict[int, list[float]]] = {}
+    for coef, g_exp, x_pow, times_h in terms:
+        # a ratio past the bound, or inf or nan from an overflowed exponent,
+        # is no j
+        ratio = g_exp / e0
+        root, j = e0, (round(ratio) if 0.0 <= ratio <= _HORNER_MAX_DEGREE else -1)
+        if j < 0 or j * e0 != g_exp:
+            root, j = g_exp, 1
+        coefs = groups.setdefault((root, x_pow, coef < 0.0), {}).setdefault(j, [0.0, 0.0])
+        coefs[times_h] += coef
+    plan = []
+    for (root, x_pow, negative), coefs in groups.items():
+        degree = max(coefs)
+        stop = -1 if 0 in coefs else 0
+        steps = [(*coefs.get(j, (0.0, 0.0)), j) for j in range(degree - 1, stop, -1)]
+        plan.append(_Group(root, x_pow, negative, degree, tuple(coefs[degree]), tuple(steps)))
+    return tuple(plan)
+
+
+def _term_values(plan, x: np.ndarray, g: np.ndarray, pn=0.0,
                  powers: dict | None = None, read_only: bool = False) -> np.ndarray:
-    """Sum of the terms' integrands at the nodes.
+    """Sum of a `_plan`'s terms at the nodes, where g = B(p - p_n) and
+    h = g + p_n (h == g on the reduced domain, p_n = 0).
 
-    `powers` holds the last power of g computed, as {g_exp: g**g_exp}, and a
-    term with the same exponent reuses it, so a mix whose terms share an
-    exponent takes one power.  A term whose exponent is the memo's less 1
-    reads its power off the memo's (`_power_below`), so the mix's slope
-    takes one power too.  Callers that integrate several term lists on the
-    same g pass one dict to every call.  One power at a time keeps the
-    memory of a call at one extra array of g's shape.
+    Each group is summed by Horner's rule in its q: from the top degree
+    down, add a_j + b_j h as b_j g + (a_j + b_j p_n), so h is never
+    formed, and multiply by q while j > 0; then by x^x_pow.  A top b h
+    alone on the reduced domain enters as (b q) g, so a lone term sums as
+    coef * g^r * h * x^a, in that order.
 
-    The sum is bit for bit 0.0 + part_1 + part_2 + ..., but it starts from
-    the first part's own array.  Each part is one fresh temporary, multiplied
-    in place, and a unit coefficient multiplies nothing.  0.0 + part differs
-    from part only in the sign of a zero, so 0.0 is still added where the
-    first part can hold -0.0: a negative coefficient; g and h are sums of
-    nonnegative products, so hold none, nor do their powers.  The memo's
-    array is only read: a second part is added into a new array, and a sum
-    of the memo's part alone is returned as a copy, or as the memo's array
-    itself to a caller that passes `read_only` and only reads the sum.
+    `powers` holds the last root power taken, {root: g**root}, for the
+    next group of that root; a root one below it reads its power off it
+    (`_power_below`).  Callers that sum several plans on the same g pass
+    one dict to every call; one power at a time keeps a call's memory at
+    one extra array of g's shape.  The memo's arrays are only read: a lone
+    unit term's part is the memo's array, and a sum of it alone is a copy,
+    or the array itself to a caller that passes `read_only`.
+
+    The sum is bit for bit 0.0 + part_1 + part_2 + ... over the groups, but
+    starts from the first part's own array and adds 0.0 only where that can
+    hold -0.0: a negative group, since g, h and their powers hold none.
     """
-    if not terms:
+    if not plan:
         return np.zeros_like(g)
     powers = {} if powers is None else powers
     total, owned = None, False
-    for t in terms:
-        fresh = True
-        if t.g_exp == 0.0:
-            part = np.full_like(g, t.coef)
-        else:
-            if t.g_exp not in powers:
+    for root, x_pow, negative, degree, (a, b), steps in plan:
+        if degree:
+            q = powers.get(root)
+            if q is None:
                 held = next(iter(powers.items()), None)
-                power = (_power_below(g, held[1], t.g_exp) if held and held[0] - 1.0 == t.g_exp
-                         else np.power(g, t.g_exp))
+                q = (_power_below(g, held[1], root) if held and held[0] - 1.0 == root
+                     else np.power(g, root))
                 powers.clear()
-                powers[t.g_exp] = power
-            part = powers[t.g_exp]
-            if t.coef == 1.0:
-                fresh = False
+                powers[root] = q
+        fresh = True
+        if not b:
+            if a == 1.0 and degree == 1 and not steps:
+                part, fresh = q, False
             else:
-                part = t.coef * part
-        if t.times_h:
-            part = np.multiply(part, h, out=part if fresh else None)
-            fresh = True
-        if t.x_pow:
-            part = np.multiply(part, np.power(x, t.x_pow), out=part if fresh else None)
+                part = a * q if degree else np.full_like(g, a)
+        elif degree and not a and not (pn.any() if isinstance(pn, np.ndarray) else pn):
+            part = q * g if b == 1.0 else b * q * g
+        else:
+            part = b * g
+            part += a + b * pn
+            if degree:
+                part *= q
+        for a, b, j in steps:
+            if b:
+                part += b * g
+                part += a + b * pn
+            elif a:
+                part += a
+            if j:
+                part *= q
+        if x_pow:
+            part = np.multiply(part, np.power(x, x_pow), out=part if fresh else None)
             fresh = True
         if total is None:
             total, owned = part, fresh
-            if fresh and math.copysign(1.0, t.coef) < 0.0:
+            if negative:
                 total += 0.0
         elif owned:
             total += part
@@ -350,7 +414,7 @@ def gradient_weight(spec: ObjectiveSpec, beta, p: Policy, x):
     _require_reduced(p)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.atleast_1d(h_eval(p, x_arr))
-    total = _term_values(_slope_terms(_terms(spec, b, p.n)), x_arr, h, h)
+    total = _term_values(_plan(_slope_terms(_terms(spec, b, p.n))), x_arr, h)
     return float(total[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else total
 
 
@@ -380,70 +444,9 @@ def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     """
     b = beta_value(beta)
     pn = np.asarray(pn)
-    terms = _terms(spec, b, n)
     xcol = x if g.ndim == 1 else x[:, None]
-    h = g + pn if pn.any() and any(t.times_h for t in terms) else g
-    values = _term_values(terms, xcol, h, g)
+    values = _term_values(_plan(_terms(spec, b, n)), xcol, g, pn)
     return values.T @ w + _lattice_constant(spec, n, pn)
-
-
-def _root_plan(terms, e0: float):
-    """The terms as polynomials in a root power q = g^root, one per root and
-    power of x: {(root, x_pow): {j: [a_j, b_j]}} for the sum of
-    x^x_pow q^j (a_j + b_j h).  A term whose exponent is j * e0 in floating
-    point for an integer j <= `_HORNER_MAX_DEGREE` takes the root e0; any
-    other takes its own exponent as its root, with j = 1."""
-    plan: dict[tuple[float, float], dict[int, list[float]]] = {}
-    for t in terms:
-        # a ratio past the bound, or inf or nan from an overflowed exponent,
-        # is no j
-        ratio = t.g_exp / e0
-        root, j = e0, (round(ratio) if ratio <= _HORNER_MAX_DEGREE else -1)
-        if j * e0 != t.g_exp:
-            root, j = t.g_exp, 1
-        coefs = plan.setdefault((root, t.x_pow), {}).setdefault(j, [0.0, 0.0])
-        coefs[t.times_h] += t.coef
-    return plan
-
-
-def _root_values(plan, x: np.ndarray, g: np.ndarray, pn, powers: dict) -> np.ndarray:
-    """Sum of a `_root_plan` at the nodes, by Horner's rule in q per root and
-    power of x.  A coefficient a_j + b_j h enters as b_j g + (a_j + b_j p_n),
-    so h is never formed.  `powers` holds the last root power computed, as
-    {root: g**root}, as in `_term_values`; callers that sum several plans on
-    the same g pass one dict to every call."""
-    total = None
-    for (root, x_pow), coefs in plan.items():
-        degree = max(coefs)
-        if degree:
-            if root not in powers:
-                powers.clear()
-                powers[root] = np.power(g, root)
-            q = powers[root]
-        a, b = coefs[degree]
-        if b:
-            part = b * g
-            part += a + b * pn
-            if degree:
-                part *= q
-        else:
-            part = a * q if degree else np.full_like(g, a)
-        for j in range(degree - 1, -1, -1):
-            a, b = coefs.get(j, (0.0, 0.0))
-            if b:
-                part += b * g
-                part += a + b * pn
-            elif a:
-                part += a
-            if j:
-                part *= q
-        if x_pow:
-            part *= np.power(x, x_pow)
-        if total is None:
-            total = part
-        else:
-            total += part
-    return total
 
 
 def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
@@ -462,13 +465,9 @@ def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     P.w_high, likewise for N, and the value lies in
     [P.w_low - N.w_high, P.w_high - N.w_low] plus the lattice constant.
 
-    P and N are summed in root form: with e0 the smallest positive exponent
-    of g among all the terms, the terms whose exponents are small integer
-    multiples of e0 make a polynomial in q = g^e0, and each other term is
-    its own polynomial of degree 1 in its own power (`_root_plan`).  Each
-    is summed by Horner's rule (`_root_values`), and both classes share the
-    powers they take, so an exponential costs one power, not one per
-    Taylor term.
+    P and N are summed as `lattice_value` sums its terms, from one `_plan`
+    split by sign: the groups of each sign share e0 and one power memo, so
+    an exponential costs one power, not one per Taylor term.
 
     Both ends are widened by `BRACKET_ROUNDING` times
     P.w_high + N.w_high + |constant|.  `g` holds the policies' values at
@@ -479,24 +478,22 @@ def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     b = beta_value(beta)
     pn = np.asarray(pn)
     xcol = x if g.ndim == 1 else x[:, None]
-    terms = _terms(spec, b, n)
-    classes = ([t for t in terms if t.coef > 0.0],
-               [replace(t, coef=-t.coef) for t in terms if t.coef < 0.0])
-    # with no positive exponent every term is a constant, j = 0 of any root
-    e0 = min((t.g_exp for t in terms if t.g_exp > 0.0), default=1.0)
+    plan = _plan(_terms(spec, b, n))
     powers: dict = {}
 
-    def class_sums(sign_class):
-        if not sign_class:
+    def class_sums(negative: bool):
+        groups = tuple(group for group in plan if group.negative == negative)
+        if not groups:
             return 0.0, 0.0
-        values = _root_values(_root_plan(sign_class, e0), xcol, g, pn, powers)
+        values = _term_values(groups, xcol, g, pn, powers, read_only=True)
         return values.T @ w_low, values.T @ w_high
 
-    (rise_low, rise_high), (fall_low, fall_high) = map(class_sums, classes)
+    # fall_low and fall_high: the falling terms' signed sums, -N.w_low and -N.w_high
+    (rise_low, rise_high), (fall_low, fall_high) = class_sums(False), class_sums(True)
     constant = _lattice_constant(spec, n, pn)
-    slack = BRACKET_ROUNDING * (rise_high + fall_high + np.abs(constant))
-    return (rise_low - fall_high + constant - slack,
-            rise_high - fall_low + constant + slack)
+    slack = BRACKET_ROUNDING * (rise_high - fall_high + np.abs(constant))
+    return (rise_low + fall_high + constant - slack,
+            rise_high + fall_low + constant + slack)
 
 
 def check_posynomial_condition(terms, beta) -> tuple[bool, int | None]:

@@ -40,13 +40,13 @@ candidates: after each of these stages the candidate with the largest upper
 end is summed at every node, and its value, the incumbent, rules out every
 candidate whose upper end lies below it, as the best lower end does.  A last
 bracket at every node, only its rounding allowance wide, leaves the
-finalists, and only those are summed again term by term.  Each bracket sums
-its rising and its falling terms in root form: the terms whose exponents of
-g are integer multiples j <= 64 of the smallest, e0, make a polynomial in
-q = g^e0, summed by Horner's rule, each other term takes its own power, and
-both classes share the powers (`objective.lattice_bracket`).  An
-exponential reward so costs one power per node and candidate, not one per
-Taylor term.
+finalists, and only those are summed again at every node.  Brackets and
+values sum their terms through one kernel (`objective._term_values`): the
+terms whose exponents of g are integer multiples j <= 64 of the smallest,
+e0, make a polynomial in q = g^e0, summed by Horner's rule, and each other
+term takes its own power; a bracket sums its rising and its falling terms
+apart, sharing the powers (`objective.lattice_bracket`).  An exponential
+reward so costs one power per node and candidate, not one per Taylor term.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property, lru_cache
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -74,6 +74,7 @@ from .objective import (
     lattice_value,
     structural_condition_holds,
     _Term,
+    _plan,
     _slope_terms,
     _term_values,
     _terms,
@@ -85,7 +86,6 @@ BNB_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoi
 GRID_QUAD = QuadratureConfig(m=1000, rule="trapezoid", exclude_left_endpoint=False)
 LINE_QUAD = QuadratureConfig(m=20_000, rule="right_riemann", exclude_left_endpoint=True)
 
-_LATTICE_GUARD = 10**8
 # most bytes `_lattice_matrix` may take (`_lattice_bytes`): `optimize
 # --method grid` peaked at 211 MB at n = 8, granularity 0.01 (244 MB by that
 # count), and at 300 MB at n = 2, granularity 1e-7 (320 MB)
@@ -222,7 +222,7 @@ class _TwoLevelFamily:
             arr.setflags(write=False)
 
     def value(self, spec: ObjectiveSpec, b: float, p1: float) -> float:
-        """The objective at top share p1, summed term by term at each node:
+        """The objective at top share p1, summed at every node:
         `lattice_value` on the chain's h."""
         h = self.c1 * p1
         h += self.c0
@@ -244,24 +244,24 @@ class _TwoLevelFamily:
         """The exact p1-derivative of `value`'s quadrature sum, as a function
         of p1: the sum over the nodes of w * c1 times each term's slope in
         h, coef * r * x^a * h^(r-1) (`objective._slope_terms`).  The terms
-        and weights are built once, here, for every p1 the function is
+        plan and weights are built once, here, for every p1 the function is
         called at.  Where h rounds to 0 a slope of power r - 1 < 0 is inf,
         and so may be the sum, whose sign still holds; terms of both signs
         there give nan."""
-        terms = _slope_terms(_terms(spec, b, self.n))
+        plan = _plan(_slope_terms(_terms(spec, b, self.n)))
         x, c0, c1, weights = self._slope_nodes
 
         def at(p1: float) -> float:
             h = c1 * p1
             h += c0
-            return float(_term_values(terms, x, h, h) @ weights)
+            return float(_term_values(plan, x, h) @ weights)
 
         return at
 
-    def shape_sums(self, shapes, p1: float) -> np.ndarray:
-        """Integrals of each unit-coefficient term in `shapes` at p1 over the
-        nodes from `cut` on and over those before it, in that (rise, fall)
-        order, one row each.
+    def shape_sums(self, plans, p1: float) -> np.ndarray:
+        """Integrals of each unit term shape's `_plan` in `plans` at p1 over
+        the nodes from `cut` on and over those before it, in that (rise,
+        fall) order, one row each.
 
         One h and one power memo serve every shape, and each row is two dot
         products of its integrand with the weights, so a row depends on its
@@ -271,7 +271,7 @@ class _TwoLevelFamily:
         h += self.c0
         powers: dict = {}
         rise, fall = slice(self.cut, None), slice(None, self.cut)
-        values = (_term_values([unit], self.x, h, h, powers, read_only=True) for unit in shapes)
+        values = (_term_values(plan, self.x, h, 0.0, powers, read_only=True) for plan in plans)
         return np.array([(v[rise] @ self.w[rise], v[fall] @ self.w[fall]) for v in values])
 
     def error_bound(self, spec: ObjectiveSpec, b: float) -> float:
@@ -310,11 +310,12 @@ class _BatchSums:
     def __init__(self, fam: _TwoLevelFamily, specs, b: float):
         self.fam, self.count = fam, len(specs)
         terms = [_terms(spec, b, fam.n) for spec in specs]
-        units = [[replace(t, coef=1.0) for t in ts] for ts in terms]
+        units = [[t._replace(coef=1.0) for t in ts] for ts in terms]
         # sorted, so that shapes with one power of h sit together
-        self.shapes = sorted({u for us in units for u in us},
-                             key=lambda u: (u.g_exp, u.x_pow, u.times_h))
-        row = {unit: i for i, unit in enumerate(self.shapes)}
+        shapes = sorted({u for us in units for u in us},
+                        key=lambda u: (u.g_exp, u.x_pow, u.times_h))
+        self.plans = [_plan([u]) for u in shapes]
+        row = {unit: i for i, unit in enumerate(shapes)}
         groups: dict[tuple, list[int]] = {}
         for k, (ts, us) in enumerate(zip(terms, units)):
             key = tuple((row[u], _is_convex(t), _rise_column(t)) for t, u in zip(ts, us))
@@ -339,9 +340,9 @@ class _BatchSums:
         and that fall as p1 grows, each term's half by `_rise_column`; its
         convex and its concave terms (`_is_convex`); and size, which
         integrates the terms with their coefficients' magnitudes."""
-        sums = np.zeros((len(self.shapes), 4, len(p1s)))  # shape, (whole, rise, fall, 0), point
-        sums[:, 1:3] = np.array([self.fam.shape_sums(self.shapes, p1) for p1 in p1s]).reshape(
-            len(p1s), len(self.shapes), 2).transpose(1, 2, 0)
+        sums = np.zeros((len(self.plans), 4, len(p1s)))  # shape, (whole, rise, fall, 0), point
+        sums[:, 1:3] = np.array([self.fam.shape_sums(self.plans, p1) for p1 in p1s]).reshape(
+            len(p1s), len(self.plans), 2).transpose(1, 2, 0)
         np.add(sums[:, 1], sums[:, 2], out=sums[:, 0])
         out = np.empty((6, len(p1s), self.count))
         for ks, adds in self.groups:
@@ -607,7 +608,7 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     alpha column of a sweep integrates two term shapes per point, whatever
     its number of alphas.  Each objective then gets, in turn, its own
     root search of its slope next to its best grid point
-    (`_TwoLevelFamily.slope`, `_slope_root`), one term-by-term value at the
+    (`_TwoLevelFamily.slope`, `_slope_root`), one full value at the
     root (`_TwoLevelFamily.value`), kept where it beats the grid's, and its
     own gap, so every value and policy is bit for bit the single search's.
     A gap's cell bounds take their secants through every evaluated point,
@@ -802,7 +803,7 @@ def _lattice_matrix(n: int, resolution: int) -> np.ndarray:
     shares, from the largest (capped by the previous share and by what is
     left) down to the smallest (the mean of what is left), so rows come in
     decreasing lexicographic order.  Each level keeps only its shares and
-    the index of its parent prefix, as int32 (the lattice guard keeps every
+    the index of its parent prefix, as int32 (the byte cap keeps every
     count far below 2^31); the rows are read back through the parents.
     """
     out = np.empty((count_lattice_policies(n, resolution), n))
@@ -878,19 +879,16 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     resolution = round(1.0 / granularity)
     if abs(resolution * granularity - 1.0) > 1e-9:
         raise DomainError("1/granularity must be an integer, got %r" % granularity)
-    # a count takes O(n * resolution) steps, so a lattice that is surely too
-    # large is refused before it is counted
-    count = None if _lattice_exceeds(n, resolution, _LATTICE_GUARD) else (
-        count_lattice_policies(n, resolution))
-    if count is None or count > _LATTICE_GUARD:
+    # the most candidates of n shares the byte cap admits; a count takes
+    # O(n * resolution) steps, so a lattice that surely holds more is refused
+    # before it is counted
+    allowance = MAX_LATTICE_BYTES // _lattice_bytes(n, 1)
+    if (_lattice_exceeds(n, resolution, allowance)
+            or count_lattice_policies(n, resolution) > allowance):
         raise BudgetExceededError(
-            "lattice holds more than %d candidates; use two_level_line_search "
-            "for a 1-D search over top shares instead" % _LATTICE_GUARD
-        )
-    if _lattice_bytes(n, count) > MAX_LATTICE_BYTES:
-        raise BudgetExceededError(
-            "enumerating %d candidates of %d shares takes about %d MB, above the cap of %d MB"
-            % (count, n, _lattice_bytes(n, count) >> 20, MAX_LATTICE_BYTES >> 20))
+            "lattice holds more than %d candidates of %d shares, which take more than the "
+            "cap of %d MB to enumerate; use two_level_line_search for a 1-D search over "
+            "top shares instead" % (allowance, n, MAX_LATTICE_BYTES >> 20))
     quad = quad or GRID_QUAD
     config = {"n": n, "granularity": granularity, "objective": format_objective_config(spec),
               "beta": b, "quad_m": quad.m, "quad_rule": quad.rule}

@@ -160,7 +160,8 @@ class TestOptimize:
     def test_grid_lattice_guard(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--method", "grid", "--n", "8",
                                  "--granularity", "0.005")
-        assert code == 3 and out == "" and "candidates" in err
+        assert code == 3 and out == ""
+        assert "more than 1677721 candidates of 8 shares" in err and "cap of 256 MB" in err
 
     def test_grid_json(self, capsys):
         code, out, _ = run_cli(capsys, "optimize", "--method", "grid",

@@ -33,6 +33,8 @@ from contest_opt.quadrature import MAX_M
 from contest_opt.objective import (
     MAX_TAYLOR_TERMS,
     _Term,
+    _plan,
+    _slope_terms,
     _term_values,
     _terms,
     evaluate_error_bound,
@@ -170,40 +172,78 @@ class TestEvaluate:
 
 
 def _memo_edge_cases():
-    """(label, terms, x, h, g) for each way a term sum can start."""
+    """(label, terms, x, g, pn) for each way a term sum can start."""
     x = np.linspace(0.01, 1.0, 300)
     rng = np.random.default_rng(9)
     g = np.column_stack([h_eval(random_reduced_policy(rng, 5), x) for _ in range(5)])
     g[:40] = 0.0  # where g vanishes, a negative coefficient gives -0.0
-    yield "1d_g", _terms(ConvexCombo(0.24), 2.0, 5), x, g[:, 1], g[:, 1]
-    yield "1d_unit_power_alone", [_Term(1.0, 0.5)], x, g[:, 2], g[:, 2]
+    yield "1d_g", _terms(ConvexCombo(0.24), 2.0, 5), x, g[:, 1], 0.0
+    yield "1d_unit_power_alone", [_Term(1.0, 0.5)], x, g[:, 2], 0.0
     xcol = x[:, None]
     yield "constant_first", [_Term(0.7, 0.0), _Term(1.0, 0.5),
-                             _Term(2.0, 0.5, times_h=True)], xcol, g, g
-    yield "negative_at_zero_g", [_Term(-1.5, 0.5), _Term(-1.0, 3.0)], xcol, g, g
-    yield "negative_constant_first", [_Term(-0.25, 0.0), _Term(1.0, 0.5)], xcol, g, g
-    h = g + np.linspace(0.0, 0.2, g.shape[1])  # h = g + p_n, as on the full lattice
+                             _Term(2.0, 0.5, times_h=True)], xcol, g, 0.0
+    yield "negative_at_zero_g", [_Term(-1.5, 0.5), _Term(-1.0, 3.0)], xcol, g, 0.0
+    yield "negative_constant_first", [_Term(-0.25, 0.0), _Term(1.0, 0.5)], xcol, g, 0.0
+    pn = np.linspace(0.0, 0.2, g.shape[1])  # h = g + p_n, as on the full lattice
     yield "x_pow_times_h", [_Term(5.0, 0.5, x_pow=4.0, times_h=True),
-                            _Term(1.0, 0.5)], xcol, h, g
+                            _Term(1.0, 0.5)], xcol, g, pn
     yield "unit_x_pow_times_h", [_Term(1.0, 0.5, x_pow=3.0, times_h=True),
-                                 _Term(-2.0, 0.5, x_pow=1.0)], xcol, h, g
+                                 _Term(-2.0, 0.5, x_pow=1.0)], xcol, g, pn
     yield "unit_power_then_more", [_Term(1.0, 0.5), _Term(1.0, 0.5),
-                                   _Term(0.3, 0.5, times_h=True)], xcol, h, g
+                                   _Term(0.3, 0.5, times_h=True)], xcol, g, pn
+    # the mix's slope at beta 2: a root one below the memo's, read off it,
+    # and a root that is a negative multiple of e0; g > 0, where h^-0.5 is finite
+    yield "negative_root_off_the_memo", [_Term(1.2, 0.5), _Term(0.3, -0.5)], xcol, g[40:], 0.0
 
 
 class TestPowerMemo:
+    """`_term_values` on a `_plan`: each group summed by Horner's rule from
+    one power of g per root, against one power per term."""
+
     @staticmethod
-    def reference(terms, x, h, g):
-        """The term loop without a memo: one power per term."""
-        total = np.zeros_like(g)
+    def reference(terms, x, g, pn):
+        """The terms summed one at a time, each with its own power of g, from
+        0.0, and the same sum of their magnitudes: the scale of the rounding."""
+        total, size = np.zeros_like(g), np.zeros_like(g)
         for t in terms:
-            part = t.coef * np.power(g, t.g_exp) if t.g_exp != 0.0 else np.full_like(g, t.coef)
+            part = np.power(g, t.g_exp) if t.g_exp != 0.0 else np.ones_like(g)
             if t.times_h:
-                part = part * h
+                part = part * (g + pn)
             if t.x_pow:
                 part = part * np.power(x, t.x_pow)
-            total += part
-        return total
+            total += t.coef * part
+            size += abs(t.coef) * part
+        return total, size
+
+    @staticmethod
+    def check_memo(plan, x, g, pn, memo, read_only):
+        """The sum with `memo`, whose arrays are only read and are returned
+        only under `read_only`."""
+        held = [(power, power.copy()) for power in memo.values()]
+        got = _term_values(plan, x, g, pn, memo, read_only)
+        for power, bits in held:
+            assert power.tobytes() == bits.tobytes()
+        for power in memo.values():
+            if got is power:
+                assert read_only
+            else:
+                assert not np.shares_memory(got, power)
+        return got
+
+    def check_sum(self, terms, x, g, pn):
+        """The same bits with an empty memo and a seeded one, within 1e-14
+        of the reference's size, and no -0.0."""
+        plan = _plan(terms)
+        want, size = self.reference(terms, x, g, pn)
+        got = self.check_memo(plan, x, g, pn, {}, False)
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+        assert not np.any(np.signbit(got) & (got == 0.0))
+        # a memo already holding a power of this g from another objective's call
+        for read_only in (False, True):
+            shared: dict = {}
+            _term_values(_plan(_terms(ConvexCombo(0.5), 2.0, 5)), x, g, 0.0, shared)
+            assert self.check_memo(plan, x, g, pn, shared, read_only).tobytes() == got.tobytes()
+            assert len(shared) <= 1
 
     @pytest.mark.parametrize("spec", [
         ConvexCombo(0.0), ConvexCombo(0.24), ConvexCombo(1.0), MaxOrderStat(),
@@ -214,29 +254,50 @@ class TestPowerMemo:
         x = np.linspace(0.01, 1.0, 300)
         rng = np.random.default_rng(5)
         g = np.column_stack([h_eval(random_reduced_policy(rng, 5), x) for _ in range(7)])
-        xcol = x[:, None]
-        terms = _terms(spec, 2.0, 5)
-        want = self.reference(terms, xcol, g, g).tobytes()
-        assert _term_values(terms, xcol, g, g).tobytes() == want
-        # a memo already holding a power of this g from another objective's call
-        shared: dict = {}
-        _term_values(_terms(ConvexCombo(0.5), 2.0, 5), xcol, g, g, shared)
-        assert _term_values(terms, xcol, g, g, shared).tobytes() == want
-        assert len(shared) <= 1
+        for pn in (0.0, np.linspace(0.0, 0.3, g.shape[1])):
+            self.check_sum(_terms(spec, 2.0, 5), x[:, None], g, pn)
 
     @pytest.mark.parametrize("case", list(_memo_edge_cases()), ids=lambda case: case[0])
     def test_edge_cases_match_the_zero_started_sum(self, case):
-        """Each starting shape sums to the bits of 0.0 + part_1 + ..., and the
-        memo's power is read, never written."""
-        label, terms, x, h, g = case
-        want = self.reference(terms, x, h, g)
-        for seeded in (False, True):
-            memo = {0.5: np.power(g, 0.5)} if seeded else {}
-            got = _term_values(terms, x, h, g, memo)
-            assert got.tobytes() == want.tobytes(), label
-            for exp, power in memo.items():
-                assert power.tobytes() == np.power(g, exp).tobytes(), label
-                assert got is not power, label
+        """Each starting shape sums to 0.0 + part_1 + ... up to rounding: a
+        negative first part holds +0.0 where g is 0, not -0.0."""
+        label, terms, x, g, pn = case
+        self.check_sum(terms, x, g, pn)
+
+    def test_a_lone_unit_term_is_the_memo_read_only(self):
+        x = np.linspace(0.01, 1.0, 300)
+        g = h_eval(uni(5), x)
+        memo: dict = {}
+        got = _term_values(_plan([_Term(1.0, 0.5)]), x, g, 0.0, memo, read_only=True)
+        assert got is memo[0.5]
+
+    def test_a_negative_multiple_of_e0_takes_its_own_root(self):
+        """g^0.5 + g^-0.5 at g = 1/4 is 0.5 + 2; -0.5 is -1 times e0 = 0.5,
+        no degree of the root e0, so it keeps a group of its own."""
+        plan = _plan([_Term(1.0, 0.5), _Term(1.0, -0.5)])
+        assert [group.root for group in plan] == [0.5, -0.5]
+        assert _term_values(plan, np.ones(1), np.array([0.25]))[0] == 2.5
+        # the mix's slope at beta 2 has exponents 0.5 and -0.5
+        x = np.linspace(0.01, 1.0, 300)
+        p = random_reduced_policy(np.random.default_rng(4), 5)
+        h = h_eval(p, x)
+        want, size = self.reference(_slope_terms(_terms(ConvexCombo(0.24), 2.0, 5)), x, h, 0.0)
+        got = gradient_weight(ConvexCombo(0.24), 2.0, p, x)
+        assert np.all(np.abs(got - want) <= 1e-14 * size)
+
+    def test_an_exponential_takes_one_power(self, monkeypatch):
+        """Its Taylor terms j/beta, j = 0..25, make one polynomial in
+        q = h^(1/beta): one np.power at the nodes, not one per term."""
+        calls = []
+        power = np.power
+
+        def spy(*args, **kwargs):
+            calls.append(args[1:])
+            return power(*args, **kwargs)
+
+        monkeypatch.setattr(np, "power", spy)
+        evaluate(Exponential((1.5,)), 2.0, uni(5))
+        assert calls == [(0.5,)]
 
 
 class TestClosedForm:
@@ -305,7 +366,7 @@ class TestGradient:
             np.testing.assert_allclose(gradient(spec, 2.0, p, FAST), want, rtol=1e-12, atol=0.0)
 
     # sha256 over the hex of every weight below
-    WEIGHT_SHA256 = "434b9759154c2ed7c02137be9ac6dc0598920f859d928eb6d261899f163775b7"
+    WEIGHT_SHA256 = "2faccc201c800c1e57b047265cb3b9b6b32597d2f2de0accc711a79f40965896"
 
     def test_weight_bits_are_pinned(self):
         """The weight's bits over the five families, seeded reduced policies

@@ -31,6 +31,7 @@ from contest_opt import (
 )
 from contest_opt.objective import (
     _HORNER_MAX_DEGREE,
+    _plan,
     _term_values,
     _terms,
     evaluate_error_bound,
@@ -47,7 +48,6 @@ from contest_opt.optimizer import (
     MAX_GRID_BASIS,
     MAX_LATTICE_BYTES,
     MAX_LINE_STEPS,
-    _LATTICE_GUARD,
     _BatchSums,
     _TwoLevelFamily,
     _cell_upper,
@@ -584,8 +584,8 @@ def term_sizes(fam, spec, beta, p1s):
     the scale of its rounding, which a negative coefficient's cancellation
     hides from the value."""
     h = fam.c0[:, None] + fam.c1[:, None] * p1s
-    terms = [replace(t, coef=abs(t.coef)) for t in _terms(spec, beta, fam.n)]
-    return _term_values(terms, fam.x[:, None], h, h).T @ fam.w
+    terms = [t._replace(coef=abs(t.coef)) for t in _terms(spec, beta, fam.n)]
+    return _term_values(_plan(terms), fam.x[:, None], h).T @ fam.w
 
 
 class TestValues:
@@ -832,13 +832,13 @@ class TestChainCut:
     @pytest.mark.parametrize("n", [3, 5, 12])
     def test_shape_sums_match_masked_weights(self, n, beta):
         fam = _TwoLevelFamily(n, QuadratureConfig(m=3000))
-        shapes = _BatchSums(fam, LINE_SPECS, beta).shapes
+        plans = _BatchSums(fam, LINE_SPECS, beta).plans
         rising = fam.c1 >= 0.0
         masked = np.column_stack((np.where(rising, fam.w, 0.0), np.where(rising, 0.0, fam.w)))
         for p1 in (1.0 / (n - 1), 0.4, 1.0):
             h = fam.c0 + fam.c1 * p1
-            want = np.array([_term_values([unit], fam.x, h, h, {}) @ masked for unit in shapes])
-            got = fam.shape_sums(shapes, p1)
+            want = np.array([_term_values(plan, fam.x, h) @ masked for plan in plans])
+            got = fam.shape_sums(plans, p1)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
@@ -899,10 +899,17 @@ class TestGridSearch:
         result = grid_search(ConvexCombo(0.0), 2.0, 3, 0.25, QuadratureConfig(m=200, rule="trapezoid"))
         assert result.nodes_explored == 4
 
+    @staticmethod
+    def refusal(n: int) -> str:
+        """The one lattice refusal, naming the candidates and the MB."""
+        return ("more than %d candidates of %d shares, which take more than the cap of %d MB"
+                % (MAX_LATTICE_BYTES // _lattice_bytes(n, 1), n, MAX_LATTICE_BYTES >> 20))
+
     def test_budget_guard(self):
-        # 114,281,808 candidates: refused before any is enumerated
-        assert count_lattice_policies(8, 200) > _LATTICE_GUARD
-        with pytest.raises(BudgetExceededError):
+        # 114,281,808 candidates, 16 GB by the byte count: refused before any
+        # is enumerated
+        assert _lattice_bytes(8, count_lattice_policies(8, 200)) > MAX_LATTICE_BYTES
+        with pytest.raises(BudgetExceededError, match=self.refusal(8)):
             grid_search(ConvexCombo(0.0), 2.0, 8, 0.005)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 60])
@@ -913,22 +920,21 @@ class TestGridSearch:
             raise AssertionError("counted the lattice")
 
         monkeypatch.setattr(optimizer, "count_lattice_policies", no_count)
-        with pytest.raises(BudgetExceededError, match="more than %d" % _LATTICE_GUARD):
+        with pytest.raises(BudgetExceededError, match=self.refusal(n)):
             grid_search(ConvexCombo(0.0), 2.0, n, 1e-9)
 
     @pytest.mark.parametrize("n, granularity", [(2, 1e-7), (5, 0.0025), (10, 0.01)])
     def test_a_lattice_above_the_byte_cap_is_refused_before_it_is_built(self, monkeypatch,
                                                                            n, granularity):
-        """Each holds fewer than `_LATTICE_GUARD` candidates, yet 5,000,001
+        """Each holds far fewer than 10^8 candidates, yet 5,000,001
         candidates at n = 2 peaked at 300 MB when they were enumerated."""
         def no_matrix(*args):
             raise AssertionError("enumerated the lattice")
 
         monkeypatch.setattr(optimizer, "_lattice_matrix", no_matrix)
         count = count_lattice_policies(n, round(1 / granularity))
-        assert count <= _LATTICE_GUARD and _lattice_bytes(n, count) > MAX_LATTICE_BYTES
-        with pytest.raises(BudgetExceededError, match="above the cap of %d MB"
-                           % (MAX_LATTICE_BYTES >> 20)):
+        assert count < 10**8 and _lattice_bytes(n, count) > MAX_LATTICE_BYTES
+        with pytest.raises(BudgetExceededError, match=self.refusal(n)):
             grid_search(ConvexCombo(0.0), 2.0, n, granularity)
 
     @pytest.mark.parametrize("n, resolution", [(5, 100), (6, 100), (5, 50), (5, 200), (8, 100)])

@@ -161,20 +161,31 @@ def basis_integral(n: int, i: int) -> float:
     return 1.0 / n
 
 
-def _h_points(p: Policy, x) -> np.ndarray:
-    """x as an array of at least one dimension, for h of p or its inverse;
-    a policy of n above `_NESTED_MAX_N` is refused before any array is built."""
+def _refuse_above_cap(p: Policy) -> None:
     if p.n > _NESTED_MAX_N:
         raise BudgetExceededError("h of n = %d contestants exceeds the cap of n = %d"
                                   % (p.n, _NESTED_MAX_N))
+
+
+def _h_points(p: Policy, x) -> np.ndarray:
+    """x as an array of at least one dimension, for h of p or its inverse;
+    a policy of n above `_NESTED_MAX_N` is refused before any array is built."""
+    _refuse_above_cap(p)
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def h_values(p: Policy, x: np.ndarray) -> np.ndarray:
+    """h(x, p) at an array x that the caller has checked to lie in [0, 1]:
+    `h_eval` without its check, for callers that check once themselves."""
+    _refuse_above_cap(p)
+    return _nested_dot(p.n, x, p.as_array())
 
 
 def h_eval(p: Policy, x):
     """Policy polynomial h(x, p); h(0, p) = p_n and h(1, p) = p_1."""
     x_arr = _h_points(p, x)
     check_unit_interval(x_arr)
-    values = _nested_dot(p.n, x_arr, p.as_array())
+    values = h_values(p, x_arr)
     return float(values[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 
@@ -228,7 +239,7 @@ def h_inverse(p: Policy, y, tol: float = TOL_INV):
         mid = 0.5 * (lo + hi)
         if np.all(at_end | (mid == lo) | (mid == hi)):
             break
-        below = h_eval(p, mid) < y_clip
+        below = h_values(p, mid) < y_clip  # mid lies in [0, 1]
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if np.max(hi - lo) <= x_tol:

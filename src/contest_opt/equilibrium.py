@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import check_unit_interval, h_eval, h_inverse
+from .bernstein import check_unit_interval, h_inverse, h_values
 from .errors import BudgetExceededError, DomainError, RangeError, TrivialPolicyError
 from .objective import ConvexCombo, beta_value, evaluate
 from .policy import Policy, is_nontrivial
@@ -33,8 +33,9 @@ MAX_DEVIATION_GRID = 100_000
 # largest n x G of the deviation audit, whose tables hold n (G + 1) counts
 # per block: n = 40 at the largest grid peaked at 206 MB
 MAX_AUDIT_CELLS = 40 * MAX_DEVIATION_GRID
-# largest n x rounds of one sampler chunk, whose draws, qualities and sorted
-# copy hold about 26 bytes per draw: n = 100 at full chunks peaked at 658 MB
+# largest n x rounds of one sampler chunk, whose uniform draws and qualities,
+# then qualities and the opponents' sort, hold about 17 bytes per draw:
+# n = 100 at full chunks peaked at 461 MB
 MAX_SIM_DRAWS = 100 * _SIM_CHUNK
 
 
@@ -94,9 +95,10 @@ def quantile(model: EquilibriumModel, u):
     """Inverse CDF: quality played at quantile u in [0, 1]."""
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
     check_unit_interval(u_arr, "quantile argument")
-    out = h_eval(model.policy, u_arr)
-    out -= model.policy.pn
-    np.clip(out, 0.0, None, out=out)
+    out = h_values(model.policy, u_arr)
+    if model.policy.pn:
+        out -= model.policy.pn
+        np.clip(out, 0.0, None, out=out)
     out **= 1.0 / model.beta
     return float(out[0]) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
 
@@ -107,8 +109,10 @@ def expected_revenue(p: Policy, f_of_q) -> float:
     Equals h(F, p): the rank distribution against n-1 independent draws is
     binomial, and the prize-weighted sum collapses to the policy polynomial.
     """
-    check_unit_interval(np.asarray(f_of_q, dtype=float), "CDF level")
-    return h_eval(p, f_of_q)
+    f_arr = np.atleast_1d(np.asarray(f_of_q, dtype=float))
+    check_unit_interval(f_arr, "CDF level")
+    values = h_values(p, f_arr)
+    return float(values[0]) if np.isscalar(f_of_q) or np.asarray(f_of_q).ndim == 0 else values
 
 
 def utility(model: EquilibriumModel, q):
@@ -124,9 +128,8 @@ def utility(model: EquilibriumModel, q):
     inside = q_arr <= qm
     revenue = np.empty_like(q_arr)
     if np.any(inside):
-        revenue[inside] = np.atleast_1d(
-            h_eval(model.policy, np.atleast_1d(cdf(model, q_arr[inside])))
-        )
+        # cdf's levels lie in [0, 1] by construction
+        revenue[inside] = h_values(model.policy, cdf(model, q_arr[inside]))
     revenue[~inside] = model.policy.p1
     out = revenue - q_arr**model.beta
     return float(out[0]) if np.isscalar(q) or np.asarray(q).ndim == 0 else out
@@ -174,21 +177,46 @@ def _grid_positions(grid: np.ndarray, values: np.ndarray):
         pos += up
 
 
-def _rank_counts(opponents: np.ndarray, grid: np.ndarray, rng) -> np.ndarray:
+def _insert_pick(ascending: np.ndarray, last: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per row, the value at ascending position `index` of that row of
+    `ascending` (sorted ascending) with the row's `last` inserted in order:
+    ``max(ascending[i-1], min(ascending[i], last))``, taking -inf and +inf
+    past the ends.  O(rows), where sorting the rows again would be
+    O(rows n log n)."""
+    m = ascending.shape[1]
+    flat = ascending.ravel()
+    at = np.arange(0, flat.size, m)
+    at += index
+    # an index past either end reads a clipped neighbour, then its infinity
+    above = flat.take(at, mode="clip")
+    above[index == m] = np.inf
+    below = flat.take(at - 1, mode="clip")
+    below[index == 0] = -np.inf
+    np.minimum(above, last, out=above)
+    return np.maximum(below, above, out=above)
+
+
+def _rank_counts(ascending: np.ndarray, grid: np.ndarray, rng) -> np.ndarray:
     """Integer table counts[k, g]: rounds in which a deviation to grid[g]
     against that round's opponents takes rank k + 1.
 
-    `grid` is ``np.linspace(0, grid[-1], grid.size)``.  The rank is one
-    plus the number of opponents strictly above the deviation.  Sorting
-    each round's grid positions once gives, for every order statistic, a
-    histogram whose cumulative sums count the rounds it beats at each grid
-    point.  Rounds with an opponent exactly on a grid point (a null event)
-    take the per-point rule instead, with the tie broken uniformly by `rng`.
+    Row r of `ascending` holds round r's opponents sorted ascending, and
+    `grid` is ``np.linspace(0, grid[-1], grid.size)``.  The rank is one plus
+    the number of opponents strictly above the deviation.  Grid positions
+    rise with quality, so each row's positions come sorted too, and give,
+    for every order statistic, a histogram whose cumulative sums count the
+    rounds it beats at each grid point.  Rounds with an opponent exactly on
+    a grid point (a null event) take the per-point rule instead, with the
+    tie broken uniformly by `rng`.
     """
     size = grid.size
-    below, at = _grid_positions(grid, opponents)
-    tie_rows = (at == opponents).any(axis=1)
-    below = np.sort(below[~tie_rows], axis=1)
+    below, at = _grid_positions(grid, ascending)
+    tied = at == ascending
+    tied_rounds = ascending[:0]
+    if tied.any():  # rows are copied out only when a round ties
+        tie_rows = tied.any(axis=1)
+        tied_rounds = ascending[tie_rows]
+        below = below[~tie_rows]
     rounds, m = below.shape
     # column j of `below` holds each round's (m - j)-th largest opponent
     hist = np.bincount((below + (size + 1) * np.arange(m)).ravel(),
@@ -196,7 +224,6 @@ def _rank_counts(opponents: np.ndarray, grid: np.ndarray, rng) -> np.ndarray:
     beats = rounds - np.cumsum(hist, axis=1)[:, :size]
     at_least = np.vstack([np.full(size, rounds), beats[::-1], np.zeros(size, np.int64)])
     counts = at_least[:-1] - at_least[1:]
-    tied_rounds = opponents[tie_rows]
     if len(tied_rounds):
         for g, point in enumerate(grid):
             ties = (tied_rounds == point).sum(axis=1)
@@ -258,16 +285,17 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
         done += rounds
         rng = np.random.default_rng(seeds[c])
         qualities = quantile(model, rng.random((rounds, n)).ravel()).reshape(rounds, n)
-        ascending = np.sort(qualities, axis=1)
-        chosen_rank = rng.choice(n, size=rounds, p=pvals)
-        # rank k + 1, counted from the top, sits at column n - 1 - k
-        awarded = ascending[np.arange(rounds), n - 1 - chosen_rank]
-        welfare_sum += awarded.sum()
-        welfare_sq += (awarded**2).sum()
         quality_sum += qualities.sum()
         quality_sq += (qualities**2).sum()
+        # one sort of the opponents serves the awarded rank and the audit
+        opponents = np.sort(qualities[:, : n - 1], axis=1)
+        chosen_rank = rng.choice(n, size=rounds, p=pvals)
+        # rank k + 1, counted from the top, sits at ascending index n - 1 - k
+        # of the round's opponents with its last contestant put in
+        awarded = _insert_pick(opponents, qualities[:, n - 1], n - 1 - chosen_rank)
+        welfare_sum += awarded.sum()
+        welfare_sq += (awarded**2).sum()
 
-        opponents = qualities[:, : n - 1]
         for start in range(0, rounds, _AUDIT_ROWS):
             counts += _rank_counts(opponents[start:start + _AUDIT_ROWS], grid, rng)
 

@@ -318,8 +318,9 @@ class TestNestedKernel:
         assert max(worst_error_ratios(p, x)) <= 1.0
 
     def test_refused_above_the_cap(self, monkeypatch):
-        """One above `_NESTED_MAX_N`, h, dh/dx and the inverse raise
-        BudgetExceededError before any array of points is built."""
+        """One above `_NESTED_MAX_N`, h (checked or not), dh/dx and the
+        inverse raise BudgetExceededError before any array of points is
+        built."""
 
         class NoArray:
             def __array__(self, *args, **kwargs):
@@ -327,7 +328,7 @@ class TestNestedKernel:
 
         monkeypatch.setattr(bernstein, "_nested_dot", None)  # would fail if called
         p = uni(bernstein._NESTED_MAX_N + 1)
-        for fn in (h_eval, h_derivative, h_inverse):
+        for fn in (h_eval, bernstein.h_values, h_derivative, h_inverse):
             with pytest.raises(BudgetExceededError, match="cap of n = 1000"):
                 fn(p, NoArray())
         # the inverse refuses even targets at the ends, which need no h

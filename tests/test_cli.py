@@ -423,13 +423,16 @@ class TestEquilibriumCommand:
 
     # stdout of each command, pinned before the sampler, the CDF bisection
     # and the deviation audit were last reworked; the 12-rank policy (p_n = 0)
-    # inverts h below the spacing of doubles
+    # inverts h below the spacing of doubles, and the 3-rank one (p_n > 0)
+    # takes the quantile map's shift by p_n
     PINNED = {
         ("--policy", "hm", "--n", "5"):
             "02e6246791ec8cbefd2edb49553d5f6359bca9395ce3f9cde288368260605365",
         ("--policy", "0.3,0.2,0.1,0.08,0.07,0.06,0.05,0.04,0.04,0.03,0.03,0",
          "--n", "12", "--beta", "1.5"):
             "570a8fbfabf871107ba2fbae0da2f1f2c100ef244f171228f905c3841d303a78",
+        ("--policy", "0.5,0.3,0.2", "--beta", "1.7"):
+            "3256326d8be2c13ed48881b75b207120361fbc21c215939a27940ca3867f1c9e",
     }
 
     @pytest.mark.parametrize("policy_args", list(PINNED))

@@ -32,6 +32,7 @@ from contest_opt.equilibrium import (
     MAX_SIM_DRAWS,
     MAX_TABLE_POINTS,
     _grid_positions,
+    _insert_pick,
     _rank_counts,
 )
 
@@ -263,12 +264,15 @@ class TestGridPositions:
 
 
 class TestRankCounts:
+    """`_rank_counts` takes each round's opponents sorted ascending; the
+    reference `per_point_counts` does not depend on their order."""
+
     GRID = np.linspace(0.0, 1.2, 50)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 20])
     def test_matches_per_grid_point_loop(self, n):
         rng = np.random.default_rng(n)
-        opponents = rng.random((3000, n - 1))
+        opponents = np.sort(rng.random((3000, n - 1)), axis=1)
         counts = _rank_counts(opponents, self.GRID, rng)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, per_point_counts(opponents, self.GRID))
@@ -284,6 +288,7 @@ class TestRankCounts:
         # a third of them with a second opponent on the same point
         double = tied[:100]
         opponents[double, -1] = opponents[double, 0] = self.GRID[rng.integers(0, 50, 100)]
+        opponents.sort(axis=1)
         counts = _rank_counts(opponents, self.GRID, rng)
         assert np.all(counts.sum(axis=0) == rounds)
         # rounds without a tie are counted exactly ...
@@ -302,23 +307,34 @@ class TestRankCounts:
         # one opponent above grid[10], two on it, one below: rank 2, 3 or 4
         rng = np.random.default_rng(7)
         point = self.GRID[10]
-        opponents = np.tile([1.1, point, point, 0.01], (3000, 1))
+        opponents = np.tile([0.01, point, point, 1.1], (3000, 1))
         share = _rank_counts(opponents, self.GRID, rng)[:, 10]
         assert share[0] == share[4] == 0
         assert np.all(np.abs(share[1:4] - 1000) < 5 * np.sqrt(3000 * 2 / 9))
 
 
 class TestSimulateRecomputed:
-    def test_bitwise_equal_to_the_seed_sequence_draws(self):
-        """Two chunks (p_n > 0) replayed from the spawned streams."""
-        model = EquilibriumModel(make_policy((0.5, 0.3, 0.2)), 1.7)
-        n, pvals, samples, seed = 3, model.policy.as_array(), _SIM_CHUNK + 10_001, 31
+    # at n = 2 `_insert_pick` reads +inf past the top of the opponents' sort
+    # for the winner, and -inf past its bottom for the loser, whom only
+    # p_n > 0 ever awards; n = 3 (p_n > 0) runs two chunks
+    @pytest.mark.parametrize("policy, beta, samples, seed", [
+        (hm(2), 2.0, 20_000, 5),
+        (make_policy((0.7, 0.3)), 1.2, 20_000, 6),
+        (make_policy((0.5, 0.3, 0.2)), 1.7, _SIM_CHUNK + 10_001, 31),
+        (two_level(20, 0.4), 1.3, 20_000, 8),
+    ], ids=["n2", "n2_pn", "n3_pn_two_chunks", "n20"])
+    def test_bitwise_equal_to_the_seed_sequence_draws(self, policy, beta, samples, seed):
+        """Every chunk replayed from its spawned stream, with a full sort of
+        each round and the per-point audit."""
+        model = EquilibriumModel(policy, beta)
+        n, pvals = policy.n, policy.as_array()
         report = simulate(model, samples, seed)
         grid = np.linspace(0.0, model.q_max + 0.2, 50)
         welfare_sum = welfare_sq = quality_sum = quality_sq = 0.0
         dev_sum, dev_sq = np.zeros(50), np.zeros(50)
-        streams = np.random.SeedSequence(seed).spawn(2)
-        for stream, rounds in zip(streams, (_SIM_CHUNK, 10_001)):
+        chunks = [min(_SIM_CHUNK, samples - done) for done in range(0, samples, _SIM_CHUNK)]
+        streams = np.random.SeedSequence(seed).spawn(len(chunks))
+        for stream, rounds in zip(streams, chunks):
             rng = np.random.default_rng(stream)
             qualities = quantile(model, rng.random((rounds, n)).ravel()).reshape(rounds, n)
             ranked = -np.sort(-qualities, axis=1)
@@ -342,8 +358,25 @@ class TestSimulateRecomputed:
         gain = dev_sum / samples - grid**model.beta
         best = int(np.argmax(gain))
         se = np.sqrt(max(dev_sq[best] / samples - (dev_sum[best] / samples) ** 2, 0.0) / samples)
-        assert report.max_deviation_gain == pytest.approx(gain[best] - 0.2, abs=1e-12)
+        assert report.max_deviation_gain == pytest.approx(gain[best] - policy.pn, abs=1e-12)
         assert report.deviation_se == pytest.approx(se, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_the_awarded_pick_when_last_ties_an_opponent(self, m):
+        """`_insert_pick` reads the full sort of each round at every index,
+        also where the last contestant's quality equals an opponent's."""
+        rng = np.random.default_rng(m)
+        opponents = rng.integers(0, 4, (400, m)) / 4.0  # a few values, many ties
+        last = rng.integers(0, 4, 400) / 4.0
+        assert np.any(opponents == last[:, None])
+        full = np.sort(np.column_stack([opponents, last]), axis=1)
+        ascending = np.sort(opponents, axis=1)
+        for index in range(m + 1):
+            at = np.full(400, index)
+            assert np.array_equal(_insert_pick(ascending, last, at), full[:, index])
+        mixed = rng.integers(0, m + 1, 400)
+        assert np.array_equal(_insert_pick(ascending, last, mixed),
+                              full[np.arange(400), mixed])
 
     def test_empty_deviation_grid_rejected(self):
         with pytest.raises(DomainError):

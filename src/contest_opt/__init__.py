@@ -54,9 +54,7 @@ from .optimizer import (
     BnbConfig,
     OptResult,
     branch_and_bound,
-    c_decomposition,
     grid_search,
-    interval_bounds,
     two_level_line_search,
 )
 from .policy import (

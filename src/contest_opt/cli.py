@@ -114,8 +114,8 @@ def cmd_evaluate(args) -> int:
         "quality": quality,
         "quadrature_error_bound": bound,
     }
-    if isinstance(spec, obj.ConvexCombo) and classify_structure(policy, 1e-9).tag == "HM":
-        record["closed_form"] = obj.evaluate_hm_closed_form(spec.alpha, args.beta, policy.n)
+    if classify_structure(policy, 1e-9).tag == "HM":
+        record["closed_form"] = obj.hm_value(spec, args.beta, policy.n)
     if args.format == "json":
         text = json.dumps({k: (_fmt(v) if isinstance(v, float) else v)
                            for k, v in record.items()}, sort_keys=True) + "\n"
@@ -141,18 +141,12 @@ def cmd_optimize(args) -> int:
                               % args.classify_tol)
     spec = _objective_from_args(args)
     if args.method == "bnb":
-        if not isinstance(spec, obj.ConvexCombo):
-            raise ContestOptError(
-                "branch-and-bound takes only the welfare/quality mix "
-                "(it is parameterized by alpha alone); use "
-                "--method line or grid for other objectives"
-            )
         if args.n == 2:
             sys.stderr.write("note: n=2 admits only the winner-take-all split; "
                              "returning it directly\n")
         cfg = opt.BnbConfig(epsilon=1e-3 if args.epsilon is None else args.epsilon,
                             quad=_quad_from_args(args, opt.BNB_QUAD))
-        result = opt.branch_and_bound(args.n, spec.alpha, args.beta, cfg)
+        result = opt.branch_and_bound(args.n, spec, args.beta, cfg)
     elif args.method == "line":
         result = opt.two_level_line_search(
             spec, args.beta, args.n, steps=1000 if args.steps is None else args.steps,

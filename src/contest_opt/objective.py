@@ -390,22 +390,21 @@ def evaluate_error_bound(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureC
     return bound
 
 
-def evaluate_hm_closed_form(alpha: float, beta, n: int) -> float:
-    """Exact objective value of the winner-take-all policy.
-
-    ``alpha * beta*n/(beta*n + n - 1) + (1-alpha) * beta/(beta + n - 1)``;
-    no quadrature involved.  Where beta*n overflows, the welfare term takes
-    its limit 1.
-    """
+def hm_value(spec: ObjectiveSpec, beta, n: int) -> float:
+    """Exact objective value of the winner-take-all policy hm(n); no
+    quadrature involved.  There h = x^(n-1), so a term coef * x^a * h^r
+    integrates to coef / (a + (n-1) r + 1), and the bottom share, and so
+    the lattice constant, is 0."""
     if n < 2:
         raise DomainError("n must be >= 2")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must lie in [0, 1]")
     b = beta_value(beta)
-    bn = b * n
-    welfare = bn / (bn + n - 1) if math.isfinite(bn) else 1.0
-    quality = b / (b + n - 1)
-    return alpha * welfare + (1.0 - alpha) * quality
+    return math.fsum(t.coef / (t.x_pow + (n - 1) * t.power + 1.0) for t in _terms(spec, b, n))
+
+
+def evaluate_hm_closed_form(alpha: float, beta, n: int) -> float:
+    """`hm_value` of the welfare/quality mix:
+    ``alpha * beta*n/(beta*n + n - 1) + (1-alpha) * beta/(beta + n - 1)``."""
+    return hm_value(ConvexCombo(alpha), beta, n)
 
 
 def gradient_weight(spec: ObjectiveSpec, beta, p: Policy, x):

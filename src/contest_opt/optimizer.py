@@ -1,28 +1,33 @@
 """Policy optimizers: certified 1-D branch-and-bound, line search, grid oracle.
 
-For the welfare/quality mix the optimum is known to sit in the two-level
-family (top share p1, equal middle, zero bottom), so optimization reduces
-to p1 in [1/(n-1), 1].  On that family h is affine in p1 per x:
-``h(x, p1) = c0(x) + c1(x) p1``, which yields computable interval bounds
+For every objective of the covered class (the welfare/quality mix, order
+statistics, exponential and social welfare, and the posynomials whose
+coefficients e_j (k_j - beta), by rising k_j, are nonpositive and then
+nonnegative) the optimum sits in the two-level family (top share p1, equal
+middle, zero bottom), so optimization reduces to p1 in [1/(n-1), 1].  On
+that family h is affine in p1 per x: ``h(x, p1) = c0(x) + c1(x) p1``, which
+yields computable bounds over an interval I = [l, u] of top shares: the
+rise/fall bound
 
-    L(I) = max(G(l), G(u))
     U(I) = each term at the end of I where its integrand is largest: at u
            where coef * c1 >= 0, at l elsewhere
 
-This rise/fall bound is what `interval_bounds` returns.  The searches
-also split the terms by shape: a term coef * x^a * h^r is convex in p1
-when coef * (r - 1) >= 0 and concave otherwise.  Over an interval the
-convex terms lie below their chord, and the concave ones below the
-secants through the nearest points on either side, so the lower of the
-two bounds holds; an interval with no point beyond it keeps the rise/fall
-bound unless no term is concave.  Branch-and-bound and the line search
-bisect a grid of top shares level by level, for a batch of objectives at
-once (`_bisect`), and drop a cell once its bound is below the best value
-plus a (quadrature-adjusted) tolerance.  Every cell is split or bounded,
-so the largest bound of a cell that left the search, less the best value
-and plus twice the quadrature allowance, is either search's gap.  The
-line search refines its best grid point where the objective's exact
-slope in p1 (`_TwoLevelFamily.slope`) crosses zero next to it
+(`_rise_fall_upper`).  The searches also split the terms by shape: a term
+coef * x^a * h^r is convex in p1 when coef * (r - 1) >= 0 and concave
+otherwise.  Over an interval the convex terms lie below their chord, and
+the concave ones below the secants through the nearest points on either
+side, so the lower of the two bounds holds; an interval with no point
+beyond it keeps the rise/fall bound unless no term is concave.
+Branch-and-bound and the line search are one search (`_chain_search`)
+over different grids of top shares: it refuses an objective outside the
+class, returns hm(2) with its exact value (`objective.hm_value`) and a gap
+of 0 at n = 2, and otherwise bisects the grid level by level, for a batch
+of objectives at once (`_bisect`), dropping a cell once its bound is below
+the best value plus a (quadrature-adjusted) tolerance.  Every cell is split
+or bounded, so the largest bound of a cell that left the search, less the
+best value and plus twice the quadrature allowance, is either search's
+gap.  The line search refines its best grid point where the objective's
+exact slope in p1 (`_TwoLevelFamily.slope`) crosses zero next to it
 (`_slope_root`).  Every call reads values and bounds from one
 `_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
 nonnegative), built once per (n, rule) and shared read-only (`_family`),
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from functools import cached_property, lru_cache
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -66,10 +72,9 @@ from .objective import (
     ConvexCombo,
     ObjectiveSpec,
     beta_value,
-    evaluate,
     evaluate_error_bound,
-    evaluate_hm_closed_form,
     format_objective_config,
+    hm_value,
     lattice_bracket,
     lattice_value,
     structural_condition_holds,
@@ -79,7 +84,7 @@ from .objective import (
     _term_values,
     _terms,
 )
-from .policy import Policy, hm, make_policy, two_level
+from .policy import Policy, hm, make_policy, two_level, uni
 from .quadrature import QuadratureConfig
 
 BNB_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
@@ -295,8 +300,8 @@ def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
 
 class _BatchSums:
     """Each objective's sums at points of the two-level chain, for objectives
-    that share beta and n: what branch-and-bound, `interval_bounds` and the
-    line search's `_grid_argmax` read of the chain.
+    that share beta and n: what both chain searches read of the chain
+    (`_bisect`).
 
     Each point is evaluated on its own (`_TwoLevelFamily.shape_sums`), and
     each objective combines the integrals of its own terms in its term
@@ -425,7 +430,7 @@ class _Bisection(NamedTuple):
     capped: bool
 
 
-def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol: float = 0.0,
+def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol=0.0,
             max_cells: float = math.inf) -> _Bisection:
     """Level-wise branch-and-bound over the grid of top shares `point(i)`,
     rising in i, for the objectives of `specs` at once, from the cells
@@ -433,10 +438,11 @@ def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol: 
 
     A cell stays in an objective's search while its bound (`_cell_upper`,
     through the nearest evaluated points) is at least that objective's
-    best value plus `tol`.  Each level bounds its cells and splits them at
-    their middle index, each objective's top cell first and then, in a
-    second `_BatchSums.at` call, the rest that still stay.  A cell with no
-    index inside is bounded but never split.  The search stops when no
+    best value plus `tol`, one for all or one per objective.  Each level
+    bounds its cells and splits them at their middle index, each
+    objective's top cell first and then, in a second `_BatchSums.at` call,
+    the rest that still stay.  A cell with no index inside is bounded but
+    never split.  The search stops when no
     cell stays or, capped, before it would bound more than `max_cells`
     cells.  Each cell that leaves an objective's search, dropped, with no
     index inside or left when the search stops, counts its bound for that
@@ -509,67 +515,95 @@ def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol: 
     return _Bisection(idx[1:-1], p1s[1:-1], data[:, 1:-1], trace, leftover, cells, levels, capped)
 
 
-def interval_bounds(n: int, alpha: float, beta, lo: float, hi: float,
-                    quad: QuadratureConfig | None = None) -> tuple[float, float]:
-    """(L, U) objective bounds over the p1-interval [lo, hi]: L is the better
-    end's value and U the rise/fall bound (`_rise_fall_upper`), at least L."""
-    b = beta_value(beta)
-    fam = _family(n, quad or BNB_QUAD)
-    domain_lo = 1.0 / (n - 1)
-    if not domain_lo - 1e-12 <= lo <= hi <= 1.0 + 1e-12:
-        raise DomainError("interval [%.9g, %.9g] outside [%.9g, 1]" % (lo, hi, domain_lo))
-    at_lo, at_hi = _BatchSums(fam, [ConvexCombo(alpha)], b).at([lo, hi])[:, :, 0].T
-    lower = max(float(at_lo[0]), float(at_hi[0]))
-    return lower, max(float(_rise_fall_upper(at_lo, at_hi)), lower)
+def _chain_search(specs, b: float, n: int, quad: QuadratureConfig, point, idx: np.ndarray,
+                  epsilon: float | None = None, max_cells: float = math.inf, refine=None):
+    """Both chain searches: `_bisect` over the grid of top shares
+    `point(i)` from the grid indices `idx`, for each objective of `specs`.
+
+    An objective outside the class with a two-level optimum fails the
+    whole batch before any point is evaluated.  At n = 2 the only feasible
+    point is hm(2), whose exact value (`hm_value`) gets a gap of 0.
+    Otherwise a cell is dropped once its bound lies below the best value
+    plus epsilon less twice the objective's quadrature allowance delta (an
+    allowance that takes all of epsilon is refused), or plus 0 without
+    epsilon.  `refine(fam, spec, index, p1, value)`, where given, turns
+    each first best evaluated point into the (p1, value) reported.  The
+    gap is the largest bound of a cell that left the search less that
+    value, where it is above it, plus 2 delta; a result is certified when
+    `max_cells` did not stop the search and its gap and value are finite.
+
+    Returns the `_Bisection`, None at n = 2, and per objective (the grid
+    index of its first best evaluated point, 0 at n = 2, policy, value,
+    gap, certified).
+    """
+    for spec in specs:
+        if not structural_condition_holds(spec, b):
+            raise StructuralConditionError(
+                "no two-level guarantee for %s: the coefficient sequence "
+                "e_j*(k_j - beta) changes sign more than once, so a 1-D search "
+                "over top shares may miss the optimum; use grid_search instead"
+                % format_objective_config(spec)
+            )
+    if n == 2:
+        # the ordered two-share simplex with zero bottom is the single point (1, 0)
+        return None, [(0, hm(2), hm_value(spec, b, 2), 0.0, True) for spec in specs]
+
+    fam = _family(n, quad)
+    delta = np.array([fam.error_bound(spec, b) for spec in specs])
+    tol = 0.0
+    if epsilon is not None:
+        tol = epsilon - 2.0 * delta
+        if np.any(tol <= 0):
+            raise DomainError(
+                "quadrature error budget exhausted: epsilon=%.3g but 2*delta=%.3g; "
+                "raise epsilon or the node count" % (epsilon, 2.0 * delta.max())
+            )
+    run = _bisect(fam, specs, b, point, idx, tol, max_cells)
+    picks = []
+    for k, (spec, best) in enumerate(zip(specs, np.argmax(run.data[0], axis=0).tolist())):
+        index, p1, value = int(run.idx[best]), float(run.p1s[best]), float(run.data[0, best, k])
+        if refine is not None:
+            p1, value = refine(fam, spec, index, p1, value)
+        gap = max(float(run.leftover[k]) - value, 0.0) + 2.0 * float(delta[k])
+        # a bound that overflowed certifies nothing
+        certified = not run.capped and math.isfinite(gap) and math.isfinite(value)
+        picks.append((index, two_level(n, p1), value, gap, certified))
+    return run, picks
 
 
-def branch_and_bound(n: int, alpha: float, beta, cfg: BnbConfig,
+def branch_and_bound(n: int, objective, beta, cfg: BnbConfig,
                      trace: list | None = None) -> OptResult:
     """Branch-and-bound over the top share of two-level policies.
 
-    Returns a policy whose value is within epsilon of the best two-level
-    value, with the quadrature budget folded into the certificate: the
-    internal stopping threshold is epsilon minus twice the per-evaluation
-    error bound, and the reported gap adds that allowance back.  `_bisect`
-    searches the `_BNB_GRID_STEPS` + 1 grid points from the chain's two
-    ends, and the gap is the largest bound of a cell left over less the
-    best value.  A cell of two neighbouring grid points, under 2.3e-16
-    wide, is bounded but not split.
+    `objective` is an `ObjectiveSpec` of the class with a two-level optimum;
+    a plain number is read as the welfare/quality mix `ConvexCombo` of that
+    alpha.  Returns a policy whose value is within epsilon of the best
+    two-level value, with the quadrature budget folded into the
+    certificate: the internal stopping threshold is epsilon minus twice the
+    per-evaluation error bound, and the reported gap adds that allowance
+    back (`_chain_search`).  `_bisect` searches the `_BNB_GRID_STEPS` + 1
+    grid points from the chain's two ends; a cell of two neighbouring grid
+    points, under 2.3e-16 wide, is bounded but not split.
     `nodes_explored` counts the cells bounded, `max_depth` the levels
     split, and `trace` gets the top shares in the order evaluated.
     """
     b = beta_value(beta)
+    spec = ConvexCombo(objective) if isinstance(objective, numbers.Real) else objective
     config = {
-        "n": n, "alpha": alpha, "beta": b, "epsilon": cfg.epsilon,
+        "n": n, "objective": format_objective_config(spec), "beta": b, "epsilon": cfg.epsilon,
         "quad_m": cfg.quad.m, "quad_rule": cfg.quad.rule,
     }
-    if n == 2:
-        # the ordered two-share simplex with zero bottom is the single point
-        # (1, 0), whose exact value needs no quadrature
-        return OptResult(hm(2), evaluate_hm_closed_form(alpha, b, 2), 0.0, 0,
-                         "bnb:n2-shortcut-hm", True, 0, config)
-
-    fam, spec = _family(n, cfg.quad), ConvexCombo(alpha)
-    delta = fam.error_bound(spec, b)
-    eps_eff = cfg.epsilon - 2.0 * delta
-    if eps_eff <= 0:
-        raise DomainError(
-            "quadrature error budget exhausted: epsilon=%.3g but 2*delta=%.3g; "
-            "raise epsilon or the node count" % (cfg.epsilon, 2 * delta)
-        )
-
     # lo + (1 - lo) is 1 exactly for any lo in [0, 1]
-    lo = 1.0 / (n - 1)
+    lo = uni(n).p1
     span = (1.0 - lo) / _BNB_GRID_STEPS
-    run = _bisect(fam, [spec], b, lambda i: lo + span * i, np.array([0, _BNB_GRID_STEPS]),
-                  eps_eff, MAX_BNB_NODES)
+    run, [(_, policy, value, gap, certified)] = _chain_search(
+        [spec], b, n, cfg.quad, lambda i: lo + span * i, np.array([0, _BNB_GRID_STEPS]),
+        cfg.epsilon, MAX_BNB_NODES)
+    if run is None:
+        return OptResult(policy, value, gap, 0, "bnb:n2-shortcut-hm", certified, 0, config)
     if trace is not None:
         trace.extend(run.trace)
-    best = int(np.argmax(run.data[0, :, 0]))
-    value = float(run.data[0, best, 0])
-    gap = max(float(run.leftover[0]) - value, 0.0) + 2.0 * delta
-    return OptResult(two_level(n, float(run.p1s[best])), value, gap, run.cells, "bnb",
-                     not run.capped, run.levels, config)
+    return OptResult(policy, value, gap, run.cells, "bnb", certified, run.levels, config)
 
 
 def check_line_steps(steps: int) -> None:
@@ -589,14 +623,22 @@ def two_level_line_search(spec: ObjectiveSpec, beta, n: int, steps: int = 1000,
 
     Valid only for objectives whose optimum is known to be two-level; other
     posynomials are refused rather than silently searched.  Every accepted
-    objective gets a gap certificate: the largest bound of a cell the
-    grid search left (`_bisect`) less the value, plus twice the
-    per-evaluation quadrature allowance, which is the whole gap at n = 2,
-    where hm(2) is the only point; a gap or value that is not finite is
-    reported uncertified.  This is `two_level_line_search_batch` on a
-    batch of one.
+    objective gets a gap certificate (`_chain_search`): the largest bound
+    of a cell the grid search left less the value, plus twice the
+    per-evaluation quadrature allowance; at n = 2, where hm(2) is the only
+    point, the value is exact and the gap 0.  A gap or value that is not
+    finite is reported uncertified.  This is `two_level_line_search_batch`
+    on a batch of one.
     """
     return two_level_line_search_batch([spec], beta, n, steps, quad)[0]
+
+
+def _spread(steps: int) -> np.ndarray:
+    """The grid indices the line search evaluates, in one batch, before it
+    bisects: 2^4 + 1, the points of four levels of bisection, evenly spread
+    over a grid of `steps` points, a spacing of at least 1 that rounds to
+    distinct indices."""
+    return np.round(np.linspace(0, steps - 1, min(steps, 17))).astype(int)
 
 
 def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
@@ -604,61 +646,42 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     """`two_level_line_search` for each objective of `specs` at once.
 
     The objectives share beta, n and the rule, so they share one two-level
-    family, one p1 grid and the grid points `_grid_argmax` evaluates: the
-    alpha column of a sweep integrates two term shapes per point, whatever
-    its number of alphas.  Each objective then gets, in turn, its own
-    root search of its slope next to its best grid point
-    (`_TwoLevelFamily.slope`, `_slope_root`), one full value at the
-    root (`_TwoLevelFamily.value`), kept where it beats the grid's, and its
-    own gap, so every value and policy is bit for bit the single search's.
-    A gap's cell bounds take their secants through every evaluated point,
+    family, one p1 grid and the grid points `_bisect` evaluates: the alpha
+    column of a sweep integrates two term shapes per point, whatever its
+    number of alphas.  `_bisect` searches the grid with no tolerance, from
+    the `_spread` points, until no cell has an index inside, so a point
+    never evaluated for an objective lies below one that was, and the
+    first best evaluated point is a full scan's.  Each objective then gets,
+    in turn, its own root search of its slope next to that point
+    (`_TwoLevelFamily.slope`, `_slope_root`), one full value at the root
+    (`_TwoLevelFamily.value`), kept where it beats the grid's, and its own
+    gap, so every value and policy is bit for bit the single search's.  A
+    gap's cell bounds take their secants through every evaluated point,
     some of them evaluated for the other objectives, so a gap in a batch
-    can be tighter than the single search's.  An objective outside the
-    covered class fails the whole batch before any grid point is
-    evaluated.
+    can be tighter than the single search's.
     """
     b = beta_value(beta)
-    for spec in specs:
-        if not structural_condition_holds(spec, b):
-            raise StructuralConditionError(
-                "no two-level guarantee for %s: the coefficient sequence "
-                "e_j*(k_j - beta) changes sign more than once, so a 1-D search "
-                "over top shares may miss the optimum; use grid_search instead"
-                % format_objective_config(spec)
-            )
     quad = quad or LINE_QUAD
     check_line_steps(steps)
-    configs = [{"n": n, "steps": steps, "objective": format_objective_config(spec),
-                "beta": b, "quad_m": quad.m, "quad_rule": quad.rule} for spec in specs]
-    if n == 2:
-        # hm(2) is the only feasible point, so the gap is the quadrature
-        # allowance alone
-        values = [evaluate(spec, b, hm(2), quad) for spec in specs]
-        gaps = [2.0 * evaluate_error_bound(spec, b, hm(2), quad) for spec in specs]
-        return [OptResult(hm(2), v, gap, 1, "line:n2-hm", math.isfinite(gap) and math.isfinite(v),
-                          0, config) for v, gap, config in zip(values, gaps, configs)]
+    p1_grid = np.linspace(uni(n).p1, 1.0, steps)
 
-    fam = _family(n, quad)
-    p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
-    picks, pick_values, leftover = _grid_argmax(fam, specs, b, p1_grid)
-    results = []
-    for spec, config, best, best_val, bound in zip(specs, configs, picks.tolist(),
-                                                   pick_values.tolist(), leftover.tolist()):
-        best_p1 = float(p1_grid[best])
+    def refine(fam, spec, index, p1, value):
         # an infinite slope is a sign, and a nan one leaves the grid pick
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            root = _slope_root(fam.slope(spec, b), p1_grid, best)
+            root = _slope_root(fam.slope(spec, b), p1_grid, index)
         if root is not None:
             root_val = fam.value(spec, b, root)
-            if root_val > best_val:
-                best_p1, best_val = root, root_val
+            if root_val > value:
+                return root, root_val
+        return p1, value
 
-        gap = max(bound - best_val, 0.0) + 2.0 * fam.error_bound(spec, b)
-        # a bound that overflowed certifies nothing
-        certified = math.isfinite(gap) and math.isfinite(best_val)
-        results.append(OptResult(two_level(n, best_p1), best_val, gap, steps,
-                                 "line_search", certified, 0, config))
-    return results
+    run, picks = _chain_search(specs, b, n, quad, p1_grid.__getitem__, _spread(steps),
+                               refine=refine)
+    nodes, method = (1, "line:n2-hm") if run is None else (steps, "line_search")
+    return [OptResult(policy, value, gap, nodes, method, certified, 0,
+                      {"n": n, "steps": steps, "objective": format_objective_config(spec),
+                       "beta": b, "quad_m": quad.m, "quad_rule": quad.rule})
+            for spec, (_, policy, value, gap, certified) in zip(specs, picks)]
 
 
 # `_slope_root` stops once its bracket is this narrow in p1
@@ -723,30 +746,6 @@ def _slope_root(slope, p1_grid: np.ndarray, best: int) -> Optional[float]:
         else:
             return None
     return x
-
-
-# grid points `_grid_argmax` evaluates before it bisects: 2^4 + 1, the points
-# of four levels of bisection, in one batch
-_GRID_FIRST_BATCH = 17
-
-
-def _grid_argmax(fam: _TwoLevelFamily, specs, b: float, p1_grid: np.ndarray):
-    """Each objective's first best point of `p1_grid` (its index), value
-    and upper bound over [p1_grid[0], p1_grid[-1]], as a full scan would
-    find the first two, from few evaluated points.
-
-    `_bisect` searches the grid's indices, with no tolerance, from
-    `_GRID_FIRST_BATCH` evenly spread points, a spacing of at least 1 that
-    rounds to distinct indices, until no cell has an index inside.  A
-    point never evaluated for an objective then lies below one that was,
-    so the first best evaluated point is the full scan's.  The bound is
-    `_bisect`'s left-over bound, which covers every cell of the grid.
-    """
-    steps = len(p1_grid)
-    idx = np.round(np.linspace(0, steps - 1, min(steps, _GRID_FIRST_BATCH))).astype(int)
-    run = _bisect(fam, specs, b, p1_grid.__getitem__, idx)
-    best = np.argmax(run.data[0], axis=0)
-    return run.idx[best], run.data[0, best, np.arange(len(specs))], run.leftover
 
 
 def count_lattice_policies(n: int, resolution: int) -> int:

@@ -309,13 +309,14 @@ def check_affine_decomposition(seed: int, trials: int) -> CheckResult:
 
 
 def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
-    """L <= the largest value of a 101-point scan of [lo, hi] <= U, for the
-    `interval_bounds` (L, U) of random intervals, each scanned value read
-    from the sums the bounds read (`optimizer._BatchSums`).  The margin is
-    the scan's largest excess over U, below 0 where U holds."""
+    """The largest value of a 101-point scan of [lo, hi] lies below U, the
+    rise/fall bound (`optimizer._rise_fall_upper`) or the better end's
+    value where that is higher, for random intervals; the scan and U read
+    one `optimizer._BatchSums`.  The margin is the scan's largest excess
+    over U, below 0 where U holds."""
     rng = np.random.default_rng(seed)
     quad = QuadratureConfig(m=20_000)
-    worst, ordered = -np.inf, True
+    worst = -np.inf
     for _ in range(min(trials, 40)):
         n = int(rng.choice([3, 5, 8]))
         alpha, beta = rng.random(), rng.uniform(0.5, 4.0)
@@ -323,12 +324,11 @@ def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
         hi = rng.uniform(lo, 1.0)
         if hi - lo < 1e-6:
             continue
-        lower, upper = optimizer.interval_bounds(n, alpha, beta, lo, hi, quad)
         batch = optimizer._BatchSums(optimizer._family(n, quad), [ConvexCombo(alpha)], beta)
-        scanned = batch.at(np.linspace(lo, hi, 101))[0].max()
-        ordered = ordered and lower <= scanned
-        worst = max(worst, scanned - upper)
-    return _result("optimizer.bound_sandwich", ordered and worst <= 1e-9, worst, seed)
+        at = batch.at(np.linspace(lo, hi, 101))[:, :, 0]  # row, point
+        upper = max(float(optimizer._rise_fall_upper(at[:, 0], at[:, -1])), at[0, 0], at[0, -1])
+        worst = max(worst, at[0].max() - upper)
+    return _result("optimizer.bound_sandwich", worst <= 1e-9, worst, seed)
 
 
 def check_bnb_certificate(seed: int, trials: int) -> CheckResult:
@@ -361,10 +361,10 @@ def _line_argmax_specs(rng: np.random.Generator, beta: float):
 
 
 def check_line_argmax(seed: int, trials: int) -> CheckResult:
-    """The line search's grid pick is the best point of a full scan of the
-    grid, up to rounding ties: the margin is the largest shortfall of the
-    pick's scanned value below the scan's best, relative to the terms'
-    integrated magnitudes."""
+    """The line search's grid pick (`optimizer._chain_search` on its grid,
+    unrefined) is the best point of a full scan of the grid, up to rounding
+    ties: the margin is the largest shortfall of the pick's scanned value
+    below the scan's best, relative to the terms' integrated magnitudes."""
     rng = np.random.default_rng(seed)
     quad = QuadratureConfig(m=400)
     worst = 0.0
@@ -374,10 +374,11 @@ def check_line_argmax(seed: int, trials: int) -> CheckResult:
         specs = _line_argmax_specs(rng, beta)
         if not specs:
             continue
-        fam = optimizer._TwoLevelFamily(n, quad)
+        fam = optimizer._family(n, quad)
         p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
-        picks, _, _ = optimizer._grid_argmax(fam, specs, beta, p1s)
-        for spec, pick in zip(specs, picks):
+        _, picks = optimizer._chain_search(specs, beta, n, quad, p1s.__getitem__,
+                                           optimizer._spread(steps))
+        for spec, (pick, *_) in zip(specs, picks):
             scan = np.array([fam.value(spec, beta, p1) for p1 in p1s])
             best = int(np.argmax(scan))
             scale = optimizer._BatchSums(fam, [spec], beta).at(p1s[[pick, best]])[5].max()

@@ -91,10 +91,11 @@ class TestOptimize:
         assert "winner-take-all" in err
         assert dict(line.split(": ", 1) for line in out.strip().splitlines())["structure"] == "HM"
 
-    def test_bnb_rejects_other_objectives(self, capsys):
-        code, _, err = run_cli(capsys, "optimize", "--method", "bnb",
+    def test_bnb_takes_other_objectives(self, capsys):
+        code, out, _ = run_cli(capsys, "optimize", "--method", "bnb",
                                "--objective", "objective=orderstat")
-        assert code == 1 and "line or grid" in err
+        assert code == 0
+        assert dict(line.split(": ", 1) for line in out.strip().splitlines())["certified"] == "True"
 
     def test_constants_flag_is_gone(self, capsys):
         code, _, err = run_cli(capsys, "optimize", "--method", "bnb", "--constants", "rough")

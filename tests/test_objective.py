@@ -39,6 +39,7 @@ from contest_opt.objective import (
     _terms,
     evaluate_error_bound,
     format_objective_config,
+    hm_value,
     lattice_value,
 )
 
@@ -318,6 +319,43 @@ class TestClosedForm:
         assert math.isfinite(got)
         spec = ConvexCombo(0.5)
         assert abs(got - evaluate(spec, beta, hm(n))) <= evaluate_error_bound(spec, beta, hm(n))
+
+    FIVE = (
+        ConvexCombo(0.24),
+        Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+        MaxOrderStat(),
+        Exponential((1.5,), truncation_m=6),
+        SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+    )
+
+    @pytest.mark.parametrize("beta", [0.6, 2.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("spec", FIVE)
+    def test_every_family_matches_the_quadrature(self, spec, n, beta):
+        got = hm_value(spec, beta, n)
+        bound = evaluate_error_bound(spec, beta, hm(n), FAST)
+        assert abs(got - evaluate(spec, beta, hm(n), FAST)) <= bound
+
+    def test_the_mix_is_the_two_term_formula(self):
+        """Within 1e-15, relative, of alpha * beta n / (beta n + n - 1)
+        + (1 - alpha) * beta / (beta + n - 1)."""
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            alpha, beta = float(rng.random()), float(10.0 ** rng.uniform(-3.0, 3.0))
+            n = int(rng.integers(2, 50))
+            want = (alpha * beta * n / (beta * n + n - 1)
+                    + (1.0 - alpha) * beta / (beta + n - 1))
+            assert abs(hm_value(ConvexCombo(alpha), beta, n) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("beta", [1e308, 1e-300])
+    @pytest.mark.parametrize("spec", FIVE)
+    def test_extreme_betas_are_finite(self, spec, beta):
+        for n in (2, 5):
+            assert math.isfinite(hm_value(spec, beta, n))
+
+    def test_needs_two_players(self):
+        with pytest.raises(DomainError, match="n must be >= 2"):
+            hm_value(MaxOrderStat(), 2.0, 1)
 
 
 class TestGradient:

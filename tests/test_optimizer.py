@@ -1,4 +1,4 @@
-"""Interval bounds, branch-and-bound, line search and the lattice oracle."""
+"""Chain bounds, branch-and-bound, line search and the lattice oracle."""
 
 import json
 import math
@@ -19,11 +19,9 @@ from contest_opt import (
     SocialWelfare,
     StructuralConditionError,
     branch_and_bound,
-    c_decomposition,
     evaluate,
     grid_search,
     hm,
-    interval_bounds,
     two_level,
     two_level_line_search,
     uni,
@@ -36,6 +34,8 @@ from contest_opt.objective import (
     _terms,
     evaluate_error_bound,
     evaluate_hm_closed_form,
+    format_objective_config,
+    hm_value,
     lattice_bracket,
     lattice_value,
     structural_condition_holds,
@@ -51,15 +51,17 @@ from contest_opt.optimizer import (
     _BatchSums,
     _TwoLevelFamily,
     _cell_upper,
+    _chain_search,
     _chord_secant_upper,
     _family,
     _lattice_matrix,
     _screen_weights,
-    _grid_argmax,
     _lattice_bytes,
     _lattice_exceeds,
     _rise_fall_upper,
     _slope_root,
+    _spread,
+    c_decomposition,
     count_lattice_policies,
     two_level_line_search_batch,
 )
@@ -78,6 +80,17 @@ def endpoint(batch, p1):
     """The batch's one objective's `_BatchSums.at` rows at p1: value, its
     rising and falling parts, its convex and concave terms, and size."""
     return batch.at([p1])[:, 0, 0]
+
+
+def end_bounds(n, alpha, beta, lo, hi, quad):
+    """(L, U) over [lo, hi] of the welfare/quality mix from the
+    `_BatchSums.at` rows at its ends, as `verify`'s bound-sandwich check
+    reads them: L the better end's value and U the rise/fall bound, at
+    least L."""
+    batch = _BatchSums(_family(n, quad), [ConvexCombo(alpha)], beta)
+    at_lo, at_hi = endpoint(batch, lo), endpoint(batch, hi)
+    lower = max(float(at_lo[0]), float(at_hi[0]))
+    return lower, max(float(_rise_fall_upper(at_lo, at_hi)), lower)
 
 
 def assert_gaps_cover_a_scan(fam, specs, beta, results, points):
@@ -117,14 +130,14 @@ class TestCDecomposition:
 
 class TestIntervalBounds:
     def test_zero_width_collapses(self):
-        lower, upper = interval_bounds(5, 0.3, 2.0, 0.6, 0.6, FAST)
+        lower, upper = end_bounds(5, 0.3, 2.0, 0.6, 0.6, FAST)
         assert lower == pytest.approx(upper, abs=1e-12)
         assert lower == pytest.approx(
             evaluate(ConvexCombo(0.3), 2.0, two_level(5, 0.6), FAST), abs=1e-12
         )
 
     def test_full_domain_lower_is_best_endpoint(self):
-        lower, _ = interval_bounds(5, 0.0, 2.0, 0.25, 1.0, FAST)
+        lower, _ = end_bounds(5, 0.0, 2.0, 0.25, 1.0, FAST)
         g_uni = evaluate(ConvexCombo(0.0), 2.0, uni(5), FAST)
         g_hm = evaluate(ConvexCombo(0.0), 2.0, hm(5), FAST)
         assert g_uni > g_hm  # convex costs favor spreading exposure
@@ -151,7 +164,7 @@ class TestIntervalBounds:
         for n, alpha, beta, lo, hi in draws + self.LIPSCHITZ_QUALITY:
             if hi - lo < 1e-6:
                 continue
-            lower, upper = interval_bounds(n, alpha, beta, lo, hi, FAST)
+            lower, upper = end_bounds(n, alpha, beta, lo, hi, FAST)
             mid_value = evaluate(ConvexCombo(alpha), beta, two_level(n, 0.5 * (lo + hi)), FAST)
             assert lower <= upper + 1e-12
             assert max(lower, mid_value) <= upper + 1e-9
@@ -172,7 +185,7 @@ class TestIntervalBounds:
             c0, c1 = c_decomposition(n, x)
             h_max = np.maximum(c0 + c1 * lo, c0 + c1 * hi)
             want = lattice_value(ConvexCombo(alpha), beta, h_max, 0.0, x, w, n)
-            _, upper = interval_bounds(n, alpha, beta, lo, hi, FAST)
+            _, upper = end_bounds(n, alpha, beta, lo, hi, FAST)
             assert upper == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
@@ -222,7 +235,7 @@ class TestChordSecantBound:
             bound = self.bound(_BatchSums(fam, [spec], beta), lo, hi, left, right)
             p1s = np.append(np.linspace(lo, hi, 198), np.random.default_rng(7).uniform(lo, hi, 2))
             assert scan(fam, spec, beta, p1s).max() <= bound
-            assert bound <= interval_bounds(n, alpha, beta, lo, hi, self.QUAD)[1]
+            assert bound <= end_bounds(n, alpha, beta, lo, hi, self.QUAD)[1]
 
     @pytest.mark.parametrize("n, alpha, beta", [(5, 0.24, 2.0), (12, 0.3, 2.5), (6, 0.0, 4.0)])
     def test_every_node_bound_holds(self, monkeypatch, n, alpha, beta):
@@ -265,6 +278,16 @@ class TestOptimizerChecks:
             ("optimizer.bnb_certificate", "pass", "-7.90827197e-06"),
             ("optimizer.line_argmax", "pass", "0"),
         ]
+
+
+# one objective of each family the line search covers, at beta 0.6 and 2
+FIVE_FAMILIES = (
+    ConvexCombo(0.24),
+    Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+    MaxOrderStat(),
+    Exponential((1.5,), truncation_m=6),
+    SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
+)
 
 
 class TestBranchAndBound:
@@ -353,6 +376,27 @@ class TestBranchAndBound:
         assert result.value == evaluate_hm_closed_form(alpha, beta, 2)
         assert (result.certified_gap, result.certified) == (0.0, True)
 
+    def test_every_family_is_certified(self):
+        """Each family the line search covers, through the same search.  A
+        point's sums do not depend on the batch, so one scan of the five
+        covers each gap."""
+        quad = QuadratureConfig(m=20_000)
+        results = [branch_and_bound(5, spec, 2.0, BnbConfig(1e-3, quad=quad))
+                   for spec in FIVE_FAMILIES]
+        for spec, result in zip(FIVE_FAMILIES, results):
+            assert result.certified and result.certified_gap <= 1e-3, spec
+            assert result.config["objective"] == format_objective_config(spec)
+        assert_gaps_cover_a_scan(_family(5, quad), FIVE_FAMILIES, 2.0, results, 20_001)
+
+    def test_refuses_an_uncovered_posynomial_before_any_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("evaluated a grid point before the structural check")
+
+        monkeypatch.setattr(_TwoLevelFamily, "shape_sums", no_scan)
+        bad = Posynomial(((1.0, 1.0), (-1.0, 2.0), (1.0, 3.0)))
+        with pytest.raises(StructuralConditionError):
+            branch_and_bound(5, bad, 5.0, BnbConfig(1e-3))
+
     def test_refuses_exhausted_error_budget(self):
         with pytest.raises(DomainError):
             branch_and_bound(5, 0.5, 2.0, BnbConfig(epsilon=1e-9, quad=QuadratureConfig(m=1000)))
@@ -398,16 +442,6 @@ class TestFamilyCache:
                 assert cold.policy.values == warm.policy.values
 
 
-# one objective of each family the line search covers, at beta 0.6 and 2
-FIVE_FAMILIES = (
-    ConvexCombo(0.24),
-    Posynomial(((-1.0, 1.0), (2.0, 3.0))),
-    MaxOrderStat(),
-    Exponential((1.5,), truncation_m=6),
-    SocialWelfare(((1.0, 1.0), (0.5, 2.0))),
-)
-
-
 class TestLineSearch:
     def test_flat_profile_at_unit_cost(self):
         result = two_level_line_search(ConvexCombo(0.0), 1.0, 5, steps=200, quad=FAST)
@@ -431,17 +465,16 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("spec", FIVE_FAMILIES)
     def test_two_players_are_certified(self, spec):
-        """hm(2) is the only feasible point, so the step moves are 0 and the
-        gap is twice the quadrature allowance."""
+        """hm(2) is the only feasible point, so its exact value is the
+        optimum and the gap is 0; the quadrature value lies within twice
+        its allowance of it."""
         quad = QuadratureConfig(m=1000)
         result = two_level_line_search(spec, 2.0, 2, quad=quad)
         assert result.policy.values == hm(2).values
-        assert result.value == evaluate(spec, 2.0, hm(2), quad)
-        assert result.certified
-        assert result.certified_gap == 2.0 * evaluate_error_bound(spec, 2.0, hm(2), quad)
-        if isinstance(spec, ConvexCombo):
-            exact = evaluate_hm_closed_form(spec.alpha, 2.0, 2)
-            assert abs(result.value - exact) <= result.certified_gap
+        assert result.value == hm_value(spec, 2.0, 2)
+        assert result.certified and result.certified_gap == 0.0
+        delta = evaluate_error_bound(spec, 2.0, hm(2), quad)
+        assert abs(result.value - evaluate(spec, 2.0, hm(2), quad)) <= 2.0 * delta
 
     def test_mix_gap_is_pinned(self):
         result = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120,
@@ -455,12 +488,16 @@ class TestLineSearch:
 
     def test_branch_and_bound_reads_the_same_value_bits(self):
         """Both searches take a point's value from `_BatchSums`' value row:
-        at the anchor both pick the grid's first point, p1 = 1/4."""
+        at the anchor both pick the grid's first point, p1 = 1/4, and for
+        the top order statistic its last, p1 = 1."""
         quad = QuadratureConfig(m=4000)
-        line = two_level_line_search(ConvexCombo(0.24), 2.0, 5, steps=120, quad=quad)
-        bnb = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-2, quad=quad))
-        assert bnb.certified and line.policy.p1 == bnb.policy.p1 == 0.25
-        assert line.value.hex() == bnb.value.hex()
+        # branch-and-bound reads a plain number as the mix of that alpha
+        for spec, objective, p1 in ((ConvexCombo(0.24), 0.24, 0.25),
+                                    (MaxOrderStat(), MaxOrderStat(), 1.0)):
+            line = two_level_line_search(spec, 2.0, 5, steps=120, quad=quad)
+            bnb = branch_and_bound(5, objective, 2.0, BnbConfig(1e-2, quad=quad))
+            assert bnb.certified and line.policy.p1 == bnb.policy.p1 == p1
+            assert line.value.hex() == bnb.value.hex()
 
     def test_steps_above_the_cap_are_refused(self, monkeypatch):
         monkeypatch.setattr(np, "linspace", None)  # would fail if called
@@ -477,11 +514,13 @@ class TestLineSearch:
         payload = json.loads(result.to_json(), parse_constant=self.refuse)
         assert payload["gap"] == result.certified_gap and payload["certified"] is True
 
-        def overflowed(*grid_args):
-            picks, values, bounds = _grid_argmax(*grid_args)
-            return picks, values, np.full_like(bounds, math.inf)
+        bisect = optimizer._bisect
 
-        monkeypatch.setattr(optimizer, "_grid_argmax", overflowed)
+        def overflowed(*bisect_args):
+            run = bisect(*bisect_args)
+            return run._replace(leftover=np.full_like(run.leftover, math.inf))
+
+        monkeypatch.setattr(optimizer, "_bisect", overflowed)
         result = two_level_line_search(*args)
         assert result.certified_gap == math.inf and not result.certified
         payload = json.loads(result.to_json(), parse_constant=self.refuse)
@@ -536,8 +575,10 @@ class TestLineSearchBatch:
         # in a batch a gap's secants may pass through other objectives'
         # points, so it may be tighter than the single search's
         if n == 2:
-            assert [got.certified_gap for got in batch] == [
-                2.0 * evaluate_error_bound(spec, 2.0, hm(2), quad) for spec in self.SPECS]
+            for spec, got in zip(self.SPECS, batch):
+                assert (got.value, got.certified_gap) == (hm_value(spec, 2.0, 2), 0.0)
+                delta = evaluate_error_bound(spec, 2.0, hm(2), quad)
+                assert abs(got.value - evaluate(spec, 2.0, hm(2), quad)) <= 2.0 * delta
         else:
             assert_gaps_cover_a_scan(_family(n, quad), self.SPECS, 2.0, batch, 3001)
 
@@ -770,8 +811,8 @@ class TestRefinement:
         p1_grid = np.linspace(1.0 / (n - 1), 1.0, steps)
         specs = [spec for spec in LINE_SPECS if structural_condition_holds(spec, beta)]
         results = two_level_line_search_batch(specs, beta, n, steps, quad)
-        picks, _, _ = _grid_argmax(fam, specs, beta, p1_grid)
-        for spec, best, result in zip(specs, picks, results):
+        _, picks = _chain_search(specs, beta, n, quad, p1_grid.__getitem__, _spread(steps))
+        for spec, (best, *_), result in zip(specs, picks, results):
             p1s = np.linspace(p1_grid[max(best - 1, 0)], p1_grid[min(best + 1, steps - 1)], 401)
             h = fam.c0[:, None] + fam.c1[:, None] * p1s
             values = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)
@@ -849,15 +890,17 @@ class TestGridArgmax:
         """The pick is the grid's best point, and the bound lies above a
         dense scan of the whole chain: every cell is split or bounded, one
         with no grid index inside too, as at 2 and 3 steps."""
-        fam = _TwoLevelFamily(n, QuadratureConfig(m=1000))
+        quad = QuadratureConfig(m=1000)
+        fam = _TwoLevelFamily(n, quad)
         chain = np.linspace(1.0 / (n - 1), 1.0, 2001)
         chain_top = _BatchSums(fam, LINE_SPECS, beta).at(chain)[0].max(axis=0)
         # sizes around the first batch of 17 points, too
         for steps in (2, 3, 7, 16, 17, 18, 33, 150, 1000):
             p1s = np.linspace(1.0 / (n - 1), 1.0, steps)
-            picks, values, bounds = _grid_argmax(fam, LINE_SPECS, beta, p1s)
-            assert np.all(chain_top <= bounds), steps
-            for spec, pick, value in zip(LINE_SPECS, picks, values):
+            run, picks = _chain_search(LINE_SPECS, beta, n, quad, p1s.__getitem__,
+                                       _spread(steps))
+            assert np.all(chain_top <= run.leftover), steps
+            for spec, (pick, _, value, _, _) in zip(LINE_SPECS, picks):
                 scanned = scan(fam, spec, beta, p1s)
                 scale = term_sizes(fam, spec, beta, p1s).max()
                 assert scanned[pick] >= scanned.max() - 1e-12 * scale, (spec, steps)

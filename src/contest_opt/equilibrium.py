@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,17 +26,24 @@ from .policy import Policy, is_nontrivial
 from .quadrature import QuadratureConfig
 
 _SIM_CHUNK = 250_000
-# rounds per audit block: bounds the (rounds, n-1) temporaries of `_rank_counts`
+# rounds per audit block: bounds the (rounds, n-1) temporaries of the
+# opponents' sort, the awarded-rank pick and `_rank_counts`
 _AUDIT_ROWS = 16_384
+# widest rows `_sorted_rows` orders by a compare-exchange network rather than
+# np.sort.  On a 16,384-row block (one CPU, one BLAS thread, numpy 2.4 on an
+# AVX-512 VM) the network took 0.04 ms at width 2, 0.15 at 4, 0.48 at 7,
+# 0.61-0.68 at 8, 0.80 at 9, 0.92-0.98 at 10 and 1.09-1.19 at 11; np.sort
+# took 0.7-1.1 ms at each of these widths but 8, where it took 0.52-0.55.
+# So the crossover is at 11, and 8 is the one narrower width np.sort wins.
+_NETWORK_WIDTH = 10
 # largest CDF table and deviation grid: memory and time grow with each
 MAX_TABLE_POINTS = 100_000
 MAX_DEVIATION_GRID = 100_000
 # largest n x G of the deviation audit, whose tables hold n (G + 1) counts
 # per block: n = 40 at the largest grid peaked at 206 MB
 MAX_AUDIT_CELLS = 40 * MAX_DEVIATION_GRID
-# largest n x rounds of one sampler chunk, whose uniform draws and qualities,
-# then qualities and the opponents' sort, hold about 17 bytes per draw:
-# n = 100 at full chunks peaked at 461 MB
+# largest n x rounds of one sampler chunk, whose uniform draws and qualities
+# hold about 17 bytes per draw: n = 100 at full chunks peaked at 419 MB
 MAX_SIM_DRAWS = 100 * _SIM_CHUNK
 
 
@@ -177,6 +185,47 @@ def _grid_positions(grid: np.ndarray, values: np.ndarray):
         pos += up
 
 
+@lru_cache(maxsize=None)
+def _network_pairs(width: int) -> tuple[tuple[int, int], ...]:
+    """Comparator pairs (i, j), i < j, of Batcher's odd-even merge sort of
+    `width` keys in the merge-exchange form (Knuth, TAOCP vol. 3, 5.2.2,
+    Algorithm M): exchanging each pair into order, in turn, sorts any input."""
+    pairs = []
+    t = max(width - 1, 0).bit_length()
+    p = 1 << t >> 1
+    while p:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(width - d) if i & p == r)
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return tuple(pairs)
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.sort(rows, axis=1)``, bit for bit on NaN-free floats with no
+    -0.0 (where 0.0 and -0.0 meet, either zero may come out of a
+    comparator; the two compare equal).  Rows of at most `_NETWORK_WIDTH`
+    are ordered column by column through Batcher's network, two ufunc calls
+    per comparator, where np.sort spends about 50 ns a row whatever its
+    width."""
+    count, width = rows.shape
+    if width > _NETWORK_WIDTH:
+        return np.sort(rows, axis=1)
+    cols = list(rows.T.copy())
+    spare = np.empty(count)
+    for i, j in _network_pairs(width):
+        np.minimum(cols[i], cols[j], out=spare)
+        np.maximum(cols[i], cols[j], out=cols[j])
+        cols[i], spare = spare, cols[i]
+    out = np.empty_like(rows)
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
+
+
 def _insert_pick(ascending: np.ndarray, last: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Per row, the value at ascending position `index` of that row of
     `ascending` (sorted ascending) with the row's `last` inserted in order:
@@ -287,17 +336,18 @@ def simulate(model: EquilibriumModel, samples: int, seed: int,
         qualities = quantile(model, rng.random((rounds, n)).ravel()).reshape(rounds, n)
         quality_sum += qualities.sum()
         quality_sq += (qualities**2).sum()
-        # one sort of the opponents serves the awarded rank and the audit
-        opponents = np.sort(qualities[:, : n - 1], axis=1)
-        chosen_rank = rng.choice(n, size=rounds, p=pvals)
         # rank k + 1, counted from the top, sits at ascending index n - 1 - k
         # of the round's opponents with its last contestant put in
-        awarded = _insert_pick(opponents, qualities[:, n - 1], n - 1 - chosen_rank)
+        index = n - 1 - rng.choice(n, size=rounds, p=pvals)
+        awarded = np.empty(rounds)
+        for start in range(0, rounds, _AUDIT_ROWS):
+            block = slice(start, start + _AUDIT_ROWS)
+            # one sort of the block's opponents serves the awarded rank and the audit
+            opponents = _sorted_rows(qualities[block, : n - 1])
+            awarded[block] = _insert_pick(opponents, qualities[block, n - 1], index[block])
+            counts += _rank_counts(opponents, grid, rng)
         welfare_sum += awarded.sum()
         welfare_sq += (awarded**2).sum()
-
-        for start in range(0, rounds, _AUDIT_ROWS):
-            counts += _rank_counts(opponents[start:start + _AUDIT_ROWS], grid, rng)
 
     n_rounds = float(samples)
     welfare = welfare_sum / n_rounds

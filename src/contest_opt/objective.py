@@ -203,7 +203,8 @@ def _terms(spec: ObjectiveSpec, beta: float, n: int) -> tuple[_Term, ...]:
         for lam in spec.lambdas:
             coef = 1.0
             for j in range(spec.order() + 1):
-                out.append(_Term(coef, j * inv_b))
+                # the constant term's exponent is 0 even where 1/beta is inf
+                out.append(_Term(coef, j * inv_b if j else 0.0))
                 coef *= lam / (j + 1)
         return tuple(out)
     if isinstance(spec, SocialWelfare):

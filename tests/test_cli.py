@@ -16,7 +16,7 @@ import pytest
 
 from contest_opt import QuadratureConfig, parse_objective_config, parse_policy
 from contest_opt import bernstein, equilibrium, objective, optimizer, quadrature
-from contest_opt import verify
+from contest_opt import cli, verify
 from contest_opt.cli import main
 from contest_opt.policy import classify_structure
 
@@ -425,21 +425,25 @@ class TestEquilibriumCommand:
     # stdout of each command, pinned before the sampler, the CDF bisection
     # and the deviation audit were last reworked; the 12-rank policy (p_n = 0)
     # inverts h below the spacing of doubles, and the 3-rank one (p_n > 0)
-    # takes the quantile map's shift by p_n
+    # takes the quantile map's shift by p_n.  The 11-rank one (p_n > 0) sorts
+    # its 10 opponents by the widest compare-exchange network, over three
+    # audit blocks, and was pinned while the opponents were sorted by np.sort
     PINNED = {
-        ("--policy", "hm", "--n", "5"):
+        ("--policy", "hm", "--n", "5", "--simulate", "20000"):
             "02e6246791ec8cbefd2edb49553d5f6359bca9395ce3f9cde288368260605365",
         ("--policy", "0.3,0.2,0.1,0.08,0.07,0.06,0.05,0.04,0.04,0.03,0.03,0",
-         "--n", "12", "--beta", "1.5"):
+         "--n", "12", "--beta", "1.5", "--simulate", "20000"):
             "570a8fbfabf871107ba2fbae0da2f1f2c100ef244f171228f905c3841d303a78",
-        ("--policy", "0.5,0.3,0.2", "--beta", "1.7"):
+        ("--policy", "0.5,0.3,0.2", "--beta", "1.7", "--simulate", "20000"):
             "3256326d8be2c13ed48881b75b207120361fbc21c215939a27940ca3867f1c9e",
+        ("--policy", "0.25,0.12,0.1,0.1,0.08,0.08,0.07,0.06,0.06,0.05,0.03",
+         "--n", "11", "--beta", "2.5", "--simulate", "40000"):
+            "2da46f714b290ac7d4bdb61c9b3dbc60b324a1d558c06bf977cbdc5377976d5e",
     }
 
     @pytest.mark.parametrize("policy_args", list(PINNED))
     def test_output_is_pinned(self, capsys, policy_args):
-        code, out, _ = run_cli(capsys, "equilibrium", *policy_args,
-                               "--simulate", "20000", "--seed", "7")
+        code, out, _ = run_cli(capsys, "equilibrium", *policy_args, "--seed", "7")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[policy_args]
 
@@ -599,6 +603,31 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    # a usage error, --beta given and then left to its default, another command
+    SEQUENCE = (
+        ("optimize", "--method", "bogus"),
+        ("evaluate", "--policy", "hm", "--n", "4", "--beta", "3"),
+        ("evaluate", "--policy", "hm", "--n", "4"),
+        ("equilibrium", "--policy", "0.5,0.3,0.2", "--points", "4",
+         "--simulate", "1000", "--seed", "2"),
+    )
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        """`main` reuses one parser, and nothing of one call reaches the
+        next: the calls print the bytes and exit with the codes they do when
+        each call builds a parser of its own."""
+        assert cli._parser() is cli._parser()
+        shared = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in self.SEQUENCE]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 0, 0, 0]
+        assert "beta: 3\n" in shared[1][1] and "beta: 2\n" in shared[2][1]
+        monkeypatch.undo()
+        # a command is looked up when it runs, not when the parser was built
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert main(["verify"]) == 7
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

@@ -26,6 +26,8 @@ from contest_opt import (
     welfare_quality_analytic,
 )
 from contest_opt.equilibrium import (
+    _AUDIT_ROWS,
+    _NETWORK_WIDTH,
     _SIM_CHUNK,
     MAX_AUDIT_CELLS,
     MAX_DEVIATION_GRID,
@@ -34,6 +36,7 @@ from contest_opt.equilibrium import (
     _grid_positions,
     _insert_pick,
     _rank_counts,
+    _sorted_rows,
 )
 
 
@@ -313,6 +316,31 @@ class TestRankCounts:
         assert np.all(np.abs(share[1:4] - 1000) < 5 * np.sqrt(3000 * 2 / 9))
 
 
+class TestSortedRows:
+    @pytest.mark.parametrize("rows", [0, 1, _AUDIT_ROWS])
+    @pytest.mark.parametrize("width", range(_NETWORK_WIDTH + 3))
+    def test_bits_of_np_sort(self, width, rows):
+        """Random and heavily tied values, read as the sampler hands them
+        over: a column slice of a wider array, left as it was."""
+        rng = np.random.default_rng([width, rows])
+        for values in (rng.random((rows, width + 1)),
+                       rng.integers(0, 3, (rows, width + 1)).astype(float)):
+            block = values[:, :width]
+            kept = values.copy()
+            got = _sorted_rows(block)
+            assert got.shape == block.shape
+            assert np.array_equal(got.view(np.int64), np.sort(block, axis=1).view(np.int64))
+            assert np.array_equal(values, kept)
+
+    @pytest.mark.parametrize("width", range(2, _NETWORK_WIDTH + 1))
+    def test_every_zero_one_row(self, width):
+        """A comparator network that sorts every 0-1 input sorts every
+        input (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z)."""
+        bits = (np.arange(2**width)[:, None] >> np.arange(width)) & 1
+        got = _sorted_rows(bits.astype(float))
+        assert np.array_equal(got, np.sort(bits, axis=1))
+
+
 class TestSimulateRecomputed:
     # at n = 2 `_insert_pick` reads +inf past the top of the opponents' sort
     # for the winner, and -inf past its bottom for the loser, whom only
@@ -322,7 +350,8 @@ class TestSimulateRecomputed:
         (make_policy((0.7, 0.3)), 1.2, 20_000, 6),
         (make_policy((0.5, 0.3, 0.2)), 1.7, _SIM_CHUNK + 10_001, 31),
         (two_level(20, 0.4), 1.3, 20_000, 8),
-    ], ids=["n2", "n2_pn", "n3_pn_two_chunks", "n20"])
+        (two_level(_NETWORK_WIDTH + 1, 0.3), 2.2, 20_000, 9),
+    ], ids=["n2", "n2_pn", "n3_pn_two_chunks", "n20", "widest_network"])
     def test_bitwise_equal_to_the_seed_sequence_draws(self, policy, beta, samples, seed):
         """Every chunk replayed from its spawned stream, with a full sort of
         each round and the per-point audit."""

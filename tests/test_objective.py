@@ -353,6 +353,14 @@ class TestClosedForm:
         for n in (2, 5):
             assert math.isfinite(hm_value(spec, beta, n))
 
+    def test_subnormal_beta_keeps_the_constant_term(self):
+        """At beta 5e-324, 1/beta overflows to inf; the constant Taylor term
+        of an Exponential keeps exponent 0, where 0 * inf would be nan.  A
+        RuntimeWarning from the package fails the test (pyproject.toml)."""
+        spec = Exponential((1.5,), truncation_m=6)
+        assert hm_value(spec, 5e-324, 5) == 1.0
+        assert math.isfinite(evaluate(spec, 5e-324, hm(5)))
+
     def test_needs_two_players(self):
         with pytest.raises(DomainError, match="n must be >= 2"):
             hm_value(MaxOrderStat(), 2.0, 1)

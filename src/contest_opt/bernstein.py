@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, RangeError, TrivialPolicyError
 from .policy import Policy, is_nontrivial
+from .quadrature import _SUM_BLOCK, integrate
 
 TOL_INV = 1e-12
 MAX_BISECT = 200
@@ -145,12 +146,13 @@ def _nested_dot(n: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def weights_dot_basis(n: int, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``weights @ basis_matrix(n, x)`` for a 1-d x, summed over blocks of
-    about `_BLOCK_ELEMENTS` basis values, so memory does not grow with
-    points times n."""
-    step = max(1, _BLOCK_ELEMENTS // n)
+    at most `quadrature._SUM_BLOCK` points and about `_BLOCK_ELEMENTS`
+    basis values, so memory does not grow with points times n; each block
+    is one `quadrature.integrate` call, one BLAS product."""
+    step = max(1, min(_SUM_BLOCK, _BLOCK_ELEMENTS // n))
     total = np.zeros(n)
     for a in range(0, len(x), step):
-        total += weights[a:a + step] @ basis_matrix(n, x[a:a + step])
+        total += integrate(basis_matrix(n, x[a:a + step]), weights[a:a + step])
     return total
 
 

@@ -38,7 +38,7 @@ from .errors import (
     TrivialPolicyError,
 )
 from .policy import Policy, is_nontrivial
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, integrate
 
 PN_TOL = 1e-12
 # Rounding allowance of `lattice_bracket`: the full value and the bracket sum
@@ -446,7 +446,7 @@ def lattice_value(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
     pn = np.asarray(pn)
     xcol = x if g.ndim == 1 else x[:, None]
     values = _term_values(_plan(_terms(spec, b, n)), xcol, g, pn)
-    return values.T @ w + _lattice_constant(spec, n, pn)
+    return integrate(values, w) + _lattice_constant(spec, n, pn)
 
 
 def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
@@ -486,7 +486,7 @@ def lattice_bracket(spec: ObjectiveSpec, beta, g: np.ndarray, pn, x: np.ndarray,
         if not groups:
             return 0.0, 0.0
         values = _term_values(groups, xcol, g, pn, powers, read_only=True)
-        return values.T @ w_low, values.T @ w_high
+        return integrate(values, w_low), integrate(values, w_high)
 
     # fall_low and fall_high: the falling terms' signed sums, -N.w_low and -N.w_high
     (rise_low, rise_high), (fall_low, fall_high) = class_sums(False), class_sums(True)

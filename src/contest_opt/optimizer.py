@@ -85,7 +85,7 @@ from .objective import (
     _terms,
 )
 from .policy import Policy, hm, make_policy, two_level, uni
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, integrate
 
 BNB_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
 GRID_QUAD = QuadratureConfig(m=1000, rule="trapezoid", exclude_left_endpoint=False)
@@ -259,7 +259,7 @@ class _TwoLevelFamily:
         def at(p1: float) -> float:
             h = c1 * p1
             h += c0
-            return float(_term_values(plan, x, h) @ weights)
+            return float(integrate(_term_values(plan, x, h), weights))
 
         return at
 
@@ -277,7 +277,8 @@ class _TwoLevelFamily:
         powers: dict = {}
         rise, fall = slice(self.cut, None), slice(None, self.cut)
         values = (_term_values(plan, self.x, h, 0.0, powers, read_only=True) for plan in plans)
-        return np.array([(v[rise] @ self.w[rise], v[fall] @ self.w[fall]) for v in values])
+        return np.array([(integrate(v[rise], self.w[rise]), integrate(v[fall], self.w[fall]))
+                         for v in values])
 
     def error_bound(self, spec: ObjectiveSpec, b: float) -> float:
         """Per-evaluation quadrature allowance; p1 = 1 maximizes every term's range."""

@@ -24,6 +24,7 @@ from .bernstein import basis_columns, basis_matrix
 from .errors import DomainError
 from .objective import ObjectiveSpec, gradient_weight
 from .policy import Policy
+from .quadrature import integrate
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +221,7 @@ def symmetric_power_integral(p_values: np.ndarray, r: float) -> float:
     p_sorted = np.sort(np.asarray(p_values, dtype=float))[::-1]
     basis, w = _gl_basis(p_sorted.size)
     values = basis @ p_sorted
-    return float((values**r) @ w)
+    return float(integrate(values**r, w))
 
 
 def schur_direction(r: float, n: int, trials: int = 200, seed: int = 0) -> SchurDirectionReport:

@@ -274,8 +274,8 @@ class TestOptimizerChecks:
                    for r in verify.run_checks(only="optimizer", seed=42, trials=200)]
         assert records == [
             ("optimizer.affine_decomposition", "pass", "2.77555756e-16"),
-            ("optimizer.bound_sandwich", "pass", "-0.000701554647"),
-            ("optimizer.bnb_certificate", "pass", "-7.90827197e-06"),
+            ("optimizer.bound_sandwich", "pass", "-0.000216079255"),
+            ("optimizer.bnb_certificate", "pass", "-7.500525e-05"),
             ("optimizer.line_argmax", "pass", "0"),
         ]
 

@@ -379,7 +379,8 @@ def evaluate_error_bound(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureC
     """Per-term monotone quadrature error bound for `evaluate`.
 
     Each |coef| * x^a * h^r factor is monotone on [0,1], so the rule error
-    is at most its range divided by m; terms add by linearity.
+    is at most the rule's allowance on its range
+    (`QuadratureConfig.monotone_error_bound`); terms add by linearity.
     """
     b = beta_value(beta)
     quad = quad or DEFAULT_QUAD

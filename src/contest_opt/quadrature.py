@@ -1,15 +1,21 @@
 """1-D quadrature on [0, 1] with explicit error accounting.
 
-Two rules are supported.  ``right_riemann`` evaluates at j/m for j = 1..m;
-for a monotone integrand f its absolute error is at most (f(1) - f(0))/m,
-which is the bound the optimizer's certificates rely on.  ``trapezoid`` is
-the standard closed rule (the same monotone bound holds, and the actual
-error is O(1/m^2) for smooth integrands).
+Two rules are supported, and `QuadratureConfig.monotone_error_bound` is
+each one's allowance for a monotone integrand f, the bound the optimizer's
+certificates rely on.  ``right_riemann`` evaluates at j/m for j = 1..m; its
+absolute error is at most |f(1) - f(0)|/m.  ``trapezoid`` is the standard
+closed rule on j/m for j = 0..m; its error is at most |f(1) - f(0)|/(2m),
+half that (and O(1/m^2) for smooth integrands).  The trapezoid sum T is
+the mean of the left and right Riemann sums L and R, and for a monotone f
+the integral I lies between L and R, which differ by (f(1) - f(0))/m, so
+|T - I| <= |R - L|/2 (Davis & Rabinowitz, *Methods of Numerical
+Integration*, 1984, section 2.1).
 
 ``exclude_left_endpoint`` acts only under ``trapezoid``: it moves the node
 at x = 0 to 1/m, keeping its weight, so integrands with a singularity at
-x = 0 are never evaluated there.  Right-Riemann nodes start at 1/m, so
-under ``right_riemann`` the flag changes nothing.
+x = 0 are never evaluated there.  That sum is R - (f(1) - f(1/m))/(2m), not
+the mean of L and R, so it keeps the full 1/m allowance.  Right-Riemann
+nodes start at 1/m, so under ``right_riemann`` the flag changes nothing.
 
 Every sum over the nodes is `integrate`: blocks of `_SUM_BLOCK` nodes, one
 BLAS call each, whose sums are added in node order.  The order of a
@@ -66,7 +72,13 @@ class QuadratureConfig:
 
     def monotone_error_bound(self, f0: float = 0.0, f1: float = 1.0) -> float:
         """Rigorous |quadrature - integral| bound for a monotone integrand
-        ranging from f0 to f1."""
+        ranging from f0 to f1: |f1 - f0|/(2m) for the trapezoid rule with
+        its node at 0, which is the mean of the left and right Riemann sums
+        that bracket the integral, and |f1 - f0|/m otherwise.  With the
+        left endpoint excluded the trapezoid sum is no such mean (see the
+        module docstring), so it keeps /m."""
+        if self.rule == "trapezoid" and not self.exclude_left_endpoint:
+            return abs(f1 - f0) / (2 * self.m)
         return abs(f1 - f0) / self.m
 
 

@@ -290,6 +290,10 @@ FIVE_FAMILIES = (
 )
 
 
+# the five (n, alpha, beta) strata of the certify_bnb benchmark workload
+BNB_DRAWS = ((5, 0.24, 2.0), (4, 0.45, 2.6), (5, 0.50, 2.0), (6, 0.05, 2.5), (4, 0.30, 0.8))
+
+
 class TestBranchAndBound:
     def test_pure_quality_convex_cost_returns_uniform(self, holder_constants):
         result = branch_and_bound(5, 0.0, 2.0, BnbConfig(epsilon=1e-3))
@@ -310,6 +314,18 @@ class TestBranchAndBound:
             assert result.certified and result.certified_gap <= eps
             assert result.value >= line.value - eps - line.certified_gap
             assert result.value <= line.value + line.certified_gap + result.certified_gap
+
+    @pytest.mark.parametrize("n, alpha, beta", BNB_DRAWS)
+    def test_agrees_with_the_line_search_across_rules(self, n, alpha, beta):
+        """Branch-and-bound on `BNB_QUAD`'s trapezoid rule and the line
+        search on `LINE_QUAD`'s right-Riemann rule bound the same optimum:
+        each value lies within both gaps of the other."""
+        line = two_level_line_search(ConvexCombo(alpha), beta, n)
+        assert line.config["quad_rule"] != BNB_QUAD.rule and line.certified
+        for eps in (1e-3, 1e-4):
+            bnb = branch_and_bound(n, alpha, beta, BnbConfig(eps))
+            assert bnb.certified and bnb.certified_gap <= eps
+            assert abs(bnb.value - line.value) <= bnb.certified_gap + line.certified_gap
 
     def test_gap_covers_a_dense_scan_of_the_chain(self):
         """No point of a 2,001-point scan of the chain, on the same rule,
@@ -400,6 +416,15 @@ class TestBranchAndBound:
     def test_refuses_exhausted_error_budget(self):
         with pytest.raises(DomainError):
             branch_and_bound(5, 0.5, 2.0, BnbConfig(epsilon=1e-9, quad=QuadratureConfig(m=1000)))
+        # at `BNB_QUAD` the anchor's 2 delta is 2.99e-5, the trapezoid rule's
+        # half allowance: 3.5e-5 is certified, and 2 delta itself is refused
+        two_delta = 2.0 * _family(5, BNB_QUAD).error_bound(ConvexCombo(0.24), 2.0)
+        assert 2.99e-5 < two_delta < 3.0e-5
+        result = branch_and_bound(5, 0.24, 2.0, BnbConfig(3.5e-5))
+        assert result.certified and two_delta <= result.certified_gap <= 3.5e-5
+        for eps in (2.99e-5, two_delta):
+            with pytest.raises(DomainError, match="quadrature error budget exhausted"):
+                branch_and_bound(5, 0.24, 2.0, BnbConfig(eps))
 
     def test_incumbent_trace_is_monotone(self):
         trace = []
@@ -427,11 +452,8 @@ class TestFamilyCache:
             with pytest.raises(ValueError):
                 arr[0] = 0.5
 
-    # the five (n, alpha, beta) strata of the certify_bnb benchmark workload
-    BNB_DRAWS = ((5, 0.24, 2.0), (4, 0.45, 2.6), (5, 0.50, 2.0), (6, 0.05, 2.5), (4, 0.30, 0.8))
-
     def test_cold_and_warm_cache_agree(self):
-        for n, alpha, beta in self.BNB_DRAWS:
+        for n, alpha, beta in BNB_DRAWS:
             for eps in (1e-3, 1e-4):
                 _family.cache_clear()
                 cold = branch_and_bound(n, alpha, beta, BnbConfig(eps))
@@ -851,17 +873,26 @@ class TestChainCut:
     """c1 changes sign once on the nodes, so one index splits them into the
     nodes where it is <= 0 and those where it is >= 0."""
 
-    # branch-and-bound's, the line search's and the sweep's rules, and a
-    # trapezoid rule that keeps x = 0
+    # branch-and-bound's (a trapezoid rule that keeps x = 0), the line
+    # search's and the sweep's rules, and a coarser trapezoid rule
     @pytest.mark.parametrize("quad", [
         BNB_QUAD, LINE_QUAD, QuadratureConfig(m=5000),
         QuadratureConfig(m=4000, rule="trapezoid", exclude_left_endpoint=False),
     ], ids=["bnb", "line", "sweep", "trapezoid"])
     def test_one_cut_for_every_n(self, quad):
-        for n in range(3, 41):
+        for n in range(3, 101):
             fam = _TwoLevelFamily(n, quad)
-            assert 0 < fam.cut < len(fam.x)
-            assert np.all(fam.c1[:fam.cut] <= 0.0) and np.all(fam.c1[fam.cut:] >= 0.0)
+            assert 0 < fam.cut < len(fam.x), n
+            assert np.all(fam.c1[:fam.cut] <= 0.0) and np.all(fam.c1[fam.cut:] >= 0.0), n
+
+    def test_branch_and_bound_rule_is_exact_in_binary(self):
+        """`BNB_QUAD`'s nodes k/m and weights, 1/m and 1/(2m) at both ends,
+        are dyadic, and the node at 0 is kept."""
+        x, w = BNB_QUAD.nodes_weights()
+        m = BNB_QUAD.m
+        assert len(x) == m + 1 and x[0] == 0.0 and x[-1] == 1.0
+        assert np.array_equal(x * m, np.arange(m + 1))
+        assert w[0] * m == w[-1] * m == 0.5 and np.all(w[1:-1] * m == 1.0)
 
     def test_a_second_sign_change_is_refused(self, monkeypatch):
         monkeypatch.setattr(optimizer, "c_decomposition",

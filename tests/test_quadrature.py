@@ -9,9 +9,20 @@ import textwrap
 import numpy as np
 import pytest
 
-from contest_opt.objective import ConvexCombo, Exponential, MaxOrderStat, _plan, _term_values
+from contest_opt.objective import (
+    ConvexCombo,
+    Exponential,
+    MaxOrderStat,
+    Posynomial,
+    _plan,
+    _term_values,
+    evaluate,
+    evaluate_error_bound,
+    hm_value,
+)
 from contest_opt.optimizer import BNB_QUAD, _BatchSums, _family
-from contest_opt.quadrature import _SUM_BLOCK, integrate
+from contest_opt.policy import hm
+from contest_opt.quadrature import _SUM_BLOCK, QuadratureConfig, integrate
 
 B = _SUM_BLOCK
 
@@ -70,6 +81,35 @@ class TestIntegrate:
             v = _term_values(plan, fam.x, h)
             assert _bits(rise) == _bits(integrate(v[fam.cut:], fam.w[fam.cut:]))
             assert _bits(fall) == _bits(integrate(v[:fam.cut], fam.w[:fam.cut]))
+
+
+class TestMonotoneErrorBound:
+    @pytest.mark.parametrize("rule, exclude_left, allowance", [
+        ("right_riemann", True, 1.0),
+        ("trapezoid", False, 0.5),
+        ("trapezoid", True, 1.0),
+    ])
+    def test_allowance_of_each_rule(self, rule, exclude_left, allowance):
+        """The trapezoid rule with its node at 0 is the mean of the left and
+        right Riemann sums, so half their range bounds it; moving that node
+        to 1/m makes it no such mean, and it keeps the full 1/m."""
+        quad = QuadratureConfig(m=1000, rule=rule, exclude_left_endpoint=exclude_left)
+        assert quad.monotone_error_bound(0.0, 1.0) == allowance / 1000
+        assert quad.monotone_error_bound(3.0, 1.0) == 2.0 * allowance / 1000
+
+    @pytest.mark.parametrize("m", [16, 256, 4096, 2**16])
+    @pytest.mark.parametrize("spec", [
+        ConvexCombo(0.24), MaxOrderStat(), Exponential((1.5,)),
+        Posynomial(((-1.0, 1.0), (2.0, 3.0))),
+    ])
+    def test_half_allowance_covers_the_exact_value(self, spec, m):
+        """At winner-take-all, whose value `hm_value` gives in closed form,
+        the trapezoid sum lies within its half allowance of it."""
+        quad = QuadratureConfig(m=m, rule="trapezoid", exclude_left_endpoint=False)
+        for n in (3, 5, 8, 20):
+            for beta in (0.3, 0.7, 1.0, 2.0, 5.0):
+                error = abs(evaluate(spec, beta, hm(n), quad) - hm_value(spec, beta, n))
+                assert error <= evaluate_error_bound(spec, beta, hm(n), quad), (n, beta)
 
 
 # commands whose sums run over more than `_SUM_BLOCK` nodes, and the grid

@@ -51,10 +51,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _quad_from_args(args, default: QuadratureConfig) -> QuadratureConfig:
-    m = args.quad_m if args.quad_m else default.m
-    rule = args.quad_rule if args.quad_rule else default.rule
-    return QuadratureConfig(m=m, rule=rule,
-                            exclude_left_endpoint=(rule == "right_riemann"))
+    return QuadratureConfig(m=args.quad_m) if args.quad_m else default
 
 
 def _objective_from_args(args) -> obj.ObjectiveSpec:
@@ -319,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta", type=float, default=2.0, help="cost exponent")
         if "quad" in groups:
             p.add_argument("--quad-m", type=int, default=0,
-                           help="quadrature node count (0 = command default)")
-            p.add_argument("--quad-rule", choices=["right_riemann", "trapezoid"],
-                           default="", help="quadrature rule")
+                           help="quadrature size m, the trapezoid rule's m + 1 nodes "
+                                "(0 = command default)")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         if "format" in groups:
             p.add_argument("--format", choices=["text", "json"], default="text")

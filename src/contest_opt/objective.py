@@ -58,13 +58,16 @@ BRACKET_ROUNDING = 1e-9
 # Each group is of one sign, so Horner's rule never runs across signs.
 _HORNER_MAX_DEGREE = 64
 # Most Taylor terms an `Exponential` expands to, over all its rates.  Every
-# term past `_HORNER_MAX_DEGREE` takes a power of h at each node: at
-# DEFAULT_QUAD, with one power per term, `evaluate` of the 2,149 terms of the
+# term past `_HORNER_MAX_DEGREE` takes a power of h at each node: at 100,000
+# nodes, with one power per term, `evaluate` of the 2,149 terms of the
 # default order at lambda = 709 took 17.5 s CPU and `optimize --method line`
 # 99 s.  The cap admits two such rates.
 MAX_TAYLOR_TERMS = 5000
 
-DEFAULT_QUAD = QuadratureConfig(m=100_000, rule="right_riemann", exclude_left_endpoint=True)
+# the trapezoid rule at m = 2^16, the config's defaults: an allowance of
+# 1/131,072 per unit range, and nodes and weights exact in binary; also
+# `optimizer.BNB_QUAD`
+DEFAULT_QUAD = QuadratureConfig()
 
 
 def _check_finite_terms(terms, what: str) -> None:
@@ -423,12 +426,12 @@ def gradient(spec: ObjectiveSpec, beta, p: Policy, quad: QuadratureConfig | None
     """Partial derivatives of `evaluate` w.r.t. the top n-1 shares.
 
     The weight multiplying a_i(x) is identical across i.  For exponents
-    below one the weight is singular at x = 0; the default quadrature
-    never evaluates there (nodes start at 1/m), which clamps the integrand
-    and leaves the shape of the sequence intact.
+    below one it is singular at x = 0, the rule's first node, where a_i is
+    0 for every i < n, so the sum runs over the nodes x > 0 only: the full
+    sum wherever the weight at 0 is finite, and never 0 * inf = nan.
     """
-    quad = quad or DEFAULT_QUAD
-    x, w = quad.nodes_weights()
+    x, w = (quad or DEFAULT_QUAD).nodes_weights()
+    x, w = x[1:], w[1:]
     weight = gradient_weight(spec, beta, p, x)
     return weights_dot_basis(p.n, x, weight * w)[: p.n - 1]
 

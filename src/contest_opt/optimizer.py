@@ -30,7 +30,7 @@ gap.  The line search refines its best grid point where the objective's
 exact slope in p1 (`_TwoLevelFamily.slope`) crosses zero next to it
 (`_slope_root`).  Every call reads values and bounds from one
 `_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
-nonnegative), built once per (n, rule) and shared read-only (`_family`),
+nonnegative), built once per (n, quadrature) and shared read-only (`_family`),
 and values and bounds through one kernel, `_BatchSums`, which integrates
 each term shape on either side of the cut once per point, so the searches
 agree bit for bit at any p1.
@@ -69,6 +69,7 @@ from .bernstein import basis_columns, basis_matrix
 from .errors import BudgetExceededError, DomainError, StructuralConditionError
 from .objective import (
     BRACKET_ROUNDING,
+    DEFAULT_QUAD,
     ConvexCombo,
     ObjectiveSpec,
     beta_value,
@@ -87,15 +88,14 @@ from .objective import (
 from .policy import Policy, hm, make_policy, two_level, uni
 from .quadrature import QuadratureConfig, integrate
 
-# 2^16 trapezoid nodes: their allowance, half the right-Riemann one
-# (`QuadratureConfig.monotone_error_bound`), is 0.76 times that of 100,000
-# right-Riemann nodes, so they admit every epsilon those do at two thirds of
-# the cost per chain point.  The nodes k/2^16 and weights 2^-16 and 2^-17
-# are exact in binary, and the 65,537 nodes are 8 full `integrate` blocks
-# plus one.
-BNB_QUAD = QuadratureConfig(m=65_536, rule="trapezoid", exclude_left_endpoint=False)
-GRID_QUAD = QuadratureConfig(m=1000, rule="trapezoid", exclude_left_endpoint=False)
-LINE_QUAD = QuadratureConfig(m=20_000, rule="right_riemann", exclude_left_endpoint=True)
+# Every rule is the trapezoid rule with its node at 0 (`quadrature`).
+# Branch-and-bound's is `DEFAULT_QUAD`, m = 2^16: an allowance of 1/131,072
+# per unit range, nodes k/2^16 and weights 2^-16 and 2^-17 exact in binary,
+# and 65,537 nodes, 8 full `integrate` blocks plus one.  The line search's
+# m = 2^14 allows 1/32,768.
+BNB_QUAD = DEFAULT_QUAD
+GRID_QUAD = QuadratureConfig(m=1000)
+LINE_QUAD = QuadratureConfig(m=16_384)
 
 # most bytes `_lattice_matrix` may take (`_lattice_bytes`): `optimize
 # --method grid` peaked at 211 MB at n = 8, granularity 0.01 (244 MB by that
@@ -106,8 +106,8 @@ MAX_LATTICE_BYTES = 256 * 2**20
 MAX_LINE_STEPS = 10_000_000
 # most values of grid_search's (nodes, n) basis.  With 2 candidates,
 # 12 million (n = 60, 200,001 nodes) peaked at 286 MB and 6 million at
-# 181 MB (n = 60) to 243 MB (n = 6); n = 5 at every node count the rules
-# allow is admitted.
+# 181 MB (n = 60) to 243 MB (n = 6); n = 5 at every node count the rule
+# allows is admitted.
 MAX_GRID_BASIS = 6_000_000
 # grid_search holds about this many (node, candidate) values, 512 kB, per
 # temporary.  On the lattice_oracle operations below 1 << 18 took 3% and
@@ -205,7 +205,7 @@ def _rise_column(t: _Term) -> int:
 
 
 class _TwoLevelFamily:
-    """The two-level chain h = c0(x) + c1(x)*p1 on the nodes of one rule.
+    """The two-level chain h = c0(x) + c1(x)*p1 on the quadrature nodes.
 
     Up to a positive factor c1 is (n-1) x^(n-1) + (1-x)^(n-1) - 1, convex,
     0 at x = 0 and positive at x = 1, so it changes sign once: it is <= 0
@@ -226,9 +226,8 @@ class _TwoLevelFamily:
         falling = np.flatnonzero(self.c1 < 0.0)
         self.cut = int(falling[-1]) + 1 if len(falling) else 0
         if np.any(self.c1[:self.cut] > 0.0):
-            raise DomainError("c1 changes sign more than once on the nodes of n=%d, m=%d, "
-                              "rule %s; the rise/fall bound needs one cut"
-                              % (n, quad.m, quad.rule))
+            raise DomainError("c1 changes sign more than once on the nodes of n=%d, m=%d; "
+                              "the rise/fall bound needs one cut" % (n, quad.m))
         for arr in (self.c0, self.c1):
             arr.setflags(write=False)
 
@@ -243,13 +242,9 @@ class _TwoLevelFamily:
     def _slope_nodes(self) -> tuple[np.ndarray, ...]:
         """x, c0 and c1 at the nodes where c1 != 0, and c1 * w there: the
         slope's weights.  A node where c1 = 0 adds nothing to the slope,
-        though there, as at x = 0 on a trapezoid rule, a term's slope can
-        be inf."""
-        weights = self.c1 * self.w
+        though there, as at the node x = 0, a term's slope can be inf."""
         moving = self.c1 != 0.0
-        if moving.all():
-            return self.x, self.c0, self.c1, weights
-        return self.x[moving], self.c0[moving], self.c1[moving], weights[moving]
+        return self.x[moving], self.c0[moving], self.c1[moving], (self.c1 * self.w)[moving]
 
     def slope(self, spec: ObjectiveSpec, b: float):
         """The exact p1-derivative of `value`'s quadrature sum, as a function
@@ -301,7 +296,7 @@ def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
     and the family's c0 and c1 take 1.05 MB; the nodes and weights are the
     rule's own cached arrays.
 
-    Eight families hold four n at both default rules that reach here
+    Eight families hold four n at both default node counts that reach here
     (`BNB_QUAD`, `LINE_QUAD`).  Cycling branch-and-bound and a line search
     over n = 4, 5, 6 needs six: with room for four, 50 of 120 such lookups
     rebuilt a family."""

@@ -50,7 +50,7 @@ def check_partition_of_unity(seed: int, trials: int) -> CheckResult:
 
 def check_moment_integral(seed: int, trials: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    quad = QuadratureConfig(m=100_000, rule="trapezoid", exclude_left_endpoint=False)
+    quad = QuadratureConfig(m=100_000)
     x, w = quad.nodes_weights()
     worst = 0.0
     for n in (2, 5, 17, 33):
@@ -171,7 +171,7 @@ def check_flat_linear_cost(seed: int, trials: int) -> CheckResult:
         n = int(rng.choice([3, 5, 8]))
         p = _random_policy(rng, n)
         worst = max(worst, abs(objective.evaluate(ConvexCombo(0.0), 1.0, p, quad) - 1.0 / n))
-    return _result("objective.flat_linear_cost", worst <= 1.0 / quad.m, worst, seed)
+    return _result("objective.flat_linear_cost", worst <= quad.monotone_error_bound(), worst, seed)
 
 
 def check_riemann_refinement(seed: int, trials: int) -> CheckResult:
@@ -182,10 +182,11 @@ def check_riemann_refinement(seed: int, trials: int) -> CheckResult:
         p = _random_policy(rng, n)
         beta = rng.uniform(0.5, 4.0)
         m = int(rng.integers(50, 500))
-        coarse = objective.evaluate(ConvexCombo(0.0), beta, p, QuadratureConfig(m=m))
-        fine = objective.evaluate(ConvexCombo(0.0), beta, p, QuadratureConfig(m=100 * m))
-        allowance = 1.0 / m + 1.0 / (100 * m)
-        worst = max(worst, abs(coarse - fine) / allowance)
+        coarse, fine = QuadratureConfig(m=m), QuadratureConfig(m=100 * m)
+        allowance = coarse.monotone_error_bound() + fine.monotone_error_bound()
+        difference = (objective.evaluate(ConvexCombo(0.0), beta, p, coarse)
+                      - objective.evaluate(ConvexCombo(0.0), beta, p, fine))
+        worst = max(worst, abs(difference) / allowance)
     return _result("objective.riemann_refinement", worst <= 1.0, worst, seed)
 
 
@@ -316,7 +317,7 @@ def check_bound_sandwich(seed: int, trials: int) -> CheckResult:
     scan and U read one `optimizer._BatchSums`.  The margin is the scan's
     largest excess over U, below 0 where U holds."""
     rng = np.random.default_rng(seed)
-    # the sweep's default rule: at m = 20,000 the exponential's draws took
+    # the sweep's m: at m = 20,000 the exponential's draws took
     # the whole `verify --trials 200` to 8.3 s wall on a 2-core VM
     quad = QuadratureConfig(m=5000)
     worst = -np.inf

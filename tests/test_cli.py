@@ -101,6 +101,16 @@ class TestOptimize:
         code, _, err = run_cli(capsys, "optimize", "--method", "bnb", "--constants", "rough")
         assert code == 1 and "--constants" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("evaluate", "--policy", "hm"),
+        ("optimize", "--method", "line"),
+        ("sweep", "--cells", "2"),
+    ])
+    def test_quad_rule_flag_is_gone(self, capsys, argv):
+        """The trapezoid rule is the only rule, so no command takes a rule."""
+        code, out, err = run_cli(capsys, *argv, "--quad-rule", "trapezoid")
+        assert code == 1 and "--quad-rule" in err and out == ""
+
     @pytest.mark.parametrize("command, flag, value", [
         ("sweep", "--beta", "3"),
         ("sweep", "--format", "json"),
@@ -279,10 +289,10 @@ class TestSweep:
     # the CSV that ARGS writes, pinned byte for byte: refactors of the sweep path keep it
     PINNED = (
         "alpha,beta,p1,p2,value,structure_tag\n"
-        "0.24,2,0.25,0.25,0.444566811,UNI\n"
-        "0.24,3,0.25,0.25,0.579089676,UNI\n"
-        "0.9,2,1,0,0.676765618,HM\n"
-        "0.9,3,0.999882775,3.90751109e-05,0.753978693,HM\n"
+        "0.24,2,0.25,0.25,0.444500561,UNI\n"
+        "0.24,3,0.25,0.25,0.579006206,UNI\n"
+        "0.9,2,1,0,0.676190618,HM\n"
+        "0.9,3,0.999882097,3.93010242e-05,0.753403782,HM\n"
     )
 
     def test_rows_parse_and_match_optimize(self, capsys):
@@ -310,10 +320,10 @@ class TestSweep:
         assert first.read_bytes() == second.read_bytes()
         assert first.read_text(encoding="utf-8") == self.PINNED
 
-    # an n = 6, 8x8 sweep with 14 UNI, 33 HM and 17 TwoLevel rows, pinned by digest
+    # an n = 6, 8x8 sweep with 15 UNI, 32 HM and 17 TwoLevel rows, pinned by digest
     LARGER = ("sweep", "--n", "6", "--cells", "8", "--alpha-min", "0.02",
               "--beta-min", "0.3", "--beta-max", "4.5", "--steps", "90", "--quad-m", "3000")
-    LARGER_SHA256 = "3618b677f11cbb7b97fef07f3b018cb2a6e44ceb865615b3fa9295733e4bcc0a"
+    LARGER_SHA256 = "2068a1155471e617e8797b5c20fc5897c7fc491338c45a6c64e6393d28dcd8fe"
 
     def test_larger_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, *self.LARGER)
@@ -321,7 +331,7 @@ class TestSweep:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LARGER_SHA256
 
     # `sweep --n 5` with every other option at its default, the 50x50 portrait
-    DEFAULT_SHA256 = "a317920b02eb11848cc3d40bc00bfc30c54424867ad2dcf6a284053294f02568"
+    DEFAULT_SHA256 = "59eb7e8d36b3045d9634156c11a2c14ee5b18e8c7a5891fc467ffcd80f982b29"
 
     def test_default_sweep_is_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "5")

@@ -29,6 +29,7 @@ from contest_opt import (
     uni,
 )
 from contest_opt.bernstein import h_eval
+from contest_opt.optimizer import BNB_QUAD
 from contest_opt.quadrature import MAX_M
 from contest_opt.objective import (
     MAX_TAYLOR_TERMS,
@@ -43,12 +44,7 @@ from contest_opt.objective import (
     lattice_value,
 )
 
-# quality integral of the uniform-except-last policy at cost exponent 2,
-# frozen from a 1e6-node right-Riemann sum of the closed-form integrand
-# ((1 - (1-x)^4)/4)^(1/2), computed independently of the package
-Q_UNI5_B2_ORACLE = 0.4370098421741337
-W_UNI5_B2_ORACLE = 0.4682248757664499
-ORACLE_QUAD = QuadratureConfig(m=10**6, rule="right_riemann")
+ORACLE_QUAD = QuadratureConfig(m=10**6)
 
 FAST = QuadratureConfig(m=20_000)
 
@@ -69,6 +65,15 @@ WEIGHT_SPECS = (
 def random_reduced_policy(rng, n):
     raw = np.sort(rng.dirichlet(np.ones(n - 1)))[::-1]
     return make_policy(list(raw) + [0.0])
+
+
+def uni_power_integral(n, s):
+    """Integral over [0, 1] of h^s for uni(n), h = (1 - (1-x)^k)/k with
+    k = n - 1: with y = 1 - x and t = y^k it is k^(-s) (1/k) B(1/k, 1+s),
+    that is k^(-s) G(1+1/k) G(1+s) / G(1+1/k+s)."""
+    k = n - 1
+    return math.exp(-s * math.log(k) + math.lgamma(1 + 1 / k) + math.lgamma(1 + s)
+                    - math.lgamma(1 + 1 / k + s))
 
 
 def reduced_integrand(spec, beta, p, x):
@@ -110,7 +115,7 @@ class TestEvaluate:
         for n in (3, 5, 8):
             p = random_reduced_policy(rng, n)
             assert evaluate(ConvexCombo(0.0), 1.0, p, FAST) == pytest.approx(
-                1.0 / n, abs=1.0 / FAST.m
+                1.0 / n, abs=FAST.monotone_error_bound()
             )
 
     def test_winner_take_all_closed_form(self):
@@ -118,10 +123,12 @@ class TestEvaluate:
         assert got == pytest.approx(1.0 / 3.0, abs=2.0 / FAST.m)
 
     def test_uniform_except_last_against_oracle(self):
-        got = evaluate(ConvexCombo(0.0), 2.0, uni(5), ORACLE_QUAD)
-        assert got == pytest.approx(Q_UNI5_B2_ORACLE, abs=1e-12)
-        got_w = evaluate(ConvexCombo(1.0), 2.0, uni(5), ORACLE_QUAD)
-        assert got_w == pytest.approx(W_UNI5_B2_ORACLE, abs=1e-12)
+        """uni(5) at beta = 2 against the Beta closed forms of its quality
+        I[h^(1/2)] and its welfare 5 I[h^(3/2)], within the rule's bound."""
+        for spec, want in ((ConvexCombo(0.0), uni_power_integral(5, 0.5)),
+                           (ConvexCombo(1.0), 5 * uni_power_integral(5, 1.5))):
+            got = evaluate(spec, 2.0, uni(5), ORACLE_QUAD)
+            assert abs(got - want) <= evaluate_error_bound(spec, 2.0, uni(5), ORACLE_QUAD)
 
     def test_alpha_linearity_exact(self):
         rng = np.random.default_rng(3)
@@ -145,19 +152,20 @@ class TestEvaluate:
             QuadratureConfig(m=m)
 
     def test_quadrature_takes_a_numpy_integer_size(self):
-        assert QuadratureConfig(m=np.int64(1000)).nodes_weights()[0].shape == (1000,)
+        assert QuadratureConfig(m=np.int64(1000)).nodes_weights()[0].shape == (1001,)
 
     def test_riemann_refinement_bound(self):
-        """A monotone integrand pins successive Riemann sums together."""
+        """A monotone integrand pins successive trapezoid sums together."""
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = int(rng.choice([3, 5, 8]))
             p = random_reduced_policy(rng, n)
             beta = rng.uniform(0.5, 4)
             m = int(rng.integers(50, 400))
-            coarse = evaluate(ConvexCombo(0.0), beta, p, QuadratureConfig(m=m))
-            fine = evaluate(ConvexCombo(0.0), beta, p, QuadratureConfig(m=10 * m))
-            assert abs(coarse - fine) <= 1.0 / m + 1.0 / (10 * m)
+            coarse, fine = QuadratureConfig(m=m), QuadratureConfig(m=10 * m)
+            difference = (evaluate(ConvexCombo(0.0), beta, p, coarse)
+                          - evaluate(ConvexCombo(0.0), beta, p, fine))
+            assert abs(difference) <= coarse.monotone_error_bound() + fine.monotone_error_bound()
 
     def test_exponential_truncation_remainder(self):
         rng = np.random.default_rng(29)
@@ -402,11 +410,27 @@ class TestGradient:
             ) / delta
             assert d[0] - d[n - 2] == pytest.approx(fd, abs=1e-4)
 
+    @pytest.mark.parametrize("beta", [0.7, 2.0, 3.0])
+    @pytest.mark.parametrize("spec", WEIGHT_SPECS)
+    def test_finite_on_the_node_at_zero(self, spec, beta):
+        """At `BNB_QUAD`, whose first node is x = 0, where a weight of
+        exponent below one is inf, the gradient of every family is finite
+        and matches a directional finite difference of `evaluate`."""
+        delta = 1e-6
+        for base in ((0.4, 0.2, 0.2, 0.2), (0.4, 0.3, 0.2, 0.1)):
+            p = make_policy(base + (0.0,))
+            moved = make_policy((base[0] + delta,) + base[1:-1] + (base[-1] - delta, 0.0))
+            d = gradient(spec, beta, p, BNB_QUAD)
+            assert np.isfinite(d).all()
+            fd = (evaluate(spec, beta, moved, BNB_QUAD) - evaluate(spec, beta, p, BNB_QUAD)) / delta
+            assert d[0] - d[-1] == pytest.approx(fd, abs=1e-4)
+
     def test_blocked_sum_matches_one_product(self):
         rng = np.random.default_rng(43)
         for spec, n in ((ConvexCombo(0.3), 5), (MaxOrderStat(), 8), (ConvexCombo(0.0), 399)):
             p = uni(n) if n > 8 else random_reduced_policy(rng, n)
             x, w = FAST.nodes_weights()
+            x, w = x[1:], w[1:]  # the weight is singular at the node x = 0
             weight = gradient_weight(spec, 2.0, p, x)
             want = (weight * w) @ basis_matrix(n, x)[:, : n - 1]
             np.testing.assert_allclose(gradient(spec, 2.0, p, FAST), want, rtol=1e-12, atol=0.0)

@@ -275,7 +275,7 @@ class TestOptimizerChecks:
         assert records == [
             ("optimizer.affine_decomposition", "pass", "2.77555756e-16"),
             ("optimizer.bound_sandwich", "pass", "-0.000216079255"),
-            ("optimizer.bnb_certificate", "pass", "-7.500525e-05"),
+            ("optimizer.bnb_certificate", "pass", "-8.31322566e-09"),
             ("optimizer.line_argmax", "pass", "0"),
         ]
 
@@ -317,11 +317,11 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("n, alpha, beta", BNB_DRAWS)
     def test_agrees_with_the_line_search_across_rules(self, n, alpha, beta):
-        """Branch-and-bound on `BNB_QUAD`'s trapezoid rule and the line
-        search on `LINE_QUAD`'s right-Riemann rule bound the same optimum:
-        each value lies within both gaps of the other."""
+        """Branch-and-bound at `BNB_QUAD`'s m = 2^16 and the line search at
+        `LINE_QUAD`'s m = 2^14 bound the same optimum: each value lies
+        within both gaps of the other."""
         line = two_level_line_search(ConvexCombo(alpha), beta, n)
-        assert line.config["quad_rule"] != BNB_QUAD.rule and line.certified
+        assert line.config["quad_m"] != BNB_QUAD.m and line.certified
         for eps in (1e-3, 1e-4):
             bnb = branch_and_bound(n, alpha, beta, BnbConfig(eps))
             assert bnb.certified and bnb.certified_gap <= eps
@@ -505,8 +505,8 @@ class TestLineSearch:
         # slope pointing out: its value is the grid point's own, each term's
         # whole integral the sum of its two halves; the gap is the largest
         # cell bound less that value, plus twice the quadrature allowance
-        assert result.value == 0.44456681085414457
-        assert result.certified_gap == 0.000990386856416078
+        assert result.value == 0.4445005608541446
+        assert result.certified_gap == 0.0005003760785078455
 
     def test_branch_and_bound_reads_the_same_value_bits(self):
         """Both searches take a point's value from `_BatchSums`' value row:
@@ -688,12 +688,9 @@ class TestSlope:
 
     @pytest.mark.parametrize("beta", [0.6, 2.0])
     @pytest.mark.parametrize("n", [3, 5, 12])
-    @pytest.mark.parametrize("quad", [
-        QuadratureConfig(m=2000),
-        QuadratureConfig(m=2000, rule="trapezoid", exclude_left_endpoint=False),
-    ], ids=["right_riemann", "trapezoid_with_zero"])
+    @pytest.mark.parametrize("quad", [QuadratureConfig(m=2000)], ids=["trapezoid_with_zero"])
     def test_one_power_matches_two(self, quad, n, beta):
-        """On the trapezoid rule x = 0 is a node, where c1 = 0 and h = 0:
+        """x = 0 is a node of the rule, where c1 = 0 and h = 0:
         it adds nothing to either sum.  At p1 = 1 h can round to 0 or below
         near x = 0, where both sums are inf or nan alike."""
         fam = _TwoLevelFamily(n, quad)
@@ -779,9 +776,9 @@ class TestSlopeRoot:
         assert len(calls) == 3
 
     def test_a_sweep_cell_stops_at_the_tolerance(self, monkeypatch):
-        """A cell of the default sweep whose slope reaches 6.6e-16 on its
-        12th evaluation: the search took 18 halvings after it, 30 slopes in
-        all, and found the root 0.9994351926209065."""
+        """A cell of the default sweep whose slope reaches -1.0e-15 on its
+        12th evaluation: the search stops at the tolerance after 13 slopes
+        in all, at the root 0.9994236222667569."""
         seen = []
 
         def counting(slope, p1_grid, best):
@@ -799,7 +796,7 @@ class TestSlopeRoot:
         two_level_line_search(ConvexCombo(alpha), beta, 5, steps=300,
                               quad=QuadratureConfig(m=5000))
         (root, slopes), = seen
-        assert abs(root - 0.9994351926209065) <= 1e-13
+        assert abs(root - 0.9994236222667569) <= 1e-13
         assert slopes <= 14
 
     @pytest.mark.parametrize("best, fn", [
@@ -820,12 +817,9 @@ class TestRefinement:
 
     @pytest.mark.parametrize("beta", [0.6, 2.0, 5.0])
     @pytest.mark.parametrize("n", [3, 5, 12])
-    @pytest.mark.parametrize("quad", [
-        QuadratureConfig(m=2000),
-        QuadratureConfig(m=2000, rule="trapezoid", exclude_left_endpoint=False),
-    ], ids=["right_riemann", "trapezoid_with_zero"])
+    @pytest.mark.parametrize("quad", [QuadratureConfig(m=2000)], ids=["trapezoid_with_zero"])
     def test_no_point_of_the_picks_cells_is_better(self, quad, n, beta):
-        """On the trapezoid rule x = 0 is a node, where c1 = 0 and a slope
+        """x = 0 is a node of the rule, where c1 = 0 and a slope
         term of power below 0 is inf: the slope sums only the nodes where
         c1 != 0."""
         steps = 40
@@ -873,11 +867,10 @@ class TestChainCut:
     """c1 changes sign once on the nodes, so one index splits them into the
     nodes where it is <= 0 and those where it is >= 0."""
 
-    # branch-and-bound's (a trapezoid rule that keeps x = 0), the line
-    # search's and the sweep's rules, and a coarser trapezoid rule
+    # branch-and-bound's, the line search's and the sweep's node counts, and
+    # one that is none of theirs
     @pytest.mark.parametrize("quad", [
-        BNB_QUAD, LINE_QUAD, QuadratureConfig(m=5000),
-        QuadratureConfig(m=4000, rule="trapezoid", exclude_left_endpoint=False),
+        BNB_QUAD, LINE_QUAD, QuadratureConfig(m=5000), QuadratureConfig(m=4000),
     ], ids=["bnb", "line", "sweep", "trapezoid"])
     def test_one_cut_for_every_n(self, quad):
         for n in range(3, 101):
@@ -897,7 +890,7 @@ class TestChainCut:
     def test_a_second_sign_change_is_refused(self, monkeypatch):
         monkeypatch.setattr(optimizer, "c_decomposition",
                             lambda n, x: (np.zeros_like(x), np.cos(6.0 * x)))
-        with pytest.raises(DomainError, match="n=5, m=1000, rule right_riemann"):
+        with pytest.raises(DomainError, match="n=5, m=1000; "):
             _TwoLevelFamily(5, QuadratureConfig(m=1000))
 
     @pytest.mark.parametrize("beta", [0.6, 2.0])
@@ -905,7 +898,7 @@ class TestChainCut:
     def test_shape_sums_match_masked_weights(self, n, beta):
         fam = _TwoLevelFamily(n, QuadratureConfig(m=3000))
         plans = _BatchSums(fam, LINE_SPECS, beta).plans
-        rising = fam.c1 >= 0.0
+        rising = np.arange(len(fam.x)) >= fam.cut
         masked = np.column_stack((np.where(rising, fam.w, 0.0), np.where(rising, 0.0, fam.w)))
         for p1 in (1.0 / (n - 1), 0.4, 1.0):
             h = fam.c0 + fam.c1 * p1
@@ -970,7 +963,7 @@ class TestGridArgmax:
 class TestGridSearch:
     def test_counts_match_enumeration(self):
         assert count_lattice_policies(3, 4) == 4  # 4+0+0, 3+1+0, 2+2+0, 2+1+1
-        result = grid_search(ConvexCombo(0.0), 2.0, 3, 0.25, QuadratureConfig(m=200, rule="trapezoid"))
+        result = grid_search(ConvexCombo(0.0), 2.0, 3, 0.25, QuadratureConfig(m=200))
         assert result.nodes_explored == 4
 
     @staticmethod
@@ -1045,10 +1038,10 @@ class TestGridSearch:
             raise AssertionError("built the basis")
 
         monkeypatch.setattr(optimizer, "basis_matrix", no_basis)
-        quad = QuadratureConfig(m=200_000, rule="trapezoid", exclude_left_endpoint=False)
+        quad = QuadratureConfig(m=200_000)
         with pytest.raises(BudgetExceededError, match="cap of %d" % MAX_GRID_BASIS):
             grid_search(ConvexCombo(0.0), 2.0, 60, 0.5, quad)
-        # n = 5 fits at every node count a rule allows (trapezoid adds one)
+        # n = 5 fits at every node count the rule allows (m + 1 nodes)
         assert 5 * (MAX_M + 1) <= MAX_GRID_BASIS
 
     def test_granularity_must_divide_one(self):
@@ -1107,14 +1100,8 @@ ROOT_FORM_SPECS = (
     Exponential((1.5,), _HORNER_MAX_DEGREE + 1),
     SocialWelfare(((0.5, 1.0), (0.5, 2.0))),
 )
-# both rules, either left endpoint, and node counts that are multiples of
-# neither stride
-SCREEN_QUADS = (
-    QuadratureConfig(m=997, rule="trapezoid", exclude_left_endpoint=False),
-    QuadratureConfig(m=997, rule="trapezoid", exclude_left_endpoint=True),
-    QuadratureConfig(m=1003, rule="right_riemann", exclude_left_endpoint=True),
-    QuadratureConfig(m=333, rule="right_riemann", exclude_left_endpoint=False),
-)
+# node counts that are multiples of neither stride
+SCREEN_QUADS = (QuadratureConfig(m=997), QuadratureConfig(m=1003), QuadratureConfig(m=333))
 
 
 class TestLatticeScreening:
@@ -1136,8 +1123,7 @@ class TestLatticeScreening:
             assert got.shape == want.shape == (count_lattice_policies(n, resolution), n)
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("quad", SCREEN_QUADS, ids=lambda q: "%s-%d-%s" % (
-        q.rule, q.m, q.exclude_left_endpoint))
+    @pytest.mark.parametrize("quad", SCREEN_QUADS, ids=lambda q: "m%d" % q.m)
     def test_every_value_lies_in_its_bracket(self, quad):
         x, w = quad.nodes_weights()
         # (6, 12) holds the flat policy, whose g is exactly zero

@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from contest_opt.errors import DomainError
 from contest_opt.objective import (
     ConvexCombo,
     Exponential,
@@ -84,18 +85,24 @@ class TestIntegrate:
 
 
 class TestMonotoneErrorBound:
-    @pytest.mark.parametrize("rule, exclude_left, allowance", [
-        ("right_riemann", True, 1.0),
-        ("trapezoid", False, 0.5),
-        ("trapezoid", True, 1.0),
-    ])
-    def test_allowance_of_each_rule(self, rule, exclude_left, allowance):
-        """The trapezoid rule with its node at 0 is the mean of the left and
-        right Riemann sums, so half their range bounds it; moving that node
-        to 1/m makes it no such mean, and it keeps the full 1/m."""
-        quad = QuadratureConfig(m=1000, rule=rule, exclude_left_endpoint=exclude_left)
-        assert quad.monotone_error_bound(0.0, 1.0) == allowance / 1000
-        assert quad.monotone_error_bound(3.0, 1.0) == 2.0 * allowance / 1000
+    def test_allowance_is_half_the_range_over_m(self):
+        """The trapezoid sum is the mean of the left and right Riemann sums,
+        so half their gap bounds its error."""
+        quad = QuadratureConfig(m=1000)
+        assert quad.monotone_error_bound(0.0, 1.0) == 0.5 / 1000
+        assert quad.monotone_error_bound(3.0, 1.0) == 1.0 / 1000
+
+    @pytest.mark.parametrize("field", [{"rule": "right_riemann"},
+                                       {"exclude_left_endpoint": True}])
+    def test_only_the_trapezoid_with_its_node_at_zero_is_built(self, field):
+        with pytest.raises(DomainError):
+            QuadratureConfig(m=1000, **field)
+
+    def test_the_benchmark_harness_config_builds(self):
+        """perfbench/workloads.py's ENUMERATE_ONLY_QUAD names both fields."""
+        quad = QuadratureConfig(**{"m": 2, "rule": "trapezoid", "exclude_left_endpoint": False})
+        assert quad == QuadratureConfig(m=2)
+        assert np.array_equal(quad.nodes_weights()[0], [0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("m", [16, 256, 4096, 2**16])
     @pytest.mark.parametrize("spec", [
@@ -105,7 +112,7 @@ class TestMonotoneErrorBound:
     def test_half_allowance_covers_the_exact_value(self, spec, m):
         """At winner-take-all, whose value `hm_value` gives in closed form,
         the trapezoid sum lies within its half allowance of it."""
-        quad = QuadratureConfig(m=m, rule="trapezoid", exclude_left_endpoint=False)
+        quad = QuadratureConfig(m=m)
         for n in (3, 5, 8, 20):
             for beta in (0.3, 0.7, 1.0, 2.0, 5.0):
                 error = abs(evaluate(spec, beta, hm(n), quad) - hm_value(spec, beta, n))

@@ -44,8 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ContestOptError("cannot write %s: %s" % (output, exc.strerror or exc)) from None
     else:
         sys.stdout.write(text)
 

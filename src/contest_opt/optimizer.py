@@ -31,9 +31,10 @@ exact slope in p1 (`_TwoLevelFamily.slope`) crosses zero next to it
 (`_slope_root`).  Every call reads values and bounds from one
 `_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
 nonnegative), built once per (n, quadrature) and shared read-only (`_family`),
-and values and bounds through one kernel, `_BatchSums`, which integrates
-each term shape on either side of the cut once per point, so the searches
-agree bit for bit at any p1.
+and every value and bound, a refined root's included, through one kernel,
+`_BatchSums`, which integrates each term shape on either side of the cut
+once per point, so each pick is scored once, by the sums that ranked it,
+and the searches agree bit for bit at any p1.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -43,14 +44,14 @@ bottom one, which is exactly zero on a flat policy.  Rigorous brackets from
 every 100th, then every 20th, then every 5th quadrature node rule out most
 candidates: after each of these stages the candidate with the largest upper
 end is summed at every node, and its value, the incumbent, rules out every
-candidate whose upper end lies below it, as the best lower end does.  A last
-bracket at every node, only its rounding allowance wide, leaves the
-finalists, and only those are summed again at every node.  Brackets and
-values sum their terms through one kernel (`objective._term_values`): the
-terms whose exponents of g are integer multiples j <= 64 of the smallest,
-e0, make a polynomial in q = g^e0, summed by Horner's rule, and each other
-term takes its own power; a bracket sums its rising and its falling terms
-apart, sharing the powers (`objective.lattice_bracket`).  An exponential
+candidate whose upper end lies below it, as the best lower end does.  The
+survivors of the last stage are the finalists, each summed once at every
+node.  Brackets and values sum their terms through one kernel
+(`objective._term_values`): the terms whose exponents of g are integer
+multiples j <= 64 of the smallest, e0, make a polynomial in q = g^e0,
+summed by Horner's rule, and each other term takes its own power; a
+bracket sums its rising and its falling terms apart, sharing the powers
+(`objective.lattice_bracket`).  An exponential
 reward so costs one power per node and candidate, not one per Taylor term.
 """
 
@@ -231,13 +232,6 @@ class _TwoLevelFamily:
         for arr in (self.c0, self.c1):
             arr.setflags(write=False)
 
-    def value(self, spec: ObjectiveSpec, b: float, p1: float) -> float:
-        """The objective at top share p1, summed at every node:
-        `lattice_value` on the chain's h."""
-        h = self.c1 * p1
-        h += self.c0
-        return float(lattice_value(spec, b, h, 0.0, self.x, self.w, self.n))
-
     @cached_property
     def _slope_nodes(self) -> tuple[np.ndarray, ...]:
         """x, c0 and c1 at the nodes where c1 != 0, and c1 * w there: the
@@ -247,7 +241,7 @@ class _TwoLevelFamily:
         return self.x[moving], self.c0[moving], self.c1[moving], (self.c1 * self.w)[moving]
 
     def slope(self, spec: ObjectiveSpec, b: float):
-        """The exact p1-derivative of `value`'s quadrature sum, as a function
+        """The exact p1-derivative of the value's quadrature sum, as a function
         of p1: the sum over the nodes of w * c1 times each term's slope in
         h, coef * r * x^a * h^(r-1) (`objective._slope_terms`).  The terms
         plan and weights are built once, here, for every p1 the function is
@@ -435,10 +429,10 @@ class _Bisection(NamedTuple):
     capped: bool
 
 
-def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol=0.0,
+def _bisect(batch: _BatchSums, point, idx: np.ndarray, tol=0.0,
             max_cells: float = math.inf) -> _Bisection:
     """Level-wise branch-and-bound over the grid of top shares `point(i)`,
-    rising in i, for the objectives of `specs` at once, from the cells
+    rising in i, for the objectives of `batch` at once, from the cells
     between the ascending grid indices `idx`.
 
     A cell stays in an objective's search while its bound (`_cell_upper`,
@@ -454,7 +448,6 @@ def _bisect(fam: _TwoLevelFamily, specs, b: float, point, idx: np.ndarray, tol=0
     objective as left over, so every cell of the grid is split or counted
     (Shubert, SIAM J. Numer. Anal. 9(3), 1972).
     """
-    batch = _BatchSums(fam, specs, b)
     leftover = np.full(batch.count, -np.inf)
     p1s = point(idx)
     trace = p1s.tolist()
@@ -531,11 +524,13 @@ def _chain_search(specs, b: float, n: int, quad: QuadratureConfig, point, idx: n
     Otherwise a cell is dropped once its bound lies below the best value
     plus epsilon less twice the objective's quadrature allowance delta (an
     allowance that takes all of epsilon is refused), or plus 0 without
-    epsilon.  `refine(fam, spec, index, p1, value)`, where given, turns
-    each first best evaluated point into the (p1, value) reported.  The
-    gap is the largest bound of a cell that left the search less that
-    value, where it is above it, plus 2 delta; a result is certified when
-    `max_cells` did not stop the search and its gap and value are finite.
+    epsilon.  `refine(fam, spec, index)`, where given, returns a top share
+    near each first best evaluated point, or None; its value, from the
+    `_BatchSums` that ranked the grid, is reported where it beats the
+    point's.  The gap is the largest bound of a cell that left the search
+    less the value, where it is above it, plus 2 delta; a result is
+    certified when `max_cells` did not stop the search and its gap and
+    value are finite.
 
     Returns the `_Bisection`, None at n = 2, and per objective (the grid
     index of its first best evaluated point, 0 at n = 2, policy, value,
@@ -563,12 +558,16 @@ def _chain_search(specs, b: float, n: int, quad: QuadratureConfig, point, idx: n
                 "quadrature error budget exhausted: epsilon=%.3g but 2*delta=%.3g; "
                 "raise epsilon or the node count" % (epsilon, 2.0 * delta.max())
             )
-    run = _bisect(fam, specs, b, point, idx, tol, max_cells)
+    batch = _BatchSums(fam, specs, b)
+    run = _bisect(batch, point, idx, tol, max_cells)
     picks = []
     for k, (spec, best) in enumerate(zip(specs, np.argmax(run.data[0], axis=0).tolist())):
         index, p1, value = int(run.idx[best]), float(run.p1s[best]), float(run.data[0, best, k])
-        if refine is not None:
-            p1, value = refine(fam, spec, index, p1, value)
+        root = None if refine is None else refine(fam, spec, index)
+        if root is not None:
+            root_value = float(batch.at([root])[0, 0, k])
+            if root_value > value:
+                p1, value = root, root_value
         gap = max(float(run.leftover[k]) - value, 0.0) + 2.0 * float(delta[k])
         # a bound that overflowed certifies nothing
         certified = not run.capped and math.isfinite(gap) and math.isfinite(value)
@@ -658,27 +657,22 @@ def two_level_line_search_batch(specs, beta, n: int, steps: int = 1000,
     never evaluated for an objective lies below one that was, and the
     first best evaluated point is a full scan's.  Each objective then gets,
     in turn, its own root search of its slope next to that point
-    (`_TwoLevelFamily.slope`, `_slope_root`), one full value at the root
-    (`_TwoLevelFamily.value`), kept where it beats the grid's, and its own
-    gap, so every value and policy is bit for bit the single search's.  A
-    gap's cell bounds take their secants through every evaluated point,
-    some of them evaluated for the other objectives, so a gap in a batch
-    can be tighter than the single search's.
+    (`_TwoLevelFamily.slope`, `_slope_root`), one value at the root from
+    the `_BatchSums` that scored the grid, kept where it beats the grid's,
+    and its own gap, so every value and policy is bit for bit the single
+    search's.  A gap's cell bounds take their secants through every
+    evaluated point, some of them evaluated for the other objectives, so a
+    gap in a batch can be tighter than the single search's.
     """
     b = beta_value(beta)
     quad = quad or LINE_QUAD
     check_line_steps(steps)
     p1_grid = np.linspace(uni(n).p1, 1.0, steps)
 
-    def refine(fam, spec, index, p1, value):
+    def refine(fam, spec, index):
         # an infinite slope is a sign, and a nan one leaves the grid pick
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            root = _slope_root(fam.slope(spec, b), p1_grid, index)
-        if root is not None:
-            root_val = fam.value(spec, b, root)
-            if root_val > value:
-                return root, root_val
-        return p1, value
+            return _slope_root(fam.slope(spec, b), p1_grid, index)
 
     run, picks = _chain_search(specs, b, n, quad, p1_grid.__getitem__, _spread(steps),
                                refine=refine)
@@ -870,9 +864,9 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
     upper end lies below it are dropped.  An upper end covers the full sum
     with `BRACKET_ROUNDING` to spare, so a dropped candidate is worth less
     than one that is kept, and the argmax is still the exhaustive one; a
-    tie with the threshold survives.  A last stage brackets at every node
-    with the rule's own weights, so its bracket is only the rounding
-    allowance wide; its survivors are the finalists.  Where a sum
+    tie with the threshold survives.  The survivors of the last stage are
+    the finalists, each summed once at every node (`lattice_value`), and
+    the best of those sums is the value reported.  Where a sum
     overflows, a nan upper end drops nothing and is never the incumbent's
     pick, a nan lower end or incumbent is skipped in taking the threshold,
     and an inf value is read as a value, with no numpy warning.
@@ -912,10 +906,9 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
             pieces.append(fn(_shifted(sub, block), block[:, -1]))
         return [np.concatenate(parts) for parts in zip(*pieces)]
 
-    # a stage on more than half the nodes would save no work; the last is exact
+    # a stage on more than half the nodes would save no work
     stages = [stage for stage in (_screen_weights(w, stride) for stride in _SCREEN_STRIDES)
               if 2 * len(stage[0]) <= len(x)]
-    stages.append((np.arange(len(x)), w, w))
     keep, rows = np.arange(len(candidates)), candidates
     incumbent = np.nan
     # a sum that overflows is data: an inf value, or a nan bracket end or
@@ -926,11 +919,10 @@ def grid_search(spec: ObjectiveSpec, beta, n: int, granularity: float,
             lower, upper = over_batches(
                 rows, nodes,
                 lambda g, pn: lattice_bracket(spec, b, g, pn, x[nodes], w_low, w_high, n))
-            if len(nodes) < len(x):
-                # the exact value of the largest upper end (nan counts as -inf)
-                top = rows[[np.argmax(np.fmax(upper, -np.inf))]]
-                value = lattice_value(spec, b, _shifted(basis, top), top[:, -1], x, w, n)
-                incumbent = np.fmax(incumbent, value[0])
+            # the value of the largest upper end (nan counts as -inf)
+            top = rows[[np.argmax(np.fmax(upper, -np.inf))]]
+            value = lattice_value(spec, b, _shifted(basis, top), top[:, -1], x, w, n)
+            incumbent = np.fmax(incumbent, value[0])
             survive = ~(upper < np.fmax(np.fmax.reduce(lower), incumbent))
             keep, rows = keep[survive], rows[survive]
 

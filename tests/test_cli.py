@@ -67,6 +67,12 @@ class TestEvaluate:
         assert code == 3 and out == ""
         assert "exceeds the cap of n = %d" % bernstein._NESTED_MAX_N in err
 
+    def test_an_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "o.txt"
+        code, out, err = run_cli(capsys, "evaluate", "--policy", "hm", "--output", str(target))
+        assert code == 1 and out == ""
+        assert err == "error: cannot write %s: No such file or directory\n" % target
+
     def test_json_output_parses(self, capsys):
         code, out, _ = run_cli(capsys, "evaluate", "--policy", "uni", "--n", "5",
                                "--beta", "2", "--format", "json")
@@ -564,6 +570,13 @@ class TestVerifyCommand:
         warnings = [line for line in proc.stderr.splitlines() if "interior gradient" in line]
         assert warnings and len(warnings) == len(set(warnings))
         assert sum(line.startswith("n=3 ") for line in warnings) <= 1
+
+    def test_an_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli(capsys, "verify", "--only", "sign", "--output", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write %s: " % target)
+        assert not target.parent.exists()
 
     def test_deterministic_report(self, capsys):
         args = ("verify", "--only", "structure.sign", "--seed", "7")

@@ -72,8 +72,9 @@ FAST = QuadratureConfig(m=20_000)
 
 
 def scan(fam, spec, beta, p1s):
-    """One objective's values at every top share of `p1s`."""
-    return np.array([fam.value(spec, beta, p1) for p1 in p1s])
+    """One objective's values at every top share of `p1s`, from the sums
+    the searches read (`_BatchSums`)."""
+    return _BatchSums(fam, [spec], beta).at(p1s)[0, :, 0]
 
 
 def endpoint(batch, p1):
@@ -651,23 +652,36 @@ def term_sizes(fam, spec, beta, p1s):
     return _term_values(_plan(terms), fam.x[:, None], h).T @ fam.w
 
 
-class TestValues:
-    """`_TwoLevelFamily.value`, which the refined points and the scans read."""
+class TestReportedValues:
+    """Each pick is scored once, by the sums that ranked it: every value the
+    chain searches report is `_BatchSums`' value at the reported p1."""
 
-    @pytest.mark.parametrize("beta", [0.6, 2.0])
-    @pytest.mark.parametrize("m", [1000, 5000, 20_000])
-    def test_a_value_depends_on_its_objective_and_point_alone(self, m, beta):
-        """Each value has the bits of `lattice_value` on that point's (m, 1)
-        column of h."""
-        n = 5
-        fam = _TwoLevelFamily(n, QuadratureConfig(m=m))
-        rng = np.random.default_rng(m)
-        specs = [LINE_SPECS[int(k)] for k in rng.integers(0, len(LINE_SPECS), 40)]
-        for spec, p1 in zip(specs, rng.uniform(1.0 / (n - 1), 1.0, len(specs)).tolist()):
-            h = np.multiply.outer(fam.c1, [p1])
-            h += fam.c0[:, None]
-            column = lattice_value(spec, beta, h, 0.0, fam.x, fam.w, n)[0]
-            assert float(column).hex() == fam.value(spec, beta, p1).hex()
+    # at n = 5 and beta = 2 the mix of alpha 0.5 peaks at a root off the
+    # grid, p1 0.993077407 (`optimize --method line --n 5 --alpha 0.5`)
+    SPECS = FIVE_FAMILIES + (ConvexCombo(0.5),)
+
+    @staticmethod
+    def batch_value(spec, beta, n, quad, p1):
+        return float(_BatchSums(_family(n, quad), [spec], beta).at([p1])[0, 0, 0])
+
+    def test_every_reported_value_is_the_batch_sum_at_its_p1(self):
+        refined = 0
+        for n in (4, 5, 6, 7, 8):
+            grid = np.linspace(uni(n).p1, 1.0, 1000)
+            for beta in (0.8, 2.0, 3.3):
+                specs = [spec for spec in self.SPECS if structural_condition_holds(spec, beta)]
+                assert len(specs) >= 5
+                for spec, line in zip(specs, two_level_line_search_batch(specs, beta, n)):
+                    p1 = line.policy.p1
+                    refined += p1 not in grid
+                    want = self.batch_value(spec, beta, n, LINE_QUAD, p1)
+                    assert line.value.hex() == want.hex(), (n, beta, spec)
+                for spec in specs:
+                    bnb = branch_and_bound(n, spec, beta, BnbConfig(epsilon=1e-3))
+                    want = self.batch_value(spec, beta, n, BNB_QUAD, bnb.policy.p1)
+                    assert bnb.value.hex() == want.hex(), (n, beta, spec)
+        # roots off the line search's grid, scored after the grid's search
+        assert refined >= 10
 
 
 class TestSlope:
@@ -1144,7 +1158,8 @@ class TestLatticeScreening:
                                                        w_low, w_high, n)
                         assert np.all(lower <= value), (spec, beta, stride)
                         assert np.all(value <= upper), (spec, beta, stride)
-                    # the exact stage: every node at the rule's own weights
+                    # the bracket's own contract at every node, w_low = w_high
+                    # = w, where it is only its rounding allowance wide
                     lower, upper = lattice_bracket(spec, beta, g, pn, x, w, w, n)
                     assert np.all(lower <= value) and np.all(value <= upper), (spec, beta)
 
@@ -1186,7 +1201,7 @@ class TestLatticeScreening:
     @pytest.mark.parametrize("n, granularity, finalists", [(5, 0.04, 36), (4, 0.05, 21)])
     def test_a_nan_lower_end_still_screens(self, monkeypatch, n, granularity, finalists):
         """Sums that overflow leave some lower ends nan; the best lower end
-        skips them, so the exact pass gets a few of the candidates, not all."""
+        skips them, so the final pass gets a few of the candidates, not all."""
         spec = Posynomial(((1e308, 1.0), (1e308, 2.0)))
         seen, value, bracket = [], optimizer.lattice_value, optimizer.lattice_bracket
 
@@ -1202,6 +1217,44 @@ class TestLatticeScreening:
         monkeypatch.setattr(optimizer, "lattice_bracket", screen)
         result = grid_search(spec, 1.7, n, granularity)
         assert 0 < sum(seen) <= finalists < result.nodes_explored
+
+    @pytest.mark.parametrize("spec,beta", [(SCREEN_SPECS[0], 1.7), (SCREEN_SPECS[1], 2.6),
+                                           (MaxOrderStat(), 1.2), (ROOT_FORM_SPECS[1], 1.7)])
+    def test_each_finalist_is_summed_once(self, monkeypatch, spec, beta):
+        """No bracket takes every node, and the candidates that survive the
+        last strided stage are each summed once at every node, after that
+        stage's incumbent: as many columns as survivors, all distinct."""
+        log, bracket, value = [], optimizer.lattice_bracket, optimizer.lattice_value
+
+        def bracket_spy(spec, beta, g, pn, x, *args):
+            lower, upper = bracket(spec, beta, g, pn, x, *args)
+            log.append(("bracket", len(x), lower, upper))
+            return lower, upper
+
+        def value_spy(spec, beta, g, *args):
+            log.append(("value", g.copy(), value(spec, beta, g, *args)))
+            return log[-1][2]
+
+        monkeypatch.setattr(optimizer, "lattice_bracket", bracket_spy)
+        monkeypatch.setattr(optimizer, "lattice_value", value_spy)
+        result = grid_search(spec, beta, 5, 0.04)
+        nodes = len(GRID_QUAD.nodes_weights()[0])
+        brackets = [entry for entry in log if entry[0] == "bracket"]
+        assert all(count < nodes for _, count, _, _ in brackets)
+        # after each stage's brackets, one incumbent: one column at every node
+        incumbents = [entry[2][0] for before, entry in zip(log, log[1:])
+                      if before[0] == "bracket" and entry[0] == "value"]
+        assert len(incumbents) == len({count for _, count, _, _ in brackets}) == 3
+        last = max(i for i, entry in enumerate(log) if entry[0] == "bracket")
+        final = log[last + 2:]
+        assert final and all(kind == "value" for kind, *_ in final)
+        stage = [entry for entry in brackets if entry[1] == log[last][1]]
+        lower, upper = (np.concatenate([entry[k] for entry in stage]) for k in (2, 3))
+        threshold = np.fmax(np.fmax.reduce(lower), np.fmax.reduce(incumbents))
+        columns = np.concatenate([g for _, g, _ in final], axis=1)
+        assert columns.shape == (nodes, np.count_nonzero(~(upper < threshold)))
+        assert len(np.unique(columns, axis=1).T) == columns.shape[1] < result.nodes_explored
+        assert result.value == max(v.max() for _, _, v in final)
 
     def spy_upper_ends(self, monkeypatch):
         """Spy on grid_search's brackets: for each stage, by node count, the

@@ -81,8 +81,6 @@ def _check_common(args) -> None:
         raise ContestOptError("beta must be positive")
     if getattr(args, "alpha", None) is not None and not 0 <= args.alpha <= 1:
         raise ContestOptError("alpha must lie in [0, 1]")
-    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
-        raise ContestOptError("epsilon must be positive")
 
 
 def _policy_from_args(args) -> Policy:
@@ -142,11 +140,11 @@ def cmd_optimize(args) -> int:
                               % args.classify_tol)
     spec = _objective_from_args(args)
     if args.method == "bnb":
+        cfg = opt.BnbConfig(epsilon=1e-3 if args.epsilon is None else args.epsilon,
+                            quad=_quad_from_args(args, opt.BNB_QUAD))
         if args.n == 2:
             sys.stderr.write("note: n=2 admits only the winner-take-all split; "
                              "returning it directly\n")
-        cfg = opt.BnbConfig(epsilon=1e-3 if args.epsilon is None else args.epsilon,
-                            quad=_quad_from_args(args, opt.BNB_QUAD))
         result = opt.branch_and_bound(args.n, spec, args.beta, cfg)
     elif args.method == "line":
         result = opt.two_level_line_search(

@@ -26,15 +26,19 @@ of objectives at once (`_bisect`), dropping a cell once its bound is below
 the best value plus a (quadrature-adjusted) tolerance.  Every cell is split
 or bounded, so the largest bound of a cell that left the search, less the
 best value and plus twice the quadrature allowance, is either search's
-gap.  The line search refines its best grid point where the objective's
-exact slope in p1 (`_TwoLevelFamily.slope`) crosses zero next to it
-(`_slope_root`).  Every call reads values and bounds from one
-`_TwoLevelFamily` (nodes, weights, c0, c1 and the cut where c1 turns
-nonnegative), built once per (n, quadrature) and shared read-only (`_family`),
-and every value and bound, a refined root's included, through one kernel,
-`_BatchSums`, which integrates each term shape on either side of the cut
-once per point, so each pick is scored once, by the sums that ranked it,
-and the searches agree bit for bit at any p1.
+gap.  Branch-and-bound searches on the coarsest dyadic halving of its rule
+that its epsilon leaves room for, whose nodes are every 2^j-th node of the
+rule, and scores its pick once on the full rule; its gap adds both rules'
+allowances.  The line search refines its best grid point where the
+objective's exact slope in p1 (`_TwoLevelFamily.slope`) crosses zero next
+to it (`_slope_root`).  Every call reads values and bounds from one
+`_TwoLevelFamily` per rule (nodes, weights, c0, c1 and the cut where c1
+turns nonnegative), built once per (n, quadrature) and shared read-only
+(`_family`), and every value and bound, a refined root's included, through
+one kernel, `_BatchSums`, which integrates each term shape on either side
+of the cut once per point.  So each pick is scored once, by the sums that
+ranked it or, after a halved search, by the full rule's, and on one rule
+the searches agree bit for bit at any p1.
 
 The grid oracle takes the argmax over the whole ordered lattice without
 assuming any structure theorem, so it can confirm, rather than presuppose,
@@ -92,8 +96,11 @@ from .quadrature import QuadratureConfig, integrate
 # Every rule is the trapezoid rule with its node at 0 (`quadrature`).
 # Branch-and-bound's is `DEFAULT_QUAD`, m = 2^16: an allowance of 1/131,072
 # per unit range, nodes k/2^16 and weights 2^-16 and 2^-17 exact in binary,
-# and 65,537 nodes, 8 full `integrate` blocks plus one.  The line search's
-# m = 2^14 allows 1/32,768.
+# and 65,537 nodes, 8 full `integrate` blocks plus one.  It scores each
+# pick on this rule and searches on the coarsest halving that epsilon
+# leaves room for (`_halvings`): on the benchmark's strata, 2^12 or 2^13
+# nodes at the default epsilon 1e-3 and the full rule at 1e-4.  The line
+# search's m = 2^14 allows 1/32,768.
 BNB_QUAD = DEFAULT_QUAD
 GRID_QUAD = QuadratureConfig(m=1000)
 LINE_QUAD = QuadratureConfig(m=16_384)
@@ -141,8 +148,8 @@ class BnbConfig:
     quad: QuadratureConfig = BNB_QUAD
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError("epsilon must be positive and finite")
 
 
 @dataclass
@@ -280,7 +287,7 @@ class _TwoLevelFamily:
         return evaluate_error_bound(spec, b, hm(self.n), self.quad)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
     """The `_TwoLevelFamily` of (n, quad), built once and shared read-only
     by every caller.  At `BNB_QUAD` a build took 5.0 ms CPU (one BLAS
@@ -290,10 +297,12 @@ def _family(n: int, quad: QuadratureConfig) -> _TwoLevelFamily:
     and the family's c0 and c1 take 1.05 MB; the nodes and weights are the
     rule's own cached arrays.
 
-    Eight families hold four n at both default node counts that reach here
-    (`BNB_QUAD`, `LINE_QUAD`).  Cycling branch-and-bound and a line search
-    over n = 4, 5, 6 needs six: with room for four, 50 of 120 such lookups
-    rebuilt a family."""
+    Sixteen families hold the benchmark's cycle with room to spare.
+    Branch-and-bound at epsilon 1e-3 and 1e-4 with a line search, over
+    n = 4, 5, 6, reads each n at `BNB_QUAD` and `LINE_QUAD`, six families,
+    and its 1e-3 searches up to four halvings of `BNB_QUAD` more (2^12 or
+    2^13 nodes), ten in all, in 18 lookups a cycle; with room for eight, a
+    second cycle rebuilt 8 of them."""
     return _TwoLevelFamily(n, quad)
 
 
@@ -416,8 +425,8 @@ class _Bisection(NamedTuple):
     `_BatchSums.at` rows (row, point, objective); the top shares in the
     order evaluated; per objective, the largest bound of a cell that left
     its search unsplit, which bounds the objective over the whole grid's
-    span; the cells bounded; the levels split; and whether `max_cells`
-    stopped the search."""
+    span; the cells bounded; the levels split; whether `max_cells`
+    stopped the search; and the node count of the rule it searched on."""
 
     idx: np.ndarray
     p1s: np.ndarray
@@ -427,6 +436,7 @@ class _Bisection(NamedTuple):
     cells: int
     levels: int
     capped: bool
+    m: int
 
 
 def _bisect(batch: _BatchSums, point, idx: np.ndarray, tol=0.0,
@@ -510,7 +520,22 @@ def _bisect(batch: _BatchSums, point, idx: np.ndarray, tol=0.0,
         lo, hi, mids, live = lo[stay], hi[stay], mids[stay], live[stay]
         lo, hi = np.concatenate((lo, mids)), np.concatenate((mids, hi))
         live = np.concatenate((live, live))
-    return _Bisection(idx[1:-1], p1s[1:-1], data[:, 1:-1], trace, leftover, cells, levels, capped)
+    return _Bisection(idx[1:-1], p1s[1:-1], data[:, 1:-1], trace, leftover, cells, levels, capped,
+                      batch.fam.quad.m)
+
+
+def _halvings(m: int, delta: np.ndarray, epsilon: float) -> int:
+    """How often the search may halve a rule of m nodes: the largest j with
+    m / 2^j a whole number of at least 2 nodes and 2 (delta_s + delta) at
+    most epsilon / 2 for every allowance delta of `delta`, where delta_s =
+    2^j delta is the allowance on m / 2^j nodes; 0 where none fits.  The
+    halvings' nodes are every 2^j-th node of the rule (Davis & Rabinowitz,
+    *Methods of Numerical Integration*, 1984)."""
+    j = 0
+    while (m >> j) % 2 == 0 and m >> (j + 1) >= 2 and np.all(
+            2.0 * (delta * 2**(j + 1) + delta) <= 0.5 * epsilon):
+        j += 1
+    return j
 
 
 def _chain_search(specs, b: float, n: int, quad: QuadratureConfig, point, idx: np.ndarray,
@@ -521,16 +546,26 @@ def _chain_search(specs, b: float, n: int, quad: QuadratureConfig, point, idx: n
     An objective outside the class with a two-level optimum fails the
     whole batch before any point is evaluated.  At n = 2 the only feasible
     point is hm(2), whose exact value (`hm_value`) gets a gap of 0.
-    Otherwise a cell is dropped once its bound lies below the best value
-    plus epsilon less twice the objective's quadrature allowance delta (an
-    allowance that takes all of epsilon is refused), or plus 0 without
-    epsilon.  `refine(fam, spec, index)`, where given, returns a top share
-    near each first best evaluated point, or None; its value, from the
-    `_BatchSums` that ranked the grid, is reported where it beats the
-    point's.  The gap is the largest bound of a cell that left the search
-    less the value, where it is above it, plus 2 delta; a result is
-    certified when `max_cells` did not stop the search and its gap and
-    value are finite.
+    Otherwise, with epsilon, the search runs on the coarsest halving of the
+    value rule `quad` that epsilon leaves room for (`_halvings`), m / 2^j
+    nodes, whose allowance delta_s is 2^j times the value rule's delta_v
+    (j = 0 where none fits), and a cell is dropped once its bound lies
+    below the best value plus tol = epsilon - (delta_s + delta_v) - D.
+    D = delta_s + delta_v bounds how far the two rules' sums S_s and S_v
+    can differ at a point, and is 0 at j = 0; a tol that is not positive is
+    refused.  Without epsilon the search runs on `quad` with tol 0.
+    `refine(fam, spec, index)`, where given, returns a top share near each
+    first best evaluated point, or None; its value, from the `_BatchSums`
+    that ranked the grid, is kept where it beats the point's.  Each pick
+    is then scored once on `quad`, which at j = 0 is the sum that ranked
+    it.  The gap is (max(leftover, S_s(pick)) - S_v(pick)) + (delta_s +
+    delta_v), leftover the largest bound of a cell that left the search:
+    the optimum is at most max(leftover, S_s(pick)) + delta_s, and the
+    pick's value at least S_v(pick) - delta_v.  The search leaves at most
+    tol above S_s(pick), so the gap is at most epsilon.  At j = 0 the two
+    formulas reduce bit for bit to epsilon - 2 delta and max(leftover -
+    value, 0) + 2 delta.  A result is certified when `max_cells` did not
+    stop the search and its gap and value are finite.
 
     Returns the `_Bisection`, None at n = 2, and per objective (the grid
     index of its first best evaluated point, 0 at n = 2, policy, value,
@@ -550,25 +585,32 @@ def _chain_search(specs, b: float, n: int, quad: QuadratureConfig, point, idx: n
 
     fam = _family(n, quad)
     delta = np.array([fam.error_bound(spec, b) for spec in specs])
+    halvings = 0 if epsilon is None else _halvings(quad.m, delta, epsilon)
+    search = fam if not halvings else _family(n, QuadratureConfig(m=quad.m >> halvings))
+    # delta_s + delta_v: the search rule's allowance is 2^j delta_v, exact in binary
+    allowance = delta * 2**halvings + delta
     tol = 0.0
     if epsilon is not None:
-        tol = epsilon - 2.0 * delta
+        # less, on a halving, the most the two rules' sums can differ at the pick
+        tol = epsilon - allowance - (allowance if halvings else 0.0)
         if np.any(tol <= 0):
             raise DomainError(
                 "quadrature error budget exhausted: epsilon=%.3g but 2*delta=%.3g; "
                 "raise epsilon or the node count" % (epsilon, 2.0 * delta.max())
             )
-    batch = _BatchSums(fam, specs, b)
+    batch = _BatchSums(search, specs, b)
     run = _bisect(batch, point, idx, tol, max_cells)
+    scorer = _BatchSums(fam, specs, b) if halvings else None
     picks = []
     for k, (spec, best) in enumerate(zip(specs, np.argmax(run.data[0], axis=0).tolist())):
-        index, p1, value = int(run.idx[best]), float(run.p1s[best]), float(run.data[0, best, k])
-        root = None if refine is None else refine(fam, spec, index)
+        index, p1, found = int(run.idx[best]), float(run.p1s[best]), float(run.data[0, best, k])
+        root = None if refine is None else refine(search, spec, index)
         if root is not None:
             root_value = float(batch.at([root])[0, 0, k])
-            if root_value > value:
-                p1, value = root, root_value
-        gap = max(float(run.leftover[k]) - value, 0.0) + 2.0 * float(delta[k])
+            if root_value > found:
+                p1, found = root, root_value
+        value = found if scorer is None else float(scorer.at([p1])[0, 0, k])
+        gap = (max(float(run.leftover[k]), found) - value) + float(allowance[k])
         # a bound that overflowed certifies nothing
         certified = not run.capped and math.isfinite(gap) and math.isfinite(value)
         picks.append((index, two_level(n, p1), value, gap, certified))
@@ -583,9 +625,16 @@ def branch_and_bound(n: int, objective, beta, cfg: BnbConfig,
     a plain number is read as the welfare/quality mix `ConvexCombo` of that
     alpha.  Returns a policy whose value is within epsilon of the best
     two-level value, with the quadrature budget folded into the
-    certificate: the internal stopping threshold is epsilon minus twice the
-    per-evaluation error bound, and the reported gap adds that allowance
-    back (`_chain_search`).  `_bisect` searches the `_BNB_GRID_STEPS` + 1
+    certificate (`_chain_search`): the search runs on the coarsest halving
+    of `cfg.quad` that epsilon leaves room for, its stopping threshold is
+    epsilon less both rules' allowances and the most their sums can
+    differ, the pick is scored once on `cfg.quad`, and the reported gap
+    adds both allowances back.  Where no halving fits, as at the anchor
+    (n = 5, alpha = 0.24, beta = 2) at epsilon 1e-4 and `BNB_QUAD`, the
+    search runs on `cfg.quad`, its threshold is epsilon less twice the
+    allowance, and the gap adds that back.  The run record's
+    `search_m` is the search rule's node count, `quad_m` where it does not
+    halve and at n = 2.  `_bisect` searches the `_BNB_GRID_STEPS` + 1
     grid points from the chain's two ends; a cell of two neighbouring grid
     points, under 2.3e-16 wide, is bounded but not split.
     `nodes_explored` counts the cells bounded, `max_depth` the levels
@@ -593,16 +642,17 @@ def branch_and_bound(n: int, objective, beta, cfg: BnbConfig,
     """
     b = beta_value(beta)
     spec = ConvexCombo(objective) if isinstance(objective, numbers.Real) else objective
-    config = {
-        "n": n, "objective": format_objective_config(spec), "beta": b, "epsilon": cfg.epsilon,
-        "quad_m": cfg.quad.m, "quad_rule": cfg.quad.rule,
-    }
     # lo + (1 - lo) is 1 exactly for any lo in [0, 1]
     lo = uni(n).p1
     span = (1.0 - lo) / _BNB_GRID_STEPS
     run, [(_, policy, value, gap, certified)] = _chain_search(
         [spec], b, n, cfg.quad, lambda i: lo + span * i, np.array([0, _BNB_GRID_STEPS]),
         cfg.epsilon, MAX_BNB_NODES)
+    config = {
+        "n": n, "objective": format_objective_config(spec), "beta": b, "epsilon": cfg.epsilon,
+        "quad_m": cfg.quad.m, "search_m": cfg.quad.m if run is None else run.m,
+        "quad_rule": cfg.quad.rule,
+    }
     if run is None:
         return OptResult(policy, value, gap, 0, "bnb:n2-shortcut-hm", certified, 0, config)
     if trace is not None:

@@ -90,6 +90,16 @@ class TestOptimize:
         assert fields["structure"] == "UNI"
         assert fields["certified"] == "True"
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_bnb_refuses_an_epsilon_that_is_not_positive_and_finite(self, capsys, value):
+        """`BnbConfig`'s one check: JSON holds no infinity, and the search
+        rule's halving needs a finite epsilon.  The run is refused with
+        nothing on stdout."""
+        code, out, err = run_cli(capsys, "optimize", "--method", "bnb", "--epsilon", value,
+                                 "--format", "json")
+        assert code == 1 and out == ""
+        assert err == "error: epsilon must be positive and finite\n"
+
     def test_bnb_two_players_notice(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--method", "bnb", "--n", "2",
                                  "--alpha", "0.5", "--beta", "2")

@@ -241,7 +241,9 @@ class TestChordSecantBound:
     @pytest.mark.parametrize("n, alpha, beta", [(5, 0.24, 2.0), (12, 0.3, 2.5), (6, 0.0, 4.0)])
     def test_every_node_bound_holds(self, monkeypatch, n, alpha, beta):
         """Each cell branch-and-bound bounds, one per node, stays under its
-        bound, whose secants pass through the points nearest the cell."""
+        bound, whose secants pass through the points nearest the cell.  The
+        cells are bounded on the search rule, a halving of the value rule
+        at epsilon 1e-3, so the scan reads that rule's family."""
         seen = []
 
         def recording(p1s, sums, cav_cap):
@@ -253,7 +255,7 @@ class TestChordSecantBound:
         quad = QuadratureConfig(m=20_000)
         result = branch_and_bound(n, alpha, beta, BnbConfig(epsilon=1e-3, quad=quad))
         assert result.certified and len(seen) == result.nodes_explored > 1
-        fam = _TwoLevelFamily(n, quad)
+        fam = _TwoLevelFamily(n, QuadratureConfig(m=result.config["search_m"]))
         for lo, hi, upper in seen:
             assert scan(fam, ConvexCombo(alpha), beta, np.linspace(lo, hi, 50)).max() <= upper
 
@@ -329,16 +331,20 @@ class TestBranchAndBound:
             assert abs(bnb.value - line.value) <= bnb.certified_gap + line.certified_gap
 
     def test_gap_covers_a_dense_scan_of_the_chain(self):
-        """No point of a 2,001-point scan of the chain, on the same rule,
-        lies above the value plus the gap less its quadrature allowance.
-        The scan reads the values both searches read (`_BatchSums`), which
-        match `lattice_value` term by term (`TestFactoredScan`) at a
+        """Where epsilon leaves room, the search runs on a halving of the
+        value rule, m = 20,000 here, whose allowance is 2^j times the value
+        rule's, exactly.  No point of a 2,001-point scan of the chain, on
+        the rule the search ran on, lies above the value plus the gap less
+        both rules' quadrature allowances, and no point of a scan on 2^18
+        nodes, less that rule's own allowance, lies above the value plus the
+        gap.  The scans read the values both searches read (`_BatchSums`),
+        which match `lattice_value` term by term (`TestFactoredScan`) at a
         quarter of its cost."""
         rng = np.random.default_rng(41)
-        quad = QuadratureConfig(m=20_000)
-        cases = 0
+        quad, fine = QuadratureConfig(m=20_000), QuadratureConfig(m=2**18)
+        cases = halved = 0
         while cases < 30:
-            n = int(rng.choice([3, 4, 5, 7, 10]))
+            n = int(rng.integers(3, 11))
             alpha, beta = float(rng.random()), float(rng.uniform(0.5, 4.0))
             eps = float(rng.choice([1e-2, 1e-3]))
             fam, spec = _family(n, quad), ConvexCombo(alpha)
@@ -346,11 +352,37 @@ class TestBranchAndBound:
             if 2.0 * delta >= eps:
                 continue  # refused: the quadrature allowance takes all of epsilon
             result = branch_and_bound(n, alpha, beta, BnbConfig(eps, quad=quad))
-            assert result.certified
+            assert result.certified and result.certified_gap <= eps, (n, alpha, beta, eps)
+            search_m = result.config["search_m"]
+            halved += search_m < quad.m
+            search = _family(n, QuadratureConfig(m=search_m))
+            assert search.error_bound(spec, beta) == quad.m // search_m * delta
+            allowance = search.error_bound(spec, beta) + delta
             p1s = np.linspace(1.0 / (n - 1), 1.0, 2001)
-            scanned = _BatchSums(fam, [spec], beta).at(p1s)[0, :, 0].max()
-            assert scanned <= result.value + result.certified_gap - 2.0 * delta, (n, alpha, beta)
+            scanned = scan(search, spec, beta, p1s)
+            assert scanned.max() <= result.value + result.certified_gap - allowance, (n, alpha,
+                                                                                      beta, eps)
+            # the fine rule at 21 spread points, the search scan's best and the pick
+            exact = _TwoLevelFamily(n, fine)
+            p1s = np.append(p1s[::100], (p1s[scanned.argmax()], result.policy.p1))
+            top = scan(exact, spec, beta, p1s).max() - exact.error_bound(spec, beta)
+            assert top <= result.value + result.certified_gap, (n, alpha, beta, eps)
             cases += 1
+        assert halved >= 15
+
+    def test_search_rule_is_recorded(self):
+        """The run record names the rule the search ran on: a halving of
+        `BNB_QUAD` at the anchor's epsilon 1e-3, `BNB_QUAD` itself at 1e-4."""
+        loose = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-3))
+        tight = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-4))
+        for result in (loose, tight):
+            assert result.config["quad_m"] == BNB_QUAD.m
+        assert loose.config["search_m"] < BNB_QUAD.m == tight.config["search_m"]
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf, 0.0])
+    def test_refuses_an_epsilon_that_is_not_positive_and_finite(self, eps):
+        with pytest.raises(DomainError, match="epsilon must be positive and finite"):
+            BnbConfig(eps)
 
     def test_anchor_search_is_pinned(self):
         result = branch_and_bound(5, 0.24, 2.0, BnbConfig(1e-3))
@@ -463,6 +495,25 @@ class TestFamilyCache:
                 assert ((cold.value, cold.certified_gap, cold.nodes_explored)
                         == (warm.value, warm.certified_gap, warm.nodes_explored))
                 assert cold.policy.values == warm.policy.values
+
+
+    def test_a_second_benchmark_cycle_rebuilds_no_family(self):
+        """The benchmark's cycle: branch-and-bound on its five strata at
+        epsilon 1e-3, on halvings of `BNB_QUAD`, and at 1e-4, then a line
+        search at each n.  Once its families are built, the cache holds
+        them all."""
+        def cycle():
+            for n, alpha, beta in BNB_DRAWS:
+                for eps in (1e-3, 1e-4):
+                    branch_and_bound(n, alpha, beta, BnbConfig(eps))
+            for n in sorted({n for n, _, _ in BNB_DRAWS}):
+                two_level_line_search(ConvexCombo(0.3), 2.0, n, steps=200)
+
+        _family.cache_clear()
+        cycle()
+        built = _family.cache_info().misses
+        cycle()
+        assert _family.cache_info().misses == built
 
 
 class TestLineSearch:
@@ -665,6 +716,8 @@ class TestReportedValues:
         return float(_BatchSums(_family(n, quad), [spec], beta).at([p1])[0, 0, 0])
 
     def test_every_reported_value_is_the_batch_sum_at_its_p1(self):
+        """Branch-and-bound at epsilon 1e-3 searches on a halving of
+        `BNB_QUAD` here, and scores its pick on `BNB_QUAD` itself."""
         refined = 0
         for n in (4, 5, 6, 7, 8):
             grid = np.linspace(uni(n).p1, 1.0, 1000)
@@ -678,6 +731,7 @@ class TestReportedValues:
                     assert line.value.hex() == want.hex(), (n, beta, spec)
                 for spec in specs:
                     bnb = branch_and_bound(n, spec, beta, BnbConfig(epsilon=1e-3))
+                    assert bnb.config["search_m"] < BNB_QUAD.m, (n, beta, spec)
                     want = self.batch_value(spec, beta, n, BNB_QUAD, bnb.policy.p1)
                     assert bnb.value.hex() == want.hex(), (n, beta, spec)
         # roots off the line search's grid, scored after the grid's search
